@@ -9,6 +9,7 @@ quantity outside its window, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -23,6 +24,17 @@ from .scenario import (ScenarioError, _SCALAR_KEYS, default_scenario,
 CONFIG_ENV_VAR = "QMEMCELL_CONFIG"
 
 _SWEEP_MAX_WORKERS = 8
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str):
@@ -45,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     p = sub.add_parser("shifts", help="level-shift ladders of every mechanism")
-    p.add_argument("--omega-b-hz", type=float, default=None,
+    p.add_argument("--omega-b-hz", type=_finite_float, default=None,
                    help="override the Larmor frequency (cyclic Hz)")
     _add_common(p, "csv")
 
@@ -55,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pulse-design",
                        help="differential pi pulses for a given duration")
-    p.add_argument("--tau-s", type=float, default=30.0e-6,
+    p.add_argument("--tau-s", type=_finite_float, default=30.0e-6,
                    help="pulse duration in seconds (default 30 us)")
     _add_common(p, "csv")
 
@@ -63,24 +75,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "csv")
 
     p = sub.add_parser("pump", help="optical pumping rate-equation run")
-    p.add_argument("--pump-rate", type=float, default=1.0e4,
+    p.add_argument("--pump-rate", type=_finite_float, default=1.0e4,
                    help="peak depletion rate of the interior sublevels, 1/s")
-    p.add_argument("--repump-rate", type=float, default=1.0e4,
+    p.add_argument("--repump-rate", type=_finite_float, default=1.0e4,
                    help="return rate from the lower manifold, 1/s")
-    p.add_argument("--leak-rate", type=float, default=0.0,
-                   help="reported leak rate (bookkeeping only)")
-    p.add_argument("--dt", type=float, default=1.0e-6,
-                   help="Euler step in seconds")
+    p.add_argument("--dt", type=_finite_float, default=1.0e-6,
+                   help="spacing of the record grid in seconds; the propagation "
+                        "itself is exact")
     p.add_argument("--steps", type=int, default=2000,
-                   help="number of Euler steps")
+                   help="number of grid spacings: the run lasts dt * steps")
     _add_common(p, "csv")
 
     p = sub.add_parser("memory-sim",
                        help="write-then-read run under the configured budget")
-    p.add_argument("--k-eff", type=float, default=1.0,
+    p.add_argument("--k-eff", type=_finite_float, default=1.0,
                    help="pass strength of the protocol run (default: unit pass; "
                         "the configured cell's own value is reported in the output)")
-    p.add_argument("--gain", type=float, default=None,
+    p.add_argument("--gain", type=_finite_float, default=None,
                    help="feedback gain (default: the configured feedback_gain)")
     _add_common(p, "csv")
 
@@ -95,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="quantity to evaluate at each point")
     p.add_argument("--values", default=None,
                    help="comma-separated list of parameter values")
-    p.add_argument("--start", type=float, default=None, help="grid start")
-    p.add_argument("--stop", type=float, default=None, help="grid stop")
+    p.add_argument("--start", type=_finite_float, default=None, help="grid start")
+    p.add_argument("--stop", type=_finite_float, default=None, help="grid stop")
     p.add_argument("--num", type=int, default=None, help="grid point count")
     _add_common(p, "csv")
 
@@ -152,9 +163,7 @@ def _sweep_rows(config, args) -> list[ReportRow]:
 
 def _dispatch(args) -> tuple[list[ReportRow], int]:
     if args.command == "pump":
-        rows = pump_rows(args.pump_rate, args.repump_rate, args.dt,
-                         args.steps, args.leak_rate)
-        return rows, 0
+        return pump_rows(args.pump_rate, args.repump_rate, args.dt, args.steps), 0
     config = _resolve_config(args.config)
     if args.command == "shifts":
         if args.omega_b_hz is not None:

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 
 from .constants import CESIUM, CODATA, PhysicalConstants, SpeciesData, saturation_intensity
 from .gaussian import GaussianState, VACUUM_VARIANCE, beamsplitter_loss
+from .numerics import faddeeva
 from .scenario import ScenarioConfig
 
 #: width conventions for the Doppler average
@@ -57,6 +57,14 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
 
     ``width_convention`` decides whether the width is read as a HWHM
     (default) or directly as the Gaussian standard deviation.
+
+    The rate is a power-broadened Lorentzian in the detuning, of peak
+    (gamma/2) s0/(1+s0) and HWHM w = (gamma/2) sqrt(1+s0) with
+    s0 = I/I_sat, so its Gaussian average is a Voigt profile, evaluated
+    in closed form through the Faddeeva function.  The result carries
+    that function's accuracy: about 1e-9 relative while w is at least
+    1.4e-5 of the Gaussian standard deviation, less in the far wing of
+    narrower lines (see ``qmemcell.numerics.faddeeva``).
     """
     if doppler_halfwidth < 0.0:
         raise ValueError(f"doppler width must be non-negative, got {doppler_halfwidth}")
@@ -68,17 +76,19 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
         raise ValueError(f"unknown width convention {width_convention!r}")
     if sigma == 0.0:
         return scattering_rate(intensity, center_detuning, gamma, wavelength, constants)
+    if intensity < 0.0:
+        raise ValueError(f"intensity must be non-negative, got {intensity}")
 
-    # integrate in units of sigma so narrow and broad profiles behave alike
-    def integrand(u):
-        return (scattering_rate(intensity, center_detuning + sigma * u,
-                                gamma, wavelength, constants)
-                * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
-
-    value, err = integrate.quad(integrand, -8.0, 8.0, epsrel=1e-6, limit=200)
-    if not math.isfinite(value) or (value > 0.0 and err > 1e-3 * value):
+    s0 = intensity / saturation_intensity(gamma, wavelength, constants)
+    peak = 0.5 * gamma * s0 / (1.0 + s0)
+    width = 0.5 * gamma * math.sqrt(1.0 + s0)
+    scale = sigma * math.sqrt(2.0)
+    voigt = faddeeva(complex(abs(center_detuning), width) / scale).real
+    value = peak * math.sqrt(math.pi) * width * voigt / scale
+    if not math.isfinite(value):
         raise ArithmeticError(
-            f"doppler average failed to converge: value={value}, err={err}")
+            f"doppler average is not finite: intensity={intensity}, "
+            f"center={center_detuning}, sigma={sigma}")
     return value
 
 

@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, field, replace as _dc_replace
 
 import numpy as np
-from scipy.linalg import expm
+
+from .numerics import expm
 
 VACUUM_VARIANCE = 0.5
 
@@ -226,8 +227,8 @@ def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> SymplecticTransf
 
     S = exp(Omega H t).  The bilinear pass interactions have nilpotent
     generators, for which the power series terminates after a few terms
-    and is evaluated exactly; anything else falls back to the
-    scaling-and-squaring matrix exponential.
+    and is evaluated exactly; anything else falls back to the Pade
+    scaling-and-squaring exponential of ``qmemcell.numerics``.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:

@@ -9,13 +9,18 @@ Decayed atoms redistribute over the neighboring sublevels of both
 hyperfine manifolds and a repumper returns F = 3 population to F = 4.
 
 Populations are classical probabilities; the model tracks no coherences.
+The rate matrix is constant in time, so populations are propagated
+exactly, P(t) = exp(M t) P(0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .numerics import expm
 
 F_UPPER = 4
 F_LOWER = 3
@@ -26,9 +31,6 @@ F3_SLICE = slice(2 * F_UPPER + 1, N_STATES)
 
 #: indices of the two dark stretched states m = -4 and m = +4
 DARK_INDICES = (0, 2 * F_UPPER)
-
-#: Euler stability guard: the step must resolve the fastest rate
-MAX_STEP_FRACTION = 0.1
 
 
 def state_index(f: int, m: int) -> int:
@@ -51,17 +53,11 @@ def pump_rate_profile(m: int, pump_rate: float) -> float:
 
 @dataclass(frozen=True)
 class PumpLevelSystem:
-    """Populations plus the rates driving them.
-
-    leak_rate is carried along for bookkeeping (e.g. reporting how fast
-    a residual field would refill the interior) but takes no part in the
-    dynamics: the stretched states stay strictly dark.
-    """
+    """Populations plus the rates driving them."""
 
     populations: np.ndarray
     pump_rate: float
     repump_rate: float
-    leak_rate: float = 0.0
 
     def __post_init__(self):
         pops = np.asarray(self.populations, dtype=float).reshape(-1)
@@ -69,8 +65,8 @@ class PumpLevelSystem:
             raise ValueError(f"populations must have length {N_STATES}, got {pops.shape}")
         if np.any(pops < -1e-12):
             raise ValueError("populations must be non-negative")
-        if self.pump_rate < 0.0 or self.repump_rate < 0.0 or self.leak_rate < 0.0:
-            raise ValueError("rates must be non-negative")
+        if not (0.0 <= self.pump_rate < math.inf and 0.0 <= self.repump_rate < math.inf):
+            raise ValueError("rates must be non-negative and finite")
         object.__setattr__(self, "populations", pops.copy())
         self.populations.setflags(write=False)
 
@@ -87,13 +83,12 @@ class PumpLevelSystem:
                 float(self.populations[DARK_INDICES[1]]))
 
 
-def uniform_f4_system(pump_rate: float, repump_rate: float,
-                      leak_rate: float = 0.0) -> PumpLevelSystem:
+def uniform_f4_system(pump_rate: float, repump_rate: float) -> PumpLevelSystem:
     """All population spread evenly over the F = 4 manifold."""
     pops = np.zeros(N_STATES)
     pops[F4_SLICE] = 1.0 / (2 * F_UPPER + 1)
     return PumpLevelSystem(populations=pops, pump_rate=pump_rate,
-                           repump_rate=repump_rate, leak_rate=leak_rate)
+                           repump_rate=repump_rate)
 
 
 def _decay_targets(m: int) -> list[int]:
@@ -130,33 +125,34 @@ def rate_matrix(system: PumpLevelSystem) -> np.ndarray:
     return mat
 
 
-def evolve_pumping(system: PumpLevelSystem, dt: float,
-                   steps: int) -> PumpLevelSystem:
-    """Propagate the populations by explicit Euler steps."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+def _check_grid(dt: float, steps: int) -> None:
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+
+
+def evolve_pumping(system: PumpLevelSystem, dt: float,
+                   steps: int) -> PumpLevelSystem:
+    """Populations after a time dt * steps, propagated exactly."""
+    _check_grid(dt, steps)
     mat = rate_matrix(system)
-    max_rate = float(np.max(-np.diag(mat), initial=0.0))
-    if dt * max_rate >= MAX_STEP_FRACTION:
-        raise ValueError(
-            f"dt * max_rate = {dt * max_rate:.3g} too large for explicit "
-            f"Euler; keep it below {MAX_STEP_FRACTION}")
-    pops = system.populations.copy()
-    for _ in range(steps):
-        pops = pops + dt * (mat @ pops)
+    duration = dt * steps
+    if not math.isfinite(duration * float(np.max(np.abs(mat), initial=0.0))):
+        raise ValueError(f"run time dt * steps = {duration:g} s overflows the rate matrix")
+    pops = expm(mat * duration) @ system.populations
     return replace(system, populations=pops)
 
 
 def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
                     record_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Times and population snapshots along an Euler integration.
+    """Times and population snapshots every ``record_every`` dt up to dt * steps.
 
     Returns (times, populations) with one row per record, starting with
-    the initial state; used by the reporting layer to print pump-up
-    curves.
+    the initial state and ending at dt * steps; used by the reporting
+    layer to print pump-up curves.
     """
+    _check_grid(dt, steps)
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
     times = [0.0]

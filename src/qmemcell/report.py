@@ -232,9 +232,8 @@ def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
 
 
 def pump_rows(pump_rate: float, repump_rate: float, dt: float,
-              steps: int, leak_rate: float = 0.0,
-              n_checkpoints: int = 5) -> list[ReportRow]:
-    system = uniform_f4_system(pump_rate, repump_rate, leak_rate)
+              steps: int, n_checkpoints: int = 5) -> list[ReportRow]:
+    system = uniform_f4_system(pump_rate, repump_rate)
     record_every = max(1, steps // max(1, n_checkpoints))
     times, pops = pumping_history(system, dt, steps, record_every)
     lo, hi = DARK_INDICES

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -109,7 +110,10 @@ _NONZERO_FIELDS = ("probe_detuning_hz", "stark_detuning_hz", "microwave_detuning
 def _coerce_number(key, raw):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ScenarioError(f"field '{key}' must be a number, got {raw!r}")
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ScenarioError(f"field '{key}' must be finite, got {raw!r}")
+    return value
 
 
 def load_scenario(text: str) -> ScenarioConfig:

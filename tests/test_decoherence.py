@@ -78,6 +78,47 @@ def test_doppler_average_frozen_both_conventions():
     assert sigma > hwhm > scattering_rate(I_COMP, CENTER)
 
 
+def _trapezoid_doppler(intensity, center, sigma, gamma):
+    # dense uniform grid over +-12 sigma; the trapezoid rule converges
+    # geometrically once the spacing is well below the Lorentzian width
+    u, du = np.linspace(-12.0, 12.0, 1_200_001, retstep=True)
+    f = (scattering_rate(intensity, center + sigma * u, gamma)
+         * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
+    return du * (f.sum() - 0.5 * (f[0] + f[-1]))
+
+
+@pytest.mark.parametrize("center_over_sigma, gamma_over_sigma, s0", [
+    (0.0, 0.05, 1.0),
+    (1.3, 0.2, 0.3),
+    (-2.5, 0.01, 30.0),
+    # narrow line in the far wing: the Lorentzian peak sits 5.83 sigma out
+    (5.83, 4.1e-4, 1e-3),
+])
+def test_doppler_average_matches_dense_trapezoid(center_over_sigma, gamma_over_sigma, s0):
+    sigma = TWO_PI * 1.0e8
+    gamma = gamma_over_sigma * sigma
+    intensity = s0 * saturation_intensity(gamma, CESIUM.lambda_d1)
+    center = center_over_sigma * sigma
+    got = doppler_averaged_scattering(intensity, center, sigma, gamma=gamma,
+                                      width_convention=WIDTH_SIGMA)
+    ref = _trapezoid_doppler(intensity, center, sigma, gamma)
+    assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+def test_doppler_average_of_default_point_matches_dense_trapezoid():
+    sigma = CESIUM.doppler_halfwidth / math.sqrt(2.0 * math.log(2.0))
+    ref = _trapezoid_doppler(I_COMP, CENTER, sigma, CESIUM.gamma_d1)
+    assert doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth) == \
+        pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_doppler_average_rejects_bad_intensity():
+    with pytest.raises(ValueError, match="intensity"):
+        doppler_averaged_scattering(-1.0, CENTER, CESIUM.doppler_halfwidth)
+    with pytest.raises(ArithmeticError, match="not finite"):
+        doppler_averaged_scattering(math.nan, CENTER, CESIUM.doppler_halfwidth)
+
+
 def test_doppler_width_convention_validation():
     with pytest.raises(ValueError, match="convention"):
         doppler_averaged_scattering(I_COMP, CENTER, 1.0, width_convention="fwhm")

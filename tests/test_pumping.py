@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qmemcell import evolve_pumping, pumping_history, rate_matrix, state_index, uniform_f4_system
 from qmemcell.pumping import (
@@ -106,21 +107,32 @@ def test_no_repump_strands_population():
     assert float(without.populations[F3_SLICE].sum()) > 0.1
 
 
-def test_leak_rate_is_bookkeeping_only():
-    with_leak = evolve_pumping(uniform_f4_system(PUMP, REPUMP, leak_rate=50.0),
-                               DT, 500)
-    without = evolve_pumping(uniform_f4_system(PUMP, REPUMP), DT, 500)
-    assert np.array_equal(with_leak.populations, without.populations)
-    assert with_leak.leak_rate == 50.0
+@pytest.mark.parametrize("pump, repump", [(PUMP, REPUMP), (3.0e5, 2.0e3), (1.0e3, 0.0)])
+@pytest.mark.parametrize("dt, steps", [(1.0e-9, 1), (1.0e-6, 2000), (1.0e-4, 10),
+                                       (1.0e-3, 1000)])
+def test_evolution_matches_scipy_expm(pump, repump, dt, steps):
+    # exact propagation against an independent exponential, up to t = 1 s
+    system = uniform_f4_system(pump, repump)
+    exact = expm(rate_matrix(system) * (dt * steps)) @ system.populations
+    got = evolve_pumping(system, dt, steps).populations
+    assert np.max(np.abs(got - exact)) <= 1e-12
 
 
-def test_euler_step_guard():
-    with pytest.raises(ValueError, match="explicit"):
-        evolve_pumping(uniform_f4_system(PUMP, REPUMP), 1.0e-4, 10)
+def test_pumping_argument_validation():
+    system = uniform_f4_system(PUMP, REPUMP)
     with pytest.raises(ValueError, match="dt"):
-        evolve_pumping(uniform_f4_system(PUMP, REPUMP), 0.0, 10)
+        evolve_pumping(system, 0.0, 10)
     with pytest.raises(ValueError, match="steps"):
-        evolve_pumping(uniform_f4_system(PUMP, REPUMP), DT, -1)
+        evolve_pumping(system, DT, -1)
+    with pytest.raises(ValueError, match="overflows"):
+        evolve_pumping(system, 1.0e300, 10**10)
+    # the history checks its grid even when it takes no step
+    with pytest.raises(ValueError, match="steps"):
+        pumping_history(system, DT, -1)
+    with pytest.raises(ValueError, match="dt"):
+        pumping_history(system, float("nan"), 0)
+    with pytest.raises(ValueError, match="rates"):
+        uniform_f4_system(float("inf"), REPUMP)
 
 
 def test_history_shape_and_endpoints():

@@ -300,6 +300,44 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+    assert main(["pump", "--steps", "-1"]) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"tau_s": NaN}', "tau_s"),
+    ('{"species": {"doppler_halfwidth_hz": Infinity}}', "doppler_halfwidth_hz"),
+])
+def test_cli_non_finite_config_exits_2(tmp_path, capsys, doc, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(doc)
+    for command in ("paper-check", "decoherence"):
+        assert main([command, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert key in captured.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["pulse-design", "--tau-s", "nan"], "--tau-s"),
+    (["pump", "--dt", "inf"], "--dt"),
+    (["pump", "--pump-rate=-inf"], "--pump-rate"),
+    (["shifts", "--omega-b-hz", "NaN"], "--omega-b-hz"),
+    (["sweep", "--param", "omega_b_hz", "--quantity", "zeeman_dephasing",
+      "--start", "1e5", "--stop", "inf", "--num", "3"], "--stop"),
+])
+def test_cli_non_finite_option_exits_2(capsys, argv, option):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and "finite" in err
+
+
+def test_cli_sweep_non_finite_value_exits_2(capsys):
+    assert main(["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta",
+                 "--values", "1e-3,nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'tau_s' must be finite" in captured.err
 
 
 def test_cli_sweep_values_order(capsys):

@@ -75,6 +75,18 @@ def test_non_numeric_value_rejected():
         load_scenario('{"boundary_loss": true}')
 
 
+@pytest.mark.parametrize("doc, key", [
+    ('{"tau_s": NaN}', "tau_s"),
+    ('{"omega_b_hz": Infinity}', "omega_b_hz"),
+    ('{"boundary_loss": -Infinity}', "boundary_loss"),
+    ('{"species": {"doppler_halfwidth_hz": Infinity}}', "doppler_halfwidth_hz"),
+    ('{"species": {"gamma_d1_hz": NaN}}', "gamma_d1_hz"),
+])
+def test_non_finite_value_rejected(doc, key):
+    with pytest.raises(ScenarioError, match=f"'{key}' must be finite"):
+        load_scenario(doc)
+
+
 def test_sign_validation():
     with pytest.raises(ScenarioError, match="positive"):
         load_scenario('{"tau_s": 0.0}')
@@ -138,6 +150,9 @@ def test_scenario_with_replaces_one_key():
         scenario_with(cfg, "tau_s", -1.0)
     with pytest.raises(ScenarioError, match="unknown scenario key"):
         scenario_with(cfg, "species", 1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ScenarioError, match="'stark_detuning_hz' must be finite"):
+            scenario_with(cfg, "stark_detuning_hz", value)
 
 
 def test_load_scenario_file(tmp_path):
