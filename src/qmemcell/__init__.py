@@ -11,16 +11,17 @@ command line.
 from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData,
                         dipole_moment_squared, saturation_intensity,
                         vacuum_field_squared)
-from .decoherence import (DecoherenceBudget, apply_boundary_losses,
-                          apply_scattering, apply_spin_exchange,
-                          boundary_loss_budget, doppler_averaged_scattering,
+from .decoherence import (DecoherenceBudget, boundary_loss_budget,
+                          boundary_loss_channel, doppler_averaged_scattering,
                           residual_pump_occupation, scattered_photon_limit,
-                          scattering_rate, spin_exchange_probability)
-from .gaussian import (BASIS_CLASS, BASIS_PLUS_MINUS, GaussianState,
-                       SymplecticTransform, VACUUM_VARIANCE, apply_symplectic,
-                       beamsplitter_loss, displace, hamiltonian_to_symplectic,
-                       homodyne_condition, memory_vacuum, rotate_mode,
-                       state_from_json, state_to_json, symplectic_form,
+                          scattering_channel, scattering_rate,
+                          spin_exchange_channel, spin_exchange_probability)
+from .gaussian import (BASIS_CLASS, BASIS_PLUS_MINUS, GaussianChannel,
+                       GaussianState, SymplecticTransform, VACUUM_VARIANCE,
+                       apply_symplectic, attenuation_channel, displace,
+                       hamiltonian_to_symplectic, homodyne_condition,
+                       memory_vacuum, rotate_mode, state_from_json,
+                       state_to_json, symplectic_channel, symplectic_form,
                        vacuum_state)
 from .memory import (CouplingSet, ProtocolResult, atomic_basis_change,
                      collective_kappa, common_weak_rotation, coupling_g,
@@ -40,15 +41,15 @@ __version__ = "0.1.0"
 __all__ = [
     "CESIUM", "CODATA", "PhysicalConstants", "SpeciesData",
     "dipole_moment_squared", "saturation_intensity", "vacuum_field_squared",
-    "DecoherenceBudget", "apply_boundary_losses", "apply_scattering",
-    "apply_spin_exchange", "boundary_loss_budget", "doppler_averaged_scattering",
-    "residual_pump_occupation", "scattered_photon_limit", "scattering_rate",
-    "spin_exchange_probability",
-    "BASIS_CLASS", "BASIS_PLUS_MINUS", "GaussianState", "SymplecticTransform",
-    "VACUUM_VARIANCE", "apply_symplectic", "beamsplitter_loss", "displace",
-    "hamiltonian_to_symplectic", "homodyne_condition", "memory_vacuum",
-    "rotate_mode", "state_from_json", "state_to_json", "symplectic_form",
-    "vacuum_state",
+    "DecoherenceBudget", "boundary_loss_budget", "boundary_loss_channel",
+    "doppler_averaged_scattering", "residual_pump_occupation",
+    "scattered_photon_limit", "scattering_channel", "scattering_rate",
+    "spin_exchange_channel", "spin_exchange_probability",
+    "BASIS_CLASS", "BASIS_PLUS_MINUS", "GaussianChannel", "GaussianState",
+    "SymplecticTransform", "VACUUM_VARIANCE", "apply_symplectic",
+    "attenuation_channel", "displace", "hamiltonian_to_symplectic",
+    "homodyne_condition", "memory_vacuum", "rotate_mode", "state_from_json",
+    "state_to_json", "symplectic_channel", "symplectic_form", "vacuum_state",
     "CouplingSet", "ProtocolResult", "atomic_basis_change", "collective_kappa",
     "common_weak_rotation", "coupling_g", "differential_rotation",
     "mean_fidelity", "qnd_transform", "run_read", "run_write",

@@ -12,7 +12,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .report import (RENDERERS, STATUS_PASS, ReportRow, SWEEP_QUANTITIES,
                      compensate_rows, decoherence_rows, memory_sim_rows,
@@ -22,8 +21,6 @@ from .scenario import (ScenarioError, _SCALAR_KEYS, default_scenario,
                        load_scenario_file, scenario_with)
 
 CONFIG_ENV_VAR = "QMEMCELL_CONFIG"
-
-_SWEEP_MAX_WORKERS = 8
 
 
 def _finite_float(text: str) -> float:
@@ -41,8 +38,6 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
     parser.add_argument("--config", metavar="PATH",
                         help="scenario JSON document (default: $QMEMCELL_CONFIG, "
                              "then the packaged cesium point)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for sampled measurement outcomes")
     parser.add_argument("--format", choices=sorted(RENDERERS),
                         default=default_format, help="output format")
     parser.add_argument("--out", metavar="PATH",
@@ -93,6 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "the configured cell's own value is reported in the output)")
     p.add_argument("--gain", type=_finite_float, default=None,
                    help="feedback gain (default: the configured feedback_gain)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for sampled measurement outcomes")
     _add_common(p, "csv")
 
     p = sub.add_parser("paper-check",
@@ -149,16 +146,9 @@ def _sweep_values(args) -> list[float]:
 def _sweep_rows(config, args) -> list[ReportRow]:
     values = _sweep_values(args)
     func, unit = SWEEP_QUANTITIES[args.quantity]
-
-    def point(value: float) -> float:
-        return func(scenario_with(config, args.param, value))
-
-    # points are independent; map() hands results back in input order
-    with ThreadPoolExecutor(max_workers=min(_SWEEP_MAX_WORKERS, len(values))) as pool:
-        results = list(pool.map(point, values))
     return [ReportRow(name=f"{args.quantity}[{args.param}={value:g}]",
-                      value=result, unit=unit)
-            for value, result in zip(values, results)]
+                      value=func(scenario_with(config, args.param, value)), unit=unit)
+            for value in values]
 
 
 def _dispatch(args) -> tuple[list[ReportRow], int]:

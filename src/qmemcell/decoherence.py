@@ -8,14 +8,12 @@ acts on a stored state) lives here as well so that the protocol code in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .constants import CESIUM, CODATA, PhysicalConstants, SpeciesData, saturation_intensity
-from .gaussian import GaussianState, VACUUM_VARIANCE, beamsplitter_loss
+from .gaussian import GaussianChannel, attenuation_channel
 from .numerics import faddeeva
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ScenarioError
 
 #: width conventions for the Doppler average
 WIDTH_HWHM = "hwhm"
@@ -189,7 +187,8 @@ class DecoherenceBudget:
 
         Scattering is evaluated for the slope-compensation light at the
         configured Stark detuning; the mean detuning from the resonance
-        of the edge-pumped atoms is |Delta_S| - Delta_2/2.
+        of the edge-pumped atoms is |Delta_S| - Delta_2/2.  A pulse that
+        scatters one photon per atom or more raises ScenarioError.
         """
         from .shifts import stark_compensation_intensity
         sp = config.species
@@ -201,57 +200,38 @@ class DecoherenceBudget:
             i_s, abs(config.stark_detuning) - sp.delta2 / 2.0,
             sp.doppler_halfwidth, gamma=sp.gamma_d1,
             wavelength=sp.lambda_d1, constants=constants)
-        n_phot = min(gamma_ph * config.pulse_duration, 1.0 - 1e-12)
+        n_phot = gamma_ph * config.pulse_duration
+        if n_phot >= 1.0:
+            raise ScenarioError(
+                f"field 'tau_s' = {config.pulse_duration:g} s scatters "
+                f"{n_phot:.3g} photons per atom at {gamma_ph:.4g} /s; the scattering "
+                "channel needs fewer than 1 per pulse (n_phot < 1)")
         return cls(eta=eta, gamma_ph=gamma_ph, n_phot=n_phot,
                    boundary_loss=config.boundary_loss, n_boundaries=2)
 
 
-def _attenuation_admixture(state: GaussianState, modes: tuple[str, ...],
-                           p: float) -> GaussianState:
-    """Attenuate the given modes by (1-p) with vacuum refill.
-
-    Means scale by (1-p); each 2x2 covariance block scales by (1-p)^2
-    with (1 - (1-p)^2) of vacuum admixed, cross covariances scale by the
-    amplitude factor per involved mode.  This is the minimal-noise
-    Gaussian attenuation channel, so it maps valid states to valid
-    states for any p in [0, 1].
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"channel probability must lie in [0, 1], got {p}")
-    t = 1.0 - p
-    n = len(state.modes)
-    scale = np.ones(2 * n)
-    for label in modes:
-        j = state.mode_index(label)
-        scale[2 * j:2 * j + 2] = t
-    x_mat = np.diag(scale)
-    means = scale * state.means
-    cov = x_mat @ state.cov @ x_mat
-    refill = (1.0 - t * t) * VACUUM_VARIANCE
-    for label in modes:
-        j = state.mode_index(label)
-        cov[2 * j, 2 * j] += refill
-        cov[2 * j + 1, 2 * j + 1] += refill
-    return replace(state, means=means, cov=cov)
+def _labels(modes: tuple[str, ...], chosen: tuple[str, ...] | None,
+            prefix: str) -> tuple[str, ...]:
+    return tuple(m for m in modes if m.startswith(prefix)) if chosen is None else chosen
 
 
-def apply_spin_exchange(state: GaussianState, eta: float,
-                        atomic_modes: tuple[str, ...] | None = None) -> GaussianState:
-    """Spin-exchange collision channel on the atomic modes.
+def spin_exchange_channel(modes: tuple[str, ...], eta: float,
+                          atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
+    """Spin-exchange collision channel on the atomic modes of a register.
 
     A colliding atom leaves its class, shortening the collective means
-    by eta and admixing vacuum-level fluctuation of the fresh spins.
+    by eta and admixing vacuum-level fluctuation of the fresh spins: an
+    attenuation of transmission (1 - eta)^2.
     """
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    if atomic_modes is None:
-        atomic_modes = tuple(m for m in state.modes if m.startswith("atom"))
-    return _attenuation_admixture(state, atomic_modes, eta)
+    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
+                               (1.0 - eta) ** 2)
 
 
-def apply_scattering(state: GaussianState, n_phot: float,
-                     atomic_modes: tuple[str, ...] | None = None) -> GaussianState:
-    """Photon-scattering channel on the atomic modes.
+def scattering_channel(modes: tuple[str, ...], n_phot: float,
+                       atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
+    """Photon-scattering channel on the atomic modes of a register.
 
     Each scattered photon randomizes one atom's sublevel; for
     n_phot << 1 per atom the collective effect is the same attenuation
@@ -259,21 +239,16 @@ def apply_scattering(state: GaussianState, n_phot: float,
     """
     if not 0.0 <= n_phot < 1.0:
         raise ValueError(f"n_phot must lie in [0, 1), got {n_phot}")
-    if atomic_modes is None:
-        atomic_modes = tuple(m for m in state.modes if m.startswith("atom"))
-    return _attenuation_admixture(state, atomic_modes, n_phot)
+    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
+                               (1.0 - n_phot) ** 2)
 
 
-def apply_boundary_losses(state: GaussianState, loss: float, n_crossings: int,
-                          light_modes: tuple[str, ...] | None = None) -> GaussianState:
-    """Pass the light modes through n lossy window crossings."""
+def boundary_loss_channel(modes: tuple[str, ...], loss: float, n_crossings: int,
+                          light_modes: tuple[str, ...] | None = None) -> GaussianChannel:
+    """Pass the light modes of a register through n lossy window crossings."""
     if not 0.0 <= loss < 1.0:
         raise ValueError(f"loss must lie in [0, 1), got {loss}")
     if n_crossings < 0:
         raise ValueError(f"n_crossings must be non-negative, got {n_crossings}")
-    if light_modes is None:
-        light_modes = tuple(m for m in state.modes if m.startswith("light"))
-    transmission = (1.0 - loss) ** n_crossings
-    for label in light_modes:
-        state = beamsplitter_loss(state, label, transmission)
-    return state
+    return attenuation_channel(modes, _labels(modes, light_modes, "light"),
+                               (1.0 - loss) ** n_crossings)

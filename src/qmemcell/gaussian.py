@@ -7,7 +7,9 @@ Conventions (fixed throughout the package):
 * phase rotation by theta maps (X, P) -> (X cos + P sin, -X sin + P cos),
   so a quarter turn sends P into X and X into -P.
 
-States are immutable; every operation returns a new state.  The light
+States are immutable; every operation returns a new state.  Linear
+steps are affine Gaussian channels (X, Y), which compose before they
+touch a state, so a chain of steps validates its result once.  The light
 sidebands and the two collective atomic modes of the memory carry fixed
 labels so protocol code can address them by name.
 """
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
@@ -118,6 +120,76 @@ class SymplecticTransform:
     @classmethod
     def identity(cls, n_modes: int) -> "SymplecticTransform":
         return cls(np.eye(2 * n_modes))
+
+
+@dataclass(frozen=True)
+class GaussianChannel:
+    """Affine Gaussian channel: means r -> X r, covariance V -> X V X^T + Y.
+
+    Every step of the memory protocol (a pass, a lossy crossing, homodyne
+    feedback with reset, a collision or scattering admixture) has this
+    form, so a chain of steps composes into one (X, Y) pair (Weedbrook
+    et al., Rev. Mod. Phys. 84, 621 (2012)).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def __post_init__(self):
+        x = np.array(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        if x.ndim != 2 or x.shape[0] != x.shape[1] or y.shape != x.shape:
+            raise ValueError(
+                f"channel needs square X and Y of one shape, got {x.shape} and {y.shape}")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+
+    def then(self, other: "GaussianChannel") -> "GaussianChannel":
+        """The channel applying this one first, then ``other``."""
+        return GaussianChannel(other.x @ self.x, other.x @ self.y @ other.x.T + other.y)
+
+    def propagate(self, means: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Raw (means, covariance) after the channel, without validation."""
+        return self.x @ means, self.x @ cov @ self.x.T + self.y
+
+    def apply(self, state: "GaussianState") -> "GaussianState":
+        if self.x.shape[0] != 2 * state.n_modes:
+            raise ValueError(
+                f"channel acts on {self.x.shape[0] // 2} modes, state has {state.n_modes}")
+        means, cov = self.propagate(state.means, state.cov)
+        return _dc_replace(state, means=means, cov=cov)
+
+
+def symplectic_channel(transform: SymplecticTransform) -> GaussianChannel:
+    """The noiseless channel of a symplectic map."""
+    return GaussianChannel(transform.matrix, np.zeros_like(transform.matrix))
+
+
+def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
+                        transmission: float) -> GaussianChannel:
+    """Mix each target mode with vacuum on a beamsplitter of given transmission.
+
+    Means of the targets scale by sqrt(transmission), their covariance
+    rows and columns likewise, and (1 - transmission) of vacuum variance
+    refills each target quadrature.  transmission = 1 is the identity;
+    transmission = 0 replaces the targets by fresh vacuum (a consumed or
+    renewed light pulse, a measured mode).
+    """
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    modes = tuple(modes)
+    scale = np.ones(2 * len(modes))
+    refill = np.zeros(2 * len(modes))
+    for label in targets:
+        try:
+            j = modes.index(label)
+        except ValueError:
+            raise ValueError(f"unknown mode {label!r}; register has {modes}") from None
+        scale[2 * j:2 * j + 2] = math.sqrt(transmission)
+        refill[2 * j:2 * j + 2] = (1.0 - transmission) * VACUUM_VARIANCE
+    return GaussianChannel(np.diag(scale), np.diag(refill))
 
 
 @dataclass(frozen=True)
@@ -249,11 +321,7 @@ def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> SymplecticTransf
 
 
 def apply_symplectic(state: GaussianState, transform: SymplecticTransform) -> GaussianState:
-    if transform.n_modes != state.n_modes:
-        raise ValueError(
-            f"transform acts on {transform.n_modes} modes, state has {state.n_modes}")
-    s = transform.matrix
-    return _dc_replace(state, means=s @ state.means, cov=s @ state.cov @ s.T)
+    return symplectic_channel(transform).apply(state)
 
 
 def embed_single_mode(state_modes: tuple[str, ...], mode: str,
@@ -272,26 +340,21 @@ def rotate_mode(state: GaussianState, mode: str, theta: float) -> GaussianState:
                                                      rotation_2x2(theta)))
 
 
-def beamsplitter_loss(state: GaussianState, mode: str, transmission: float) -> GaussianState:
-    """Mix one mode with vacuum on a beamsplitter of given transmission.
+def homodyne_outcome(mean: float, variance: float, policy: str,
+                     rng: np.random.Generator | None) -> float:
+    """Outcome of a homodyne measurement of one quadrature.
 
-    transmission = 1 is the identity; transmission = 0 replaces the mode
-    by fresh vacuum (used to model a consumed or renewed light pulse).
+    policy 'mean' takes the current mean (the deterministic branch used
+    for transfer-map extraction); 'sample' draws from the marginal with
+    ``rng``, which must then be given.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    j = state.mode_index(mode)
-    amp = math.sqrt(transmission)
-    n = state.n_modes
-    scale = np.ones(2 * n)
-    scale[2 * j:2 * j + 2] = amp
-    means = scale * state.means
-    cov = state.cov * np.outer(scale, scale)
-    refill = (1.0 - transmission) * VACUUM_VARIANCE
-    cov = cov.copy()
-    cov[2 * j, 2 * j] += refill
-    cov[2 * j + 1, 2 * j + 1] += refill
-    return _dc_replace(state, means=means, cov=cov)
+    if policy == POLICY_MEAN:
+        return float(mean)
+    if policy == POLICY_SAMPLE:
+        if rng is None:
+            raise ValueError("policy 'sample' requires a seed")
+        return float(rng.normal(mean, math.sqrt(max(variance, 0.0))))
+    raise ValueError(f"unknown outcome policy {policy!r}")
 
 
 def homodyne_condition(state: GaussianState, mode: str, quadrature: str = QUAD_X,
@@ -299,23 +362,14 @@ def homodyne_condition(state: GaussianState, mode: str, quadrature: str = QUAD_X
                        reset: str = RESET_VACUUM) -> tuple[GaussianState, float]:
     """Measure one quadrature; return the conditioned state and outcome.
 
-    policy 'mean' takes the outcome at the current mean (the
-    deterministic branch used for transfer-map extraction); 'sample'
-    draws it from the marginal with the given seed.  The measured mode
-    is consumed: depending on ``reset`` it is replaced by vacuum or
-    dropped from the register.
+    The outcome follows ``policy`` (see :func:`homodyne_outcome`; 'sample'
+    draws with the given seed).  The measured mode is consumed: depending
+    on ``reset`` it is replaced by vacuum or dropped from the register.
     """
     q = state.quad_index(mode, quadrature)
     variance = float(state.cov[q, q])
-    if policy == POLICY_MEAN:
-        outcome = float(state.means[q])
-    elif policy == POLICY_SAMPLE:
-        if seed is None:
-            raise ValueError("policy 'sample' requires a seed")
-        rng = np.random.default_rng(seed)
-        outcome = float(rng.normal(state.means[q], math.sqrt(max(variance, 0.0))))
-    else:
-        raise ValueError(f"unknown outcome policy {policy!r}")
+    rng = None if seed is None else np.random.default_rng(seed)
+    outcome = homodyne_outcome(state.means[q], variance, policy, rng)
 
     # conditioning on the measured row; a (near-)deterministic quadrature
     # forces zero cross covariance, so the pseudo-inverse update is zero
@@ -325,17 +379,12 @@ def homodyne_condition(state: GaussianState, mode: str, quadrature: str = QUAD_X
     cov = state.cov - np.outer(col, col) * inv
     cov = 0.5 * (cov + cov.T)
 
-    j = state.mode_index(mode)
     if reset == RESET_VACUUM:
-        sl = slice(2 * j, 2 * j + 2)
-        means[sl] = 0.0
-        cov[sl, :] = 0.0
-        cov[:, sl] = 0.0
-        cov[2 * j, 2 * j] = VACUUM_VARIANCE
-        cov[2 * j + 1, 2 * j + 1] = VACUUM_VARIANCE
+        means, cov = attenuation_channel(state.modes, (mode,), 0.0).propagate(means, cov)
         new_state = GaussianState(modes=state.modes, basis=state.basis,
                                   means=means, cov=cov)
     elif reset == RESET_REMOVE:
+        j = state.mode_index(mode)
         keep = [i for i in range(2 * state.n_modes) if i not in (2 * j, 2 * j + 1)]
         new_modes = tuple(m for m in state.modes if m != mode)
         new_state = GaussianState(modes=new_modes, basis=state.basis,

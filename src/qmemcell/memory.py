@@ -9,11 +9,17 @@ second pass with the roles of the quadratures exchanged completes a
 read.
 
 All protocol maps act on four-mode :class:`~qmemcell.gaussian.GaussianState`
-registers in the (light_c, light_s, atom_plus, atom_minus) layout.
+registers in the (light_c, light_s, atom_plus, atom_minus) layout.  A write
+or a read is a list of stages, each an affine
+:class:`~qmemcell.gaussian.GaussianChannel` plus, for the feedback stages,
+the homodyne measurement drawn just before it.  Their composition gives
+the transfer map and the added noise; one loop over the stages gives the
+final state and the outcomes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,15 +27,15 @@ import numpy as np
 
 from .constants import (CODATA, PhysicalConstants, dipole_moment_squared,
                         vacuum_field_squared)
-from .decoherence import (DecoherenceBudget, apply_boundary_losses,
-                          apply_scattering, apply_spin_exchange)
+from .decoherence import (DecoherenceBudget, boundary_loss_channel,
+                          scattering_channel, spin_exchange_channel)
 from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_CLASS, BASIS_PLUS_MINUS,
                        LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS,
-                       MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, POLICY_SAMPLE,
-                       QUAD_P, QUAD_X, GaussianState, SymplecticTransform,
-                       apply_symplectic, beamsplitter_loss, displace,
-                       hamiltonian_to_symplectic, memory_vacuum, rotate_mode,
-                       rotation_2x2)
+                       MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, QUAD_P, QUAD_X,
+                       GaussianChannel, GaussianState, SymplecticTransform,
+                       apply_symplectic, attenuation_channel,
+                       hamiltonian_to_symplectic, homodyne_outcome,
+                       memory_vacuum, rotation_2x2, symplectic_channel)
 from .scenario import ScenarioConfig
 
 #: pass-interaction variants
@@ -236,88 +242,84 @@ def _require_memory_state(state: GaussianState):
             f"in basis {state.basis!r}")
 
 
-def _measure_feed(state: GaussianState, measured_mode: str, measured_quad: str,
-                  target_mode: str, target_quad: str, gain: float,
-                  policy: str, rng: np.random.Generator | None
-                  ) -> tuple[GaussianState, float]:
-    """Homodyne one quadrature, feed the outcome onto another mode, and
-    replace the consumed measured mode by fresh vacuum.
+def _quad(mode: str, quadrature: str) -> int:
+    """Index of one quadrature in the four-mode protocol register."""
+    return 2 * MEMORY_MODES_PLUS_MINUS.index(mode) + (quadrature == QUAD_P)
 
-    The covariance update is the unconditional one: the feedforward map
-    r -> r + gain * r_measured keeps the outcome spread inside the
-    driven quadrature, then the measured mode's rows are reset (the
-    pulse, or the spent collective coherence, is gone).  Under the mean
-    policy the outcome is the current mean; under the sample policy it
-    is drawn from the marginal.
+
+def _feedback(name: str, measured_mode: str, measured_quad: str,
+              target_mode: str, target_quad: str, gain: float) -> tuple:
+    """Stage that homodynes one quadrature, feeds the outcome onto another
+    mode, and replaces the consumed measured mode by fresh vacuum.
+
+    The channel is the unconditional one: the feedforward r -> r + gain
+    * r_measured keeps the outcome spread inside the driven quadrature,
+    then the measured mode is reset (the pulse, or the spent collective
+    coherence, is gone).  The stage loop adds gain * (outcome - mean) to
+    the target, so the means follow the drawn outcome.
     """
-    q_meas = state.quad_index(measured_mode, measured_quad)
-    q_tgt = state.quad_index(target_mode, target_quad)
-    variance = float(state.cov[q_meas, q_meas])
-    if policy == POLICY_MEAN:
-        outcome = float(state.means[q_meas])
-    elif policy == POLICY_SAMPLE:
-        if rng is None:
-            raise ValueError("policy 'sample' requires a seed")
-        outcome = float(rng.normal(state.means[q_meas],
-                                   math.sqrt(max(variance, 0.0))))
-    else:
-        raise ValueError(f"unknown outcome policy {policy!r}")
-    feed = np.eye(2 * state.n_modes)
-    feed[q_tgt, q_meas] += gain
-    means = state.means.copy()
-    means[q_tgt] += gain * outcome
-    cov = feed @ state.cov @ feed.T
-    j = state.mode_index(measured_mode)
-    sl = slice(2 * j, 2 * j + 2)
-    means[sl] = 0.0
-    cov[sl, :] = 0.0
-    cov[:, sl] = 0.0
-    cov[2 * j, 2 * j] = 0.5
-    cov[2 * j + 1, 2 * j + 1] = 0.5
-    new_state = GaussianState(modes=state.modes, basis=state.basis,
-                              means=means, cov=cov)
-    return new_state, outcome
+    q_meas, q_tgt = _quad(measured_mode, measured_quad), _quad(target_mode, target_quad)
+    feed = np.eye(8)
+    feed[q_tgt, q_meas] = gain
+    channel = GaussianChannel(feed, np.zeros((8, 8))).then(
+        attenuation_channel(MEMORY_MODES_PLUS_MINUS, (measured_mode,), 0.0))
+    return channel, (name, q_meas, q_tgt, gain)
 
 
-def _write_pipeline(state: GaussianState, k_eff: float, gain: float,
-                    budget: DecoherenceBudget, policy: str,
-                    rng: np.random.Generator | None
-                    ) -> tuple[GaussianState, dict[str, float]]:
+def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
+    """One pass between two window crossings, homodyne feedback of X_c
+    and P_s onto X_plus and P_minus, then collisions and scattering."""
+    modes, loss = MEMORY_MODES_PLUS_MINUS, budget.boundary_loss
     n_entry = budget.n_boundaries // 2
-    n_exit = budget.n_boundaries - n_entry
-    state = apply_boundary_losses(state, budget.boundary_loss, n_entry)
-    state = apply_symplectic(state, qnd_transform(k_eff, VARIANT_TWO_CLASS))
-    state = apply_boundary_losses(state, budget.boundary_loss, n_exit)
-    state, m_c = _measure_feed(state, LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X,
-                               gain, policy, rng)
-    state, m_s = _measure_feed(state, LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P,
-                               -gain, policy, rng)
-    state = apply_spin_exchange(state, budget.eta)
-    state = apply_scattering(state, budget.n_phot)
-    return state, {"m_c": m_c, "m_s": m_s}
+    return [
+        (boundary_loss_channel(modes, loss, n_entry), None),
+        (symplectic_channel(qnd_transform(k_eff, VARIANT_TWO_CLASS)), None),
+        (boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry), None),
+        _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
+        _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -gain),
+        (spin_exchange_channel(modes, budget.eta), None),
+        (scattering_channel(modes, budget.n_phot), None),
+    ]
 
 
-def _read_pipeline(state: GaussianState, k_eff: float, gain: float,
-                   budget: DecoherenceBudget, policy: str,
-                   rng: np.random.Generator | None
-                   ) -> tuple[GaussianState, dict[str, float]]:
+def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
+    """Collisions and scattering of the stored state, a fresh pulse, a
+    quarter turn of the collective modes, a second pass, homodyne
+    feedback of P_plus and X_minus onto the light, the exit crossing and
+    a final quarter turn of both sidebands."""
+    modes = MEMORY_MODES_PLUS_MINUS
     n_exit = budget.n_boundaries - budget.n_boundaries // 2
-    state = apply_spin_exchange(state, budget.eta)
-    state = apply_scattering(state, budget.n_phot)
-    # retrieval uses a fresh pulse; whatever light the register held is gone
-    state = beamsplitter_loss(state, LIGHT_C, 0.0)
-    state = beamsplitter_loss(state, LIGHT_S, 0.0)
-    state = apply_symplectic(state, differential_rotation(math.pi / 2.0,
-                                                          -math.pi / 2.0))
-    state = apply_symplectic(state, qnd_transform(k_eff, VARIANT_TWO_CLASS))
-    state, m_plus = _measure_feed(state, ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P,
-                                  -gain, policy, rng)
-    state, m_minus = _measure_feed(state, ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X,
-                                   gain, policy, rng)
-    state = apply_boundary_losses(state, budget.boundary_loss, n_exit)
-    state = rotate_mode(state, LIGHT_C, -math.pi / 2.0)
-    state = rotate_mode(state, LIGHT_S, -math.pi / 2.0)
-    return state, {"m_plus": m_plus, "m_minus": m_minus}
+    align = np.eye(8)
+    align[0:2, 0:2] = align[2:4, 2:4] = rotation_2x2(-math.pi / 2.0)
+    return [
+        (spin_exchange_channel(modes, budget.eta), None),
+        (scattering_channel(modes, budget.n_phot), None),
+        # retrieval uses a fresh pulse; whatever light the register held is gone
+        (attenuation_channel(modes, (LIGHT_C, LIGHT_S), 0.0), None),
+        (symplectic_channel(differential_rotation(math.pi / 2.0, -math.pi / 2.0)), None),
+        (symplectic_channel(qnd_transform(k_eff, VARIANT_TWO_CLASS)), None),
+        _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
+        _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
+        (boundary_loss_channel(modes, budget.boundary_loss, n_exit), None),
+        (symplectic_channel(SymplecticTransform(align)), None),
+    ]
+
+
+def _run_stages(stages: list, means: np.ndarray, cov: np.ndarray, policy: str,
+                rng: np.random.Generator | None
+                ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
+    """Push raw (means, covariance) through the stages, drawing each
+    homodyne outcome from the marginal just before its feedback stage."""
+    outcomes = {}
+    for channel, feedback in stages:
+        if feedback is not None:
+            name, q_meas, q_tgt, gain = feedback
+            mean = means[q_meas]
+            outcomes[name] = homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
+        means, cov = channel.propagate(means, cov)
+        if feedback is not None:
+            means[q_tgt] += gain * (outcomes[name] - mean)
+    return means, cov, outcomes
 
 
 def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
@@ -337,51 +339,58 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     output_cov = np.asarray(output_cov, dtype=float)
     if transfer_map.shape != (4, 4) or output_cov.shape != (4, 4):
         raise ValueError("transfer map and output covariance must be 4x4")
-    channels = ((slice(0, 2), decode_c), (slice(2, 4), decode_s))
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
+    amps = amplitude * np.stack([np.cos(phases), np.sin(phases)])
     total = 0.0
-    for block, decode in channels:
+    for block, decode in ((slice(0, 2), decode_c), (slice(2, 4), decode_s)):
         d_inv = np.linalg.inv(decode)
         sigma = d_inv @ output_cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
-        sigma_inv = np.linalg.inv(sigma)
         norm = 1.0 / math.sqrt(np.linalg.det(sigma))
-        # decoded-minus-ideal response to a unit input in this channel
-        response = d_inv @ transfer_map[block, block] - np.eye(2)
-        for phi in phases:
-            amp = amplitude * np.array([math.cos(phi), math.sin(phi)])
-            d = response @ amp
-            total += norm * math.exp(-0.5 * float(d @ sigma_inv @ d))
+        # decoded-minus-ideal response to each input of this channel
+        d = (d_inv @ transfer_map[block, block] - np.eye(2)) @ amps
+        exponent = np.einsum("in,ij,jn->n", d, np.linalg.inv(sigma), d)
+        total += norm * float(np.sum(np.exp(-0.5 * exponent)))
     return total / (2.0 * n_phases)
 
 
-def _characterize(pipeline, k_eff: float, gain: float,
-                  budget: DecoherenceBudget, in_block: slice, out_block: slice,
-                  decode_c: np.ndarray, decode_s: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Transfer map, added noise and fidelity of one protocol pipeline.
+def _run(stage_builder, k_eff: float, state: GaussianState | None,
+         gain: float | None, budget: DecoherenceBudget | None, policy: str,
+         seed: int | None, in_block: slice, out_block: slice,
+         decode_c: np.ndarray, decode_s: np.ndarray) -> ProtocolResult:
+    """One protocol run: the final state from the stage loop, and the
+    transfer map, added noise and fidelity from the composed channel.
 
-    The mean maps are affine with zero offset, so four probe runs with
-    unit input displacements give the exact transfer matrix; a fifth run
-    from vacuum gives the output covariance.
+    The composed channel (X, Y) is exact: the mean map has zero offset,
+    so the transfer map is the block X[out, in], and a vacuum input
+    leaves the covariance X X^T / 2 + Y.
     """
-    labels_and_quads = [(LIGHT_C, QUAD_X), (LIGHT_C, QUAD_P),
-                        (LIGHT_S, QUAD_X), (LIGHT_S, QUAD_P),
-                        (ATOM_PLUS, QUAD_X), (ATOM_PLUS, QUAD_P),
-                        (ATOM_MINUS, QUAD_X), (ATOM_MINUS, QUAD_P)]
-    transfer = np.zeros((4, 4))
-    for j in range(4):
-        label, quad = labels_and_quads[in_block.start + j]
-        dx, dp = (1.0, 0.0) if quad == QUAD_X else (0.0, 1.0)
-        probe = displace(memory_vacuum(), label, dx, dp)
-        out, _ = pipeline(probe, k_eff, gain, budget, POLICY_MEAN, None)
-        transfer[:, j] = out.means[out_block]
-    noise_run, _ = pipeline(memory_vacuum(), k_eff, gain, budget,
-                            POLICY_MEAN, None)
-    out_cov = noise_run.cov[out_block, out_block]
-    transmitted = 0.5 * np.sum(transfer**2, axis=1)
-    added = np.diag(out_cov) - transmitted
-    fidelity = mean_fidelity(transfer, out_cov, decode_c, decode_s)
-    return transfer, added, fidelity
+    if k_eff == 0.0:
+        raise ValueError("k_eff must be nonzero")
+    if state is None:
+        state = memory_vacuum()
+    _require_memory_state(state)
+    if gain is None:
+        gain = -1.0 / k_eff
+    if budget is None:
+        budget = DecoherenceBudget()
+    rng = None if seed is None else np.random.default_rng(seed)
+    # an extreme gain or k_eff overflows; report it once, by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        stages = stage_builder(k_eff, gain, budget)
+        channel = functools.reduce(GaussianChannel.then, (ch for ch, _ in stages))
+        vacuum_out = 0.5 * channel.x @ channel.x.T + channel.y
+        means, cov, outcomes = _run_stages(stages, state.means, state.cov, policy, rng)
+        if not all(np.isfinite(a).all() for a in (vacuum_out, means, cov)):
+            raise ValueError(
+                f"protocol map is not finite at gain={gain!r}, k_eff={k_eff!r}")
+        transfer = channel.x[out_block, in_block]
+        out_cov = vacuum_out[out_block, out_block]
+        added = np.diag(out_cov) - 0.5 * np.sum(transfer**2, axis=1)
+        fidelity = mean_fidelity(transfer, out_cov, decode_c, decode_s)
+    return ProtocolResult(
+        state=GaussianState(modes=state.modes, basis=state.basis, means=means, cov=cov),
+        transfer_map=transfer, added_noise=added, mean_fidelity=fidelity,
+        measurements=outcomes, budget=budget)
 
 
 def run_write(k_eff: float, state: GaussianState | None = None,
@@ -396,25 +405,8 @@ def run_write(k_eff: float, state: GaussianState | None = None,
     k_eff = 1 each channel then adds half a vacuum unit to one stored
     quadrature and none to the other.
     """
-    if k_eff == 0.0:
-        raise ValueError("k_eff must be nonzero")
-    if state is None:
-        state = memory_vacuum()
-    _require_memory_state(state)
-    if gain is None:
-        gain = -1.0 / k_eff
-    if budget is None:
-        budget = DecoherenceBudget()
-    rng = np.random.default_rng(seed) if policy == POLICY_SAMPLE else None
-    if policy == POLICY_SAMPLE and seed is None:
-        raise ValueError("policy 'sample' requires a seed")
-    final, outcomes = _write_pipeline(state, k_eff, gain, budget, policy, rng)
-    transfer, added, fidelity = _characterize(
-        _write_pipeline, k_eff, gain, budget, _LIGHT_SLICE, _ATOM_SLICE,
-        WRITE_DECODE_C, WRITE_DECODE_S)
-    return ProtocolResult(state=final, transfer_map=transfer, added_noise=added,
-                          mean_fidelity=fidelity, measurements=outcomes,
-                          budget=budget)
+    return _run(_write_stages, k_eff, state, gain, budget, policy, seed,
+                _LIGHT_SLICE, _ATOM_SLICE, WRITE_DECODE_C, WRITE_DECODE_S)
 
 
 def run_read(k_eff: float, state: GaussianState | None = None,
@@ -429,22 +421,5 @@ def run_read(k_eff: float, state: GaussianState | None = None,
     a final quarter turn of both sidebands aligns the output so that
     reading a written state returns the input with an overall sign flip.
     """
-    if k_eff == 0.0:
-        raise ValueError("k_eff must be nonzero")
-    if state is None:
-        state = memory_vacuum()
-    _require_memory_state(state)
-    if gain is None:
-        gain = -1.0 / k_eff
-    if budget is None:
-        budget = DecoherenceBudget()
-    rng = np.random.default_rng(seed) if policy == POLICY_SAMPLE else None
-    if policy == POLICY_SAMPLE and seed is None:
-        raise ValueError("policy 'sample' requires a seed")
-    final, outcomes = _read_pipeline(state, k_eff, gain, budget, policy, rng)
-    transfer, added, fidelity = _characterize(
-        _read_pipeline, k_eff, gain, budget, _ATOM_SLICE, _LIGHT_SLICE,
-        READ_DECODE_C, READ_DECODE_S)
-    return ProtocolResult(state=final, transfer_map=transfer, added_noise=added,
-                          mean_fidelity=fidelity, measurements=outcomes,
-                          budget=budget)
+    return _run(_read_stages, k_eff, state, gain, budget, policy, seed,
+                _ATOM_SLICE, _LIGHT_SLICE, READ_DECODE_C, READ_DECODE_S)

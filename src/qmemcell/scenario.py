@@ -11,11 +11,8 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 from .constants import CESIUM, SpeciesData, angular_to_hz, hz_to_angular
-
-DEFAULT_CONFIG_RESOURCE = "cesium.json"
 
 
 class ScenarioError(ValueError):
@@ -87,7 +84,7 @@ _SPECIES_KEYS = {
     "g_f": ("g_f", float),
 }
 
-# Documented defaults, in document units. Matches data/cesium.json.
+# Documented defaults, in document units: the packaged cesium operating point.
 DEFAULTS = {
     "omega_b_hz": 3.0e5,
     "tau_s": 1.0e-3,
@@ -213,6 +210,5 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
 
 
 def default_scenario() -> ScenarioConfig:
-    """The packaged cesium operating point."""
-    text = resources.files("qmemcell").joinpath("data", DEFAULT_CONFIG_RESOURCE).read_text()
-    return load_scenario(text)
+    """The packaged cesium operating point (``DEFAULTS``)."""
+    return load_scenario("{}")

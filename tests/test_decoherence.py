@@ -8,10 +8,8 @@ import pytest
 from qmemcell import (
     CESIUM,
     DecoherenceBudget,
-    apply_boundary_losses,
-    apply_scattering,
-    apply_spin_exchange,
     boundary_loss_budget,
+    boundary_loss_channel,
     default_scenario,
     displace,
     doppler_averaged_scattering,
@@ -20,7 +18,9 @@ from qmemcell import (
     residual_pump_occupation,
     saturation_intensity,
     scattered_photon_limit,
+    scattering_channel,
     scattering_rate,
+    spin_exchange_channel,
     spin_exchange_probability,
     stark_compensation_intensity,
     stark_pi_pulse,
@@ -228,7 +228,7 @@ def _correlated_state():
 def test_spin_exchange_channel_action():
     eta = 0.2
     state = _correlated_state()
-    out = apply_spin_exchange(state, eta)
+    out = spin_exchange_channel(state.modes, eta).apply(state)
     t = 1.0 - eta
     for mode in (ATOM_PLUS, ATOM_MINUS):
         mean, block = state.mode_block(mode)
@@ -247,14 +247,17 @@ def test_spin_exchange_channel_action():
 
 def test_scattering_channel_matches_spin_exchange_form():
     state = _correlated_state()
-    assert np.allclose(apply_scattering(state, 0.05).cov,
-                       apply_spin_exchange(state, 0.05).cov, rtol=1e-12, atol=1e-12)
+    assert np.allclose(scattering_channel(state.modes, 0.05).apply(state).cov,
+                       spin_exchange_channel(state.modes, 0.05).apply(state).cov,
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_channels_at_zero_strength_are_identity():
     state = _correlated_state()
-    for out in (apply_spin_exchange(state, 0.0), apply_scattering(state, 0.0),
-                apply_boundary_losses(state, 0.0, 2)):
+    for channel in (spin_exchange_channel(state.modes, 0.0),
+                    scattering_channel(state.modes, 0.0),
+                    boundary_loss_channel(state.modes, 0.0, 2)):
+        out = channel.apply(state)
         assert np.array_equal(out.means, state.means)
         assert np.array_equal(out.cov, state.cov)
 
@@ -262,7 +265,7 @@ def test_channels_at_zero_strength_are_identity():
 def test_boundary_losses_touch_only_light():
     loss, n = 0.02, 2
     state = _correlated_state()
-    out = apply_boundary_losses(state, loss, n)
+    out = boundary_loss_channel(state.modes, loss, n).apply(state)
     amp = math.sqrt((1.0 - loss) ** n)
     for mode in (LIGHT_C, LIGHT_S):
         mean, block = state.mode_block(mode)
@@ -281,14 +284,14 @@ def test_channels_preserve_physicality():
     # strongly correlated state through every channel at several strengths
     state = _correlated_state()
     for p in (0.0, 0.1, 0.5, 0.9):
-        apply_spin_exchange(state, p)
-        apply_scattering(state, p)
-        apply_boundary_losses(state, p, 3)
+        spin_exchange_channel(state.modes, p).apply(state)
+        scattering_channel(state.modes, p).apply(state)
+        boundary_loss_channel(state.modes, p, 3).apply(state)
 
 
 def test_channel_custom_mode_selection():
     state = _correlated_state()
-    out = apply_spin_exchange(state, 0.3, atomic_modes=(ATOM_PLUS,))
+    out = spin_exchange_channel(state.modes, 0.3, atomic_modes=(ATOM_PLUS,)).apply(state)
     assert np.allclose(out.mode_block(ATOM_MINUS)[1], state.mode_block(ATOM_MINUS)[1],
                        rtol=1e-12, atol=1e-12)
     assert not np.allclose(out.mode_block(ATOM_PLUS)[1], state.mode_block(ATOM_PLUS)[1])
@@ -297,6 +300,6 @@ def test_channel_custom_mode_selection():
 def test_channel_validation():
     state = vacuum_state((LIGHT_C,))
     with pytest.raises(ValueError):
-        apply_scattering(state, 1.5, atomic_modes=(LIGHT_C,))
+        scattering_channel(state.modes, 1.5, atomic_modes=(LIGHT_C,))
     with pytest.raises(ValueError):
-        apply_boundary_losses(state, -0.1, 2, light_modes=(LIGHT_C,))
+        boundary_loss_channel(state.modes, -0.1, 2, light_modes=(LIGHT_C,))

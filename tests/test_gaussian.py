@@ -13,7 +13,7 @@ from qmemcell import (
     SymplecticTransform,
     VACUUM_VARIANCE,
     apply_symplectic,
-    beamsplitter_loss,
+    attenuation_channel,
     displace,
     hamiltonian_to_symplectic,
     homodyne_condition,
@@ -188,18 +188,24 @@ def test_rotate_mode():
     assert np.allclose(full.cov, state.cov, atol=1e-12)
 
 
-def test_beamsplitter_loss():
+def test_attenuation_channel():
     state = displace(memory_vacuum(), LIGHT_C, 2.0, -1.0)
-    out = beamsplitter_loss(state, LIGHT_C, 0.64)
+
+    def loss(transmission):
+        return attenuation_channel(state.modes, (LIGHT_C,), transmission).apply(state)
+
+    out = loss(0.64)
     assert out.mean(LIGHT_C, QUAD_X) == pytest.approx(1.6, rel=1e-12)
     assert out.mean(LIGHT_C, QUAD_P) == pytest.approx(-0.8, rel=1e-12)
     assert out.variance(LIGHT_C, QUAD_X) == pytest.approx(0.5, rel=1e-12)
-    assert np.array_equal(beamsplitter_loss(state, LIGHT_C, 1.0).means, state.means)
-    dark = beamsplitter_loss(state, LIGHT_C, 0.0)
+    assert np.array_equal(loss(1.0).means, state.means)
+    dark = loss(0.0)
     assert dark.mean(LIGHT_C, QUAD_X) == 0.0
     assert dark.variance(LIGHT_C, QUAD_P) == VACUUM_VARIANCE
     with pytest.raises(ValueError):
-        beamsplitter_loss(state, LIGHT_C, 1.5)
+        loss(1.5)
+    with pytest.raises(ValueError, match="unknown mode"):
+        attenuation_channel(state.modes, ("light_x",), 0.5)
 
 
 def _entangling_map():

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from qmemcell import (
     DecoherenceBudget,
+    GaussianState,
     apply_symplectic,
     atomic_basis_change,
     collective_kappa,
@@ -18,6 +19,7 @@ from qmemcell import (
     default_scenario,
     differential_rotation,
     displace,
+    hamiltonian_to_symplectic,
     mean_fidelity,
     memory_vacuum,
     qnd_transform,
@@ -47,6 +49,9 @@ from qmemcell.memory import (
     VARIANT_CLASS_2,
     WRITE_DECODE_C,
     WRITE_DECODE_S,
+    _read_stages,
+    _run_stages,
+    _write_stages,
     atomic_basis_matrix,
 )
 
@@ -279,6 +284,38 @@ def test_mean_fidelity_penalizes_miscalibration():
     assert off < exact
 
 
+def _mean_fidelity_loop(transfer, cov, decode_c, decode_s, amplitude=20.0, n_phases=256):
+    """Phase-by-phase form of the ensemble fidelity, as a reference."""
+    total = 0.0
+    for block, decode in ((slice(0, 2), decode_c), (slice(2, 4), decode_s)):
+        d_inv = np.linalg.inv(decode)
+        sigma = d_inv @ cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
+        sigma_inv = np.linalg.inv(sigma)
+        norm = 1.0 / math.sqrt(np.linalg.det(sigma))
+        response = d_inv @ transfer[block, block] - np.eye(2)
+        for j in range(n_phases):
+            phi = 2.0 * math.pi * j / n_phases
+            d = response @ (amplitude * np.array([math.cos(phi), math.sin(phi)]))
+            total += norm * math.exp(-0.5 * float(d @ sigma_inv @ d))
+    return total / (2.0 * n_phases)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_mean_fidelity_matches_phase_loop(seed):
+    rng = np.random.default_rng(seed)
+    transfer = np.diag([-1.0, -1.0, 1.0, 1.0]) + 0.05 * rng.normal(size=(4, 4))
+    a = rng.normal(size=(4, 4))
+    cov = 0.5 * np.eye(4) + 0.3 * a @ a.T
+    for decode_c, decode_s in ((WRITE_DECODE_C, WRITE_DECODE_S),
+                               (READ_DECODE_C, READ_DECODE_S)):
+        for n_phases in (1, 7, 256):
+            want = _mean_fidelity_loop(transfer, cov, decode_c, decode_s,
+                                       n_phases=n_phases)
+            got = mean_fidelity(transfer, cov, decode_c, decode_s, n_phases=n_phases)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
 def test_mean_fidelity_validation():
     with pytest.raises(ValueError):
         mean_fidelity(np.eye(3), np.eye(4), np.eye(2), np.eye(2))
@@ -424,3 +461,57 @@ def test_read_validation():
         run_read(0.0)
     with pytest.raises(ValueError, match="seed"):
         run_read(1.0, policy=POLICY_SAMPLE)
+
+
+# ---------------------------------------------------------------------------
+# the composed channel against the stage-by-stage run
+
+
+def _random_memory_state(rng):
+    """A physical four-mode state: a random thermal state under a random
+    symplectic map, displaced."""
+    h = rng.normal(size=(8, 8))
+    s = hamiltonian_to_symplectic(0.3 * (h + h.T)).matrix
+    nu = np.repeat(0.5 + rng.exponential(0.5, size=4), 2)
+    base = memory_vacuum()
+    return GaussianState(modes=base.modes, basis=base.basis,
+                         means=rng.normal(scale=2.0, size=8), cov=s @ np.diag(nu) @ s.T)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_composed_channel_matches_stages(seed):
+    rng = np.random.default_rng(seed)
+    budget = DecoherenceBudget(eta=rng.uniform(0.0, 0.1), n_phot=rng.uniform(0.0, 0.1),
+                               boundary_loss=rng.uniform(0.0, 0.1),
+                               n_boundaries=int(rng.integers(0, 5)))
+    k_eff = rng.uniform(0.3, 2.0)
+    gain = -rng.uniform(0.5, 2.0) / k_eff
+    state = _random_memory_state(rng)
+    for builder, run in ((_write_stages, run_write), (_read_stages, run_read)):
+        stages = builder(k_eff, gain, budget)
+        means, cov = state.means, state.cov
+        for channel, _ in stages:
+            means, cov = channel.propagate(means, cov)
+        composed = stages[0][0]
+        for channel, _ in stages[1:]:
+            composed = composed.then(channel)
+        out = composed.apply(state)
+        scale = max(1.0, float(np.max(np.abs(cov))))
+        assert np.allclose(out.means, means, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(out.cov, cov, rtol=0.0, atol=1e-12 * scale)
+        # the mean-policy stage loop with its outcome draws is the same map
+        loop_means, loop_cov, _ = _run_stages(stages, state.means, state.cov,
+                                              "mean", None)
+        assert np.allclose(loop_means, means, rtol=0.0, atol=1e-12 * scale)
+        assert np.array_equal(loop_cov, cov)
+        result = run(k_eff, state=state, gain=gain, budget=budget)
+        assert np.allclose(result.state.cov, cov, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(result.state.means, means, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_protocol_overflow_names_gain_and_k_eff():
+    with pytest.raises(ValueError, match="gain=1e[+]300"):
+        run_write(1.0, gain=1e300)
+    with pytest.raises(ValueError, match="k_eff=1e[+]200"):
+        run_read(1e200)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -249,6 +250,14 @@ def test_cli_memory_sim_seeded(capsys):
     assert first != third
 
 
+def test_memory_sim_seeded_outcomes_pinned():
+    rows = {r.name: r.value for r in memory_sim_rows(default_scenario(), seed=3)}
+    assert rows["write_outcome[m_c]"] == 2.035810429714782
+    assert rows["write_outcome[m_s]"] == -2.549267862253927
+    assert rows["read_outcome[m_minus]"] == -2.6044474689017374
+    assert rows["read_outcome[m_plus]"] == 1.288553601736854
+
+
 def test_cli_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     assert main(["compensate", "--out", str(target)]) == 0
@@ -302,6 +311,30 @@ def test_cli_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["pump", "--steps", "-1"]) == 2
     assert "steps" in capsys.readouterr().err
+    # only memory-sim samples outcomes, so only it takes a seed
+    assert main(["shifts", "--seed", "1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["decoherence", "memory-sim"])
+def test_cli_scattering_past_one_photon_exits_2(tmp_path, capsys, command):
+    # at tau_s = 0.1 s the compensation light scatters 1.73 photons per atom
+    path = tmp_path / "cfg.json"
+    path.write_text('{"tau_s": 0.1}')
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tau_s" in captured.err and "1.73" in captured.err
+
+
+def test_cli_overflowing_gain_exits_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["memory-sim", "--gain", "1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "gain" in lines[0]
 
 
 @pytest.mark.parametrize("doc, key", [
