@@ -6,59 +6,60 @@ compensation, pulse designs, decoherence budgets, optical pumping) and a
 Gaussian-dynamics side (symplectic pass interactions, homodyne plus
 feedback write/read protocol).  ``qmemcell.cli`` exposes both on the
 command line.
+
+The exports below load their submodule on first access (PEP 562), so
+``import qmemcell`` and the parameter side run without numpy; only the
+Gaussian side (``gaussian``, ``memory``, ``pumping``) imports it.
 """
 
-from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData,
-                        dipole_moment_squared, saturation_intensity,
-                        vacuum_field_squared)
-from .decoherence import (DecoherenceBudget, boundary_loss_budget,
-                          boundary_loss_channel, doppler_averaged_scattering,
-                          residual_pump_occupation, scattered_photon_limit,
-                          scattering_channel, scattering_rate,
-                          spin_exchange_channel, spin_exchange_probability)
-from .gaussian import (BASIS_CLASS, BASIS_PLUS_MINUS, GaussianChannel,
-                       GaussianState, SymplecticTransform, VACUUM_VARIANCE,
-                       apply_symplectic, attenuation_channel, displace,
-                       hamiltonian_to_symplectic, homodyne_condition,
-                       memory_vacuum, rotate_mode, state_from_json,
-                       state_to_json, symplectic_channel, symplectic_form,
-                       vacuum_state)
-from .memory import (CouplingSet, ProtocolResult, atomic_basis_change,
-                     collective_kappa, common_weak_rotation, coupling_g,
-                     differential_rotation, mean_fidelity, qnd_transform,
-                     run_read, run_write)
-from .pumping import (PumpLevelSystem, evolve_pumping, pumping_history,
-                      rate_matrix, state_index, uniform_f4_system)
-from .scenario import (ScenarioConfig, ScenarioError, default_scenario,
-                       load_scenario, load_scenario_file, scenario_with)
-from .shifts import (PulseDesign, ShiftLadder, ac_zeeman_compensation_intensity,
-                     ac_zeeman_ladder, class_dephasing, microwave_detuning_default,
-                     microwave_pi_pulse, stark_compensation_intensity,
-                     stark_ladder, stark_pi_pulse, zeeman_ladder, zeeman_pi_pulse)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CESIUM", "CODATA", "PhysicalConstants", "SpeciesData",
-    "dipole_moment_squared", "saturation_intensity", "vacuum_field_squared",
-    "DecoherenceBudget", "boundary_loss_budget", "boundary_loss_channel",
-    "doppler_averaged_scattering", "residual_pump_occupation",
-    "scattered_photon_limit", "scattering_channel", "scattering_rate",
-    "spin_exchange_channel", "spin_exchange_probability",
-    "BASIS_CLASS", "BASIS_PLUS_MINUS", "GaussianChannel", "GaussianState",
-    "SymplecticTransform", "VACUUM_VARIANCE", "apply_symplectic",
-    "attenuation_channel", "displace", "hamiltonian_to_symplectic",
-    "homodyne_condition", "memory_vacuum", "rotate_mode", "state_from_json",
-    "state_to_json", "symplectic_channel", "symplectic_form", "vacuum_state",
-    "CouplingSet", "ProtocolResult", "atomic_basis_change", "collective_kappa",
-    "common_weak_rotation", "coupling_g", "differential_rotation",
-    "mean_fidelity", "qnd_transform", "run_read", "run_write",
-    "PumpLevelSystem", "evolve_pumping", "pumping_history", "rate_matrix",
-    "state_index", "uniform_f4_system",
-    "ScenarioConfig", "ScenarioError", "default_scenario", "load_scenario",
-    "load_scenario_file", "scenario_with",
-    "PulseDesign", "ShiftLadder", "ac_zeeman_compensation_intensity",
-    "ac_zeeman_ladder", "class_dephasing", "microwave_detuning_default",
-    "microwave_pi_pulse", "stark_compensation_intensity", "stark_ladder",
-    "stark_pi_pulse", "zeeman_ladder", "zeeman_pi_pulse",
-]
+# public name -> submodule that defines it, in the order of __all__
+_EXPORTS = {
+    "CESIUM": "constants", "CODATA": "constants", "PhysicalConstants": "constants",
+    "SpeciesData": "constants", "dipole_moment_squared": "constants",
+    "saturation_intensity": "constants", "vacuum_field_squared": "constants",
+    "DecoherenceBudget": "decoherence", "boundary_loss_budget": "decoherence",
+    "boundary_loss_channel": "memory", "doppler_averaged_scattering": "decoherence",
+    "residual_pump_occupation": "decoherence", "scattered_photon_limit": "decoherence",
+    "scattering_channel": "memory", "scattering_rate": "decoherence",
+    "spin_exchange_channel": "memory", "spin_exchange_probability": "decoherence",
+    "BASIS_CLASS": "gaussian", "BASIS_PLUS_MINUS": "gaussian",
+    "GaussianChannel": "gaussian", "GaussianState": "gaussian",
+    "SymplecticTransform": "gaussian", "VACUUM_VARIANCE": "gaussian",
+    "apply_symplectic": "gaussian", "attenuation_channel": "gaussian",
+    "displace": "gaussian", "hamiltonian_to_symplectic": "gaussian",
+    "homodyne_condition": "gaussian", "memory_vacuum": "gaussian",
+    "rotate_mode": "gaussian", "state_from_json": "gaussian",
+    "state_to_json": "gaussian", "symplectic_channel": "gaussian",
+    "symplectic_form": "gaussian", "vacuum_state": "gaussian", "CouplingSet": "shifts",
+    "ProtocolResult": "memory", "atomic_basis_change": "memory",
+    "collective_kappa": "shifts", "common_weak_rotation": "memory",
+    "coupling_g": "shifts", "differential_rotation": "memory",
+    "mean_fidelity": "memory", "qnd_transform": "memory", "run_read": "memory",
+    "run_write": "memory", "PumpLevelSystem": "pumping", "evolve_pumping": "pumping",
+    "pumping_history": "pumping", "rate_matrix": "pumping", "state_index": "pumping",
+    "uniform_f4_system": "pumping", "ScenarioConfig": "scenario",
+    "ScenarioError": "scenario", "default_scenario": "scenario",
+    "load_scenario": "scenario", "load_scenario_file": "scenario",
+    "scenario_with": "scenario", "PulseDesign": "shifts", "ShiftLadder": "shifts",
+    "ac_zeeman_compensation_intensity": "shifts", "ac_zeeman_ladder": "shifts",
+    "class_dephasing": "shifts", "microwave_detuning_default": "shifts",
+    "microwave_pi_pulse": "shifts", "stark_compensation_intensity": "shifts",
+    "stark_ladder": "shifts", "stark_pi_pulse": "shifts", "zeeman_ladder": "shifts",
+    "zeeman_pi_pulse": "shifts",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,8 +1,8 @@
 """Decoherence budget of the cell: photon scattering, collisions, windows.
 
-Rates are computed in SI; the Gaussian-channel side (how a given budget
-acts on a stored state) lives here as well so that the protocol code in
-``memory`` only ever composes ready-made channels.
+Rates and probabilities are scalars in SI, computed without numpy; how
+a budget acts on a stored state (the Gaussian channels) is part of the
+protocol in ``memory``.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .constants import CESIUM, CODATA, PhysicalConstants, SpeciesData, saturation_intensity
-from .gaussian import GaussianChannel, attenuation_channel
-from .numerics import faddeeva
 from .scenario import ScenarioConfig, ScenarioError
 
 #: width conventions for the Doppler average
@@ -20,6 +18,57 @@ WIDTH_HWHM = "hwhm"
 WIDTH_SIGMA = "sigma"
 
 _HWHM_TO_SIGMA = 1.0 / math.sqrt(2.0 * math.log(2.0))
+
+# Weideman's rational approximation of the Faddeeva function (SIAM J.
+# Numer. Anal. 31, 1497, 1994): w(z) = 2 p(Z)/(L - iz)^2
+# + 1/(sqrt(pi) (L - iz)) with Z = (L + iz)/(L - iz) and p of degree
+# N - 1, its coefficients the cosine transform of exp(-t^2)(L^2 + t^2)
+# sampled at t = L tan(theta/2).  N = 64; the coefficients, highest
+# degree first, are frozen here (tests regenerate them).
+_WEIDEMAN_L = math.sqrt(64 / math.sqrt(2.0))
+_WEIDEMAN = (
+    -1.251627807285738e-15, -3.0251827701090727e-16, -4.340074589256645e-16,
+    -3.177164336998839e-16, -1.0957975872344028e-16, -1.386870465532728e-16,
+    2.033505345211895e-16, -3.9101209455665375e-16, -7.907434769100884e-17,
+    1.6428947759643127e-16, 8.969486089580865e-17, -1.444026755516516e-16,
+    1.492359113773491e-16, -2.0287144505233468e-16, -6.375656004727575e-18,
+    -2.302916695120676e-16, -2.4771222125552e-16, 3.013221191703104e-16,
+    2.8047137916472375e-16, -6.421041732625369e-17, 3.0224104963333574e-16,
+    5.15412429248131e-16, -9.527376377561692e-16, -4.104858814903822e-15,
+    -1.7572521654696281e-16, 3.2842731061156457e-14, 5.90835466258037e-14,
+    -1.5495445350625424e-13, -7.920013772045437e-13, -3.9385020880980017e-13,
+    5.832265156291847e-12, 1.7501643361469962e-11, -6.470591641387651e-12,
+    -1.7560599378261833e-10, -4.5339125297432565e-10, 2.443480460108034e-10,
+    5.1869556471466424e-09, 1.5926813999991468e-08, 7.435710869302685e-09,
+    -1.3610261240907367e-07, -6.650424121637082e-07, -1.5547722782406348e-06,
+    -7.564244086551467e-08, 1.7901801586021525e-05, 0.0001022700679891804,
+    0.00039627451039821323, 0.0012549788049982255, 0.0034602079481075108,
+    0.00856538141317579, 0.019380399024538218, 0.040552846529580244,
+    0.07911655067602583, 0.14477859973586416, 0.24963969994535562, 0.4070443030398736,
+    0.6293868343374367, 0.9249760252638086, 1.294437751717516, 1.7275060857871174,
+    2.201256571286409, 2.680732639559084, 3.1224481894020366, 3.4804961039850424,
+    3.7141697931977022,
+)
+_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
+
+    Accepts a complex scalar or a numpy array.  Against a reference
+    implementation the real part is within 1e-9 relative for
+    Im z >= 1e-5 and |Re z| <= 1e7.  Closer to the real axis the
+    approximation keeps an absolute error near 1e-18, so in the far
+    wing, where Re w(z) is itself that small, the relative error grows:
+    1e-8 at Im z = 1e-6, 1e-5 at Im z = 1e-9.
+    """
+    iz = 1j * z
+    denom = _WEIDEMAN_L - iz
+    zz = (_WEIDEMAN_L + iz) / denom
+    p = 0.0
+    for c in _WEIDEMAN:
+        p = p * zz + c
+    return 2.0 * p / (denom * denom) + _INV_SQRT_PI / denom
 
 
 def scattering_rate(intensity: float, detuning: float,
@@ -62,7 +111,7 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
     in closed form through the Faddeeva function.  The result carries
     that function's accuracy: about 1e-9 relative while w is at least
     1.4e-5 of the Gaussian standard deviation, less in the far wing of
-    narrower lines (see ``qmemcell.numerics.faddeeva``).
+    narrower lines (see :func:`faddeeva`).
     """
     if doppler_halfwidth < 0.0:
         raise ValueError(f"doppler width must be non-negative, got {doppler_halfwidth}")
@@ -187,13 +236,19 @@ class DecoherenceBudget:
 
         Scattering is evaluated for the slope-compensation light at the
         configured Stark detuning; the mean detuning from the resonance
-        of the edge-pumped atoms is |Delta_S| - Delta_2/2.  A pulse that
-        scatters one photon per atom or more raises ScenarioError.
+        of the edge-pumped atoms is |Delta_S| - Delta_2/2.  A pulse with
+        a collision probability of 1 or more, or that scatters one
+        photon per atom or more, raises ScenarioError.
         """
         from .shifts import stark_compensation_intensity
         sp = config.species
         eta = spin_exchange_probability(config.pulse_duration, sp,
                                         density=config.atom_density)
+        if eta >= 1.0:
+            raise ScenarioError(
+                f"fields 'atom_density_m3' = {config.atom_density:g} m^-3 and 'tau_s' = "
+                f"{config.pulse_duration:g} s give a spin-exchange probability of "
+                f"{eta:.3g} per pulse; the collision channel needs eta < 1")
         i_s = stark_compensation_intensity(config.omega_b, config.stark_detuning,
                                            sp, constants)
         gamma_ph = doppler_averaged_scattering(
@@ -208,47 +263,3 @@ class DecoherenceBudget:
                 "channel needs fewer than 1 per pulse (n_phot < 1)")
         return cls(eta=eta, gamma_ph=gamma_ph, n_phot=n_phot,
                    boundary_loss=config.boundary_loss, n_boundaries=2)
-
-
-def _labels(modes: tuple[str, ...], chosen: tuple[str, ...] | None,
-            prefix: str) -> tuple[str, ...]:
-    return tuple(m for m in modes if m.startswith(prefix)) if chosen is None else chosen
-
-
-def spin_exchange_channel(modes: tuple[str, ...], eta: float,
-                          atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
-    """Spin-exchange collision channel on the atomic modes of a register.
-
-    A colliding atom leaves its class, shortening the collective means
-    by eta and admixing vacuum-level fluctuation of the fresh spins: an
-    attenuation of transmission (1 - eta)^2.
-    """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
-                               (1.0 - eta) ** 2)
-
-
-def scattering_channel(modes: tuple[str, ...], n_phot: float,
-                       atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
-    """Photon-scattering channel on the atomic modes of a register.
-
-    Each scattered photon randomizes one atom's sublevel; for
-    n_phot << 1 per atom the collective effect is the same attenuation
-    with vacuum refill as a collision with probability n_phot.
-    """
-    if not 0.0 <= n_phot < 1.0:
-        raise ValueError(f"n_phot must lie in [0, 1), got {n_phot}")
-    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
-                               (1.0 - n_phot) ** 2)
-
-
-def boundary_loss_channel(modes: tuple[str, ...], loss: float, n_crossings: int,
-                          light_modes: tuple[str, ...] | None = None) -> GaussianChannel:
-    """Pass the light modes of a register through n lossy window crossings."""
-    if not 0.0 <= loss < 1.0:
-        raise ValueError(f"loss must lie in [0, 1), got {loss}")
-    if n_crossings < 0:
-        raise ValueError(f"n_crossings must be non-negative, got {n_crossings}")
-    return attenuation_channel(modes, _labels(modes, light_modes, "light"),
-                               (1.0 - loss) ** n_crossings)

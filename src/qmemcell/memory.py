@@ -25,10 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (CODATA, PhysicalConstants, dipole_moment_squared,
-                        vacuum_field_squared)
-from .decoherence import (DecoherenceBudget, boundary_loss_channel,
-                          scattering_channel, spin_exchange_channel)
+from .decoherence import DecoherenceBudget
 from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_CLASS, BASIS_PLUS_MINUS,
                        LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS,
                        MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, QUAD_P, QUAD_X,
@@ -36,7 +33,6 @@ from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_CLASS, BASIS_PLUS_MINUS,
                        apply_symplectic, attenuation_channel,
                        hamiltonian_to_symplectic, homodyne_outcome,
                        memory_vacuum, rotation_2x2, symplectic_channel)
-from .scenario import ScenarioConfig
 
 #: pass-interaction variants
 VARIANT_TWO_CLASS = "two_class"
@@ -57,61 +53,6 @@ FIDELITY_PHASES = 256
 # quadrature index blocks of the four-mode layout
 _LIGHT_SLICE = slice(0, 4)
 _ATOM_SLICE = slice(4, 8)
-
-
-# ---------------------------------------------------------------------------
-# microscopic couplings
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """Single-atom and collective coupling figures for one operating point.
-
-    g_m          single-atom Raman rates (1/s) for the m -> m+1 ladder
-    kappa_per_s  collective two-mode coupling rate (1/s), signed like
-                 1/detuning
-    kappa_tau    dimensionless integrated coupling
-    k_eff        pass-interaction strength entering the protocol maps
-    """
-
-    g_m: dict[int, float]
-    kappa_per_s: float
-    kappa_tau: float
-    k_eff: float
-
-
-def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,
-               detuning: float, constants: PhysicalConstants = CODATA) -> float:
-    """Single-atom coupling of the m <-> m+1 coherence to the sidebands."""
-    if not -f <= m <= f - 1:
-        raise ValueError(f"m must lie in [{-f}, {f - 1}] for F = {f}, got {m}")
-    if detuning == 0.0:
-        raise ValueError("detuning must be nonzero")
-    strength = math.sqrt(f * (f + 1) - m * (m + 1))
-    return (dipole_squared * field_squared * strength
-            / (48.0 * constants.hbar**2 * detuning))
-
-
-def collective_kappa(config: ScenarioConfig,
-                     constants: PhysicalConstants = CODATA) -> CouplingSet:
-    """Collective coupling of the configured cell on the probe line.
-
-    The probe runs on the stronger line; its vacuum field is set by the
-    beam area and the pulse duration.  kappa carries the sign of
-    -1/detuning, so red and blue probe detunings give opposite k_eff.
-    """
-    sp = config.species
-    e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration,
-                                 sp.lambda_d2, constants)
-    mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2, constants)
-    f = sp.f_ground
-    g_m = {m: coupling_g(m, f, e0_sq, mu_sq, config.probe_detuning, constants)
-           for m in range(-f, f)}
-    kappa = -(e0_sq * mu_sq * math.sqrt(config.photon_number * config.atom_number)
-              / (12.0 * constants.hbar**2 * config.probe_detuning))
-    kappa_tau = kappa * config.pulse_duration
-    return CouplingSet(g_m=g_m, kappa_per_s=kappa, kappa_tau=kappa_tau,
-                       k_eff=math.sqrt(2.0) * kappa_tau)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +147,54 @@ def common_weak_rotation(theta: float) -> SymplecticTransform:
     sending P_plus to X_minus and X_plus to -P_minus.
     """
     return differential_rotation(theta, theta)
+
+
+# ---------------------------------------------------------------------------
+# decoherence channels
+
+
+def _labels(modes: tuple[str, ...], chosen: tuple[str, ...] | None,
+            prefix: str) -> tuple[str, ...]:
+    return tuple(m for m in modes if m.startswith(prefix)) if chosen is None else chosen
+
+
+def spin_exchange_channel(modes: tuple[str, ...], eta: float,
+                          atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
+    """Spin-exchange collision channel on the atomic modes of a register.
+
+    A colliding atom leaves its class, shortening the collective means
+    by eta and admixing vacuum-level fluctuation of the fresh spins: an
+    attenuation of transmission (1 - eta)^2.
+    """
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
+                               (1.0 - eta) ** 2)
+
+
+def scattering_channel(modes: tuple[str, ...], n_phot: float,
+                       atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
+    """Photon-scattering channel on the atomic modes of a register.
+
+    Each scattered photon randomizes one atom's sublevel; for
+    n_phot << 1 per atom the collective effect is the same attenuation
+    with vacuum refill as a collision with probability n_phot.
+    """
+    if not 0.0 <= n_phot < 1.0:
+        raise ValueError(f"n_phot must lie in [0, 1), got {n_phot}")
+    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
+                               (1.0 - n_phot) ** 2)
+
+
+def boundary_loss_channel(modes: tuple[str, ...], loss: float, n_crossings: int,
+                          light_modes: tuple[str, ...] | None = None) -> GaussianChannel:
+    """Pass the light modes of a register through n lossy window crossings."""
+    if not 0.0 <= loss < 1.0:
+        raise ValueError(f"loss must lie in [0, 1), got {loss}")
+    if n_crossings < 0:
+        raise ValueError(f"n_crossings must be non-negative, got {n_crossings}")
+    return attenuation_channel(modes, _labels(modes, light_modes, "light"),
+                               (1.0 - loss) ** n_crossings)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +321,9 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     pushed through the 4x4 mean transfer map; the matching output block
     is decoded with the ideal matrix of the protocol and compared to the
     input against the output covariance.  The two channels are averaged.
+    A decoded output covariance that is not positive definite in double
+    precision (noise so large that its determinant cancels) raises
+    ValueError.
     """
     if n_phases < 1:
         raise ValueError(f"n_phases must be positive, got {n_phases}")
@@ -345,7 +337,10 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     for block, decode in ((slice(0, 2), decode_c), (slice(2, 4), decode_s)):
         d_inv = np.linalg.inv(decode)
         sigma = d_inv @ output_cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
-        norm = 1.0 / math.sqrt(np.linalg.det(sigma))
+        det = float(np.linalg.det(sigma))
+        if not (sigma[0, 0] > 0.0 and 0.0 < det < math.inf):
+            raise ValueError(f"output covariance is not positive definite: det {det!r}")
+        norm = 1.0 / math.sqrt(det)
         # decoded-minus-ideal response to each input of this channel
         d = (d_inv @ transfer_map[block, block] - np.eye(2)) @ amps
         exponent = np.einsum("in,ij,jn->n", d, np.linalg.inv(sigma), d)
@@ -386,7 +381,11 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
         transfer = channel.x[out_block, in_block]
         out_cov = vacuum_out[out_block, out_block]
         added = np.diag(out_cov) - 0.5 * np.sum(transfer**2, axis=1)
-        fidelity = mean_fidelity(transfer, out_cov, decode_c, decode_s)
+        try:
+            fidelity = mean_fidelity(transfer, out_cov, decode_c, decode_s)
+        except ValueError as exc:
+            raise ValueError(f"protocol output noise is out of range at gain={gain!r}, "
+                             f"k_eff={k_eff!r}: {exc}") from None
     return ProtocolResult(
         state=GaussianState(modes=state.modes, basis=state.basis, means=means, cov=cov),
         transfer_map=transfer, added_noise=added, mean_fidelity=fidelity,

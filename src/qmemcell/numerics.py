@@ -1,10 +1,9 @@
-"""Numerical kernels in plain numpy: matrix exponential, Faddeeva function.
+"""Matrix exponential in plain numpy.
 
-Both replace library routines that would otherwise pull a heavy import
-into every run: the Pade scaling-and-squaring exponential of Higham
-(SIAM J. Matrix Anal. Appl. 26, 1179, 2005) and the rational
-approximation of the Faddeeva function by Weideman (SIAM J. Numer.
-Anal. 31, 1497, 1994).
+The Pade scaling-and-squaring exponential of Higham (SIAM J. Matrix
+Anal. Appl. 26, 1179, 2005) replaces a library routine that would
+otherwise pull a heavy import into every run.  The Faddeeva function of
+the Doppler average needs no numpy and lives in ``decoherence``.
 """
 
 from __future__ import annotations
@@ -48,43 +47,3 @@ def expm(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(result)):
         raise ArithmeticError(f"expm overflowed for a matrix of 1-norm {norm:.3g}")
     return result
-
-
-# Weideman's rational approximation: w(z) = 2 p(Z)/(L - iz)^2
-# + 1/(sqrt(pi) (L - iz)) with Z = (L + iz)/(L - iz) and p of degree
-# N - 1, its coefficients the cosine transform of exp(-t^2)(L^2 + t^2)
-# sampled at t = L tan(theta/2).
-_N_TERMS = 64
-_L = math.sqrt(_N_TERMS / math.sqrt(2.0))
-
-
-def _weideman_coefficients() -> tuple[float, ...]:
-    m = 2 * _N_TERMS
-    k = np.arange(-m + 1, m)
-    t = _L * np.tan(k * math.pi / (2 * m))
-    f = np.exp(-t * t) * (_L * _L + t * t)
-    a = np.cos(np.outer(np.arange(1, _N_TERMS + 1), k) * math.pi / m) @ f / (2 * m)
-    return tuple(float(c) for c in a[::-1])    # highest degree first
-
-
-_WEIDEMAN = _weideman_coefficients()
-_INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
-
-
-def faddeeva(z):
-    """Faddeeva function w(z) = exp(-z^2) erfc(-iz) for Im z >= 0.
-
-    Accepts a complex scalar or array.  Against a reference
-    implementation the real part is within 1e-9 relative for
-    Im z >= 1e-5 and |Re z| <= 1e7.  Closer to the real axis the
-    approximation keeps an absolute error near 1e-18, so in the far
-    wing, where Re w(z) is itself that small, the relative error grows:
-    1e-8 at Im z = 1e-6, 1e-5 at Im z = 1e-9.
-    """
-    iz = 1j * z
-    denom = _L - iz
-    zz = (_L + iz) / denom
-    p = 0.0
-    for c in _WEIDEMAN:
-        p = p * zz + c
-    return 2.0 * p / (denom * denom) + _INV_SQRT_PI / denom

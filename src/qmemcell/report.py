@@ -5,6 +5,10 @@ turn those into CSV, a fixed-width table, or JSON.  Floats are emitted
 with ``repr`` in the machine formats so values survive a round trip
 within 1e-12.  Display units follow the usual lab conventions
 (mW/cm^2, W/cm^2, Gauss, mrad) rather than raw SI.
+
+Only the protocol and pumping rows need numpy; their builders import
+the numpy modules (``gaussian``, ``memory``, ``pumping``) when called,
+so the scalar reports run without it.
 """
 
 from __future__ import annotations
@@ -18,14 +22,12 @@ from .constants import TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from .decoherence import (DecoherenceBudget, boundary_loss_budget,
                           doppler_averaged_scattering, residual_pump_occupation,
                           scattered_photon_limit, spin_exchange_probability)
-from .memory import collective_kappa, run_read, run_write
-from .gaussian import POLICY_MEAN, POLICY_SAMPLE
-from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
 from .scenario import ScenarioConfig
 from .shifts import (MECH_AC_ZEEMAN, MECH_STARK, MECH_ZEEMAN,
                      ac_zeeman_compensation_intensity, ac_zeeman_ladder,
-                     class_dephasing, microwave_pi_pulse, stark_compensation_intensity,
-                     stark_ladder, stark_pi_pulse, zeeman_ladder, zeeman_pi_pulse)
+                     class_dephasing, collective_kappa, microwave_pi_pulse,
+                     stark_compensation_intensity, stark_ladder, stark_pi_pulse,
+                     zeeman_ladder, zeeman_pi_pulse)
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -233,6 +235,7 @@ def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
 
 def pump_rows(pump_rate: float, repump_rate: float, dt: float,
               steps: int, n_checkpoints: int = 5) -> list[ReportRow]:
+    from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
     system = uniform_f4_system(pump_rate, repump_rate)
     record_every = max(1, steps // max(1, n_checkpoints))
     times, pops = pumping_history(system, dt, steps, record_every)
@@ -259,6 +262,8 @@ def memory_sim_rows(config: ScenarioConfig, seed: int | None = None,
     reported alongside, so off-canonical runs can pass it back in via
     ``k_eff``.
     """
+    from .gaussian import POLICY_MEAN, POLICY_SAMPLE
+    from .memory import run_read, run_write
     coupling = collective_kappa(config)
     budget = DecoherenceBudget.from_scenario(config)
     policy = POLICY_MEAN if seed is None else POLICY_SAMPLE

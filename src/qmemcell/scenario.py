@@ -137,6 +137,10 @@ def load_scenario(text: str) -> ScenarioConfig:
             raise ScenarioError(f"field '{key}' must be positive, got {merged[key]}")
     if merged["omega_b_hz"] < 0.0:
         raise ScenarioError(f"field 'omega_b_hz' must be non-negative, got {merged['omega_b_hz']}")
+    omega_b = hz_to_angular(merged["omega_b_hz"])
+    if not math.isfinite(omega_b * omega_b):
+        raise ScenarioError(f"field 'omega_b_hz' = {merged['omega_b_hz']:g} is out of range: "
+                            "the quadratic Zeeman term omega_b^2 overflows")
     for key in _NONZERO_FIELDS:
         if merged[key] == 0.0:
             raise ScenarioError(f"field '{key}' must be nonzero (it appears in denominators)")

@@ -12,7 +12,9 @@ not the level energies themselves.  Three mechanisms move the ladder:
 
 All three ladders are exactly affine in (2m + 1), so any one of them can
 cancel the m-dependence of another.  The compensation solvers and the
-pi-pulse designers below do exactly that bookkeeping.
+pi-pulse designers below do exactly that bookkeeping.  The same ladder
+coherences couple to the probe light; their single-atom and collective
+coupling strengths close the module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .constants import CESIUM, CODATA, PhysicalConstants, SpeciesData
+from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData,
+                        dipole_moment_squared, vacuum_field_squared)
+from .scenario import ScenarioConfig
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
 POLE_GUARD = 1e-6
@@ -391,3 +395,58 @@ def microwave_pi_pulse(tau: float, delta_mu: float,
         achieved_phase_difference=ladder.spread() * tau,
         required_intensity=intensity,
     )
+
+
+# ---------------------------------------------------------------------------
+# probe couplings
+
+
+@dataclass(frozen=True)
+class CouplingSet:
+    """Single-atom and collective coupling figures for one operating point.
+
+    g_m          single-atom Raman rates (1/s) for the m -> m+1 ladder
+    kappa_per_s  collective two-mode coupling rate (1/s), signed like
+                 1/detuning
+    kappa_tau    dimensionless integrated coupling
+    k_eff        pass-interaction strength entering the protocol maps
+    """
+
+    g_m: dict[int, float]
+    kappa_per_s: float
+    kappa_tau: float
+    k_eff: float
+
+
+def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,
+               detuning: float, constants: PhysicalConstants = CODATA) -> float:
+    """Single-atom coupling of the m <-> m+1 coherence to the sidebands."""
+    if not -f <= m <= f - 1:
+        raise ValueError(f"m must lie in [{-f}, {f - 1}] for F = {f}, got {m}")
+    if detuning == 0.0:
+        raise ValueError("detuning must be nonzero")
+    strength = math.sqrt(f * (f + 1) - m * (m + 1))
+    return (dipole_squared * field_squared * strength
+            / (48.0 * constants.hbar**2 * detuning))
+
+
+def collective_kappa(config: ScenarioConfig,
+                     constants: PhysicalConstants = CODATA) -> CouplingSet:
+    """Collective coupling of the configured cell on the probe line.
+
+    The probe runs on the stronger line; its vacuum field is set by the
+    beam area and the pulse duration.  kappa carries the sign of
+    -1/detuning, so red and blue probe detunings give opposite k_eff.
+    """
+    sp = config.species
+    e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration,
+                                 sp.lambda_d2, constants)
+    mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2, constants)
+    f = sp.f_ground
+    g_m = {m: coupling_g(m, f, e0_sq, mu_sq, config.probe_detuning, constants)
+           for m in range(-f, f)}
+    kappa = -(e0_sq * mu_sq * math.sqrt(config.photon_number * config.atom_number)
+              / (12.0 * constants.hbar**2 * config.probe_detuning))
+    kappa_tau = kappa * config.pulse_duration
+    return CouplingSet(g_m=g_m, kappa_per_s=kappa, kappa_tau=kappa_tau,
+                       k_eff=math.sqrt(2.0) * kappa_tau)

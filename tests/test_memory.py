@@ -515,3 +515,15 @@ def test_protocol_overflow_names_gain_and_k_eff():
         run_write(1.0, gain=1e300)
     with pytest.raises(ValueError, match="k_eff=1e[+]200"):
         run_read(1e200)
+
+
+def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
+    # a finite read map whose ~1e80 output noise cancels in the 2x2
+    # determinant; the write at the same gain still has a fidelity
+    assert run_write(1.0, gain=1e40).mean_fidelity > 0.0
+    with pytest.raises(ValueError, match=r"gain=1e\+40, k_eff=1\.0"):
+        run_read(1.0, gain=1e40)
+    with pytest.raises(ValueError, match=r"k_eff=1e\+100"):
+        run_read(1e100)
+    with pytest.raises(ValueError, match="not positive definite"):
+        mean_fidelity(np.eye(4), -np.eye(4), -np.eye(2), np.eye(2))

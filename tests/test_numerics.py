@@ -1,5 +1,9 @@
-"""Plain-numpy kernels against scipy, and the scipy-free runtime."""
+"""Plain-numpy kernels against scipy, the scipy-free runtime, and the
+numpy-free path of the scalar subcommands."""
 
+import importlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +16,8 @@ from scipy.special import wofz
 
 import qmemcell
 from qmemcell import symplectic_form
-from qmemcell.numerics import expm, faddeeva
+from qmemcell.decoherence import _WEIDEMAN, _WEIDEMAN_L, faddeeva
+from qmemcell.numerics import expm
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.5, 4.0, 30.0, 200.0])
@@ -71,12 +76,85 @@ def test_faddeeva_matches_scipy():
     assert faddeeva(complex(z[0])) == pytest.approx(got[0], rel=1e-15)
 
 
-def test_import_does_not_load_scipy():
-    code = ("import sys, qmemcell, qmemcell.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_weideman_coefficients_are_the_frozen_literals():
+    # Weideman's construction: cosine transform of exp(-t^2)(L^2 + t^2)
+    # sampled at t = L tan(theta/2), highest degree first
+    n = 64
+    big_l = math.sqrt(n / math.sqrt(2.0))
+    m = 2 * n
+    k = np.arange(-m + 1, m)
+    t = big_l * np.tan(k * math.pi / (2 * m))
+    f = np.exp(-t * t) * (big_l * big_l + t * t)
+    a = np.cos(np.outer(np.arange(1, n + 1), k) * math.pi / m) @ f / (2 * m)
+    assert _WEIDEMAN_L == big_l
+    assert _WEIDEMAN == tuple(float(c) for c in a[::-1])
+
+
+def test_lazy_exports_resolve():
+    for name in qmemcell.__all__:
+        home = importlib.import_module(f"qmemcell.{qmemcell._EXPORTS[name]}")
+        assert getattr(qmemcell, name) is getattr(home, name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qmemcell.no_such_name
+
+
+def _fresh_python(code: str) -> str:
     src = str(Path(qmemcell.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("QMEMCELL_CONFIG", None)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, qmemcell, qmemcell.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+_SWEEP = ["sweep", "--param", "omega_b_hz", "--start", "1e5", "--stop", "1e6", "--num", "4",
+          "--quantity"]
+SCALAR_ARGVS = [
+    ["shifts"], ["shifts", "--omega-b-hz", "2e5", "--format", "json"], ["compensate"],
+    ["pulse-design", "--format", "table"], ["decoherence"], ["paper-check"],
+    *([*_SWEEP, q] for q in ("stark_compensation_intensity",
+                             "ac_zeeman_compensation_intensity", "zeeman_dephasing",
+                             "doppler_scattering_rate", "spin_exchange_eta", "k_eff")),
+]
+
+# runs the scalar subcommands through cli.main, optionally with numpy
+# made unimportable, and prints exit codes, stdout and loaded numpy modules
+_SCALAR_RUN = """
+import contextlib, io, json, sys
+if {poison}:
+    sys.modules["numpy"] = None
+import qmemcell
+qmemcell.load_scenario_file({config!r})
+from qmemcell.cli import main
+runs = []
+for argv in {argvs!r}:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runs.append([main(argv), out.getvalue()])
+loaded = sorted(m for m, mod in sys.modules.items()
+                if m.split(".")[0] == "numpy" and mod is not None)
+print(json.dumps({{"runs": runs, "numpy": loaded}}))
+"""
+
+
+def test_scalar_subcommands_run_without_numpy(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"omega_b_hz": 2.0e5, "species": {"gamma_d1_hz": 4.8e6}}')
+    argvs = [[*argv, "--config", str(config)] for argv in SCALAR_ARGVS] + SCALAR_ARGVS
+    results = [json.loads(_fresh_python(_SCALAR_RUN.format(
+        poison=poison, config=str(config), argvs=argvs))) for poison in (True, False)]
+    poisoned, plain = results
+    assert poisoned == plain
+    assert plain["numpy"] == []
+    for argv, (code, out) in zip(argvs, plain["runs"]):
+        assert out.startswith(("name,", "[", "quantity")), argv
+        # paper-check reports its windows; at these points the magnetic
+        # pi-pulse field row falls outside (the documented discrepancy)
+        assert code == (1 if argv[0] == "paper-check" else 0), argv

@@ -327,6 +327,19 @@ def test_cli_scattering_past_one_photon_exits_2(tmp_path, capsys, command):
     assert "tau_s" in captured.err and "1.73" in captured.err
 
 
+@pytest.mark.parametrize("command", ["decoherence", "memory-sim"])
+def test_cli_collisions_past_one_per_pulse_exit_2(tmp_path, capsys, command):
+    # at 1e19 atoms per m^3 the spin-exchange probability per pulse is 2.6
+    path = tmp_path / "cfg.json"
+    path.write_text('{"atom_density_m3": 1e19}')
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "atom_density_m3" in lines[0] and "tau_s" in lines[0]
+
+
 def test_cli_overflowing_gain_exits_2(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -335,6 +348,30 @@ def test_cli_overflowing_gain_exits_2(capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "gain" in lines[0]
+
+
+def test_cli_degenerate_output_noise_exits_2(capsys):
+    # the map stays finite, but its ~1e80 output noise has determinant 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["memory-sim", "--gain", "1e40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "gain=1e+40" in lines[0] and "k_eff" in lines[0]
+
+
+def test_cli_overflowing_omega_b_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"omega_b_hz": 1e300}')
+    for argv in (["shifts", "--omega-b-hz", "1e300"], ["shifts", "--config", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "omega_b_hz" in lines[0]
 
 
 @pytest.mark.parametrize("doc, key", [
