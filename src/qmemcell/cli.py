@@ -9,6 +9,7 @@ quantity outside its window, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -44,7 +45,13 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
                         help="write the report to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call.
+
+    Later calls return the same parser, so callers must not modify it;
+    parsing leaves it unchanged.
+    """
     parser = argparse.ArgumentParser(
         prog="qmemcell",
         description="Desk calculator and Gaussian simulator for a single-cell "

@@ -132,16 +132,20 @@ def _check_grid(dt: float, steps: int) -> None:
         raise ValueError(f"steps must be non-negative, got {steps}")
 
 
+def _propagator(mat: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """exp(M dt steps), refusing a run time that overflows the generator."""
+    duration = dt * steps
+    if not math.isfinite(duration * float(np.max(np.abs(mat), initial=0.0))):
+        raise ValueError(f"run time dt * steps = {duration:g} s overflows the rate matrix")
+    return expm(mat * duration)
+
+
 def evolve_pumping(system: PumpLevelSystem, dt: float,
                    steps: int) -> PumpLevelSystem:
     """Populations after a time dt * steps, propagated exactly."""
     _check_grid(dt, steps)
-    mat = rate_matrix(system)
-    duration = dt * steps
-    if not math.isfinite(duration * float(np.max(np.abs(mat), initial=0.0))):
-        raise ValueError(f"run time dt * steps = {duration:g} s overflows the rate matrix")
-    pops = expm(mat * duration) @ system.populations
-    return replace(system, populations=pops)
+    prop = _propagator(rate_matrix(system), dt, steps)
+    return replace(system, populations=prop @ system.populations)
 
 
 def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
@@ -150,18 +154,23 @@ def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
 
     Returns (times, populations) with one row per record, starting with
     the initial state and ending at dt * steps; used by the reporting
-    layer to print pump-up curves.
+    layer to print pump-up curves.  The rates are constant, so one
+    propagator per chunk length (at most two) serves every record.
     """
     _check_grid(dt, steps)
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
+    mat = rate_matrix(system)
+    props: dict[int, np.ndarray] = {}
     times = [0.0]
     rows = [system.populations.copy()]
     current = system
     done = 0
     while done < steps:
         chunk = min(record_every, steps - done)
-        current = evolve_pumping(current, dt, chunk)
+        if chunk not in props:
+            props[chunk] = _propagator(mat, dt, chunk)
+        current = replace(current, populations=props[chunk] @ current.populations)
         done += chunk
         times.append(done * dt)
         rows.append(current.populations.copy())

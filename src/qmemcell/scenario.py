@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .constants import CESIUM, SpeciesData, angular_to_hz, hz_to_angular
+from .constants import CESIUM, CODATA, SpeciesData, angular_to_hz, hz_to_angular
 
 
 class ScenarioError(ValueError):
@@ -102,6 +102,11 @@ DEFAULTS = {
 _POSITIVE_FIELDS = ("tau_s", "atom_number", "photon_number", "beam_area_m2",
                     "atom_density_m3")
 _NONZERO_FIELDS = ("probe_detuning_hz", "stark_detuning_hz", "microwave_detuning_hz")
+#: every key with a range check, in the order a document's errors are reported
+_CHECKED_KEYS = (*_POSITIVE_FIELDS, "omega_b_hz", *_NONZERO_FIELDS, "boundary_loss")
+#: keys whose angular value is squared by the physics, and the term it enters
+_SQUARED_FIELDS = {"omega_b_hz": "the quadratic Zeeman term omega_b^2",
+                   "stark_detuning_hz": "the Stark compensation term Delta_S^2"}
 
 
 def _coerce_number(key, raw):
@@ -111,6 +116,27 @@ def _coerce_number(key, raw):
     if not math.isfinite(value):
         raise ScenarioError(f"field '{key}' must be finite, got {raw!r}")
     return value
+
+
+def _check_scalar(key: str, value: float) -> None:
+    """Range checks of one coerced scalar key, in document units."""
+    if key in _POSITIVE_FIELDS and value <= 0.0:
+        raise ScenarioError(f"field '{key}' must be positive, got {value}")
+    if key == "omega_b_hz" and value < 0.0:
+        raise ScenarioError(f"field 'omega_b_hz' must be non-negative, got {value}")
+    if key in _NONZERO_FIELDS and value == 0.0:
+        raise ScenarioError(f"field '{key}' must be nonzero (it appears in denominators)")
+    if key in _SQUARED_FIELDS:
+        omega = hz_to_angular(value)
+        if not math.isfinite(omega * omega):
+            raise ScenarioError(f"field '{key}' = {value:g} is out of range: "
+                                f"{_SQUARED_FIELDS[key]} overflows")
+    if key == "probe_detuning_hz" and 12.0 * CODATA.hbar**2 * hz_to_angular(value) == 0.0:
+        # the collective coupling divides by 12 hbar^2 Delta (shifts.collective_kappa)
+        raise ScenarioError(f"field 'probe_detuning_hz' = {value:g} is out of range: "
+                            "the coupling denominator hbar^2 Delta underflows to zero")
+    if key == "boundary_loss" and not 0.0 <= value < 1.0:
+        raise ScenarioError(f"field 'boundary_loss' must lie in [0, 1), got {value}")
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -132,21 +158,8 @@ def load_scenario(text: str) -> ScenarioConfig:
             continue
         merged[key] = _coerce_number(key, raw)
 
-    for key in _POSITIVE_FIELDS:
-        if merged[key] <= 0.0:
-            raise ScenarioError(f"field '{key}' must be positive, got {merged[key]}")
-    if merged["omega_b_hz"] < 0.0:
-        raise ScenarioError(f"field 'omega_b_hz' must be non-negative, got {merged['omega_b_hz']}")
-    omega_b = hz_to_angular(merged["omega_b_hz"])
-    if not math.isfinite(omega_b * omega_b):
-        raise ScenarioError(f"field 'omega_b_hz' = {merged['omega_b_hz']:g} is out of range: "
-                            "the quadratic Zeeman term omega_b^2 overflows")
-    for key in _NONZERO_FIELDS:
-        if merged[key] == 0.0:
-            raise ScenarioError(f"field '{key}' must be nonzero (it appears in denominators)")
-    if not 0.0 <= merged["boundary_loss"] < 1.0:
-        raise ScenarioError(
-            f"field 'boundary_loss' must lie in [0, 1), got {merged['boundary_loss']}")
+    for key in _CHECKED_KEYS:
+        _check_scalar(key, merged[key])
 
     species = CESIUM
     if "species" in doc:
@@ -185,7 +198,10 @@ def load_scenario_file(path: str) -> ScenarioConfig:
 
 
 def scenario_to_document(config: ScenarioConfig) -> dict:
-    """Config back in document form (cyclic Hz), for editing and sweeps."""
+    """Config back in document form (cyclic Hz), for editing and saving.
+
+    Sweeps do not go through it: ``scenario_with`` replaces one field.
+    """
     doc = {}
     for key, (fieldname, conv) in _SCALAR_KEYS.items():
         value = getattr(config, fieldname)
@@ -203,14 +219,16 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
     """Copy of ``config`` with one scalar document key replaced.
 
     ``key`` uses the document spelling (e.g. ``stark_detuning_hz``); the
-    new value passes through the same validation as a loaded document.
+    new value passes the same per-key checks as a loaded document, and
+    every other field is kept as it is.
     """
     if key not in _SCALAR_KEYS:
         raise ScenarioError(
             f"unknown scenario key '{key}'; choose from {sorted(_SCALAR_KEYS)}")
-    doc = scenario_to_document(config)
-    doc[key] = value
-    return load_scenario(json.dumps(doc))
+    value = _coerce_number(key, value)
+    _check_scalar(key, value)
+    field, conv = _SCALAR_KEYS[key]
+    return dataclasses.replace(config, **{field: conv(value)})
 
 
 def default_scenario() -> ScenarioConfig:

@@ -13,6 +13,7 @@ from qmemcell.pumping import (
     PumpLevelSystem,
     pump_rate_profile,
 )
+from qmemcell.report import pump_rows
 
 PUMP = 1.0e4
 REPUMP = 1.0e4
@@ -155,3 +156,31 @@ def test_history_handles_ragged_tail():
     assert times.shape == (4,)
     assert times[-1] == pytest.approx(70 * DT, rel=1e-12)
     assert rows.shape == (4, N_STATES)
+
+
+def _chained_history(system, dt, steps, record_every):
+    rows = [system.populations]
+    done = 0
+    while done < steps:
+        chunk = min(record_every, steps - done)
+        system = evolve_pumping(system, dt, chunk)
+        done += chunk
+        rows.append(system.populations)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("pump, repump", [(PUMP, REPUMP), (0.0, 0.0)])
+@pytest.mark.parametrize("steps, record_every", [(0, 1), (1, 1), (7, 1), (7, 3),
+                                                 (4001, 800)])
+def test_history_equals_chained_evolution(pump, repump, steps, record_every):
+    # one propagator per chunk length gives the same bits as a fresh
+    # exponential per record, also for an uneven last chunk
+    system = uniform_f4_system(pump, repump)
+    times, rows = pumping_history(system, DT, steps, record_every)
+    assert np.array_equal(rows, _chained_history(system, DT, steps, record_every))
+    assert len(times) == len(rows)
+
+
+def test_pump_report_overflow_names_run_time():
+    with pytest.raises(ValueError, match=r"dt \* steps = .* overflows"):
+        pump_rows(PUMP, REPUMP, 1.0e305, 10)

@@ -1,13 +1,19 @@
 """Report rows, renderers, and the command-line front end."""
 
+import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
-from qmemcell import default_scenario
+import qmemcell
+from qmemcell import cli, default_scenario, scenario
 from qmemcell.cli import CONFIG_ENV_VAR, main
 from qmemcell.report import (
     CSV_COLUMNS,
@@ -452,3 +458,62 @@ def test_cli_sweep_usage_errors(capsys):
     assert main(["sweep", "--param", "nonsense", "--quantity", "zeeman_dephasing",
                  "--values", "1e5"]) == 2
     capsys.readouterr()
+
+
+def _fresh_cli(argv: list[str], env: dict) -> tuple[int, str, str]:
+    proc = subprocess.run([sys.executable, "-m", "qmemcell.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process_cli(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_main_reused_in_process_matches_fresh_interpreters(tmp_path, monkeypatch):
+    # help and usage text wrap at the terminal width: pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    src = str(Path(qmemcell.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    config = tmp_path / "cfg.json"
+    config.write_text('{"omega_b_hz": 2.0e5, "species": {"gamma_d1_hz": 4.8e6}}')
+    sweep = ["sweep", "--param", "stark_detuning_hz",
+             "--quantity", "stark_compensation_intensity", "--values", "2e9,3e9"]
+    argvs = [
+        ["shifts"], sweep, ["shifts", "--seed", "1"],
+        ["compensate", "--format", "json", "--config", str(config)],
+        ["pump", "--steps", "400"], ["sweep", "--help"], ["pulse-design", "--format", "table"],
+        ["decoherence", "--config", str(config)], ["memory-sim", "--seed", "3"],
+        ["paper-check"], ["compensate", "--out", "OUT"], [*sweep, "--format", "json"],
+        ["shifts", "--omega-b-hz", "2e5", "--config", str(config)],
+    ]
+
+    def with_out(argv, name):
+        return [str(tmp_path / name) if a == "OUT" else a for a in argv]
+
+    expected = [_fresh_cli(with_out(argv, "fresh.csv"), env) for argv in argvs]
+    assert [code for code, _, _ in expected] == [0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert [_in_process_cli(with_out(argv, "reused.csv")) for argv in argvs] == expected
+        assert (tmp_path / "reused.csv").read_text() == (tmp_path / "fresh.csv").read_text()
+    # one parser serves every call of the process
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_cli_sweep_loads_only_its_config_file(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"omega_b_hz": 2.0e5}')
+    texts = []
+    load = scenario.load_scenario
+    monkeypatch.setattr(scenario, "load_scenario", lambda text: texts.append(text) or load(text))
+    assert main(["sweep", "--config", str(config), "--param", "tau_s",
+                 "--quantity", "spin_exchange_eta",
+                 "--start", "1e-4", "--stop", "1e-3", "--num", "37"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 37
+    assert texts == ['{"omega_b_hz": 2.0e5}']

@@ -5,9 +5,11 @@ import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemcell import CESIUM, ScenarioError, default_scenario, load_scenario, load_scenario_file
-from qmemcell.scenario import DEFAULTS, scenario_to_document, scenario_with
+from qmemcell.scenario import _SCALAR_KEYS, DEFAULTS, scenario_to_document, scenario_with
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 TWO_PI = 2.0 * math.pi
@@ -153,6 +155,74 @@ def test_scenario_with_replaces_one_key():
     for value in (math.nan, math.inf):
         with pytest.raises(ScenarioError, match="'stark_detuning_hz' must be finite"):
             scenario_with(cfg, "stark_detuning_hz", value)
+
+
+# operating points of the benchmark catalogue, one with a species override
+CATALOGUE_DOCS = (
+    {},
+    {"omega_b_hz": 1.5e5, "tau_s": 2.0e-3, "stark_detuning_hz": 2.5e9},
+    {"omega_b_hz": 6.0e5, "probe_detuning_hz": -9.0e8,
+     "atom_density_m3": 4.0e16, "boundary_loss": 0.03},
+    {"tau_s": 5.0e-4, "microwave_detuning_hz": 2.0e7, "feedback_gain": -0.8,
+     "beam_area_m2": 1.0e-4},
+    {"stark_detuning_hz": -4.0e9, "photon_number": 4.0e12, "atom_number": 5.0e11},
+    {"omega_b_hz": 2.0e5,
+     "species": {"gamma_d1_hz": 4.8e6, "doppler_halfwidth_hz": 2.0e8}},
+)
+
+# invalid for at least one key each: sign, zero, non-finite, type, the
+# boundary-loss range, and the overflow/underflow edges of the detunings
+EDGE_VALUES = (0, 0.0, -0.0, -1.0, -3.0e9, 0.5, 1.0, 1.5, 7, math.nan, math.inf, -math.inf,
+               True, False, "3e9", None, 1.0e300, -1.0e300, 2.2e153, 2.1e153, 1.0e-300,
+               3.0e-258, 2.9e-258, 1.0e-320)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except ScenarioError as exc:
+        return f"ScenarioError: {exc}"
+
+
+def _assert_same_as_round_trip(cfg, key, value):
+    # the whole config through a document: what scenario_with has to match
+    doc = json.dumps({**scenario_to_document(cfg), key: value})
+    assert (_outcome(lambda: scenario_with(cfg, key, value))
+            == _outcome(lambda: load_scenario(doc))), (key, value)
+
+
+@pytest.mark.parametrize("doc", CATALOGUE_DOCS)
+def test_scenario_with_matches_round_trip_at_edges(doc):
+    cfg = load_scenario(json.dumps(doc))
+    for key in _SCALAR_KEYS:
+        for value in (*EDGE_VALUES, DEFAULTS[key], -DEFAULTS[key], 1.5 * DEFAULTS[key]):
+            _assert_same_as_round_trip(cfg, key, value)
+
+
+@pytest.mark.parametrize("doc", CATALOGUE_DOCS)
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(_SCALAR_KEYS)),
+       value=st.one_of(st.floats(), st.floats(-1.0, 2.0), st.floats(1.0e-12, 1.0e12),
+                       st.integers(-10**9, 10**9), st.booleans(), st.text(max_size=4)))
+def test_scenario_with_matches_round_trip(doc, key, value):
+    _assert_same_as_round_trip(load_scenario(json.dumps(doc)), key, value)
+
+
+@pytest.mark.parametrize("doc, key", [
+    ('{"stark_detuning_hz": 1e300}', "stark_detuning_hz"),
+    ('{"stark_detuning_hz": -2.2e153}', "stark_detuning_hz"),
+    ('{"probe_detuning_hz": 1e-300}', "probe_detuning_hz"),
+    ('{"probe_detuning_hz": -2.9e-258}', "probe_detuning_hz"),
+])
+def test_detuning_out_of_range_rejected(doc, key):
+    with pytest.raises(ScenarioError, match=f"'{key}' = .* is out of range"):
+        load_scenario(doc)
+
+
+def test_detunings_inside_range_kept():
+    cfg = load_scenario('{"stark_detuning_hz": 2.1e153, "probe_detuning_hz": 3.0e-258}')
+    assert cfg.stark_detuning == TWO_PI * 2.1e153
+    assert cfg.probe_detuning == TWO_PI * 3.0e-258
 
 
 def test_load_scenario_file(tmp_path):
