@@ -16,6 +16,7 @@ labels so protocol code can address them by name.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace as _dc_replace
@@ -58,14 +59,19 @@ RESET_REMOVE = "remove"
 SINGULAR_VARIANCE = 1e-12
 
 
+@functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form for (X, P) interleaved ordering."""
+    """Block-diagonal symplectic form for (X, P) interleaved ordering.
+
+    Built once per size and shared, so the returned array is read-only.
+    """
     if n_modes < 1:
         raise ValueError(f"need at least one mode, got {n_modes}")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for j in range(n_modes):
         omega[2 * j, 2 * j + 1] = 1.0
         omega[2 * j + 1, 2 * j] = -1.0
+    omega.setflags(write=False)
     return omega
 
 
@@ -102,7 +108,7 @@ class SymplecticTransform:
 
     def symplectic_residual(self) -> float:
         omega = symplectic_form(self.n_modes)
-        return float(np.max(np.abs(self.matrix @ omega @ self.matrix.T - omega)))
+        return float(np.abs(self.matrix @ omega @ self.matrix.T - omega).max())
 
     def compose(self, other: "SymplecticTransform") -> "SymplecticTransform":
         """The map applying ``other`` first, then this one."""
@@ -146,9 +152,24 @@ class GaussianChannel:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+    @classmethod
+    def _wrap(cls, x: np.ndarray, y: np.ndarray) -> "GaussianChannel":
+        """A channel owning two float arrays this module has just made.
+
+        No copy and no checks: only for fresh products and builds whose
+        shapes are right by construction.  The arrays become read-only.
+        """
+        x.setflags(write=False)
+        y.setflags(write=False)
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "x", x)
+        object.__setattr__(channel, "y", y)
+        return channel
+
     def then(self, other: "GaussianChannel") -> "GaussianChannel":
         """The channel applying this one first, then ``other``."""
-        return GaussianChannel(other.x @ self.x, other.x @ self.y @ other.x.T + other.y)
+        return GaussianChannel._wrap(other.x @ self.x,
+                                     other.x @ self.y @ other.x.T + other.y)
 
     def propagate(self, means: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Raw (means, covariance) after the channel, without validation."""
@@ -163,8 +184,8 @@ class GaussianChannel:
 
 
 def symplectic_channel(transform: SymplecticTransform) -> GaussianChannel:
-    """The noiseless channel of a symplectic map."""
-    return GaussianChannel(transform.matrix, np.zeros_like(transform.matrix))
+    """The noiseless channel of a symplectic map (shares its read-only matrix)."""
+    return GaussianChannel._wrap(transform.matrix, np.zeros_like(transform.matrix))
 
 
 def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
@@ -180,16 +201,17 @@ def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
     modes = tuple(modes)
-    scale = np.ones(2 * len(modes))
-    refill = np.zeros(2 * len(modes))
+    x = np.eye(2 * len(modes))
+    y = np.zeros_like(x)
+    scale, refill = math.sqrt(transmission), (1.0 - transmission) * VACUUM_VARIANCE
     for label in targets:
         try:
             j = modes.index(label)
         except ValueError:
             raise ValueError(f"unknown mode {label!r}; register has {modes}") from None
-        scale[2 * j:2 * j + 2] = math.sqrt(transmission)
-        refill[2 * j:2 * j + 2] = (1.0 - transmission) * VACUUM_VARIANCE
-    return GaussianChannel(np.diag(scale), np.diag(refill))
+        x[2 * j, 2 * j] = x[2 * j + 1, 2 * j + 1] = scale
+        y[2 * j, 2 * j] = y[2 * j + 1, 2 * j + 1] = refill
+    return GaussianChannel._wrap(x, y)
 
 
 @dataclass(frozen=True)
@@ -217,13 +239,13 @@ class GaussianState:
             raise ValueError(f"means must have length {2 * n}, got {means.shape}")
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"cov must be {2 * n}x{2 * n}, got {cov.shape}")
-        asym = float(np.max(np.abs(cov - cov.T)))
-        if asym > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+        asym = float(np.abs(cov - cov.T).max())
+        if asym > SYMMETRY_TOL * max(1.0, float(np.abs(cov).max())):
             raise ValueError(f"covariance is not symmetric: asymmetry {asym:.3e}")
         cov = 0.5 * (cov + cov.T)
         herm = cov + 0.5j * symplectic_form(n)
         min_eig = float(np.linalg.eigvalsh(herm).min())
-        if min_eig < -UNCERTAINTY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+        if min_eig < -UNCERTAINTY_TOL * max(1.0, float(np.abs(cov).max())):
             raise ValueError(
                 f"covariance violates the uncertainty bound: min eig {min_eig:.3e}")
         object.__setattr__(self, "modes", modes)
@@ -276,13 +298,18 @@ def vacuum_state(modes: tuple[str, ...], basis: str = BASIS_PLUS_MINUS) -> Gauss
                          cov=VACUUM_VARIANCE * np.eye(2 * n))
 
 
+#: vacuum of the four-mode memory layout in each basis, built once; states
+#: are immutable, so every caller can share them
+_MEMORY_VACUA = {BASIS_PLUS_MINUS: vacuum_state(MEMORY_MODES_PLUS_MINUS, BASIS_PLUS_MINUS),
+                 BASIS_CLASS: vacuum_state(MEMORY_MODES_CLASS, BASIS_CLASS)}
+
+
 def memory_vacuum(basis: str = BASIS_PLUS_MINUS) -> GaussianState:
     """The standard four-mode layout (two sidebands, two atomic modes)."""
-    if basis == BASIS_PLUS_MINUS:
-        return vacuum_state(MEMORY_MODES_PLUS_MINUS, basis)
-    if basis == BASIS_CLASS:
-        return vacuum_state(MEMORY_MODES_CLASS, basis)
-    raise ValueError(f"unknown basis {basis!r}")
+    try:
+        return _MEMORY_VACUA[basis]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown basis {basis!r}") from None
 
 
 def displace(state: GaussianState, mode: str, dx: float, dp: float) -> GaussianState:
@@ -305,16 +332,16 @@ def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> SymplecticTransf
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
         raise ValueError(f"hamiltonian matrix must be square of even size, got {h.shape}")
-    if float(np.max(np.abs(h - h.T))) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(h)))):
+    if float(np.abs(h - h.T).max()) > SYMMETRY_TOL * max(1.0, float(np.abs(h).max())):
         raise ValueError("hamiltonian matrix must be symmetric")
     n = h.shape[0] // 2
     gen = symplectic_form(n) @ h * t
-    # terminating power series for nilpotent generators
-    total = np.eye(2 * n)
-    term = np.eye(2 * n)
+    # terminating power series for nilpotent generators; no array is
+    # written in place, so the first term may share the identity
+    total = term = np.eye(2 * n)
     for k in range(1, 2 * n + 1):
         term = term @ gen / k
-        if not np.any(term):
+        if not term.any():
             return SymplecticTransform(total)
         total = total + term
     return SymplecticTransform(expm(gen))

@@ -40,12 +40,18 @@ VARIANT_CLASS_1 = "class1"
 VARIANT_CLASS_2 = "class2"
 VARIANT_BOTH_CLASSES = "both_classes"
 
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 #: ideal decode matrices: stored block = D @ input block for a write,
 #: output light block = D @ stored block for a read
-WRITE_DECODE_C = -np.eye(2)
-WRITE_DECODE_S = np.eye(2)
-READ_DECODE_C = np.eye(2)
-READ_DECODE_S = -np.eye(2)
+WRITE_DECODE_C = _read_only(-np.eye(2))
+WRITE_DECODE_S = _read_only(np.eye(2))
+READ_DECODE_C = _read_only(np.eye(2))
+READ_DECODE_S = _read_only(-np.eye(2))
 
 FIDELITY_AMPLITUDE = 20.0
 FIDELITY_PHASES = 256
@@ -53,6 +59,8 @@ FIDELITY_PHASES = 256
 # quadrature index blocks of the four-mode layout
 _LIGHT_SLICE = slice(0, 4)
 _ATOM_SLICE = slice(4, 8)
+_LIGHT_MODES = (LIGHT_C, LIGHT_S)
+_ATOMIC_MODES = (ATOM_PLUS, ATOM_MINUS)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +244,27 @@ def _quad(mode: str, quadrature: str) -> int:
     return 2 * MEMORY_MODES_PLUS_MINUS.index(mode) + (quadrature == QUAD_P)
 
 
+# stages that depend on no input: built once at import and shared by every
+# run, which is safe because channel arrays are read-only
+#: fresh vacuum in place of one measured mode, for each mode
+_RESETS = {mode: attenuation_channel(MEMORY_MODES_PLUS_MINUS, (mode,), 0.0)
+           for mode in MEMORY_MODES_PLUS_MINUS}
+# retrieval uses a fresh pulse; whatever light the register held is gone
+_FRESH_PULSE = attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES, 0.0)
+# the read's quarter turn of the collective modes
+_QUARTER_TURN = symplectic_channel(differential_rotation(math.pi / 2.0, -math.pi / 2.0))
+
+
+def _sideband_turn(theta: float) -> GaussianChannel:
+    """Rotate both light sidebands by theta; the atoms are untouched."""
+    s = np.eye(8)
+    s[0:2, 0:2] = s[2:4, 2:4] = rotation_2x2(theta)
+    return symplectic_channel(SymplecticTransform(s))
+
+
+_ALIGN = _sideband_turn(-math.pi / 2.0)
+
+
 def _feedback(name: str, measured_mode: str, measured_quad: str,
               target_mode: str, target_quad: str, gain: float) -> tuple:
     """Stage that homodynes one quadrature, feeds the outcome onto another
@@ -250,8 +279,7 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
     q_meas, q_tgt = _quad(measured_mode, measured_quad), _quad(target_mode, target_quad)
     feed = np.eye(8)
     feed[q_tgt, q_meas] = gain
-    channel = GaussianChannel(feed, np.zeros((8, 8))).then(
-        attenuation_channel(MEMORY_MODES_PLUS_MINUS, (measured_mode,), 0.0))
+    channel = GaussianChannel(feed, np.zeros((8, 8))).then(_RESETS[measured_mode])
     return channel, (name, q_meas, q_tgt, gain)
 
 
@@ -261,13 +289,14 @@ def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     modes, loss = MEMORY_MODES_PLUS_MINUS, budget.boundary_loss
     n_entry = budget.n_boundaries // 2
     return [
-        (boundary_loss_channel(modes, loss, n_entry), None),
+        (boundary_loss_channel(modes, loss, n_entry, _LIGHT_MODES), None),
         (symplectic_channel(qnd_transform(k_eff, VARIANT_TWO_CLASS)), None),
-        (boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry), None),
+        (boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry, _LIGHT_MODES),
+         None),
         _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
         _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -gain),
-        (spin_exchange_channel(modes, budget.eta), None),
-        (scattering_channel(modes, budget.n_phot), None),
+        (spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
+        (scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
     ]
 
 
@@ -278,19 +307,16 @@ def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     a final quarter turn of both sidebands."""
     modes = MEMORY_MODES_PLUS_MINUS
     n_exit = budget.n_boundaries - budget.n_boundaries // 2
-    align = np.eye(8)
-    align[0:2, 0:2] = align[2:4, 2:4] = rotation_2x2(-math.pi / 2.0)
     return [
-        (spin_exchange_channel(modes, budget.eta), None),
-        (scattering_channel(modes, budget.n_phot), None),
-        # retrieval uses a fresh pulse; whatever light the register held is gone
-        (attenuation_channel(modes, (LIGHT_C, LIGHT_S), 0.0), None),
-        (symplectic_channel(differential_rotation(math.pi / 2.0, -math.pi / 2.0)), None),
+        (spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
+        (scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
+        (_FRESH_PULSE, None),
+        (_QUARTER_TURN, None),
         (symplectic_channel(qnd_transform(k_eff, VARIANT_TWO_CLASS)), None),
         _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
         _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
-        (boundary_loss_channel(modes, budget.boundary_loss, n_exit), None),
-        (symplectic_channel(SymplecticTransform(align)), None),
+        (boundary_loss_channel(modes, budget.boundary_loss, n_exit, _LIGHT_MODES), None),
+        (_ALIGN, None),
     ]
 
 
@@ -331,27 +357,44 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     output_cov = np.asarray(output_cov, dtype=float)
     if transfer_map.shape != (4, 4) or output_cov.shape != (4, 4):
         raise ValueError("transfer map and output covariance must be 4x4")
+    return _ring_fidelity(transfer_map, output_cov, np.linalg.inv(decode_c),
+                          np.linalg.inv(decode_s), _phase_ring(amplitude, n_phases))
+
+
+def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
+    """2 x n input quadratures of fixed amplitude, uniformly spread phase."""
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
-    amps = amplitude * np.stack([np.cos(phases), np.sin(phases)])
+    return amplitude * np.stack([np.cos(phases), np.sin(phases)])
+
+
+_RING = _read_only(_phase_ring(FIDELITY_AMPLITUDE, FIDELITY_PHASES))
+#: inverses of the (write, read) decode matrices, (channel c, channel s)
+_WRITE_UNDO = tuple(_read_only(np.linalg.inv(d)) for d in (WRITE_DECODE_C, WRITE_DECODE_S))
+_READ_UNDO = tuple(_read_only(np.linalg.inv(d)) for d in (READ_DECODE_C, READ_DECODE_S))
+
+
+def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
+                   undo_c: np.ndarray, undo_s: np.ndarray, ring: np.ndarray) -> float:
+    """:func:`mean_fidelity` over the input ``ring``, given the inverted
+    decode matrices of the two channels."""
     total = 0.0
-    for block, decode in ((slice(0, 2), decode_c), (slice(2, 4), decode_s)):
-        d_inv = np.linalg.inv(decode)
+    for block, d_inv in ((slice(0, 2), undo_c), (slice(2, 4), undo_s)):
         sigma = d_inv @ output_cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
         det = float(np.linalg.det(sigma))
         if not (sigma[0, 0] > 0.0 and 0.0 < det < math.inf):
             raise ValueError(f"output covariance is not positive definite: det {det!r}")
         norm = 1.0 / math.sqrt(det)
         # decoded-minus-ideal response to each input of this channel
-        d = (d_inv @ transfer_map[block, block] - np.eye(2)) @ amps
+        d = (d_inv @ transfer_map[block, block] - np.eye(2)) @ ring
         exponent = np.einsum("in,ij,jn->n", d, np.linalg.inv(sigma), d)
-        total += norm * float(np.sum(np.exp(-0.5 * exponent)))
-    return total / (2.0 * n_phases)
+        total += norm * float(np.exp(-0.5 * exponent).sum())
+    return total / (2.0 * ring.shape[1])
 
 
 def _run(stage_builder, k_eff: float, state: GaussianState | None,
          gain: float | None, budget: DecoherenceBudget | None, policy: str,
          seed: int | None, in_block: slice, out_block: slice,
-         decode_c: np.ndarray, decode_s: np.ndarray) -> ProtocolResult:
+         undo: tuple[np.ndarray, np.ndarray]) -> ProtocolResult:
     """One protocol run: the final state from the stage loop, and the
     transfer map, added noise and fidelity from the composed channel.
 
@@ -380,9 +423,9 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
                 f"protocol map is not finite at gain={gain!r}, k_eff={k_eff!r}")
         transfer = channel.x[out_block, in_block]
         out_cov = vacuum_out[out_block, out_block]
-        added = np.diag(out_cov) - 0.5 * np.sum(transfer**2, axis=1)
+        added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
         try:
-            fidelity = mean_fidelity(transfer, out_cov, decode_c, decode_s)
+            fidelity = _ring_fidelity(transfer, out_cov, *undo, _RING)
         except ValueError as exc:
             raise ValueError(f"protocol output noise is out of range at gain={gain!r}, "
                              f"k_eff={k_eff!r}: {exc}") from None
@@ -405,7 +448,7 @@ def run_write(k_eff: float, state: GaussianState | None = None,
     quadrature and none to the other.
     """
     return _run(_write_stages, k_eff, state, gain, budget, policy, seed,
-                _LIGHT_SLICE, _ATOM_SLICE, WRITE_DECODE_C, WRITE_DECODE_S)
+                _LIGHT_SLICE, _ATOM_SLICE, _WRITE_UNDO)
 
 
 def run_read(k_eff: float, state: GaussianState | None = None,
@@ -421,4 +464,4 @@ def run_read(k_eff: float, state: GaussianState | None = None,
     reading a written state returns the input with an overall sign flip.
     """
     return _run(_read_stages, k_eff, state, gain, budget, policy, seed,
-                _ATOM_SLICE, _LIGHT_SLICE, READ_DECODE_C, READ_DECODE_S)
+                _ATOM_SLICE, _LIGHT_SLICE, _READ_UNDO)

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData,
-                        dipole_moment_squared, vacuum_field_squared)
-from .scenario import ScenarioConfig
+                        angular_to_hz, dipole_moment_squared, vacuum_field_squared)
+from .scenario import ScenarioConfig, ScenarioError
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
 POLE_GUARD = 1e-6
@@ -258,7 +258,9 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
           * (Delta_S^2 - Delta_2^2/4) / Delta_2.
 
     Requires |Delta_S| > Delta_2/2: inside the doublet the tensor slope
-    has the wrong sign for cancellation at positive intensity.
+    has the wrong sign for cancellation at positive intensity.  Two
+    in-range values can still overflow the product; that raises
+    ValueError naming both scenario keys.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
@@ -268,9 +270,15 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
             "stark compensation needs |delta_s| > delta2/2; between the "
             f"excited components (|delta_s| = {abs(delta_s):.6e} rad/s) the "
             "tensor slope has the wrong sign")
-    return (2.0**8 * math.pi**2 * constants.hbar * constants.c * omega_b**2
-            / (species.lambda_d1**3 * species.gamma_d1 * species.delta_hf)
-            * (d_low * d_up) / species.delta2)
+    intensity = (2.0**8 * math.pi**2 * constants.hbar * constants.c * omega_b**2
+                 / (species.lambda_d1**3 * species.gamma_d1 * species.delta_hf)
+                 * (d_low * d_up) / species.delta2)
+    if not math.isfinite(intensity):
+        raise ValueError(
+            f"fields 'omega_b_hz' = {angular_to_hz(omega_b):g} Hz and 'stark_detuning_hz' = "
+            f"{angular_to_hz(delta_s):g} Hz are out of range together: the Stark "
+            f"compensation intensity omega_b^2 (Delta_S^2 - Delta_2^2/4) is {intensity!r}")
+    return intensity
 
 
 def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
@@ -448,5 +456,11 @@ def collective_kappa(config: ScenarioConfig,
     kappa = -(e0_sq * mu_sq * math.sqrt(config.photon_number * config.atom_number)
               / (12.0 * constants.hbar**2 * config.probe_detuning))
     kappa_tau = kappa * config.pulse_duration
-    return CouplingSet(g_m=g_m, kappa_per_s=kappa, kappa_tau=kappa_tau,
-                       k_eff=math.sqrt(2.0) * kappa_tau)
+    k_eff = math.sqrt(2.0) * kappa_tau
+    if not math.isfinite(k_eff):
+        raise ScenarioError(
+            f"fields 'atom_number' = {config.atom_number:g}, 'photon_number' = "
+            f"{config.photon_number:g} and 'probe_detuning_hz' = "
+            f"{angular_to_hz(config.probe_detuning):g} Hz are out of range together: "
+            f"the collective coupling kappa is {kappa!r} /s")
+    return CouplingSet(g_m=g_m, kappa_per_s=kappa, kappa_tau=kappa_tau, k_eff=k_eff)

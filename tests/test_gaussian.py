@@ -37,6 +37,7 @@ from qmemcell.gaussian import (
     QUAD_P,
     QUAD_X,
     RESET_REMOVE,
+    GaussianChannel,
     rotation_2x2,
     state_from_dict,
     state_to_dict,
@@ -206,6 +207,33 @@ def test_attenuation_channel():
         loss(1.5)
     with pytest.raises(ValueError, match="unknown mode"):
         attenuation_channel(state.modes, ("light_x",), 0.5)
+
+
+def test_channel_copies_caller_arrays_and_is_read_only():
+    x, y = np.eye(8), np.zeros((8, 8))
+    channel = GaussianChannel(x, y)
+    x[0, 0], y[1, 1] = 5.0, 3.0
+    assert np.array_equal(channel.x, np.eye(8)) and not channel.y.any()
+    lossy = attenuation_channel(MEMORY_MODES_PLUS_MINUS, (LIGHT_C,), 0.5)
+    for built in (channel, lossy, channel.then(lossy), lossy.then(channel)):
+        for array in (built.x, built.y):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+
+def test_shared_forms_and_vacua_are_read_only():
+    omega = symplectic_form(4)
+    assert symplectic_form(4) is omega
+    with pytest.raises(ValueError):
+        omega[0, 1] = 2.0
+    for basis in (BASIS_PLUS_MINUS, BASIS_CLASS):
+        vacuum = memory_vacuum(basis)
+        assert memory_vacuum(basis) is vacuum
+        with pytest.raises(ValueError):
+            vacuum.means[0] = 1.0
+        with pytest.raises(ValueError):
+            vacuum.cov[0, 0] = 2.0
+    assert np.array_equal(memory_vacuum().cov, VACUUM_VARIANCE * np.eye(8))
 
 
 def _entangling_map():

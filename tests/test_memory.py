@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from qmemcell import (
     DecoherenceBudget,
+    GaussianChannel,
     GaussianState,
     apply_symplectic,
     atomic_basis_change,
@@ -28,6 +29,7 @@ from qmemcell import (
     scenario_with,
     vacuum_state,
 )
+from qmemcell import gaussian, memory
 from qmemcell.gaussian import (
     ATOM_1,
     ATOM_2,
@@ -508,6 +510,37 @@ def test_composed_channel_matches_stages(seed):
         result = run(k_eff, state=state, gain=gain, budget=budget)
         assert np.allclose(result.state.cov, cov, rtol=0.0, atol=1e-12 * scale)
         assert np.allclose(result.state.means, means, rtol=0.0, atol=1e-12 * scale)
+
+
+def _module_arrays(module) -> list[np.ndarray]:
+    """Every array a module holds at top level, also inside channels,
+    states, tuples and dicts."""
+    found, stack = [], list(vars(module).values())
+    while stack:
+        value = stack.pop()
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, GaussianChannel):
+            stack += [value.x, value.y]
+        elif isinstance(value, GaussianState):
+            stack += [value.means, value.cov]
+        elif isinstance(value, (tuple, list)):
+            stack += value
+        elif isinstance(value, dict):
+            stack += value.values()
+    return found
+
+
+def test_module_constants_are_read_only():
+    # the fixed protocol stages, the fidelity ring, the decode matrices and
+    # the shared vacua are built once at import and must stay unwritable
+    arrays = _module_arrays(memory) + _module_arrays(gaussian)
+    assert len(arrays) >= 25
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 7.0
+    fixed = {id(ch) for ch, _ in _read_stages(1.0, -1.0, DecoherenceBudget())}
+    assert {id(memory._FRESH_PULSE), id(memory._QUARTER_TURN), id(memory._ALIGN)} <= fixed
 
 
 def test_protocol_overflow_names_gain_and_k_eff():

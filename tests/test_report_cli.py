@@ -256,12 +256,71 @@ def test_cli_memory_sim_seeded(capsys):
     assert first != third
 
 
+#: three scenarios of the benchmark catalogue, off the packaged point
+PINNED_SCENARIOS = (
+    {"omega_b_hz": 1.5e5, "tau_s": 2.0e-3, "stark_detuning_hz": 2.5e9},
+    {"omega_b_hz": 6.0e5, "probe_detuning_hz": -9.0e8, "atom_density_m3": 4.0e16,
+     "boundary_loss": 0.03},
+    {"tau_s": 5.0e-4, "microwave_detuning_hz": 2.0e7, "feedback_gain": -0.8,
+     "beam_area_m2": 1.0e-4},
+)
+#: memory-sim rows per (scenario, k_eff), exact: the write and read
+#: fidelities and the eight added-noise rows, which are the same under
+#: both outcome policies, then the four outcomes drawn with seed 11
+PINNED_PROTOCOL_ROWS = {
+    (0, 0.5): (
+        0.06147258670114161, 0.06463388067571318, 0.1522945140165043, 0.5011947206213668,
+        0.5011947206213668, 0.1522945140165043, 0.150640633938725, 0.5054726584846813,
+        0.5054726584846813, 0.150640633938725, 0.027004710720603484, 1.073899304704657,
+        1.9265386173101176, 0.019936515787497673,
+    ),
+    (0, 2.0): (
+        0.03041212700691363, 0.03140234510536114, 0.4999762258116015, 0.5191155299418699,
+        0.5191155299418699, 0.4999762258116015, 0.521890633938725, 0.5875625357548999,
+        0.5875625357548999, 0.521890633938725, 0.05384682371716507, 2.1413325678137665,
+        3.842727260725913, 0.039744835750235796,
+    ),
+    (1, 0.5): (
+        0.009129226733189732, 0.015052518345498027, 0.2102283797233005, 0.5031806415633352,
+        0.5031806415633352, 0.2102283797233005, 0.20988702447530305, 0.5184092561188258,
+        0.5184092561188258, 0.20988702447530305, 0.02695053872879725, 1.0717450411416412,
+        1.795263420448824, 0.017075361219566126,
+    ),
+    (1, 2.0): (
+        0.008327375683795575, 0.012798572395980957, 0.4998120789100466, 0.5508902650133645,
+        0.5508902650133645, 0.4998120789100466, 0.573637024475303, 0.7945480979012123,
+        0.7945480979012123, 0.573637024475303, 0.05341080987150666, 2.1239935572041495,
+        3.563967862958772, 0.03380029570086384,
+    ),
+    (2, 0.5): (
+        7.018195781518503e-06, 9.712513397948907e-06, 0.1949594608632042,
+        0.5012204473512987, 0.5012204473512987, 0.1949594608632042, 0.19068982328684175,
+        0.5029257122214226, 0.5029257122214226, 0.19068982328684175, 0.027004710720603484,
+        1.073899304704657, 1.6666166195001701, 0.01569100886837429,
+    ),
+    (2, 2.0): (
+        3.3812064049078676e-06, 4.939272106540922e-06, 0.18911603263292254,
+        0.5195271576207805, 0.5195271576207805, 0.18911603263292254, 0.1906898232868417,
+        0.5468113955427611, 0.5468113955427611, 0.1906898232868417, 0.05384682371716507,
+        2.1413325678137665, 3.3251552383930916, 0.03127477109530524,
+    ),
+}
+
+
 def test_memory_sim_seeded_outcomes_pinned():
     rows = {r.name: r.value for r in memory_sim_rows(default_scenario(), seed=3)}
     assert rows["write_outcome[m_c]"] == 2.035810429714782
     assert rows["write_outcome[m_s]"] == -2.549267862253927
     assert rows["read_outcome[m_minus]"] == -2.6044474689017374
     assert rows["read_outcome[m_plus]"] == 1.288553601736854
+    # fidelity and added noise to the last bit: a reordered float
+    # operation anywhere in the protocol shows here
+    for (index, k_eff), pinned in PINNED_PROTOCOL_ROWS.items():
+        config = scenario.load_scenario(json.dumps(PINNED_SCENARIOS[index]))
+        for seed, outcomes in ((None, (0.0,) * 4), (11, pinned[10:])):
+            got = tuple(r.value for r in memory_sim_rows(config, seed, k_eff)
+                        if r.name.startswith(("write_", "read_")))
+            assert got == pinned[:10] + outcomes, (index, k_eff, seed)
 
 
 def test_cli_out_file(tmp_path, capsys):
@@ -366,6 +425,43 @@ def test_cli_degenerate_output_noise_exits_2(capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "gain=1e+40" in lines[0] and "k_eff" in lines[0]
+
+
+def _single_error_line(captured) -> str:
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["shifts"], ["compensate"], ["decoherence"], ["memory-sim"], ["paper-check"],
+    ["sweep", "--param", "stark_detuning_hz", "--quantity", "stark_compensation_intensity",
+     "--values", "3e9,2e153"],
+    ["sweep", "--param", "stark_detuning_hz", "--quantity", "doppler_scattering_rate",
+     "--values", "2e153"],
+])
+def test_cli_overflowing_stark_intensity_exits_2(tmp_path, capsys, argv):
+    # each key passes its own bound; omega_b^2 times Delta_S^2 overflows
+    path = tmp_path / "cfg.json"
+    path.write_text('{"omega_b_hz": 1e100, "stark_detuning_hz": 2e153}')
+    assert main([*argv, "--config", str(path)]) == 2
+    line = _single_error_line(capsys.readouterr())
+    assert "'omega_b_hz' = 1e+100" in line and "'stark_detuning_hz' = 2e+153" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["memory-sim"],
+    ["sweep", "--param", "tau_s", "--quantity", "k_eff", "--values", "1e-3"],
+])
+def test_cli_overflowing_collective_kappa_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"atom_number": 1e200, "photon_number": 1e200, '
+                    '"probe_detuning_hz": 1e-100}')
+    assert main([*argv, "--config", str(path)]) == 2
+    line = _single_error_line(capsys.readouterr())
+    for key in ("atom_number", "photon_number", "probe_detuning_hz"):
+        assert f"'{key}'" in line
 
 
 def test_cli_overflowing_omega_b_exits_2(tmp_path, capsys):
