@@ -152,9 +152,10 @@ def _sweep_values(args) -> list[float]:
 
 def _sweep_rows(config, args) -> list[ReportRow]:
     values = _sweep_values(args)
-    func, unit = SWEEP_QUANTITIES[args.quantity]
-    return [ReportRow(name=f"{args.quantity}[{args.param}={value:g}]",
-                      value=func(scenario_with(config, args.param, value)), unit=unit)
+    quantity, param = args.quantity, args.param
+    func, unit = SWEEP_QUANTITIES[quantity]
+    return [ReportRow(f"{quantity}[{param}={value:g}]",
+                      func(scenario_with(config, param, value)), unit)
             for value in values]
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import CESIUM, CODATA, PhysicalConstants, SpeciesData, saturation_intensity
+from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData, angular_to_hz,
+                        saturation_intensity)
 from .scenario import ScenarioConfig, ScenarioError
 
 #: width conventions for the Doppler average
@@ -257,9 +258,13 @@ class DecoherenceBudget:
             wavelength=sp.lambda_d1, constants=constants)
         n_phot = gamma_ph * config.pulse_duration
         if n_phot >= 1.0:
+            # the rate follows the compensation light, whose intensity
+            # omega_b_hz and stark_detuning_hz set
             raise ScenarioError(
-                f"field 'tau_s' = {config.pulse_duration:g} s scatters "
-                f"{n_phot:.3g} photons per atom at {gamma_ph:.4g} /s; the scattering "
-                "channel needs fewer than 1 per pulse (n_phot < 1)")
+                f"fields 'tau_s' = {config.pulse_duration:g} s, 'omega_b_hz' = "
+                f"{angular_to_hz(config.omega_b):g} Hz and 'stark_detuning_hz' = "
+                f"{angular_to_hz(config.stark_detuning):g} Hz scatter {n_phot:.3g} "
+                f"photons per atom at {gamma_ph:.4g} /s from the compensation light; "
+                "the scattering channel needs fewer than 1 per pulse (n_phot < 1)")
         return cls(eta=eta, gamma_ph=gamma_ph, n_phot=n_phot,
                    boundary_loss=config.boundary_loss, n_boundaries=2)

@@ -25,9 +25,9 @@ from .decoherence import (DecoherenceBudget, boundary_loss_budget,
 from .scenario import ScenarioConfig
 from .shifts import (MECH_AC_ZEEMAN, MECH_STARK, MECH_ZEEMAN,
                      ac_zeeman_compensation_intensity, ac_zeeman_ladder,
-                     class_dephasing, collective_kappa, microwave_pi_pulse,
-                     stark_compensation_intensity, stark_ladder, stark_pi_pulse,
-                     zeeman_ladder, zeeman_pi_pulse)
+                     class_dephasing, collective_k_eff, collective_kappa,
+                     microwave_pi_pulse, stark_compensation_intensity, stark_ladder,
+                     stark_pi_pulse, zeeman_ladder, zeeman_pi_pulse)
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -42,7 +42,17 @@ CSV_COLUMNS = ("name", "value", "unit", "reference", "rel_dev",
                "low", "high", "status")
 
 
-@dataclass(frozen=True)
+class _Factory:
+    """Default of a field that gets a fresh value per instance."""
+
+    def __repr__(self):
+        return "<factory>"
+
+
+_FACTORY = _Factory()
+
+
+@dataclass(frozen=True, init=False)
 class ReportRow:
     """One reported quantity, optionally checked against a reference.
 
@@ -50,6 +60,11 @@ class ReportRow:
     present exactly when a reference is; status carries PASS/FAIL for
     windowed checks.  extras holds named sub-values that take part in
     the status but are only shown in the JSON rendering.
+
+    ``__init__`` takes the arguments of the generated one and writes the
+    instance dict once, not once per field: a sweep builds a row per
+    point.  ``dataclasses.replace`` goes through it, so it recomputes
+    rel_dev.
     """
 
     name: str
@@ -62,10 +77,15 @@ class ReportRow:
     status: str | None = None
     extras: dict[str, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.reference is not None:
-            object.__setattr__(self, "rel_dev",
-                               (self.value - self.reference) / abs(self.reference))
+    def __init__(self, name: str, value: float, unit: str,
+                 reference: float | None = None, low: float | None = None,
+                 high: float | None = None, status: str | None = None,
+                 extras: dict[str, float] = _FACTORY) -> None:
+        self.__dict__.update(
+            name=name, value=value, unit=unit, reference=reference,
+            rel_dev=None if reference is None else (value - reference) / abs(reference),
+            low=low, high=high, status=status,
+            extras={} if extras is _FACTORY else extras)
 
 
 def in_window(value: float, low: float, high: float) -> bool:
@@ -426,7 +446,7 @@ def _q_eta(config: ScenarioConfig) -> float:
 
 
 def _q_k_eff(config: ScenarioConfig) -> float:
-    return collective_kappa(config).k_eff
+    return collective_k_eff(config)
 
 
 SWEEP_QUANTITIES = {

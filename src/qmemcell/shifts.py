@@ -438,21 +438,20 @@ def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,
             / (48.0 * constants.hbar**2 * detuning))
 
 
-def collective_kappa(config: ScenarioConfig,
-                     constants: PhysicalConstants = CODATA) -> CouplingSet:
-    """Collective coupling of the configured cell on the probe line.
+def _collective(config: ScenarioConfig,
+                constants: PhysicalConstants) -> tuple[float, float, float, float, float]:
+    """(E0^2, mu^2, kappa, kappa tau, k_eff) of :func:`collective_kappa`.
 
-    The probe runs on the stronger line; its vacuum field is set by the
-    beam area and the pulse duration.  kappa carries the sign of
-    -1/detuning, so red and blue probe detunings give opposite k_eff.
+    Everything but the g_m ladder, with collective_kappa's errors in
+    its order: a zero detuning raises coupling_g's ValueError before
+    kappa divides by it, and a non-finite k_eff raises ScenarioError.
     """
     sp = config.species
     e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration,
                                  sp.lambda_d2, constants)
     mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2, constants)
-    f = sp.f_ground
-    g_m = {m: coupling_g(m, f, e0_sq, mu_sq, config.probe_detuning, constants)
-           for m in range(-f, f)}
+    if config.probe_detuning == 0.0:
+        raise ValueError("detuning must be nonzero")
     kappa = -(e0_sq * mu_sq * math.sqrt(config.photon_number * config.atom_number)
               / (12.0 * constants.hbar**2 * config.probe_detuning))
     kappa_tau = kappa * config.pulse_duration
@@ -463,4 +462,25 @@ def collective_kappa(config: ScenarioConfig,
             f"{config.photon_number:g} and 'probe_detuning_hz' = "
             f"{angular_to_hz(config.probe_detuning):g} Hz are out of range together: "
             f"the collective coupling kappa is {kappa!r} /s")
+    return e0_sq, mu_sq, kappa, kappa_tau, k_eff
+
+
+def collective_kappa(config: ScenarioConfig,
+                     constants: PhysicalConstants = CODATA) -> CouplingSet:
+    """Collective coupling of the configured cell on the probe line.
+
+    The probe runs on the stronger line; its vacuum field is set by the
+    beam area and the pulse duration.  kappa carries the sign of
+    -1/detuning, so red and blue probe detunings give opposite k_eff.
+    """
+    e0_sq, mu_sq, kappa, kappa_tau, k_eff = _collective(config, constants)
+    f = config.species.f_ground
+    g_m = {m: coupling_g(m, f, e0_sq, mu_sq, config.probe_detuning, constants)
+           for m in range(-f, f)}
     return CouplingSet(g_m=g_m, kappa_per_s=kappa, kappa_tau=kappa_tau, k_eff=k_eff)
+
+
+def collective_k_eff(config: ScenarioConfig,
+                     constants: PhysicalConstants = CODATA) -> float:
+    """``collective_kappa(config).k_eff`` without building the g_m ladder."""
+    return _collective(config, constants)[4]

@@ -1,5 +1,6 @@
 """QND pass maps, rotations, and the write/read protocol."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from qmemcell import (
     vacuum_state,
 )
 from qmemcell import gaussian, memory
+from qmemcell.constants import CODATA, dipole_moment_squared, vacuum_field_squared
 from qmemcell.gaussian import (
     ATOM_1,
     ATOM_2,
@@ -56,6 +58,7 @@ from qmemcell.memory import (
     _write_stages,
     atomic_basis_matrix,
 )
+from qmemcell.shifts import collective_k_eff
 
 CANONICAL_FID = 2.0 / math.sqrt(6.0)
 
@@ -98,6 +101,35 @@ def test_collective_kappa_scaling():
     base = collective_kappa(cfg).kappa_per_s
     quadrupled = scenario_with(cfg, "atom_number", 4.0e12)
     assert collective_kappa(quadrupled).kappa_per_s == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_collective_kappa_matches_its_formulas_bit_for_bit():
+    species = dataclasses.replace(default_scenario().species, f_ground=3, lambda_d2=8.0e-7)
+    for cfg in (default_scenario(), scenario_with(default_scenario(), "tau_s", 2.0e-3),
+                dataclasses.replace(default_scenario(), species=species,
+                                    probe_detuning=-1.0e9)):
+        sp = cfg.species
+        e0_sq = vacuum_field_squared(cfg.beam_area, cfg.pulse_duration, sp.lambda_d2)
+        mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2)
+        kappa = -(e0_sq * mu_sq * math.sqrt(cfg.photon_number * cfg.atom_number)
+                  / (12.0 * CODATA.hbar**2 * cfg.probe_detuning))
+        coupling = collective_kappa(cfg)
+        assert coupling.kappa_per_s == kappa
+        assert coupling.kappa_tau == kappa * cfg.pulse_duration
+        assert coupling.k_eff == math.sqrt(2.0) * kappa * cfg.pulse_duration
+        assert coupling.g_m == {m: coupling_g(m, sp.f_ground, e0_sq, mu_sq, cfg.probe_detuning)
+                                for m in range(-sp.f_ground, sp.f_ground)}
+        # the sweep quantity skips the ladder, not the arithmetic
+        assert collective_k_eff(cfg) == coupling.k_eff
+
+
+def test_collective_kappa_zero_detuning_is_coupling_g_error():
+    # a hand-built config skips the scenario checks; the ladder's check
+    # still fires first, for the full set and for k_eff alone
+    cfg = dataclasses.replace(default_scenario(), probe_detuning=0.0)
+    for fn in (collective_kappa, collective_k_eff):
+        with pytest.raises(ValueError, match="^detuning must be nonzero$"):
+            fn(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import contextlib
 import csv
+import dataclasses
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +22,7 @@ from qmemcell.report import (
     CSV_COLUMNS,
     STATUS_FAIL,
     STATUS_PASS,
+    SWEEP_QUANTITIES,
     ReportRow,
     compensate_rows,
     decoherence_rows,
@@ -33,6 +37,10 @@ from qmemcell.report import (
     render_table,
     shifts_rows,
 )
+from qmemcell.constants import w_m2_to_mw_cm2, w_m2_to_w_cm2
+from qmemcell.decoherence import doppler_averaged_scattering, spin_exchange_probability
+from qmemcell.shifts import (ac_zeeman_compensation_intensity, class_dephasing,
+                             collective_kappa, stark_compensation_intensity)
 
 PAPER_CHECK_NAMES = [
     "zeeman_dephasing_phase",
@@ -61,6 +69,56 @@ def test_report_row_rel_dev_tracks_reference():
     assert checked.rel_dev == pytest.approx(0.1, rel=1e-12)
     negative_ref = ReportRow(name="c", value=-2.2, unit="1", reference=-2.0)
     assert negative_ref.rel_dev == pytest.approx(-0.1, rel=1e-12)
+
+
+@dataclasses.dataclass(frozen=True)
+class _GeneratedRow:
+    """ReportRow's fields with the dataclass-generated __init__."""
+
+    name: str
+    value: float
+    unit: str
+    reference: float | None = None
+    rel_dev: float | None = dataclasses.field(default=None, init=False)
+    low: float | None = None
+    high: float | None = None
+    status: str | None = None
+    extras: dict[str, float] = dataclasses.field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.reference is not None:
+            object.__setattr__(self, "rel_dev",
+                               (self.value - self.reference) / abs(self.reference))
+
+
+def test_report_row_keeps_the_frozen_dataclass_contract():
+    row = ReportRow("a", 1.0, "1")
+    assert (row.name, row.value, row.unit, row.reference, row.rel_dev) == ("a", 1.0, "1",
+                                                                           None, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        row.value = 2.0
+    names = [f.name for f in dataclasses.fields(ReportRow)]
+    assert names == [f.name for f in dataclasses.fields(_GeneratedRow)]
+
+    def parameters(cls):
+        return [(p.name, p.kind, repr(p.default))
+                for p in inspect.signature(cls).parameters.values()]
+
+    assert parameters(ReportRow) == parameters(_GeneratedRow)
+    args = ("b", 1.1, "mW", 1.0, 0.9, 1.2, STATUS_PASS, {"x": 2.0})
+    assert repr(ReportRow(*args)) == repr(_GeneratedRow(*args)).replace("_GeneratedRow",
+                                                                         "ReportRow")
+    assert vars(ReportRow(*args)) == vars(_GeneratedRow(*args))
+    assert ReportRow(*args) == ReportRow(*args) and ReportRow(*args) != ReportRow(*args[:7])
+    # extras is a dict, so rows hash only without one, as before
+    assert hash(ReportRow("a", 1.0, "1", extras=None)) == hash(
+        ReportRow(name="a", value=1.0, unit="1", extras=None))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(row)
+    moved = dataclasses.replace(ReportRow(*args), value=1.3)
+    assert moved.rel_dev == (1.3 - 1.0) / 1.0 and moved.extras == {"x": 2.0}
+    assert dataclasses.replace(moved, reference=None).rel_dev is None
+    assert ReportRow("a", 1.0, "1").extras is not row.extras
 
 
 def test_in_window_boundaries():
@@ -393,6 +451,19 @@ def test_cli_scattering_past_one_photon_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["decoherence", "memory-sim"])
+def test_cli_saturating_compensation_light_names_its_keys(tmp_path, capsys, command):
+    # omega_b_hz 1e150 passes its own bound; the compensation light it
+    # calls for scatters 1.43e4 photons per atom in the default 1 ms
+    path = tmp_path / "cfg.json"
+    path.write_text('{"omega_b_hz": 1e150}')
+    assert main([command, "--config", str(path)]) == 2
+    line = _single_error_line(capsys.readouterr())
+    for key in ("tau_s", "omega_b_hz", "stark_detuning_hz"):
+        assert f"'{key}'" in line
+    assert "1.43e+04 photons per atom" in line
+
+
+@pytest.mark.parametrize("command", ["decoherence", "memory-sim"])
 def test_cli_collisions_past_one_per_pulse_exit_2(tmp_path, capsys, command):
     # at 1e19 atoms per m^3 the spin-exchange probability per pulse is 2.6
     path = tmp_path / "cfg.json"
@@ -539,6 +610,47 @@ def test_cli_sweep_grid(capsys):
     assert docs[0]["name"].endswith("[omega_b_hz=100000]")
     # the dephasing phase grows with the square of the field
     assert docs[2]["value"] == pytest.approx(9.0 * docs[0]["value"], rel=1e-9)
+
+
+def _reference_quantity(quantity, cfg):
+    """Each sweep quantity through the public functions, as documented."""
+    sp = cfg.species
+    if quantity == "stark_compensation_intensity":
+        return w_m2_to_mw_cm2(stark_compensation_intensity(cfg.omega_b, cfg.stark_detuning, sp))
+    if quantity == "ac_zeeman_compensation_intensity":
+        return w_m2_to_w_cm2(ac_zeeman_compensation_intensity(
+            cfg.omega_b, cfg.microwave_detuning, sp))
+    if quantity == "zeeman_dephasing":
+        return class_dephasing(cfg.omega_b, cfg.pulse_duration, sp) / math.pi
+    if quantity == "doppler_scattering_rate":
+        i_s = stark_compensation_intensity(cfg.omega_b, cfg.stark_detuning, sp)
+        return doppler_averaged_scattering(i_s, abs(cfg.stark_detuning) - sp.delta2 / 2.0,
+                                           sp.doppler_halfwidth)
+    if quantity == "spin_exchange_eta":
+        return spin_exchange_probability(cfg.pulse_duration, sp, density=cfg.atom_density)
+    assert quantity == "k_eff"
+    return collective_kappa(cfg).k_eff
+
+
+@pytest.mark.parametrize("doc", [
+    "{}", '{"omega_b_hz": 2.0e5, "species": {"gamma_d1_hz": 4.8e6, '
+          '"doppler_halfwidth_hz": 2.0e8, "delta_hf_hz": 8.0e9, "f_ground": 3}}'])
+def test_sweep_rows_match_the_public_functions(doc):
+    config = scenario.load_scenario(doc)
+    assert sorted(SWEEP_QUANTITIES) == sorted(
+        ["stark_compensation_intensity", "ac_zeeman_compensation_intensity",
+         "zeeman_dephasing", "doppler_scattering_rate", "spin_exchange_eta", "k_eff"])
+    for param, (field, conv) in scenario._SCALAR_KEYS.items():
+        values = [f * scenario.DEFAULTS[param] for f in (0.5, 1.0, 1.7)]
+        for quantity, (_, unit) in SWEEP_QUANTITIES.items():
+            args = cli.build_parser().parse_args(
+                ["sweep", "--param", param, "--quantity", quantity,
+                 "--values=" + ",".join(map(repr, values))])
+            rows = cli._sweep_rows(config, args)
+            expected = [ReportRow(f"{quantity}[{param}={v:g}]", _reference_quantity(
+                quantity, dataclasses.replace(config, **{field: conv(v)})), unit)
+                for v in values]
+            assert rows == expected, (param, quantity)
 
 
 def test_cli_sweep_usage_errors(capsys):

@@ -1,5 +1,6 @@
 """Scenario documents: defaults, validation, round trips."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcell import CESIUM, ScenarioError, default_scenario, load_scenario, load_scenario_file
-from qmemcell.scenario import _SCALAR_KEYS, DEFAULTS, scenario_to_document, scenario_with
+from qmemcell.scenario import (_SCALAR_KEYS, DEFAULTS, ScenarioConfig, scenario_to_document,
+                               scenario_with)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 TWO_PI = 2.0 * math.pi
@@ -155,6 +157,34 @@ def test_scenario_with_replaces_one_key():
     for value in (math.nan, math.inf):
         with pytest.raises(ScenarioError, match="'stark_detuning_hz' must be finite"):
             scenario_with(cfg, "stark_detuning_hz", value)
+
+
+@dataclasses.dataclass(frozen=True)
+class _TaggedConfig(ScenarioConfig):
+    tag: str = "lab"
+
+
+def test_scenario_with_equals_dataclasses_replace():
+    base = load_scenario('{"species": {"gamma_d1_hz": 4.8e6}}')
+    tagged = _TaggedConfig(**{f.name: getattr(base, f.name)
+                              for f in dataclasses.fields(base)}, tag="cell B")
+    for cfg in (base, tagged):
+        for key, (field, conv) in _SCALAR_KEYS.items():
+            value = 1.5 * DEFAULTS[key]
+            before = dict(vars(cfg))
+            copy = scenario_with(cfg, key, value)
+            assert type(copy) is type(cfg)
+            assert copy == dataclasses.replace(cfg, **{field: conv(value)})
+            assert copy.species is cfg.species
+            assert vars(copy) == {**before, field: conv(value)}
+            assert vars(cfg) == before
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario_with(tagged, "tau_s", 2.0e-3).pulse_duration = 1.0
+
+
+def test_default_scenario_is_one_shared_instance():
+    assert default_scenario() is default_scenario()
+    assert default_scenario() == load_scenario("{}")
 
 
 # operating points of the benchmark catalogue, one with a species override
