@@ -22,6 +22,8 @@ from .scenario import (ScenarioError, _SCALAR_KEYS, default_scenario,
                        load_scenario_file, scenario_with)
 
 CONFIG_ENV_VAR = "QMEMCELL_CONFIG"
+#: most points one sweep evaluates; checked before any grid is built
+MAX_SWEEP_POINTS = 100_000
 
 
 def _finite_float(text: str) -> float:
@@ -132,8 +134,12 @@ def _sweep_values(args) -> list[float]:
     if args.values is not None and grid_given:
         raise ValueError("give either --values or --start/--stop/--num, not both")
     if args.values is not None:
+        tokens = [tok for tok in args.values.split(",") if tok.strip()]
+        if len(tokens) > MAX_SWEEP_POINTS:
+            raise ValueError(f"--values lists {len(tokens)} numbers; a sweep takes at "
+                             f"most {MAX_SWEEP_POINTS}")
         try:
-            values = [float(tok) for tok in args.values.split(",") if tok.strip()]
+            values = [float(tok) for tok in tokens]
         except ValueError:
             raise ValueError(
                 f"--values must be comma-separated numbers, got {args.values!r}") from None
@@ -144,6 +150,8 @@ def _sweep_values(args) -> list[float]:
         raise ValueError("sweep needs --values or all of --start, --stop, --num")
     if args.num < 1:
         raise ValueError(f"--num must be positive, got {args.num}")
+    if args.num > MAX_SWEEP_POINTS:
+        raise ValueError(f"--num must be at most {MAX_SWEEP_POINTS}, got {args.num}")
     if args.num == 1:
         return [args.start]
     step = (args.stop - args.start) / (args.num - 1)

@@ -201,16 +201,18 @@ def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
     modes = tuple(modes)
-    x = np.eye(2 * len(modes))
-    y = np.zeros_like(x)
-    scale, refill = math.sqrt(transmission), (1.0 - transmission) * VACUUM_VARIANCE
+    n = 2 * len(modes)
+    diagonal = []  # flat indices of the targets' diagonal entries
     for label in targets:
         try:
             j = modes.index(label)
         except ValueError:
             raise ValueError(f"unknown mode {label!r}; register has {modes}") from None
-        x[2 * j, 2 * j] = x[2 * j + 1, 2 * j + 1] = scale
-        y[2 * j, 2 * j] = y[2 * j + 1, 2 * j + 1] = refill
+        diagonal += ((n + 1) * 2 * j, (n + 1) * (2 * j + 1))
+    x = np.eye(n)
+    y = np.zeros((n, n))
+    x.put(diagonal, math.sqrt(transmission))
+    y.put(diagonal, (1.0 - transmission) * VACUUM_VARIANCE)
     return GaussianChannel._wrap(x, y)
 
 

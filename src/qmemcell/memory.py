@@ -30,9 +30,9 @@ from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_CLASS, BASIS_PLUS_MINUS,
                        LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS,
                        MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, QUAD_P, QUAD_X,
                        GaussianChannel, GaussianState, SymplecticTransform,
-                       apply_symplectic, attenuation_channel,
-                       hamiltonian_to_symplectic, homodyne_outcome,
-                       memory_vacuum, rotation_2x2, symplectic_channel)
+                       apply_symplectic, attenuation_channel, homodyne_outcome,
+                       memory_vacuum, rotation_2x2, symplectic_channel,
+                       symplectic_form)
 
 #: pass-interaction variants
 VARIANT_TWO_CLASS = "two_class"
@@ -67,6 +67,33 @@ _ATOMIC_MODES = (ATOM_PLUS, ATOM_MINUS)
 # pass interactions
 
 
+# quadratures: 0 X_c, 1 P_c, 2 X_s, 3 P_s, 4/5 first atomic mode,
+# 6/7 second atomic mode; each coupling is (quadrature, quadrature, sign)
+_PASS_COUPLINGS = {
+    VARIANT_TWO_CLASS: ((1, 4, 1.0),    # P_c with X_plus
+                        (2, 7, 1.0)),   # X_s with P_minus
+    VARIANT_CLASS_1: ((1, 4, 1.0),      # P_c with X_1
+                      (2, 5, 1.0)),     # X_s with P_1
+    VARIANT_CLASS_2: ((1, 6, 1.0),      # P_c with X_2
+                      (2, 7, -1.0)),    # X_s with P_2, opposite orientation
+    VARIANT_BOTH_CLASSES: ((1, 4, 1.0), (2, 5, 1.0), (1, 6, 1.0), (2, 7, -1.0)),
+}
+
+
+def _unit_generator(couplings: tuple) -> np.ndarray:
+    """Omega H of a pass at unit strength; read-only."""
+    h = np.zeros((8, 8))
+    for qa, qb, sign in couplings:
+        h[qa, qb] = h[qb, qa] = sign
+    return _read_only(symplectic_form(4) @ h)
+
+
+#: unit-strength generator of each pass variant, built once
+_PASS_GENERATORS = {variant: _unit_generator(couplings)
+                    for variant, couplings in _PASS_COUPLINGS.items()}
+_EYE8 = _read_only(np.eye(8))
+
+
 def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> SymplecticTransform:
     """Symplectic map of one pass through the cell.
 
@@ -79,32 +106,25 @@ def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> SymplecticT
                  mixes the two sidebands at second order in k.
     both_classes both classes in the class basis; equals the two_class
                  map at sqrt(2) larger k conjugated by the basis change.
+
+    The map is exp(k G) = I + k G (+ (k G)^2 / 2 for the class-basis
+    variants) of the variant's unit generator G, the terminating power
+    series that :func:`hamiltonian_to_symplectic` gives for the pass
+    Hamiltonian, with the same float operations.
     """
-    h = np.zeros((8, 8))
-
-    def couple(qa: int, qb: int, strength: float):
-        h[qa, qb] += strength
-        h[qb, qa] += strength
-
-    # quadratures: 0 X_c, 1 P_c, 2 X_s, 3 P_s, 4/5 first atomic mode,
-    # 6/7 second atomic mode
-    if variant == VARIANT_TWO_CLASS:
-        couple(1, 4, k_eff)   # P_c with X_plus
-        couple(2, 7, k_eff)   # X_s with P_minus
-    elif variant == VARIANT_CLASS_1:
-        couple(1, 4, k_eff)   # P_c with X_1
-        couple(2, 5, k_eff)   # X_s with P_1
-    elif variant == VARIANT_CLASS_2:
-        couple(1, 6, k_eff)   # P_c with X_2
-        couple(2, 7, -k_eff)  # X_s with P_2, opposite orientation
-    elif variant == VARIANT_BOTH_CLASSES:
-        couple(1, 4, k_eff)
-        couple(2, 5, k_eff)
-        couple(1, 6, k_eff)
-        couple(2, 7, -k_eff)
-    else:
-        raise ValueError(f"unknown interaction variant {variant!r}")
-    return hamiltonian_to_symplectic(h)
+    try:
+        unit = _PASS_GENERATORS[variant]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown interaction variant {variant!r}") from None
+    if not math.isfinite(k_eff):
+        raise ValueError(f"pass strength must be finite, got k_eff={k_eff!r}")
+    gen = k_eff * unit
+    s = _EYE8 + gen
+    if variant != VARIANT_TWO_CLASS:
+        s = s + gen @ gen / 2.0
+        if not np.isfinite(s).all():
+            raise ArithmeticError(f"pass map overflows at k_eff={k_eff!r}")
+    return SymplecticTransform(s)
 
 
 def atomic_basis_matrix() -> SymplecticTransform:
@@ -277,10 +297,14 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
     the target, so the means follow the drawn outcome.
     """
     q_meas, q_tgt = _quad(measured_mode, measured_quad), _quad(target_mode, target_quad)
-    feed = np.eye(8)
-    feed[q_tgt, q_meas] = gain
-    channel = GaussianChannel(feed, np.zeros((8, 8))).then(_RESETS[measured_mode])
-    return channel, (name, q_meas, q_tgt, gain)
+    # the feedforward composed with the reset: X is the feedforward with the
+    # measured mode's rows zeroed, Y is the reset's vacuum refill; adding
+    # 0.0 turns a gain of -0.0 into the +0.0 that the matrix product gives
+    x = np.eye(8)
+    x[q_tgt, q_meas] = gain + 0.0
+    first = q_meas - q_meas % 2
+    x[first:first + 2] = 0.0
+    return GaussianChannel._wrap(x, _RESETS[measured_mode].y), (name, q_meas, q_tgt, gain)
 
 
 def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
@@ -357,8 +381,10 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     output_cov = np.asarray(output_cov, dtype=float)
     if transfer_map.shape != (4, 4) or output_cov.shape != (4, 4):
         raise ValueError("transfer map and output covariance must be 4x4")
-    return _ring_fidelity(transfer_map, output_cov, np.linalg.inv(decode_c),
-                          np.linalg.inv(decode_s), _phase_ring(amplitude, n_phases))
+    if np.shape(decode_c) != (2, 2) or np.shape(decode_s) != (2, 2):
+        raise ValueError("decode matrices must be 2x2")
+    undo = np.stack([np.linalg.inv(decode_c), np.linalg.inv(decode_s)])
+    return _ring_fidelity(transfer_map, output_cov, undo, _phase_ring(amplitude, n_phases))
 
 
 def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
@@ -368,33 +394,38 @@ def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
 
 
 _RING = _read_only(_phase_ring(FIDELITY_AMPLITUDE, FIDELITY_PHASES))
-#: inverses of the (write, read) decode matrices, (channel c, channel s)
-_WRITE_UNDO = tuple(_read_only(np.linalg.inv(d)) for d in (WRITE_DECODE_C, WRITE_DECODE_S))
-_READ_UNDO = tuple(_read_only(np.linalg.inv(d)) for d in (READ_DECODE_C, READ_DECODE_S))
+#: inverses of the (write, read) decode matrices, stacked (channel c, channel s)
+_WRITE_UNDO = _read_only(np.stack([np.linalg.inv(d) for d in (WRITE_DECODE_C, WRITE_DECODE_S)]))
+_READ_UNDO = _read_only(np.stack([np.linalg.inv(d) for d in (READ_DECODE_C, READ_DECODE_S)]))
+#: index gathering the (channel c, channel s) diagonal 2x2 blocks of a 4x4
+#: matrix into one 2x2x2 stack
+_CHANNEL_BLOCKS = (_read_only(np.array([[[0], [1]], [[2], [3]]])),
+                   _read_only(np.array([[[0, 1]], [[2, 3]]])))
+_EYE2 = _read_only(np.eye(2))
 
 
 def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
-                   undo_c: np.ndarray, undo_s: np.ndarray, ring: np.ndarray) -> float:
-    """:func:`mean_fidelity` over the input ``ring``, given the inverted
-    decode matrices of the two channels."""
-    total = 0.0
-    for block, d_inv in ((slice(0, 2), undo_c), (slice(2, 4), undo_s)):
-        sigma = d_inv @ output_cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
-        det = float(np.linalg.det(sigma))
-        if not (sigma[0, 0] > 0.0 and 0.0 < det < math.inf):
+                   undo: np.ndarray, ring: np.ndarray) -> float:
+    """:func:`mean_fidelity` over the input ``ring``, given the 2x2x2 stack
+    of inverted decode matrices; both channels go through one batched pass."""
+    sigma = undo @ output_cov[_CHANNEL_BLOCKS] @ undo.transpose(0, 2, 1) + 0.5 * _EYE2
+    dets = np.linalg.det(sigma).tolist()
+    for block, det in zip(sigma, dets):
+        if not (block[0, 0] > 0.0 and 0.0 < det < math.inf):
             raise ValueError(f"output covariance is not positive definite: det {det!r}")
-        norm = 1.0 / math.sqrt(det)
-        # decoded-minus-ideal response to each input of this channel
-        d = (d_inv @ transfer_map[block, block] - np.eye(2)) @ ring
-        exponent = np.einsum("in,ij,jn->n", d, np.linalg.inv(sigma), d)
-        total += norm * float(np.exp(-0.5 * exponent).sum())
+    # decoded-minus-ideal response of each channel to each input
+    d = (undo @ transfer_map[_CHANNEL_BLOCKS] - _EYE2) @ ring
+    exponent = np.einsum("bin,bij,bjn->bn", d, np.linalg.inv(sigma), d)
+    total = 0.0
+    for det, weight in zip(dets, np.exp(-0.5 * exponent).sum(axis=1).tolist()):
+        total += 1.0 / math.sqrt(det) * weight
     return total / (2.0 * ring.shape[1])
 
 
 def _run(stage_builder, k_eff: float, state: GaussianState | None,
          gain: float | None, budget: DecoherenceBudget | None, policy: str,
          seed: int | None, in_block: slice, out_block: slice,
-         undo: tuple[np.ndarray, np.ndarray]) -> ProtocolResult:
+         undo: np.ndarray) -> ProtocolResult:
     """One protocol run: the final state from the stage loop, and the
     transfer map, added noise and fidelity from the composed channel.
 
@@ -411,6 +442,8 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
         gain = -1.0 / k_eff
     if budget is None:
         budget = DecoherenceBudget()
+    if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = None if seed is None else np.random.default_rng(seed)
     # an extreme gain or k_eff overflows; report it once, by name
     with np.errstate(over="ignore", invalid="ignore"):
@@ -425,7 +458,7 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
         out_cov = vacuum_out[out_block, out_block]
         added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
         try:
-            fidelity = _ring_fidelity(transfer, out_cov, *undo, _RING)
+            fidelity = _ring_fidelity(transfer, out_cov, undo, _RING)
         except ValueError as exc:
             raise ValueError(f"protocol output noise is out of range at gain={gain!r}, "
                              f"k_eff={k_eff!r}: {exc}") from None

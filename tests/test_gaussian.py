@@ -209,6 +209,38 @@ def test_attenuation_channel():
         attenuation_channel(state.modes, ("light_x",), 0.5)
 
 
+def _attenuation_by_items(modes, targets, transmission):
+    """(X, Y) of an attenuation, written one diagonal item at a time."""
+    x = np.eye(2 * len(modes))
+    y = np.zeros_like(x)
+    scale, refill = math.sqrt(transmission), (1.0 - transmission) * VACUUM_VARIANCE
+    for label in targets:
+        j = modes.index(label)
+        x[2 * j, 2 * j] = x[2 * j + 1, 2 * j + 1] = scale
+        y[2 * j, 2 * j] = y[2 * j + 1, 2 * j + 1] = refill
+    return x, y
+
+
+@pytest.mark.parametrize("transmission", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("targets", [(), (LIGHT_C,), (ATOM_MINUS, LIGHT_S),
+                                     (ATOM_PLUS, ATOM_PLUS), MEMORY_MODES_PLUS_MINUS])
+def test_attenuation_channel_matches_item_writes_bit_for_bit(transmission, targets):
+    channel = attenuation_channel(MEMORY_MODES_PLUS_MINUS, targets, transmission)
+    for got, want in zip((channel.x, channel.y),
+                         _attenuation_by_items(MEMORY_MODES_PLUS_MINUS, targets, transmission)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not got.flags.writeable
+
+
+def test_attenuation_channel_unknown_label_and_range_errors():
+    with pytest.raises(ValueError, match=r"unknown mode 'light_x'; register has \("):
+        attenuation_channel(MEMORY_MODES_PLUS_MINUS, (LIGHT_C, "light_x"), 0.5)
+    # the transmission is checked before any label
+    with pytest.raises(ValueError, match=r"transmission must lie in \[0, 1\], got 1.5"):
+        attenuation_channel(MEMORY_MODES_PLUS_MINUS, ("light_x",), 1.5)
+
+
 def test_channel_copies_caller_arrays_and_is_read_only():
     x, y = np.eye(8), np.zeros((8, 8))
     channel = GaussianChannel(x, y)

@@ -51,6 +51,7 @@ from qmemcell.memory import (
     VARIANT_BOTH_CLASSES,
     VARIANT_CLASS_1,
     VARIANT_CLASS_2,
+    VARIANT_TWO_CLASS,
     WRITE_DECODE_C,
     WRITE_DECODE_S,
     _read_stages,
@@ -205,6 +206,54 @@ def test_both_classes_equals_collective_form():
     assert np.allclose(both.matrix, product.matrix, atol=1e-12)
 
 
+def _pass_hamiltonian(k, variant):
+    """The coupling Hamiltonian of each pass variant, entry by entry."""
+    h = np.zeros((8, 8))
+
+    def couple(qa, qb, strength):
+        h[qa, qb] += strength
+        h[qb, qa] += strength
+
+    if variant == VARIANT_TWO_CLASS:
+        couple(1, 4, k)
+        couple(2, 7, k)
+    elif variant == VARIANT_CLASS_1:
+        couple(1, 4, k)
+        couple(2, 5, k)
+    elif variant == VARIANT_CLASS_2:
+        couple(1, 6, k)
+        couple(2, 7, -k)
+    else:
+        couple(1, 4, k)
+        couple(2, 5, k)
+        couple(1, 6, k)
+        couple(2, 7, -k)
+    return h
+
+
+@pytest.mark.parametrize("variant", [VARIANT_TWO_CLASS, VARIANT_CLASS_1, VARIANT_CLASS_2,
+                                     VARIANT_BOTH_CLASSES])
+@pytest.mark.parametrize("k", [0.5, 0.83, 1.0, 2.0, -1.3, 1e-8, 1e8])
+def test_qnd_transform_matches_hamiltonian_bit_for_bit(variant, k):
+    got = qnd_transform(k, variant).matrix
+    want = hamiltonian_to_symplectic(_pass_hamiltonian(k, variant)).matrix
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_qnd_transform_rejects_non_finite_and_overflowing_strength():
+    for k in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="k_eff"):
+            qnd_transform(k)
+        with pytest.raises(ValueError, match="k_eff"):
+            run_write(k)
+    # the second-order term of a class-basis pass overflows; the
+    # collective pass has none and stays finite
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match=r"k_eff=1e\+200"):
+        qnd_transform(1e200, VARIANT_CLASS_1)
+    assert np.isfinite(qnd_transform(1e200).matrix).all()
+
+
 # ---------------------------------------------------------------------------
 # basis change and rotations
 
@@ -355,6 +404,54 @@ def test_mean_fidelity_validation():
         mean_fidelity(np.eye(3), np.eye(4), np.eye(2), np.eye(2))
     with pytest.raises(ValueError):
         mean_fidelity(np.eye(4), np.eye(4), np.eye(2), np.eye(2), n_phases=0)
+    for decode_c, decode_s in ((np.eye(3), np.eye(3)), (np.eye(2), np.eye(3))):
+        with pytest.raises(ValueError, match="decode matrices must be 2x2"):
+            mean_fidelity(np.eye(4), np.eye(4), decode_c, decode_s)
+
+
+def _ring_fidelity_per_block(transfer, cov, undo_c, undo_s, ring):
+    """The fidelity sum one channel block at a time."""
+    total = 0.0
+    for block, d_inv in ((slice(0, 2), undo_c), (slice(2, 4), undo_s)):
+        sigma = d_inv @ cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
+        det = float(np.linalg.det(sigma))
+        if not (sigma[0, 0] > 0.0 and 0.0 < det < math.inf):
+            raise ValueError(f"output covariance is not positive definite: det {det!r}")
+        d = (d_inv @ transfer[block, block] - np.eye(2)) @ ring
+        exponent = np.einsum("in,ij,jn->n", d, np.linalg.inv(sigma), d)
+        total += 1.0 / math.sqrt(det) * float(np.exp(-0.5 * exponent).sum())
+    return total / (2.0 * ring.shape[1])
+
+
+def test_ring_fidelity_matches_per_block_loop_bit_for_bit():
+    rng = np.random.default_rng(20050913)
+    ring = memory._RING
+    for _ in range(50):
+        transfer = rng.normal(size=(4, 4))
+        a = rng.normal(size=(4, 4))
+        cov = 0.5 * np.eye(4) + 0.3 * a @ a.T
+        undos = (memory._WRITE_UNDO, memory._READ_UNDO, rng.normal(size=(2, 2, 2)))
+        for undo in undos:
+            want = _ring_fidelity_per_block(transfer, cov, undo[0], undo[1], ring)
+            assert memory._ring_fidelity(transfer, cov, undo, ring) == want
+        decode_c, decode_s = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
+        want = _ring_fidelity_per_block(transfer, cov, np.linalg.inv(decode_c),
+                                        np.linalg.inv(decode_s), ring)
+        assert mean_fidelity(transfer, cov, decode_c, decode_s) == want
+
+
+def test_ring_fidelity_checks_channel_c_first():
+    undo, ring = memory._WRITE_UNDO, memory._RING
+    # both channels fail: the message is channel c's, as in the per-block loop
+    cov = np.diag([-3.0, 1.0, -1.0, 5.0])
+    for fidelity in (lambda: memory._ring_fidelity(np.eye(4), cov, undo, ring),
+                     lambda: _ring_fidelity_per_block(np.eye(4), cov, *undo, ring)):
+        with pytest.raises(ValueError,
+                           match=r"^output covariance is not positive definite: det -3.75$"):
+            fidelity()
+    # only channel s fails
+    with pytest.raises(ValueError, match=r"not positive definite: det -0.75$"):
+        memory._ring_fidelity(np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0]), undo, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +524,43 @@ def test_write_validation():
         run_write(0.0)
     with pytest.raises(ValueError, match="layout"):
         run_write(1.0, state=vacuum_state((LIGHT_C, LIGHT_S)))
+
+
+def test_write_rejects_a_bad_seed_by_name():
+    for seed in (-1, 1.5, "3"):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
+            run_write(1.0, policy=POLICY_SAMPLE, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_read(1.0, seed=-2)
+    assert run_write(1.0, policy=POLICY_SAMPLE, seed=np.int64(3)).measurements == \
+        run_write(1.0, policy=POLICY_SAMPLE, seed=3).measurements
+
+
+#: the four feedback stages of the write and the read
+PROTOCOL_FEEDBACKS = [
+    ("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X),
+    ("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P),
+    ("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P),
+    ("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X),
+]
+
+
+@pytest.mark.parametrize("gain", [1.0, -1.0, 0.8, -0.8, 0.0, -0.0])
+@pytest.mark.parametrize("stage", PROTOCOL_FEEDBACKS)
+def test_feedback_matches_feed_then_reset_bit_for_bit(stage, gain):
+    name, measured_mode, measured_quad, target_mode, target_quad = stage
+    channel, feedback = memory._feedback(*stage, gain)
+    base = memory_vacuum()
+    q_meas = base.quad_index(measured_mode, measured_quad)
+    q_tgt = base.quad_index(target_mode, target_quad)
+    feed = np.eye(8)
+    feed[q_tgt, q_meas] = gain
+    want = GaussianChannel(feed, np.zeros((8, 8))).then(memory._RESETS[measured_mode])
+    for got, ref in ((channel.x, want.x), (channel.y, want.y)):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert not got.flags.writeable
+    assert feedback == (name, q_meas, q_tgt, gain)
 
 
 def test_write_fidelity_degrades_with_spin_exchange():
@@ -571,6 +705,12 @@ def test_module_constants_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 7.0
+    # the pass generators, the batched fidelity's index and stacked
+    # decode inverses are among the arrays checked
+    checked = {id(array) for array in arrays}
+    new = [*memory._PASS_GENERATORS.values(), *memory._CHANNEL_BLOCKS, memory._EYE8,
+           memory._EYE2, memory._WRITE_UNDO, memory._READ_UNDO]
+    assert all(id(array) in checked for array in new)
     fixed = {id(ch) for ch, _ in _read_stages(1.0, -1.0, DecoherenceBudget())}
     assert {id(memory._FRESH_PULSE), id(memory._QUARTER_TURN), id(memory._ALIGN)} <= fixed
 

@@ -583,6 +583,39 @@ def test_cli_sweep_non_finite_value_exits_2(capsys):
     assert "'tau_s' must be finite" in captured.err
 
 
+def test_cli_memory_sim_negative_seed_exits_2_naming_seed(capsys):
+    assert main(["memory-sim", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("grid, option", [
+    (["--start", "1e-4", "--stop", "2e-3", "--num", "100000000000"], "--num"),
+    (["--values", ",".join(["1e-3"] * (cli.MAX_SWEEP_POINTS + 1))], "--values"),
+])
+def test_cli_sweep_point_count_is_bounded(capsys, monkeypatch, grid, option):
+    # refused before any grid point is built or evaluated
+    def no_grid(*args):
+        raise AssertionError("the sweep grid was built")
+
+    monkeypatch.setattr(cli, "range", no_grid, raising=False)
+    monkeypatch.setitem(SWEEP_QUANTITIES, "k_eff", None)
+    assert main(["sweep", "--param", "tau_s", "--quantity", "k_eff", *grid]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: {option} ")
+    assert str(cli.MAX_SWEEP_POINTS) in captured.err
+
+
+def test_sweep_grid_of_the_maximum_size_is_allowed():
+    args = cli.build_parser().parse_args(
+        ["sweep", "--param", "tau_s", "--quantity", "k_eff", "--start", "0",
+         "--stop", "1", "--num", str(cli.MAX_SWEEP_POINTS)])
+    assert len(cli._sweep_values(args)) == cli.MAX_SWEEP_POINTS
+
+
 def test_cli_sweep_values_order(capsys):
     assert main(["sweep", "--param", "stark_detuning_hz",
                  "--quantity", "stark_compensation_intensity",
