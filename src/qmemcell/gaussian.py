@@ -98,7 +98,11 @@ class SymplecticTransform:
         object.__setattr__(self, "matrix", m.copy())
         self.matrix.setflags(write=False)
         res = self.symplectic_residual()
-        if res > SYMPLECTIC_TOL:
+        if not res <= SYMPLECTIC_TOL:
+            # a NaN or inf entry makes the residual NaN, so a non-finite
+            # matrix is always caught here; only then is it looked for
+            if not np.isfinite(m).all():
+                raise ValueError("symplectic matrix must be finite")
             raise ValueError(
                 f"matrix is not symplectic: |S Omega S^T - Omega| = {res:.3e}")
 
@@ -147,6 +151,9 @@ class GaussianChannel:
         if x.ndim != 2 or x.shape[0] != x.shape[1] or y.shape != x.shape:
             raise ValueError(
                 f"channel needs square X and Y of one shape, got {x.shape} and {y.shape}")
+        for label, a in (("X", x), ("Y", y)):
+            if not np.isfinite(a).all():
+                raise ValueError(f"channel {label} must be finite")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -241,13 +248,19 @@ class GaussianState:
             raise ValueError(f"means must have length {2 * n}, got {means.shape}")
         if cov.shape != (2 * n, 2 * n):
             raise ValueError(f"cov must be {2 * n}x{2 * n}, got {cov.shape}")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
+        scale = float(np.abs(cov).max())
+        if not math.isfinite(scale):
+            raise ValueError("cov must be finite")
+        scale = max(1.0, scale)
         asym = float(np.abs(cov - cov.T).max())
-        if asym > SYMMETRY_TOL * max(1.0, float(np.abs(cov).max())):
+        if not asym <= SYMMETRY_TOL * scale:
             raise ValueError(f"covariance is not symmetric: asymmetry {asym:.3e}")
         cov = 0.5 * (cov + cov.T)
         herm = cov + 0.5j * symplectic_form(n)
         min_eig = float(np.linalg.eigvalsh(herm).min())
-        if min_eig < -UNCERTAINTY_TOL * max(1.0, float(np.abs(cov).max())):
+        if not min_eig >= -UNCERTAINTY_TOL * scale:
             raise ValueError(
                 f"covariance violates the uncertainty bound: min eig {min_eig:.3e}")
         object.__setattr__(self, "modes", modes)
@@ -334,7 +347,13 @@ def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> SymplecticTransf
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
         raise ValueError(f"hamiltonian matrix must be square of even size, got {h.shape}")
-    if float(np.abs(h - h.T).max()) > SYMMETRY_TOL * max(1.0, float(np.abs(h).max())):
+    scale = float(np.abs(h).max())
+    if not math.isfinite(scale):
+        raise ValueError("hamiltonian matrix must be finite")
+    scale = max(1.0, scale)
+    if not math.isfinite(t):
+        raise ValueError(f"evolution time must be finite, got {t}")
+    if not float(np.abs(h - h.T).max()) <= SYMMETRY_TOL * scale:
         raise ValueError("hamiltonian matrix must be symmetric")
     n = h.shape[0] // 2
     gen = symplectic_form(n) @ h * t

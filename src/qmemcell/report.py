@@ -3,8 +3,12 @@
 Every subcommand reduces to a list of :class:`ReportRow`; the renderers
 turn those into CSV, a fixed-width table, or JSON.  Floats are emitted
 with ``repr`` in the machine formats so values survive a round trip
-within 1e-12.  Display units follow the usual lab conventions
-(mW/cm^2, W/cm^2, Gauss, mrad) rather than raw SI.
+within 1e-12.  The JSON text is byte for byte what
+``json.dumps(docs, indent=2)`` gives (ASCII-escaped strings, ``NaN`` and
+``Infinity`` tokens, extras in sorted key order), but is written here
+leaf by leaf: with an indent, json runs its pure-Python encoder, which
+cost more than computing the rows.  Display units follow the usual lab
+conventions (mW/cm^2, W/cm^2, Gauss, mrad) rather than raw SI.
 
 Only the protocol and pumping rows need numpy; their builders import
 the numpy modules (``gaussian``, ``memory``, ``pumping``) when called,
@@ -13,10 +17,10 @@ so the scalar reports run without it.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .constants import TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from .decoherence import (DecoherenceBudget, boundary_loss_budget,
@@ -115,59 +119,77 @@ def _fmt_machine(value) -> str:
 
 
 def render_csv(rows: list[ReportRow]) -> str:
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for row in rows:
-        cells = [row.name, _fmt_machine(row.value), row.unit,
-                 _fmt_machine(row.reference), _fmt_machine(row.rel_dev),
-                 _fmt_machine(row.low), _fmt_machine(row.high),
-                 row.status or ""]
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
+    m = _fmt_machine
+    return ",".join(CSV_COLUMNS) + "\n" + "".join([
+        f"{r.name},{m(r.value)},{r.unit},{m(r.reference)},{m(r.rel_dev)},"
+        f"{m(r.low)},{m(r.high)},{r.status or ''}\n" for r in rows])
+
+
+_TABLE_HEADER = ("quantity", "value", "unit", "reference", "rel dev", "window", "status")
 
 
 def render_table(rows: list[ReportRow]) -> str:
-    header = ["quantity", "value", "unit", "reference", "rel dev", "window", "status"]
-    body = []
-    for row in rows:
-        window = ""
-        if row.low is not None and row.high is not None:
-            window = f"[{row.low:.6g}, {row.high:.6g}]"
-        body.append([
-            row.name,
-            f"{row.value:.6g}",
-            row.unit,
-            "" if row.reference is None else f"{row.reference:.6g}",
-            "" if row.rel_dev is None else f"{row.rel_dev:+.2%}",
-            window,
-            row.status or "",
-        ])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    body = [(r.name, f"{r.value:.6g}", r.unit,
+             "" if r.reference is None else f"{r.reference:.6g}",
+             "" if r.rel_dev is None else f"{r.rel_dev:+.2%}",
+             "" if r.low is None or r.high is None else f"[{r.low:.6g}, {r.high:.6g}]",
+             r.status or "") for r in rows]
+    widths = [max(map(len, col)) for col in zip(_TABLE_HEADER, *body)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    return "\n".join([line(*_TABLE_HEADER).rstrip(),
+                      "  ".join("-" * w for w in widths),
+                      *[line(*cells).rstrip() for cells in body]]) + "\n"
+
+
+#: json's tokens for the floats that have no JSON literal
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_leaf(value, pad: str = "    ") -> str:
+    """``value`` as ``json.dumps(..., indent=2)`` writes it at indent ``pad``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_TOKENS.get(text, text)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_row(row: ReportRow) -> str:
+    leaf = _json_leaf
+    text = (f'  {{\n    "name": {leaf(row.name)},\n    "value": {leaf(row.value)},'
+            f'\n    "unit": {leaf(row.unit)}')
+    if row.reference is not None:
+        text += (f',\n    "reference": {leaf(row.reference)}'
+                 f',\n    "rel_dev": {leaf(row.rel_dev)}')
+    if row.low is not None:
+        text += f',\n    "low": {leaf(row.low)}'
+    if row.high is not None:
+        text += f',\n    "high": {leaf(row.high)}'
+    if row.status is not None:
+        text += f',\n    "status": {leaf(row.status)}'
+    if row.extras:
+        extras = sorted(row.extras.items())
+        if all(isinstance(key, str) for key, _ in extras):
+            text += ',\n    "extras": {\n' + ",\n".join(
+                [f"      {leaf(key)}: {leaf(val, '      ')}" for key, val in extras]
+            ) + "\n    }"
+        else:  # json coerces int, float, bool and None keys, or raises
+            text += f',\n    "extras": {leaf(dict(extras))}'
+    return text + "\n  }"
 
 
 def render_json(rows: list[ReportRow]) -> str:
-    docs = []
-    for row in rows:
-        doc = {"name": row.name, "value": row.value, "unit": row.unit}
-        if row.reference is not None:
-            doc["reference"] = row.reference
-            doc["rel_dev"] = row.rel_dev
-        if row.low is not None:
-            doc["low"] = row.low
-        if row.high is not None:
-            doc["high"] = row.high
-        if row.status is not None:
-            doc["status"] = row.status
-        if row.extras:
-            doc["extras"] = dict(sorted(row.extras.items()))
-        docs.append(doc)
-    return json.dumps(docs, indent=2) + "\n"
+    body = ",\n".join(map(_json_row, rows))
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 RENDERERS = {"csv": render_csv, "table": render_table, "json": render_json}
@@ -177,7 +199,7 @@ def render_rows(rows: list[ReportRow], fmt: str) -> str:
     try:
         renderer = RENDERERS[fmt]
     except KeyError:
-        raise ValueError(f"unknown format {fmt!r}; choose from {sorted(RENDERERS)}")
+        raise ValueError(f"unknown format {fmt!r}; choose from {sorted(RENDERERS)}") from None
     return renderer(rows)
 
 

@@ -97,6 +97,66 @@ def test_state_validation():
         GaussianState(modes=(LIGHT_C,), means=np.zeros(2), cov=0.1 * np.eye(2))
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _spoiled(array, index, bad):
+    out = np.array(array, dtype=float)
+    out[index] = bad
+    return out
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_state_rejects_non_finite_means_and_cov(bad):
+    means, cov = np.zeros(4), 0.5 * np.eye(4)
+    for i in range(4):
+        with pytest.raises(ValueError, match="^means must be finite$"):
+            GaussianState(modes=(LIGHT_C, LIGHT_S), means=_spoiled(means, i, bad), cov=cov)
+    for index in np.ndindex(4, 4):
+        for spoiled in (_spoiled(cov, index, bad),
+                        _spoiled(_spoiled(cov, index, bad), index[::-1], bad)):
+            with pytest.raises(ValueError, match="^cov must be finite$"):
+                GaussianState(modes=(LIGHT_C, LIGHT_S), means=means, cov=spoiled)
+    with pytest.raises(ValueError, match="^means must be finite$"):
+        GaussianState(modes=(LIGHT_C,), means=[math.nan, 0.0], cov=np.full((2, 2), math.nan))
+
+
+# an inf entry meets zeros in the residual's matrix product, for which numpy
+# may warn before the error is raised
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_symplectic_transform_rejects_non_finite_matrices(bad):
+    start = hamiltonian_to_symplectic(np.array([[0.0, 0.0, 0.0, 1.3],
+                                                [0.0, 0.0, 0.0, 0.0],
+                                                [0.0, 0.0, 0.0, 0.0],
+                                                [1.3, 0.0, 0.0, 0.0]])).matrix
+    for index in np.ndindex(4, 4):
+        with pytest.raises(ValueError, match="^symplectic matrix must be finite$"):
+            SymplecticTransform(_spoiled(start, index, bad))
+    with pytest.raises(ValueError, match="^symplectic matrix must be finite$"):
+        SymplecticTransform(np.full((2, 2), bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_channel_rejects_non_finite_x_and_y(bad):
+    for index in np.ndindex(4, 4):
+        with pytest.raises(ValueError, match="^channel X must be finite$"):
+            GaussianChannel(_spoiled(np.eye(4), index, bad), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="^channel Y must be finite$"):
+            GaussianChannel(np.eye(4), _spoiled(np.zeros((4, 4)), index, bad))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_hamiltonian_rejects_non_finite_h_and_t(bad):
+    for index in np.ndindex(4, 4):
+        for h in (_spoiled(np.zeros((4, 4)), index, bad),
+                  _spoiled(_spoiled(np.eye(4), index, bad), index[::-1], bad)):
+            with pytest.raises(ValueError, match="^hamiltonian matrix must be finite$"):
+                hamiltonian_to_symplectic(h)
+    with pytest.raises(ValueError, match="^evolution time must be finite"):
+        hamiltonian_to_symplectic(np.eye(2), t=bad)
+
+
 def test_state_is_read_only():
     state = memory_vacuum()
     with pytest.raises(ValueError):

@@ -173,8 +173,159 @@ def test_render_table():
 def test_render_rows_dispatch():
     rows = [ReportRow(name="a", value=1.0, unit="1")]
     assert render_rows(rows, "csv") == render_csv(rows)
-    with pytest.raises(ValueError, match="format"):
+    with pytest.raises(ValueError) as info:
         render_rows(rows, "yaml")
+    assert str(info.value) == "unknown format 'yaml'; choose from ['csv', 'json', 'table']"
+    # raised from None: a library caller sees no chained KeyError
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+# Reference renderers written with io and json.dumps: the byte-for-byte
+# oracles of the ones in qmemcell.report.
+
+def _oracle_machine(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _oracle_csv(rows):
+    out = io.StringIO()
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    for row in rows:
+        cells = [row.name, _oracle_machine(row.value), row.unit,
+                 _oracle_machine(row.reference), _oracle_machine(row.rel_dev),
+                 _oracle_machine(row.low), _oracle_machine(row.high),
+                 row.status or ""]
+        out.write(",".join(cells) + "\n")
+    return out.getvalue()
+
+
+def _oracle_table(rows):
+    header = ["quantity", "value", "unit", "reference", "rel dev", "window", "status"]
+    body = []
+    for row in rows:
+        window = ""
+        if row.low is not None and row.high is not None:
+            window = f"[{row.low:.6g}, {row.high:.6g}]"
+        body.append([
+            row.name,
+            f"{row.value:.6g}",
+            row.unit,
+            "" if row.reference is None else f"{row.reference:.6g}",
+            "" if row.rel_dev is None else f"{row.rel_dev:+.2%}",
+            window,
+            row.status or "",
+        ])
+    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
+              for i in range(len(header))]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+    lines.append("  ".join("-" * w for w in widths))
+    for r in body:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_json(rows):
+    docs = []
+    for row in rows:
+        doc = {"name": row.name, "value": row.value, "unit": row.unit}
+        if row.reference is not None:
+            doc["reference"] = row.reference
+            doc["rel_dev"] = row.rel_dev
+        if row.low is not None:
+            doc["low"] = row.low
+        if row.high is not None:
+            doc["high"] = row.high
+        if row.status is not None:
+            doc["status"] = row.status
+        if row.extras:
+            doc["extras"] = dict(sorted(row.extras.items()))
+        docs.append(doc)
+    return json.dumps(docs, indent=2) + "\n"
+
+
+RENDER_PAIRS = [(render_csv, _oracle_csv), (render_table, _oracle_table),
+                (render_json, _oracle_json)]
+SPECIES_OVERRIDE = ('{"omega_b_hz": 2.0e5, "species": {"gamma_d1_hz": 4.8e6, '
+                    '"doppler_halfwidth_hz": 2.0e8}}')
+
+
+def _subcommand_rows(doc):
+    config = scenario.load_scenario(doc)
+    sweep = [ReportRow(f"{q}[omega_b_hz={v:g}]",
+                       fn(scenario.scenario_with(config, "omega_b_hz", v)), unit)
+             for q, (fn, unit) in SWEEP_QUANTITIES.items() for v in (1.0e5, 3.3e5)]
+    return [shifts_rows(config), compensate_rows(config),
+            pulse_design_rows(config, 30.0e-6), decoherence_rows(config),
+            paper_check_rows(config), memory_sim_rows(config),
+            memory_sim_rows(config, seed=7, k_eff=0.5),
+            pump_rows(1.0e4, 2.0e4, 1.0e-6, 2000), sweep]
+
+
+@pytest.mark.parametrize("render, oracle", RENDER_PAIRS)
+@pytest.mark.parametrize("doc", ["{}", SPECIES_OVERRIDE])
+def test_renderers_match_their_oracles_on_every_subcommand(render, oracle, doc):
+    for rows in _subcommand_rows(doc):
+        assert render(rows) == oracle(rows)
+
+
+def _special_rows():
+    import numpy as np
+    odd_names = ['quote"d', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "µs Ω ✓ 𝔼",
+                 "plain", ""]
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e300, 1e16, 1.5e-7,
+              3, -2, True, False, np.float64(0.1), np.float64(math.nan)]
+    rows = [ReportRow(name, value, "1") for name in odd_names for value in values]
+    rows += [ReportRow("ref", v, "Hz", reference=r, low=lo, high=hi, status=st,
+                       extras=ex)
+             for v, r, lo, hi, st, ex in [
+                 (1.0, 2.0, 0.5, 1.5, STATUS_PASS, {}),
+                 (math.nan, 1.0, -math.inf, math.inf, STATUS_FAIL, {"z": 1.0, "a": -0.0}),
+                 (5e300, -3.0, None, 7.0, None, {"bé": math.nan, "\"q\"": 2,
+                                                 "a\\": True, "ctl\x01": None}),
+                 (np.float64(2.5), np.float64(2.0), 1, True, "µ-status",
+                  {"y": np.float64(1e-300), "x": -math.inf}),
+                 (7, 4, 0.0, None, "", {"only": 5e300}),
+             ]]
+    return rows
+
+
+@pytest.mark.parametrize("render, oracle", RENDER_PAIRS)
+def test_renderers_match_their_oracles_on_special_values(render, oracle):
+    rows = _special_rows()
+    assert render(rows) == oracle(rows)
+    for row in rows:
+        assert render([row]) == oracle([row])
+    assert render([]) == oracle([])
+
+
+def test_render_json_hands_other_leaves_and_keys_to_json():
+    rows = [ReportRow("nested", [1.0, [math.inf, "x"], {"k": None, "a": []}], "1",
+                      extras={"list": [1, {"deep": [2.0, {}]}], "empty": {}}),
+            ReportRow("coerced_keys", 1.0, "1", extras={3: 1.0, 1: math.nan, 2: "two"}),
+            ReportRow("float_keys", 1.0, "1", extras={2.5: 1, 0.5: 2}),
+            ReportRow("big_int", 10**40, "1", reference=3, extras={"x": 10**30})]
+    for row in rows:
+        assert render_json([row]) == _oracle_json([row])
+    assert render_json(rows) == _oracle_json(rows)
+    assert '"1": NaN,\n      "2": "two",\n      "3": 1.0\n' in render_json(rows)
+
+
+@pytest.mark.parametrize("row", [
+    ReportRow("bad", object(), "1"),
+    ReportRow("bad", 1.0, "1", extras={"x": {1, 2}}),
+    ReportRow("bad", 1.0, "1", extras={(1, 2): 1.0}),
+    ReportRow("bad", 1.0, "1", extras={"a": 1.0, 2: 2.0}),
+])
+def test_render_json_raises_what_json_raises(row):
+    with pytest.raises(TypeError) as expected:
+        _oracle_json([row])
+    with pytest.raises(TypeError) as got:
+        render_json([row])
+    assert str(got.value) == str(expected.value)
 
 
 # ---------------------------------------------------------------------------
