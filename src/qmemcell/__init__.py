@@ -28,16 +28,11 @@ _EXPORTS = {
     "spin_exchange_channel": "memory", "spin_exchange_probability": "decoherence",
     "BASIS_CLASS": "gaussian", "BASIS_PLUS_MINUS": "gaussian",
     "GaussianChannel": "gaussian", "GaussianState": "gaussian",
-    "SymplecticTransform": "gaussian", "VACUUM_VARIANCE": "gaussian",
-    "apply_symplectic": "gaussian", "attenuation_channel": "gaussian",
+    "VACUUM_VARIANCE": "gaussian", "attenuation_channel": "gaussian",
     "displace": "gaussian", "hamiltonian_to_symplectic": "gaussian",
-    "homodyne_condition": "gaussian", "memory_vacuum": "gaussian",
-    "rotate_mode": "gaussian", "state_from_json": "gaussian",
-    "state_to_json": "gaussian", "symplectic_channel": "gaussian",
-    "symplectic_form": "gaussian", "vacuum_state": "gaussian", "CouplingSet": "shifts",
-    "ProtocolResult": "memory", "atomic_basis_change": "memory",
-    "collective_kappa": "shifts", "common_weak_rotation": "memory",
-    "coupling_g": "shifts", "differential_rotation": "memory",
+    "memory_vacuum": "gaussian", "symplectic_form": "gaussian",
+    "vacuum_state": "gaussian", "CouplingSet": "shifts", "ProtocolResult": "memory",
+    "collective_kappa": "shifts", "coupling_g": "shifts", "differential_rotation": "memory",
     "mean_fidelity": "memory", "qnd_transform": "memory", "run_read": "memory",
     "run_write": "memory", "PumpLevelSystem": "pumping", "evolve_pumping": "pumping",
     "pumping_history": "pumping", "rate_matrix": "pumping", "state_index": "pumping",

@@ -7,17 +7,18 @@ Conventions (fixed throughout the package):
 * phase rotation by theta maps (X, P) -> (X cos + P sin, -X sin + P cos),
   so a quarter turn sends P into X and X into -P.
 
-States are immutable; every operation returns a new state.  Linear
-steps are affine Gaussian channels (X, Y), which compose before they
-touch a state, so a chain of steps validates its result once.  The light
-sidebands and the two collective atomic modes of the memory carry fixed
-labels so protocol code can address them by name.
+States are immutable; every operation returns a new state.  Every
+linear step is an affine Gaussian channel (X, Y); a symplectic map S is
+the noiseless channel (S, 0), checked for S Omega S^T = Omega when it is
+built.  Channels compose before they touch a state, so a chain of steps
+validates its result once.  The light sidebands and the two collective
+atomic modes of the memory carry fixed labels so protocol code can
+address them by name.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, replace as _dc_replace
 
@@ -52,12 +53,6 @@ QUAD_P = "p"
 POLICY_MEAN = "mean"
 POLICY_SAMPLE = "sample"
 
-RESET_VACUUM = "vacuum"
-RESET_REMOVE = "remove"
-
-#: measured variances below this use the pseudo-inverse (no conditioning)
-SINGULAR_VARIANCE = 1e-12
-
 
 @functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -79,57 +74,6 @@ def rotation_2x2(theta: float) -> np.ndarray:
     """Single-mode quadrature rotation, P -> X at theta = pi/2."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, s], [-s, c]])
-
-
-@dataclass(frozen=True)
-class SymplecticTransform:
-    """A linear map of quadratures that preserves the commutators.
-
-    Validates S Omega S^T = Omega on construction: composing and
-    inverting therefore cannot silently produce an unphysical map.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-            raise ValueError(f"symplectic matrix must be square of even size, got {m.shape}")
-        object.__setattr__(self, "matrix", m.copy())
-        self.matrix.setflags(write=False)
-        res = self.symplectic_residual()
-        if not res <= SYMPLECTIC_TOL:
-            # a NaN or inf entry makes the residual NaN, so a non-finite
-            # matrix is always caught here; only then is it looked for
-            if not np.isfinite(m).all():
-                raise ValueError("symplectic matrix must be finite")
-            raise ValueError(
-                f"matrix is not symplectic: |S Omega S^T - Omega| = {res:.3e}")
-
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def symplectic_residual(self) -> float:
-        omega = symplectic_form(self.n_modes)
-        return float(np.abs(self.matrix @ omega @ self.matrix.T - omega).max())
-
-    def compose(self, other: "SymplecticTransform") -> "SymplecticTransform":
-        """The map applying ``other`` first, then this one."""
-        if self.n_modes != other.n_modes:
-            raise ValueError("cannot compose transforms of different mode number")
-        return SymplecticTransform(self.matrix @ other.matrix)
-
-    def __matmul__(self, other: "SymplecticTransform") -> "SymplecticTransform":
-        return self.compose(other)
-
-    def inverse(self) -> "SymplecticTransform":
-        omega = symplectic_form(self.n_modes)
-        return SymplecticTransform(-omega @ self.matrix.T @ omega)
-
-    @classmethod
-    def identity(cls, n_modes: int) -> "SymplecticTransform":
-        return cls(np.eye(2 * n_modes))
 
 
 @dataclass(frozen=True)
@@ -160,6 +104,25 @@ class GaussianChannel:
         object.__setattr__(self, "y", y)
 
     @classmethod
+    def symplectic(cls, s: np.ndarray) -> "GaussianChannel":
+        """The noiseless channel (S, 0) of a symplectic map S.
+
+        Validates S Omega S^T = Omega on a copy of S: a channel built here
+        preserves the commutators, so composing such channels cannot
+        silently produce an unphysical map.
+        """
+        s = np.array(s, dtype=float)
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
+            raise ValueError(f"symplectic matrix must be square of even size, got {s.shape}")
+        if not np.isfinite(s).all():
+            raise ValueError("symplectic matrix must be finite")
+        omega = symplectic_form(s.shape[0] // 2)
+        res = float(np.abs(s @ omega @ s.T - omega).max())
+        if not res <= SYMPLECTIC_TOL:
+            raise ValueError(f"matrix is not symplectic: |S Omega S^T - Omega| = {res:.3e}")
+        return cls._wrap(s, np.zeros(s.shape))
+
+    @classmethod
     def _wrap(cls, x: np.ndarray, y: np.ndarray) -> "GaussianChannel":
         """A channel owning two float arrays this module has just made.
 
@@ -175,6 +138,8 @@ class GaussianChannel:
 
     def then(self, other: "GaussianChannel") -> "GaussianChannel":
         """The channel applying this one first, then ``other``."""
+        if self.x.shape != other.x.shape:
+            raise ValueError("cannot compose channels of different mode number")
         return GaussianChannel._wrap(other.x @ self.x,
                                      other.x @ self.y @ other.x.T + other.y)
 
@@ -188,11 +153,6 @@ class GaussianChannel:
                 f"channel acts on {self.x.shape[0] // 2} modes, state has {state.n_modes}")
         means, cov = self.propagate(state.means, state.cov)
         return _dc_replace(state, means=means, cov=cov)
-
-
-def symplectic_channel(transform: SymplecticTransform) -> GaussianChannel:
-    """The noiseless channel of a symplectic map (shares its read-only matrix)."""
-    return GaussianChannel._wrap(transform.matrix, np.zeros_like(transform.matrix))
 
 
 def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
@@ -336,13 +296,14 @@ def displace(state: GaussianState, mode: str, dx: float, dp: float) -> GaussianS
     return _dc_replace(state, means=means)
 
 
-def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> SymplecticTransform:
+def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> GaussianChannel:
     """Quadratic Hamiltonian (1/2) r^T H r evolved for time t.
 
-    S = exp(Omega H t).  The bilinear pass interactions have nilpotent
-    generators, for which the power series terminates after a few terms
-    and is evaluated exactly; anything else falls back to the Pade
-    scaling-and-squaring exponential of ``qmemcell.numerics``.
+    The noiseless channel of S = exp(Omega H t).  The bilinear pass
+    interactions have nilpotent generators, for which the power series
+    terminates after a few terms and is evaluated exactly; anything else
+    falls back to the Pade scaling-and-squaring exponential of
+    ``qmemcell.numerics``.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
@@ -363,29 +324,9 @@ def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> SymplecticTransf
     for k in range(1, 2 * n + 1):
         term = term @ gen / k
         if not term.any():
-            return SymplecticTransform(total)
+            return GaussianChannel.symplectic(total)
         total = total + term
-    return SymplecticTransform(expm(gen))
-
-
-def apply_symplectic(state: GaussianState, transform: SymplecticTransform) -> GaussianState:
-    return symplectic_channel(transform).apply(state)
-
-
-def embed_single_mode(state_modes: tuple[str, ...], mode: str,
-                      block: np.ndarray) -> SymplecticTransform:
-    """Lift a 2x2 map of one labeled mode to the full register."""
-    n = len(state_modes)
-    j = state_modes.index(mode)
-    s = np.eye(2 * n)
-    s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = block
-    return SymplecticTransform(s)
-
-
-def rotate_mode(state: GaussianState, mode: str, theta: float) -> GaussianState:
-    """Phase-space rotation of one mode (P -> X at theta = pi/2)."""
-    return apply_symplectic(state, embed_single_mode(state.modes, mode,
-                                                     rotation_2x2(theta)))
+    return GaussianChannel.symplectic(expm(gen))
 
 
 def homodyne_outcome(mean: float, variance: float, policy: str,
@@ -403,70 +344,3 @@ def homodyne_outcome(mean: float, variance: float, policy: str,
             raise ValueError("policy 'sample' requires a seed")
         return float(rng.normal(mean, math.sqrt(max(variance, 0.0))))
     raise ValueError(f"unknown outcome policy {policy!r}")
-
-
-def homodyne_condition(state: GaussianState, mode: str, quadrature: str = QUAD_X,
-                       policy: str = POLICY_MEAN, seed: int | None = None,
-                       reset: str = RESET_VACUUM) -> tuple[GaussianState, float]:
-    """Measure one quadrature; return the conditioned state and outcome.
-
-    The outcome follows ``policy`` (see :func:`homodyne_outcome`; 'sample'
-    draws with the given seed).  The measured mode is consumed: depending
-    on ``reset`` it is replaced by vacuum or dropped from the register.
-    """
-    q = state.quad_index(mode, quadrature)
-    variance = float(state.cov[q, q])
-    rng = None if seed is None else np.random.default_rng(seed)
-    outcome = homodyne_outcome(state.means[q], variance, policy, rng)
-
-    # conditioning on the measured row; a (near-)deterministic quadrature
-    # forces zero cross covariance, so the pseudo-inverse update is zero
-    inv = 1.0 / variance if variance >= SINGULAR_VARIANCE else 0.0
-    col = state.cov[:, q]
-    means = state.means + col * inv * (outcome - state.means[q])
-    cov = state.cov - np.outer(col, col) * inv
-    cov = 0.5 * (cov + cov.T)
-
-    if reset == RESET_VACUUM:
-        means, cov = attenuation_channel(state.modes, (mode,), 0.0).propagate(means, cov)
-        new_state = GaussianState(modes=state.modes, basis=state.basis,
-                                  means=means, cov=cov)
-    elif reset == RESET_REMOVE:
-        j = state.mode_index(mode)
-        keep = [i for i in range(2 * state.n_modes) if i not in (2 * j, 2 * j + 1)]
-        new_modes = tuple(m for m in state.modes if m != mode)
-        new_state = GaussianState(modes=new_modes, basis=state.basis,
-                                  means=means[keep], cov=cov[np.ix_(keep, keep)])
-    else:
-        raise ValueError(f"unknown reset handling {reset!r}")
-    return new_state, outcome
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def state_to_dict(state: GaussianState) -> dict:
-    return {
-        "modes": list(state.modes),
-        "basis": state.basis,
-        "means": state.means.tolist(),
-        "cov": state.cov.tolist(),
-    }
-
-
-def state_from_dict(doc: dict) -> GaussianState:
-    try:
-        return GaussianState(modes=tuple(doc["modes"]), basis=doc["basis"],
-                             means=np.array(doc["means"], dtype=float),
-                             cov=np.array(doc["cov"], dtype=float))
-    except KeyError as exc:
-        raise ValueError(f"state document missing key {exc}") from exc
-
-
-def state_to_json(state: GaussianState) -> str:
-    return json.dumps(state_to_dict(state))
-
-
-def state_from_json(text: str) -> GaussianState:
-    return state_from_dict(json.loads(text))

@@ -26,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoherence import DecoherenceBudget
-from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_CLASS, BASIS_PLUS_MINUS,
-                       LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS,
+from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_PLUS_MINUS, LIGHT_C, LIGHT_S,
                        MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, QUAD_P, QUAD_X,
-                       GaussianChannel, GaussianState, SymplecticTransform,
-                       apply_symplectic, attenuation_channel, homodyne_outcome,
-                       memory_vacuum, rotation_2x2, symplectic_channel,
+                       GaussianChannel, GaussianState, attenuation_channel,
+                       homodyne_outcome, memory_vacuum, rotation_2x2,
                        symplectic_form)
 
 #: pass-interaction variants
@@ -94,8 +92,8 @@ _PASS_GENERATORS = {variant: _unit_generator(couplings)
 _EYE8 = _read_only(np.eye(8))
 
 
-def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> SymplecticTransform:
-    """Symplectic map of one pass through the cell.
+def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianChannel:
+    """Noiseless channel of one pass through the cell.
 
     two_class    both edge classes driven, written in the (+, -)
                  collective basis: X_c picks up k X_plus while P_plus
@@ -124,10 +122,10 @@ def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> SymplecticT
         s = s + gen @ gen / 2.0
         if not np.isfinite(s).all():
             raise ArithmeticError(f"pass map overflows at k_eff={k_eff!r}")
-    return SymplecticTransform(s)
+    return GaussianChannel.symplectic(s)
 
 
-def atomic_basis_matrix() -> SymplecticTransform:
+def atomic_basis_matrix() -> GaussianChannel:
     """50:50 combination of the two atomic modes; its own inverse."""
     s = np.eye(8)
     r = 1.0 / math.sqrt(2.0)
@@ -136,45 +134,23 @@ def atomic_basis_matrix() -> SymplecticTransform:
         s[4 + q, 6 + q] = r
         s[6 + q, 4 + q] = r
         s[6 + q, 6 + q] = -r
-    return SymplecticTransform(s)
+    return GaussianChannel.symplectic(s)
 
 
-def atomic_basis_change(state: GaussianState) -> GaussianState:
-    """Switch the atomic modes between the class and the (+, -) basis."""
-    if state.modes == MEMORY_MODES_PLUS_MINUS:
-        new_modes, new_basis = MEMORY_MODES_CLASS, BASIS_CLASS
-    elif state.modes == MEMORY_MODES_CLASS:
-        new_modes, new_basis = MEMORY_MODES_PLUS_MINUS, BASIS_PLUS_MINUS
-    else:
-        raise ValueError(f"state does not use the memory layout: {state.modes}")
-    mixed = apply_symplectic(state, atomic_basis_matrix())
-    return GaussianState(modes=new_modes, basis=new_basis,
-                         means=mixed.means, cov=mixed.cov)
-
-
-def differential_rotation(phi_1: float, phi_2: float) -> SymplecticTransform:
+def differential_rotation(phi_1: float, phi_2: float) -> GaussianChannel:
     """Atomic rotation by phi_1 (first class) and phi_2 (second class).
 
     The two classes precess in opposite senses, so in the class basis
     this is R(phi_1) on one mode and R(-phi_2) on the other; the
     returned map is its (+, -) basis form.  It is block diagonal in the
-    collective modes exactly when phi_2 = -phi_1 (mod 2 pi).
+    collective modes exactly when phi_2 = -phi_1 (mod 2 pi).  At equal
+    angles a quarter turn swaps the collective modes entirely.
     """
     s_class = np.eye(8)
     s_class[4:6, 4:6] = rotation_2x2(phi_1)
     s_class[6:8, 6:8] = rotation_2x2(-phi_2)
-    basis = atomic_basis_matrix()
-    return basis @ SymplecticTransform(s_class) @ basis
-
-
-def common_weak_rotation(theta: float) -> SymplecticTransform:
-    """Both classes precess by the same angle theta (opposite senses).
-
-    In the (+, -) basis the collective modes shrink by cos(theta) and
-    cross-feed through sin(theta); a quarter turn swaps them entirely,
-    sending P_plus to X_minus and X_plus to -P_minus.
-    """
-    return differential_rotation(theta, theta)
+    basis = atomic_basis_matrix().x
+    return GaussianChannel.symplectic(basis @ s_class @ basis)
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +248,14 @@ _RESETS = {mode: attenuation_channel(MEMORY_MODES_PLUS_MINUS, (mode,), 0.0)
 # retrieval uses a fresh pulse; whatever light the register held is gone
 _FRESH_PULSE = attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES, 0.0)
 # the read's quarter turn of the collective modes
-_QUARTER_TURN = symplectic_channel(differential_rotation(math.pi / 2.0, -math.pi / 2.0))
+_QUARTER_TURN = differential_rotation(math.pi / 2.0, -math.pi / 2.0)
 
 
 def _sideband_turn(theta: float) -> GaussianChannel:
     """Rotate both light sidebands by theta; the atoms are untouched."""
     s = np.eye(8)
     s[0:2, 0:2] = s[2:4, 2:4] = rotation_2x2(theta)
-    return symplectic_channel(SymplecticTransform(s))
+    return GaussianChannel.symplectic(s)
 
 
 _ALIGN = _sideband_turn(-math.pi / 2.0)
@@ -314,7 +290,7 @@ def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     n_entry = budget.n_boundaries // 2
     return [
         (boundary_loss_channel(modes, loss, n_entry, _LIGHT_MODES), None),
-        (symplectic_channel(qnd_transform(k_eff, VARIANT_TWO_CLASS)), None),
+        (qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
         (boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry, _LIGHT_MODES),
          None),
         _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
@@ -336,7 +312,7 @@ def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
         (scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
         (_FRESH_PULSE, None),
         (_QUARTER_TURN, None),
-        (symplectic_channel(qnd_transform(k_eff, VARIANT_TWO_CLASS)), None),
+        (qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
         _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
         _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
         (boundary_loss_channel(modes, budget.boundary_loss, n_exit, _LIGHT_MODES), None),

@@ -16,10 +16,8 @@ from qmemcell import (
     CESIUM,
     ac_zeeman_compensation_intensity,
     ac_zeeman_ladder,
-    apply_symplectic,
     boundary_loss_budget,
     class_dephasing,
-    common_weak_rotation,
     differential_rotation,
     doppler_averaged_scattering,
     evolve_pumping,
@@ -183,23 +181,25 @@ def test_13_symplectic_invariant_random_compositions():
             return differential_rotation(float(rng.uniform(-math.pi, math.pi)),
                                          float(rng.uniform(-math.pi, math.pi)))
         if kind == 2:
-            return common_weak_rotation(float(rng.uniform(-math.pi, math.pi)))
+            theta = float(rng.uniform(-math.pi, math.pi))
+            return differential_rotation(theta, theta)
         return atomic_basis_matrix()
 
     worst = 0.0
     for _ in range(1000):
-        s = (factory() @ factory() @ factory()).matrix
+        a, b, c = factory(), factory(), factory()
+        s = c.then(b.then(a)).x
         worst = max(worst, float(np.max(np.abs(s @ omega @ s.T - omega))))
     _check(13, "symplectic_invariant", worst <= 1e-10,
            f"max |S Omega S^T - Omega| = {worst:.2e} over 1000 compositions")
 
 
 def test_14_sideband_cross_covariance():
-    collective = apply_symplectic(memory_vacuum(), qnd_transform(1.0))
+    collective = qnd_transform(1.0).apply(memory_vacuum())
     clean = float(np.max(np.abs(collective.cross_block(LIGHT_C, LIGHT_S))))
     singles = []
     for variant in (VARIANT_CLASS_1, VARIANT_CLASS_2):
-        state = apply_symplectic(memory_vacuum("class"), qnd_transform(1.0, variant))
+        state = qnd_transform(1.0, variant).apply(memory_vacuum("class"))
         singles.append(float(np.max(np.abs(state.cross_block(LIGHT_C, LIGHT_S)))))
     ok = clean < 1e-12 and all(s > 1e-3 for s in singles)
     _check(14, "sideband_cross_covariance", ok,
@@ -214,13 +214,14 @@ def test_15_rotation_maps_exact():
     swap[5, 6] = -1.0
     swap[6, 5] = 1.0
     swap[7, 4] = -1.0
-    err_common = float(np.max(np.abs(common_weak_rotation(math.pi / 2.0).matrix - swap)))
+    err_common = float(np.max(np.abs(
+        differential_rotation(math.pi / 2.0, math.pi / 2.0).x - swap)))
     per_mode = np.eye(8)
     quarter = np.array([[0.0, 1.0], [-1.0, 0.0]])
     per_mode[4:6, 4:6] = quarter
     per_mode[6:8, 6:8] = quarter
     err_diff = float(np.max(np.abs(
-        differential_rotation(math.pi / 2.0, -math.pi / 2.0).matrix - per_mode)))
+        differential_rotation(math.pi / 2.0, -math.pi / 2.0).x - per_mode)))
     ok = err_common <= 1e-12 and err_diff <= 1e-12
     _check(15, "quarter_turn_maps", ok,
            f"common swap error {err_common:.1e}, differential per-mode error "

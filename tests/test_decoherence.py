@@ -27,7 +27,7 @@ from qmemcell import (
     vacuum_state,
 )
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
-from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S, apply_symplectic
+from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -222,7 +222,7 @@ def _correlated_state():
     state = memory_vacuum()
     state = displace(state, LIGHT_C, 1.5, -0.5)
     state = displace(state, ATOM_PLUS, 0.3, 2.0)
-    return apply_symplectic(state, qnd_transform(1.0))
+    return qnd_transform(1.0).apply(state)
 
 
 def test_spin_exchange_channel_action():

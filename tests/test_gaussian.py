@@ -10,17 +10,11 @@ from scipy.linalg import expm
 
 from qmemcell import (
     GaussianState,
-    SymplecticTransform,
     VACUUM_VARIANCE,
-    apply_symplectic,
     attenuation_channel,
     displace,
     hamiltonian_to_symplectic,
-    homodyne_condition,
     memory_vacuum,
-    rotate_mode,
-    state_from_json,
-    state_to_json,
     symplectic_form,
     vacuum_state,
 )
@@ -33,14 +27,10 @@ from qmemcell.gaussian import (
     LIGHT_S,
     MEMORY_MODES_CLASS,
     MEMORY_MODES_PLUS_MINUS,
-    POLICY_SAMPLE,
     QUAD_P,
     QUAD_X,
-    RESET_REMOVE,
     GaussianChannel,
     rotation_2x2,
-    state_from_dict,
-    state_to_dict,
 )
 
 
@@ -64,11 +54,11 @@ def test_rotation_convention():
 
 def test_symplectic_transform_validation():
     with pytest.raises(ValueError, match="not symplectic"):
-        SymplecticTransform(2.0 * np.eye(2))
+        GaussianChannel.symplectic(2.0 * np.eye(2))
     with pytest.raises(ValueError, match="square"):
-        SymplecticTransform(np.zeros((2, 3)))
+        GaussianChannel.symplectic(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="even"):
-        SymplecticTransform(np.eye(3))
+        GaussianChannel.symplectic(np.eye(3))
 
 
 def test_symplectic_inverse_and_compose():
@@ -77,12 +67,15 @@ def test_symplectic_inverse_and_compose():
                   [0.0, 0.0, 0.0, 0.0],
                   [1.3, 0.0, 0.0, 0.0]])
     s = hamiltonian_to_symplectic(h)
-    product = s.compose(s.inverse())
-    assert np.allclose(product.matrix, np.eye(4), atol=1e-12)
-    assert np.allclose((s @ s).matrix, s.matrix @ s.matrix, atol=1e-12)
-    assert np.array_equal(SymplecticTransform.identity(2).matrix, np.eye(4))
-    with pytest.raises(ValueError, match="different mode number"):
-        s.compose(SymplecticTransform.identity(1))
+    omega = symplectic_form(2)
+    inverse = GaussianChannel.symplectic(-omega @ s.x.T @ omega)
+    assert np.allclose(inverse.then(s).x, np.eye(4), atol=1e-12)
+    turn = hamiltonian_to_symplectic(np.eye(4), t=0.4)
+    assert np.allclose(s.then(s).x, s.x @ s.x, atol=1e-12)
+    assert np.array_equal(s.then(turn).x, turn.x @ s.x)
+    assert not s.then(turn).y.any()
+    with pytest.raises(ValueError, match="^cannot compose channels of different mode number$"):
+        s.then(GaussianChannel.symplectic(np.eye(2)))
 
 
 def test_state_validation():
@@ -121,20 +114,17 @@ def test_state_rejects_non_finite_means_and_cov(bad):
         GaussianState(modes=(LIGHT_C,), means=[math.nan, 0.0], cov=np.full((2, 2), math.nan))
 
 
-# an inf entry meets zeros in the residual's matrix product, for which numpy
-# may warn before the error is raised
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_symplectic_transform_rejects_non_finite_matrices(bad):
     start = hamiltonian_to_symplectic(np.array([[0.0, 0.0, 0.0, 1.3],
                                                 [0.0, 0.0, 0.0, 0.0],
                                                 [0.0, 0.0, 0.0, 0.0],
-                                                [1.3, 0.0, 0.0, 0.0]])).matrix
+                                                [1.3, 0.0, 0.0, 0.0]])).x
     for index in np.ndindex(4, 4):
         with pytest.raises(ValueError, match="^symplectic matrix must be finite$"):
-            SymplecticTransform(_spoiled(start, index, bad))
+            GaussianChannel.symplectic(_spoiled(start, index, bad))
     with pytest.raises(ValueError, match="^symplectic matrix must be finite$"):
-        SymplecticTransform(np.full((2, 2), bad))
+        GaussianChannel.symplectic(np.full((2, 2), bad))
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -193,7 +183,7 @@ def test_hamiltonian_rotation_generator():
     # H = (omega/2)(X^2 + P^2) evolved for t is the quadrature rotation
     omega_t = 0.8
     s = hamiltonian_to_symplectic(np.eye(2), t=omega_t)
-    assert np.allclose(s.matrix, rotation_2x2(omega_t), atol=1e-12)
+    assert np.allclose(s.x, rotation_2x2(omega_t), atol=1e-12)
 
 
 def test_hamiltonian_nilpotent_matches_expm():
@@ -204,8 +194,8 @@ def test_hamiltonian_nilpotent_matches_expm():
     gen = symplectic_form(2) @ h
     assert np.array_equal(gen @ gen, np.zeros((4, 4)))
     # the terminating series is exactly I + G here
-    assert np.array_equal(s.matrix, np.eye(4) + gen)
-    assert np.allclose(s.matrix, expm(gen), atol=1e-12)
+    assert np.array_equal(s.x, np.eye(4) + gen)
+    assert np.allclose(s.x, expm(gen), atol=1e-12)
 
 
 def test_hamiltonian_generic_falls_back_to_expm():
@@ -213,8 +203,9 @@ def test_hamiltonian_generic_falls_back_to_expm():
     h = rng.normal(size=(4, 4))
     h = 0.1 * (h + h.T)
     s = hamiltonian_to_symplectic(h, t=0.9)
-    assert np.allclose(s.matrix, expm(symplectic_form(2) @ h * 0.9), atol=1e-12)
-    assert s.symplectic_residual() < 1e-10
+    assert np.allclose(s.x, expm(symplectic_form(2) @ h * 0.9), atol=1e-12)
+    omega = symplectic_form(2)
+    assert np.abs(s.x @ omega @ s.x.T - omega).max() < 1e-10
 
 
 def test_hamiltonian_validation():
@@ -224,27 +215,35 @@ def test_hamiltonian_validation():
         hamiltonian_to_symplectic(np.zeros((2, 4)))
 
 
-def test_apply_symplectic_congruence():
+def test_channel_apply_congruence():
     state = displace(memory_vacuum(), LIGHT_C, 2.0, 0.0)
     h = np.zeros((8, 8))
     h[0, 5] = h[5, 0] = 0.6   # couple X of light_c to P of atom_plus
     s = hamiltonian_to_symplectic(h)
-    out = apply_symplectic(state, s)
-    assert np.allclose(out.means, s.matrix @ state.means, atol=1e-15)
-    assert np.allclose(out.cov, s.matrix @ state.cov @ s.matrix.T, atol=1e-15)
+    out = s.apply(state)
+    assert np.allclose(out.means, s.x @ state.means, atol=1e-15)
+    assert np.allclose(out.cov, s.x @ state.cov @ s.x.T, atol=1e-15)
     with pytest.raises(ValueError, match="modes"):
-        apply_symplectic(vacuum_state((LIGHT_C,)), s)
+        s.apply(vacuum_state((LIGHT_C,)))
 
 
-def test_rotate_mode():
+def _rotate(state, mode, theta):
+    """Turn one mode of ``state`` by theta through a symplectic channel."""
+    s = np.eye(2 * state.n_modes)
+    j = state.mode_index(mode)
+    s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rotation_2x2(theta)
+    return GaussianChannel.symplectic(s).apply(state)
+
+
+def test_one_mode_rotation():
     state = displace(memory_vacuum(), LIGHT_C, 1.0, 2.0)
     state = displace(state, LIGHT_S, -3.0, 4.0)
-    out = rotate_mode(state, LIGHT_C, math.pi / 2.0)
+    out = _rotate(state, LIGHT_C, math.pi / 2.0)
     # quarter turn: the P mean moves into X, the X mean into -P
     assert out.mean(LIGHT_C, QUAD_X) == pytest.approx(2.0, abs=1e-12)
     assert out.mean(LIGHT_C, QUAD_P) == pytest.approx(-1.0, abs=1e-12)
     assert out.mean(LIGHT_S, QUAD_X) == -3.0
-    full = rotate_mode(state, LIGHT_C, 2.0 * math.pi)
+    full = _rotate(state, LIGHT_C, 2.0 * math.pi)
     assert np.allclose(full.means, state.means, atol=1e-12)
     assert np.allclose(full.cov, state.cov, atol=1e-12)
 
@@ -303,11 +302,12 @@ def test_attenuation_channel_unknown_label_and_range_errors():
 
 def test_channel_copies_caller_arrays_and_is_read_only():
     x, y = np.eye(8), np.zeros((8, 8))
-    channel = GaussianChannel(x, y)
+    channel, noiseless = GaussianChannel(x, y), GaussianChannel.symplectic(x)
     x[0, 0], y[1, 1] = 5.0, 3.0
     assert np.array_equal(channel.x, np.eye(8)) and not channel.y.any()
+    assert np.array_equal(noiseless.x, np.eye(8)) and not noiseless.y.any()
     lossy = attenuation_channel(MEMORY_MODES_PLUS_MINUS, (LIGHT_C,), 0.5)
-    for built in (channel, lossy, channel.then(lossy), lossy.then(channel)):
+    for built in (channel, noiseless, lossy, channel.then(lossy), lossy.then(channel)):
         for array in (built.x, built.y):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
@@ -328,88 +328,6 @@ def test_shared_forms_and_vacua_are_read_only():
     assert np.array_equal(memory_vacuum().cov, VACUUM_VARIANCE * np.eye(8))
 
 
-def _entangling_map():
-    h = np.zeros((8, 8))
-    h[0, 4] = h[4, 0] = 0.9   # X_C X_+ pass coupling
-    return hamiltonian_to_symplectic(h)
-
-
-def test_homodyne_conditional_variance():
-    # the X_C X_+ coupling correlates each mode's P with the partner's X
-    state = apply_symplectic(memory_vacuum(), _entangling_map())
-    v_meas = state.variance(ATOM_PLUS, QUAD_X)
-    v_part = state.variance(LIGHT_C, QUAD_P)
-    c = float(state.cov[state.quad_index(LIGHT_C, QUAD_P),
-                        state.quad_index(ATOM_PLUS, QUAD_X)])
-    assert abs(c) > 0.1
-    out, outcome = homodyne_condition(state, ATOM_PLUS, QUAD_X)
-    assert outcome == 0.0
-    assert out.variance(LIGHT_C, QUAD_P) == pytest.approx(
-        v_part - c * c / v_meas, rel=1e-12)
-    # measured mode is reset to vacuum with no residual correlation
-    assert np.array_equal(out.cross_block(LIGHT_C, ATOM_PLUS), np.zeros((2, 2)))
-    assert out.variance(ATOM_PLUS, QUAD_X) == VACUUM_VARIANCE
-
-
-def test_homodyne_mean_policy_shifts_partner():
-    state = apply_symplectic(displace(memory_vacuum(), LIGHT_C, 1.5, 0.0),
-                             _entangling_map())
-    out, outcome = homodyne_condition(state, ATOM_PLUS, QUAD_X)
-    assert outcome == pytest.approx(state.mean(ATOM_PLUS, QUAD_X), abs=1e-15)
-    # conditioning at the mean leaves every mean where it was
-    kept = [q for q in range(8) if q not in (4, 5)]
-    assert np.allclose(out.means[kept], state.means[kept], atol=1e-15)
-
-
-def test_homodyne_sample_policy_reproducible():
-    state = apply_symplectic(memory_vacuum(), _entangling_map())
-    out_a, val_a = homodyne_condition(state, ATOM_PLUS, QUAD_P,
-                                      policy=POLICY_SAMPLE, seed=11)
-    out_b, val_b = homodyne_condition(state, ATOM_PLUS, QUAD_P,
-                                      policy=POLICY_SAMPLE, seed=11)
-    out_c, val_c = homodyne_condition(state, ATOM_PLUS, QUAD_P,
-                                      policy=POLICY_SAMPLE, seed=12)
-    assert val_a == val_b and np.array_equal(out_a.means, out_b.means)
-    assert val_a != val_c
-    # the conditioned covariance does not depend on the outcome
-    assert np.allclose(out_a.cov, out_c.cov, atol=1e-15)
-    with pytest.raises(ValueError, match="seed"):
-        homodyne_condition(state, ATOM_PLUS, QUAD_P, policy=POLICY_SAMPLE)
-    with pytest.raises(ValueError, match="policy"):
-        homodyne_condition(state, ATOM_PLUS, QUAD_P, policy="guess")
-
-
-def test_homodyne_remove_reset():
-    state = apply_symplectic(memory_vacuum(), _entangling_map())
-    out, _ = homodyne_condition(state, ATOM_PLUS, QUAD_P, reset=RESET_REMOVE)
-    assert ATOM_PLUS not in out.modes
-    assert out.n_modes == 3
-
-
-def test_homodyne_deterministic_quadrature_guard():
-    # measuring an exactly known quadrature must not divide by zero
-    base = memory_vacuum()
-    state = GaussianState(
-        modes=base.modes, basis=base.basis, means=base.means,
-        cov=np.diag([1e-16, 0.25 / 1e-16, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]))
-    out, outcome = homodyne_condition(state, LIGHT_C, QUAD_X)
-    assert outcome == 0.0
-    assert np.isfinite(out.cov).all()
-
-
-def test_json_round_trip():
-    state = displace(memory_vacuum(), LIGHT_S, 0.123456789012345, -2.5)
-    state = apply_symplectic(state, _entangling_map())
-    back = state_from_json(state_to_json(state))
-    assert back.modes == state.modes
-    assert back.basis == state.basis
-    assert np.allclose(back.means, state.means, rtol=0, atol=1e-12)
-    assert np.allclose(back.cov, state.cov, rtol=0, atol=1e-12)
-    doc = state_to_dict(state)
-    assert doc["modes"] == list(state.modes)
-    assert state_from_dict(doc) is not None
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_hamiltonian_gives_symplectic(seed):
@@ -417,8 +335,9 @@ def test_random_hamiltonian_gives_symplectic(seed):
     h = rng.normal(size=(8, 8))
     h = 0.2 * (h + h.T)
     s = hamiltonian_to_symplectic(h)
-    assert s.symplectic_residual() < 1e-10
-    state = apply_symplectic(memory_vacuum(), s)
+    omega = symplectic_form(4)
+    assert np.abs(s.x @ omega @ s.x.T - omega).max() < 1e-10
+    state = s.apply(memory_vacuum())
     assert np.isfinite(state.cov).all()
 
 
@@ -426,6 +345,5 @@ def test_random_hamiltonian_gives_symplectic(seed):
 @given(st.floats(min_value=-10.0, max_value=10.0),
        st.floats(min_value=-10.0, max_value=10.0))
 def test_rotation_preserves_vacuum(theta_1, theta_2):
-    state = rotate_mode(rotate_mode(memory_vacuum(), LIGHT_C, theta_1),
-                        LIGHT_S, theta_2)
+    state = _rotate(_rotate(memory_vacuum(), LIGHT_C, theta_1), LIGHT_S, theta_2)
     assert np.allclose(state.cov, 0.5 * np.eye(8), atol=1e-12)

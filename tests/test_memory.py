@@ -13,10 +13,7 @@ from qmemcell import (
     DecoherenceBudget,
     GaussianChannel,
     GaussianState,
-    apply_symplectic,
-    atomic_basis_change,
     collective_kappa,
-    common_weak_rotation,
     coupling_g,
     default_scenario,
     differential_rotation,
@@ -33,8 +30,6 @@ from qmemcell import (
 from qmemcell import gaussian, memory
 from qmemcell.constants import CODATA, dipole_moment_squared, vacuum_field_squared
 from qmemcell.gaussian import (
-    ATOM_1,
-    ATOM_2,
     ATOM_MINUS,
     ATOM_PLUS,
     BASIS_CLASS,
@@ -148,7 +143,7 @@ def _expected_two_class(k):
 
 def test_two_class_exact_matrix():
     k = 0.83
-    assert np.array_equal(qnd_transform(k).matrix, _expected_two_class(k))
+    assert np.array_equal(qnd_transform(k).x, _expected_two_class(k))
 
 
 def test_two_class_generator_nilpotent_index_two():
@@ -158,7 +153,7 @@ def test_two_class_generator_nilpotent_index_two():
     h[2, 7] = h[7, 2] = k
     gen = symplectic_form(4) @ h
     assert np.array_equal(gen @ gen, np.zeros((8, 8)))
-    assert np.allclose(qnd_transform(k).matrix, expm(gen), atol=1e-12)
+    assert np.allclose(qnd_transform(k).x, expm(gen), atol=1e-12)
 
 
 def test_single_class_generator_nilpotent_index_three():
@@ -170,8 +165,8 @@ def test_single_class_generator_nilpotent_index_three():
     assert np.any(gen @ gen)
     assert np.array_equal(gen @ gen @ gen, np.zeros((8, 8)))
     expected = np.eye(8) + gen + gen @ gen / 2.0
-    assert np.allclose(qnd_transform(k, VARIANT_CLASS_1).matrix, expected, atol=1e-15)
-    assert np.allclose(qnd_transform(k, VARIANT_CLASS_1).matrix, expm(gen), atol=1e-12)
+    assert np.allclose(qnd_transform(k, VARIANT_CLASS_1).x, expected, atol=1e-15)
+    assert np.allclose(qnd_transform(k, VARIANT_CLASS_1).x, expm(gen), atol=1e-12)
 
 
 def test_unknown_variant_rejected():
@@ -180,15 +175,14 @@ def test_unknown_variant_rejected():
 
 
 def test_two_class_leaves_cross_sideband_clean():
-    state = apply_symplectic(memory_vacuum(), qnd_transform(1.0))
+    state = qnd_transform(1.0).apply(memory_vacuum())
     cross = state.cross_block(LIGHT_C, LIGHT_S)
     assert np.max(np.abs(cross)) < 1e-12
 
 
 def test_single_class_mixes_sidebands():
     for variant, sign in ((VARIANT_CLASS_1, 1.0), (VARIANT_CLASS_2, -1.0)):
-        state = apply_symplectic(memory_vacuum(BASIS_CLASS),
-                                 qnd_transform(1.0, variant))
+        state = qnd_transform(1.0, variant).apply(memory_vacuum(BASIS_CLASS))
         cross = state.cross_block(LIGHT_C, LIGHT_S)
         # second-order term k^2/2 of the pass correlates the sidebands
         assert cross[0, 0] == pytest.approx(sign * 0.25, rel=1e-12)
@@ -198,12 +192,12 @@ def test_single_class_mixes_sidebands():
 def test_both_classes_equals_collective_form():
     k = 0.77
     basis = atomic_basis_matrix()
-    conjugated = basis @ qnd_transform(math.sqrt(2.0) * k) @ basis
+    conjugated = basis.then(qnd_transform(math.sqrt(2.0) * k).then(basis))
     both = qnd_transform(k, VARIANT_BOTH_CLASSES)
-    assert np.allclose(both.matrix, conjugated.matrix, atol=1e-12)
+    assert np.allclose(both.x, conjugated.x, atol=1e-12)
     # the two single-class generators commute, so the passes factorize
-    product = qnd_transform(k, VARIANT_CLASS_1) @ qnd_transform(k, VARIANT_CLASS_2)
-    assert np.allclose(both.matrix, product.matrix, atol=1e-12)
+    product = qnd_transform(k, VARIANT_CLASS_2).then(qnd_transform(k, VARIANT_CLASS_1))
+    assert np.allclose(both.x, product.x, atol=1e-12)
 
 
 def _pass_hamiltonian(k, variant):
@@ -235,8 +229,8 @@ def _pass_hamiltonian(k, variant):
                                      VARIANT_BOTH_CLASSES])
 @pytest.mark.parametrize("k", [0.5, 0.83, 1.0, 2.0, -1.3, 1e-8, 1e8])
 def test_qnd_transform_matches_hamiltonian_bit_for_bit(variant, k):
-    got = qnd_transform(k, variant).matrix
-    want = hamiltonian_to_symplectic(_pass_hamiltonian(k, variant)).matrix
+    got = qnd_transform(k, variant).x
+    want = hamiltonian_to_symplectic(_pass_hamiltonian(k, variant)).x
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -251,7 +245,7 @@ def test_qnd_transform_rejects_non_finite_and_overflowing_strength():
     # collective pass has none and stays finite
     with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match=r"k_eff=1e\+200"):
         qnd_transform(1e200, VARIANT_CLASS_1)
-    assert np.isfinite(qnd_transform(1e200).matrix).all()
+    assert np.isfinite(qnd_transform(1e200).x).all()
 
 
 # ---------------------------------------------------------------------------
@@ -260,43 +254,39 @@ def test_qnd_transform_rejects_non_finite_and_overflowing_strength():
 
 def test_atomic_basis_matrix_self_inverse():
     basis = atomic_basis_matrix()
-    assert np.allclose((basis @ basis).matrix, np.eye(8), atol=1e-15)
+    assert np.allclose(basis.then(basis).x, np.eye(8), atol=1e-15)
 
 
-def test_atomic_basis_change_round_trip():
+def test_atomic_basis_matrix_round_trip():
     state = displace(memory_vacuum(), ATOM_PLUS, 2.0, 0.0)
-    swapped = atomic_basis_change(state)
-    assert swapped.basis == BASIS_CLASS
-    assert swapped.modes[2:] == (ATOM_1, ATOM_2)
+    basis = atomic_basis_matrix()
+    swapped = basis.apply(state)
     # the symmetric displacement splits evenly over the two classes
-    assert swapped.mean(ATOM_1, QUAD_X) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    assert swapped.mean(ATOM_2, QUAD_X) == pytest.approx(math.sqrt(2.0), rel=1e-12)
-    back = atomic_basis_change(swapped)
-    assert back.modes == state.modes
+    assert swapped.means[4] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert swapped.means[6] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    back = basis.apply(swapped)
     assert np.allclose(back.means, state.means, atol=1e-12)
-    with pytest.raises(ValueError, match="layout"):
-        atomic_basis_change(vacuum_state((LIGHT_C, LIGHT_S)))
 
 
-def test_common_weak_rotation_quarter_turn_swaps_modes():
+def test_equal_angle_rotation_quarter_turn_swaps_modes():
     expected = np.eye(8)
     expected[4:8, 4:8] = 0.0
     expected[4, 7] = 1.0    # X_plus <- P_minus
     expected[5, 6] = -1.0   # P_plus <- -X_minus
     expected[6, 5] = 1.0    # X_minus <- P_plus
     expected[7, 4] = -1.0   # P_minus <- -X_plus
-    quarter = common_weak_rotation(math.pi / 2.0)
-    assert np.allclose(quarter.matrix, expected, atol=1e-12)
+    quarter = differential_rotation(math.pi / 2.0, math.pi / 2.0)
+    assert np.allclose(quarter.x, expected, atol=1e-12)
     # applied twice it returns each quadrature to its own mode, negated
-    twice = quarter @ quarter
+    twice = quarter.then(quarter)
     expected_sq = np.eye(8)
     expected_sq[4:8, 4:8] = -np.eye(4)
-    assert np.allclose(twice.matrix, expected_sq, atol=1e-12)
+    assert np.allclose(twice.x, expected_sq, atol=1e-12)
 
 
-def test_common_weak_rotation_small_angle():
+def test_equal_angle_rotation_small_angle():
     theta = 1e-3
-    s = common_weak_rotation(theta).matrix
+    s = differential_rotation(theta, theta).x
     assert s[4, 4] == pytest.approx(math.cos(theta), rel=1e-12)
     assert s[4, 7] == pytest.approx(math.sin(theta), rel=1e-9)
 
@@ -307,11 +297,11 @@ def test_differential_rotation_canonical_is_per_mode():
     expected[4:6, 4:6] = quarter
     expected[6:8, 6:8] = quarter
     s = differential_rotation(math.pi / 2.0, -math.pi / 2.0)
-    assert np.allclose(s.matrix, expected, atol=1e-12)
+    assert np.allclose(s.x, expected, atol=1e-12)
 
 
 def test_differential_rotation_light_untouched():
-    s = differential_rotation(0.4, 1.1).matrix
+    s = differential_rotation(0.4, 1.1).x
     assert np.array_equal(s[0:4, 0:4], np.eye(4))
     assert np.max(np.abs(s[0:4, 4:8])) == 0.0
     assert np.max(np.abs(s[4:8, 0:4])) == 0.0
@@ -319,7 +309,7 @@ def test_differential_rotation_light_untouched():
 
 def test_differential_rotation_opposite_pair_not_block_diagonal():
     # a pi phase difference alone does not decouple the collective modes
-    s = differential_rotation(0.3, 0.3 - math.pi).matrix
+    s = differential_rotation(0.3, 0.3 - math.pi).x
     off = max(np.max(np.abs(s[4:6, 6:8])), np.max(np.abs(s[6:8, 4:6])))
     assert off > 1e-3
 
@@ -329,7 +319,7 @@ def test_differential_rotation_opposite_pair_not_block_diagonal():
        st.integers(min_value=-2, max_value=2))
 def test_differential_rotation_block_diagonal_family(phi, wraps):
     # block diagonal exactly when the second angle is -phi mod 2 pi
-    s = differential_rotation(phi, -phi + 2.0 * math.pi * wraps).matrix
+    s = differential_rotation(phi, -phi + 2.0 * math.pi * wraps).x
     off = max(np.max(np.abs(s[4:6, 6:8])), np.max(np.abs(s[6:8, 4:6])))
     assert off < 1e-9
 
@@ -338,8 +328,9 @@ def test_differential_rotation_block_diagonal_family(phi, wraps):
 @given(st.floats(min_value=-6.0, max_value=6.0),
        st.floats(min_value=-6.0, max_value=6.0))
 def test_rotations_are_symplectic(phi_1, phi_2):
-    assert differential_rotation(phi_1, phi_2).symplectic_residual() < 1e-10
-    assert common_weak_rotation(phi_1).symplectic_residual() < 1e-10
+    omega = symplectic_form(4)
+    for s in (differential_rotation(phi_1, phi_2).x, differential_rotation(phi_1, phi_1).x):
+        assert np.abs(s @ omega @ s.T - omega).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +508,8 @@ def test_write_sample_policy():
     assert np.allclose(a.state.cov, mean_run.state.cov, atol=1e-12)
     with pytest.raises(ValueError, match="seed"):
         run_write(1.0, policy=POLICY_SAMPLE)
+    with pytest.raises(ValueError, match="unknown outcome policy 'guess'"):
+        run_write(1.0, policy="guess")
 
 
 def test_write_validation():
@@ -639,7 +632,7 @@ def _random_memory_state(rng):
     """A physical four-mode state: a random thermal state under a random
     symplectic map, displaced."""
     h = rng.normal(size=(8, 8))
-    s = hamiltonian_to_symplectic(0.3 * (h + h.T)).matrix
+    s = hamiltonian_to_symplectic(0.3 * (h + h.T)).x
     nu = np.repeat(0.5 + rng.exponential(0.5, size=4), 2)
     base = memory_vacuum()
     return GaussianState(modes=base.modes, basis=base.basis,
