@@ -54,6 +54,11 @@ POLICY_MEAN = "mean"
 POLICY_SAMPLE = "sample"
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 @functools.cache
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form for (X, P) interleaved ordering.
@@ -66,8 +71,19 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     for j in range(n_modes):
         omega[2 * j, 2 * j + 1] = 1.0
         omega[2 * j + 1, 2 * j] = -1.0
-    omega.setflags(write=False)
-    return omega
+    return _read_only(omega)
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """Read-only n x n identity, built once per size; callers copy it."""
+    return _read_only(np.eye(n))
+
+
+@functools.cache
+def _half_i_omega(n_modes: int) -> np.ndarray:
+    """Read-only 0.5j Omega of the uncertainty bound V + i Omega / 2 >= 0."""
+    return _read_only(0.5j * symplectic_form(n_modes))
 
 
 def rotation_2x2(theta: float) -> np.ndarray:
@@ -169,18 +185,25 @@ def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
     modes = tuple(modes)
     n = 2 * len(modes)
-    diagonal = []  # flat indices of the targets' diagonal entries
+    diagonal = _target_diagonal(modes, tuple(targets))
+    x = _identity(n).copy()
+    y = np.zeros((n, n))
+    x.put(diagonal, math.sqrt(transmission))
+    y.put(diagonal, (1.0 - transmission) * VACUUM_VARIANCE)
+    return GaussianChannel._wrap(x, y)
+
+
+@functools.cache
+def _target_diagonal(modes: tuple[str, ...], targets: tuple[str, ...]) -> np.ndarray:
+    """Flat indices of the targets' diagonal entries, cached per label tuple."""
+    n, diagonal = 2 * len(modes), []
     for label in targets:
         try:
             j = modes.index(label)
         except ValueError:
             raise ValueError(f"unknown mode {label!r}; register has {modes}") from None
         diagonal += ((n + 1) * 2 * j, (n + 1) * (2 * j + 1))
-    x = np.eye(n)
-    y = np.zeros((n, n))
-    x.put(diagonal, math.sqrt(transmission))
-    y.put(diagonal, (1.0 - transmission) * VACUUM_VARIANCE)
-    return GaussianChannel._wrap(x, y)
+    return _read_only(np.array(diagonal, dtype=np.intp))
 
 
 @dataclass(frozen=True)
@@ -218,7 +241,7 @@ class GaussianState:
         if not asym <= SYMMETRY_TOL * scale:
             raise ValueError(f"covariance is not symmetric: asymmetry {asym:.3e}")
         cov = 0.5 * (cov + cov.T)
-        herm = cov + 0.5j * symplectic_form(n)
+        herm = cov + _half_i_omega(n)
         min_eig = float(np.linalg.eigvalsh(herm).min())
         if not min_eig >= -UNCERTAINTY_TOL * scale:
             raise ValueError(
@@ -342,5 +365,8 @@ def homodyne_outcome(mean: float, variance: float, policy: str,
     if policy == POLICY_SAMPLE:
         if rng is None:
             raise ValueError("policy 'sample' requires a seed")
-        return float(rng.normal(mean, math.sqrt(max(variance, 0.0))))
+        if not 0.0 <= variance < math.inf:
+            raise ValueError(f"homodyne variance must be finite and non-negative, got {variance}")
+        # abs only turns -0.0, which numpy rejects as a scale, into 0.0
+        return float(rng.normal(mean, math.sqrt(abs(variance))))
     raise ValueError(f"unknown outcome policy {policy!r}")

@@ -12,14 +12,13 @@ All protocol maps act on four-mode :class:`~qmemcell.gaussian.GaussianState`
 registers in the (light_c, light_s, atom_plus, atom_minus) layout.  A write
 or a read is a list of stages, each an affine
 :class:`~qmemcell.gaussian.GaussianChannel` plus, for the feedback stages,
-the homodyne measurement drawn just before it.  Their composition gives
-the transfer map and the added noise; one loop over the stages gives the
-final state and the outcomes.
+the homodyne measurement drawn just before it.  One fold over the
+stages gives the final state, the outcomes and the composed channel,
+whose (X, Y) give the transfer map and the added noise.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -28,20 +27,15 @@ import numpy as np
 from .decoherence import DecoherenceBudget
 from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_PLUS_MINUS, LIGHT_C, LIGHT_S,
                        MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, QUAD_P, QUAD_X,
-                       GaussianChannel, GaussianState, attenuation_channel,
-                       homodyne_outcome, memory_vacuum, rotation_2x2,
-                       symplectic_form)
+                       GaussianChannel, GaussianState, _identity, _read_only,
+                       attenuation_channel, homodyne_outcome, memory_vacuum,
+                       rotation_2x2, symplectic_form)
 
 #: pass-interaction variants
 VARIANT_TWO_CLASS = "two_class"
 VARIANT_CLASS_1 = "class1"
 VARIANT_CLASS_2 = "class2"
 VARIANT_BOTH_CLASSES = "both_classes"
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.setflags(write=False)
-    return array
 
 
 #: ideal decode matrices: stored block = D @ input block for a write,
@@ -89,7 +83,7 @@ def _unit_generator(couplings: tuple) -> np.ndarray:
 #: unit-strength generator of each pass variant, built once
 _PASS_GENERATORS = {variant: _unit_generator(couplings)
                     for variant, couplings in _PASS_COUPLINGS.items()}
-_EYE8 = _read_only(np.eye(8))
+_EYE8 = _identity(8)
 
 
 def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianChannel:
@@ -276,11 +270,11 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
     # the feedforward composed with the reset: X is the feedforward with the
     # measured mode's rows zeroed, Y is the reset's vacuum refill; adding
     # 0.0 turns a gain of -0.0 into the +0.0 that the matrix product gives
-    x = np.eye(8)
+    x = _EYE8.copy()
     x[q_tgt, q_meas] = gain + 0.0
     first = q_meas - q_meas % 2
     x[first:first + 2] = 0.0
-    return GaussianChannel._wrap(x, _RESETS[measured_mode].y), (name, q_meas, q_tgt, gain)
+    return name, GaussianChannel._wrap(x, _RESETS[measured_mode].y), (q_meas, q_tgt, gain)
 
 
 def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
@@ -289,14 +283,14 @@ def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     modes, loss = MEMORY_MODES_PLUS_MINUS, budget.boundary_loss
     n_entry = budget.n_boundaries // 2
     return [
-        (boundary_loss_channel(modes, loss, n_entry, _LIGHT_MODES), None),
-        (qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
-        (boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry, _LIGHT_MODES),
-         None),
+        ("entry_loss", boundary_loss_channel(modes, loss, n_entry, _LIGHT_MODES), None),
+        ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
+        ("exit_loss", boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry,
+                                            _LIGHT_MODES), None),
         _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
         _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -gain),
-        (spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
-        (scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
+        ("collisions", spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
+        ("scattering", scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
     ]
 
 
@@ -305,36 +299,45 @@ def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     quarter turn of the collective modes, a second pass, homodyne
     feedback of P_plus and X_minus onto the light, the exit crossing and
     a final quarter turn of both sidebands."""
-    modes = MEMORY_MODES_PLUS_MINUS
+    modes, loss = MEMORY_MODES_PLUS_MINUS, budget.boundary_loss
     n_exit = budget.n_boundaries - budget.n_boundaries // 2
     return [
-        (spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
-        (scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
-        (_FRESH_PULSE, None),
-        (_QUARTER_TURN, None),
-        (qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
+        ("collisions", spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
+        ("scattering", scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
+        ("fresh_pulse", _FRESH_PULSE, None),
+        ("quarter_turn", _QUARTER_TURN, None),
+        ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
         _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
         _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
-        (boundary_loss_channel(modes, budget.boundary_loss, n_exit, _LIGHT_MODES), None),
-        (_ALIGN, None),
+        ("exit_loss", boundary_loss_channel(modes, loss, n_exit, _LIGHT_MODES), None),
+        ("align", _ALIGN, None),
     ]
 
 
 def _run_stages(stages: list, means: np.ndarray, cov: np.ndarray, policy: str,
                 rng: np.random.Generator | None
-                ) -> tuple[np.ndarray, np.ndarray, dict[str, float]]:
-    """Push raw (means, covariance) through the stages, drawing each
-    homodyne outcome from the marginal just before its feedback stage."""
-    outcomes = {}
-    for channel, feedback in stages:
+                ) -> tuple[np.ndarray, np.ndarray, dict[str, float], GaussianChannel]:
+    """One fold over the stages: raw (means, covariance) after them, the
+    homodyne outcomes, each drawn just before its feedback stage, and the
+    composed channel, chained from the first stage's (X, Y) as ``then``
+    does.  The covariance and the composed Y obey the same V -> X V X^T + Y,
+    so one batched product per stage advances both, bit for bit."""
+    outcomes, xc = {}, None
+    for name, channel, feedback in stages:
+        x = channel.x
         if feedback is not None:
-            name, q_meas, q_tgt, gain = feedback
+            q_meas, q_tgt, gain = feedback
             mean = means[q_meas]
             outcomes[name] = homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
-        means, cov = channel.propagate(means, cov)
+        means = x @ means
+        if xc is None:
+            xc, stack = x, np.array((x @ cov @ x.T + channel.y, channel.y))
+        else:
+            xc, stack = x @ xc, x @ stack @ x.T + channel.y
+        cov = stack[0]
         if feedback is not None:
             means[q_tgt] += gain * (outcomes[name] - mean)
-    return means, cov, outcomes
+    return means, cov, outcomes, GaussianChannel._wrap(xc, stack[1])
 
 
 def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
@@ -349,8 +352,10 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     input against the output covariance.  The two channels are averaged.
     A decoded output covariance that is not positive definite in double
     precision (noise so large that its determinant cancels) raises
-    ValueError.
+    ValueError, and so does a non-finite argument or a non-integer n_phases.
     """
+    if isinstance(n_phases, bool) or not isinstance(n_phases, (int, np.integer)):
+        raise ValueError(f"n_phases must be an integer, got {n_phases!r}")
     if n_phases < 1:
         raise ValueError(f"n_phases must be positive, got {n_phases}")
     transfer_map = np.asarray(transfer_map, dtype=float)
@@ -359,6 +364,10 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
         raise ValueError("transfer map and output covariance must be 4x4")
     if np.shape(decode_c) != (2, 2) or np.shape(decode_s) != (2, 2):
         raise ValueError("decode matrices must be 2x2")
+    for label, a in (("transfer_map", transfer_map), ("output_cov", output_cov),
+                     ("decode_c", decode_c), ("decode_s", decode_s), ("amplitude", amplitude)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{label} must be finite")
     undo = np.stack([np.linalg.inv(decode_c), np.linalg.inv(decode_s)])
     return _ring_fidelity(transfer_map, output_cov, undo, _phase_ring(amplitude, n_phases))
 
@@ -402,8 +411,8 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
          gain: float | None, budget: DecoherenceBudget | None, policy: str,
          seed: int | None, in_block: slice, out_block: slice,
          undo: np.ndarray) -> ProtocolResult:
-    """One protocol run: the final state from the stage loop, and the
-    transfer map, added noise and fidelity from the composed channel.
+    """One protocol run: the final state and the composed channel from one
+    fold over the stages, and the transfer map, added noise and fidelity.
 
     The composed channel (X, Y) is exact: the mean map has zero offset,
     so the transfer map is the block X[out, in], and a vacuum input
@@ -424,9 +433,13 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
     # an extreme gain or k_eff overflows; report it once, by name
     with np.errstate(over="ignore", invalid="ignore"):
         stages = stage_builder(k_eff, gain, budget)
-        channel = functools.reduce(GaussianChannel.then, (ch for ch, _ in stages))
+        try:
+            means, cov, outcomes, channel = _run_stages(stages, state.means, state.cov,
+                                                        policy, rng)
+        except ValueError as exc:  # a homodyne draw: a bad policy, or an overflowed variance
+            raise ValueError(f"a protocol stage fails at gain={gain!r}, k_eff={k_eff!r}: "
+                             f"{exc}") from None
         vacuum_out = 0.5 * channel.x @ channel.x.T + channel.y
-        means, cov, outcomes = _run_stages(stages, state.means, state.cov, policy, rng)
         if not all(np.isfinite(a).all() for a in (vacuum_out, means, cov)):
             raise ValueError(
                 f"protocol map is not finite at gain={gain!r}, k_eff={k_eff!r}")

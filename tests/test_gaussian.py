@@ -27,9 +27,12 @@ from qmemcell.gaussian import (
     LIGHT_S,
     MEMORY_MODES_CLASS,
     MEMORY_MODES_PLUS_MINUS,
+    POLICY_MEAN,
+    POLICY_SAMPLE,
     QUAD_P,
     QUAD_X,
     GaussianChannel,
+    homodyne_outcome,
     rotation_2x2,
 )
 
@@ -298,6 +301,33 @@ def test_attenuation_channel_unknown_label_and_range_errors():
     # the transmission is checked before any label
     with pytest.raises(ValueError, match=r"transmission must lie in \[0, 1\], got 1.5"):
         attenuation_channel(MEMORY_MODES_PLUS_MINUS, ("light_x",), 1.5)
+
+
+def test_attenuation_channel_rejects_an_unknown_label_on_every_call():
+    # the cached diagonal indices never cache a failed lookup
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"unknown mode 'light_x'"):
+            attenuation_channel(MEMORY_MODES_PLUS_MINUS, ("light_x",), 0.5)
+    # the same targets in a different register give that register's indices
+    plus_minus = attenuation_channel(MEMORY_MODES_PLUS_MINUS, (LIGHT_S,), 0.0)
+    two_mode = attenuation_channel((LIGHT_S, LIGHT_C), (LIGHT_S,), 0.0)
+    assert np.array_equal(np.diag(plus_minus.x), [1, 1, 0, 0, 1, 1, 1, 1])
+    assert np.array_equal(np.diag(two_mode.x), [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("variance", [-5.0, -1e-300, math.nan, math.inf])
+def test_homodyne_sample_rejects_a_negative_or_non_finite_variance(variance):
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError, match=r"^homodyne variance must be finite and "
+                                         r"non-negative, got (-|nan|inf)"):
+        homodyne_outcome(0.3, variance, POLICY_SAMPLE, rng)
+    # the mean policy draws nothing and reads no variance
+    assert homodyne_outcome(0.3, variance, POLICY_MEAN, None) == 0.3
+
+
+def test_homodyne_sample_of_zero_variance_is_the_mean():
+    for zero in (0.0, -0.0):
+        assert homodyne_outcome(0.3, zero, POLICY_SAMPLE, np.random.default_rng(1)) == 0.3
 
 
 def test_channel_copies_caller_arrays_and_is_read_only():

@@ -1,7 +1,9 @@
 """QND pass maps, rotations, and the write/read protocol."""
 
 import dataclasses
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -400,6 +402,42 @@ def test_mean_fidelity_validation():
             mean_fidelity(np.eye(4), np.eye(4), decode_c, decode_s)
 
 
+def _poisoned(value):
+    array = np.eye(4)
+    array[1, 2] = value
+    return array
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mean_fidelity_rejects_non_finite_arguments_by_name(bad):
+    eye4, eye2 = 0.5 * np.eye(4), np.eye(2)
+    cases = {
+        "transfer_map": lambda: mean_fidelity(_poisoned(bad), eye4, eye2, eye2),
+        "output_cov": lambda: mean_fidelity(np.eye(4), _poisoned(bad), eye2, eye2),
+        "decode_c": lambda: mean_fidelity(np.eye(4), eye4, _poisoned(bad)[1:3, 1:3], eye2),
+        "decode_s": lambda: mean_fidelity(np.eye(4), eye4, eye2, [[1.0, bad], [0.0, 1.0]]),
+        "amplitude": lambda: mean_fidelity(np.eye(4), eye4, eye2, eye2, amplitude=bad),
+    }
+    # the check comes before any arithmetic, so no numpy warning fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for label, call in cases.items():
+            with pytest.raises(ValueError, match=rf"^{label} must be finite$"):
+                call()
+
+
+@pytest.mark.parametrize("n_phases", [2.5, 7.0, True, "7", None])
+def test_mean_fidelity_rejects_a_non_integer_ring_by_name(n_phases):
+    with pytest.raises(ValueError, match=r"^n_phases must be an integer, got "):
+        mean_fidelity(np.eye(4), 0.5 * np.eye(4), np.eye(2), np.eye(2), n_phases=n_phases)
+
+
+def test_mean_fidelity_takes_numpy_integer_rings():
+    args = (np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([0.5, 1.0, 1.0, 0.5]),
+            WRITE_DECODE_C, WRITE_DECODE_S)
+    assert mean_fidelity(*args, n_phases=np.int64(7)) == mean_fidelity(*args, n_phases=7)
+
+
 def _ring_fidelity_per_block(transfer, cov, undo_c, undo_s, ring):
     """The fidelity sum one channel block at a time."""
     total = 0.0
@@ -542,7 +580,7 @@ PROTOCOL_FEEDBACKS = [
 @pytest.mark.parametrize("stage", PROTOCOL_FEEDBACKS)
 def test_feedback_matches_feed_then_reset_bit_for_bit(stage, gain):
     name, measured_mode, measured_quad, target_mode, target_quad = stage
-    channel, feedback = memory._feedback(*stage, gain)
+    stage_name, channel, feedback = memory._feedback(*stage, gain)
     base = memory_vacuum()
     q_meas = base.quad_index(measured_mode, measured_quad)
     q_tgt = base.quad_index(target_mode, target_quad)
@@ -553,7 +591,8 @@ def test_feedback_matches_feed_then_reset_bit_for_bit(stage, gain):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
         assert not got.flags.writeable
-    assert feedback == (name, q_meas, q_tgt, gain)
+    assert stage_name == name
+    assert feedback == (q_meas, q_tgt, gain)
 
 
 def test_write_fidelity_degrades_with_spin_exchange():
@@ -639,6 +678,26 @@ def _random_memory_state(rng):
                          means=rng.normal(scale=2.0, size=8), cov=s @ np.diag(nu) @ s.T)
 
 
+def _stage_loop(stages, means, cov, policy, rng):
+    """Stage by stage with ``propagate``, drawing each homodyne outcome
+    just before its feedback stage, as a reference for the fold."""
+    outcomes = {}
+    for name, channel, feedback in stages:
+        if feedback is not None:
+            q_meas, q_tgt, gain = feedback
+            mean = means[q_meas]
+            outcomes[name] = gaussian.homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
+        means, cov = channel.propagate(means, cov)
+        if feedback is not None:
+            means[q_tgt] += gain * (outcomes[name] - mean)
+    return means, cov, outcomes
+
+
+def _assert_bit_equal(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_composed_channel_matches_stages(seed):
@@ -652,23 +711,52 @@ def test_composed_channel_matches_stages(seed):
     for builder, run in ((_write_stages, run_write), (_read_stages, run_read)):
         stages = builder(k_eff, gain, budget)
         means, cov = state.means, state.cov
-        for channel, _ in stages:
+        for _, channel, _ in stages:
             means, cov = channel.propagate(means, cov)
-        composed = stages[0][0]
-        for channel, _ in stages[1:]:
-            composed = composed.then(channel)
+        composed = functools.reduce(GaussianChannel.then, (ch for _, ch, _ in stages))
         out = composed.apply(state)
         scale = max(1.0, float(np.max(np.abs(cov))))
         assert np.allclose(out.means, means, rtol=0.0, atol=1e-12 * scale)
         assert np.allclose(out.cov, cov, rtol=0.0, atol=1e-12 * scale)
-        # the mean-policy stage loop with its outcome draws is the same map
-        loop_means, loop_cov, _ = _run_stages(stages, state.means, state.cov,
-                                              "mean", None)
-        assert np.allclose(loop_means, means, rtol=0.0, atol=1e-12 * scale)
-        assert np.array_equal(loop_cov, cov)
+        # the fold composes the channel and propagates the state with the
+        # float operations of then and propagate, under both policies
+        for policy, draw_seed in (("mean", None), (POLICY_SAMPLE, seed)):
+            draws = [None if draw_seed is None else np.random.default_rng(draw_seed)
+                     for _ in range(2)]
+            fold_means, fold_cov, fold_outcomes, fold = _run_stages(
+                stages, state.means, state.cov, policy, draws[0])
+            want_means, want_cov, want_outcomes = _stage_loop(
+                stages, state.means, state.cov, policy, draws[1])
+            _assert_bit_equal(fold.x, composed.x)
+            _assert_bit_equal(fold.y, composed.y)
+            _assert_bit_equal(fold_means, want_means)
+            _assert_bit_equal(fold_cov, want_cov)
+            assert fold_outcomes == want_outcomes
+            assert list(fold_outcomes) == [name for name, _, fb in stages if fb is not None]
+            _assert_bit_equal(fold_cov, cov)
+            if draw_seed is None:
+                # mean-policy draws leave the means of the plain propagation
+                assert np.allclose(fold_means, means, rtol=0.0, atol=1e-12 * scale)
         result = run(k_eff, state=state, gain=gain, budget=budget)
         assert np.allclose(result.state.cov, cov, rtol=0.0, atol=1e-12 * scale)
         assert np.allclose(result.state.means, means, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_stage_names_of_both_builders():
+    budget = DecoherenceBudget()
+    write = _write_stages(1.0, -1.0, budget)
+    read = _read_stages(1.0, -1.0, budget)
+    assert [name for name, _, _ in write] == [
+        "entry_loss", "pass", "exit_loss", "m_c", "m_s", "collisions", "scattering"]
+    assert [name for name, _, _ in read] == [
+        "collisions", "scattering", "fresh_pulse", "quarter_turn", "pass", "m_plus",
+        "m_minus", "exit_loss", "align"]
+    # exactly the feedback stages carry a measurement, keyed by the stage name
+    for stages, run, want in ((write, run_write, {"m_c", "m_s"}),
+                              (read, run_read, {"m_plus", "m_minus"})):
+        assert all(isinstance(ch, GaussianChannel) for _, ch, _ in stages)
+        assert {name for name, _, fb in stages if fb is not None} == want
+        assert set(run(1.0).measurements) == want
 
 
 def _module_arrays(module) -> list[np.ndarray]:
@@ -704,8 +792,31 @@ def test_module_constants_are_read_only():
     new = [*memory._PASS_GENERATORS.values(), *memory._CHANNEL_BLOCKS, memory._EYE8,
            memory._EYE2, memory._WRITE_UNDO, memory._READ_UNDO]
     assert all(id(array) in checked for array in new)
-    fixed = {id(ch) for ch, _ in _read_stages(1.0, -1.0, DecoherenceBudget())}
+    fixed = {id(ch) for _, ch, _ in _read_stages(1.0, -1.0, DecoherenceBudget())}
     assert {id(memory._FRESH_PULSE), id(memory._QUARTER_TURN), id(memory._ALIGN)} <= fixed
+
+
+def test_cached_constants_are_read_only_and_channels_own_their_x():
+    # functools caches hold these, out of reach of the module walk above
+    cached = [gaussian._identity(8), gaussian._half_i_omega(4),
+              gaussian._target_diagonal(memory.MEMORY_MODES_PLUS_MINUS, (ATOM_PLUS, ATOM_MINUS))]
+    assert memory._EYE8 is cached[0]
+    for array in cached:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 7.0
+    assert np.array_equal(cached[0], np.eye(8))
+    assert np.array_equal(cached[1], 0.5j * symplectic_form(4))
+    # channels built from the shared identity copy it: no two share an X
+    modes = memory.MEMORY_MODES_PLUS_MINUS
+    built = [gaussian.attenuation_channel(modes, (LIGHT_C,), 0.5),
+             gaussian.attenuation_channel(modes, (LIGHT_C,), 0.5),
+             memory.spin_exchange_channel(modes, 0.1),
+             *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS),
+             *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS)]
+    buffers = [cached[0], *(channel.x for channel in built)]
+    for i, a in enumerate(buffers):
+        assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
 
 
 def test_protocol_overflow_names_gain_and_k_eff():
@@ -713,6 +824,11 @@ def test_protocol_overflow_names_gain_and_k_eff():
         run_write(1.0, gain=1e300)
     with pytest.raises(ValueError, match="k_eff=1e[+]200"):
         run_read(1e200)
+    # under the sample policy the overflow reaches a homodyne draw first
+    for run in (run_write, run_read):
+        with pytest.raises(ValueError, match=r"k_eff=1e\+200: homodyne variance must be "
+                                             r"finite and non-negative, got (inf|nan)$"):
+            run(1e200, policy=POLICY_SAMPLE, seed=1)
 
 
 def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
