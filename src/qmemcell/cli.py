@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .report import (RENDERERS, STATUS_PASS, ReportRow, SWEEP_QUANTITIES,
+from .report import (QUANTITIES, RENDERERS, STATUS_PASS, ReportRow,
                      compensate_rows, decoherence_rows, memory_sim_rows,
                      paper_check_rows, pulse_design_rows, pump_rows,
                      render_rows, shifts_rows)
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate one quantity over a parameter grid")
     p.add_argument("--param", required=True, choices=sorted(_SCALAR_KEYS),
                    help="scenario key to vary")
-    p.add_argument("--quantity", required=True, choices=sorted(SWEEP_QUANTITIES),
+    p.add_argument("--quantity", required=True, choices=sorted(QUANTITIES),
                    help="quantity to evaluate at each point")
     p.add_argument("--values", default=None,
                    help="comma-separated list of parameter values")
@@ -161,7 +161,7 @@ def _sweep_values(args) -> list[float]:
 def _sweep_rows(config, args) -> list[ReportRow]:
     values = _sweep_values(args)
     quantity, param = args.quantity, args.param
-    func, unit = SWEEP_QUANTITIES[quantity]
+    func, unit = QUANTITIES[quantity]
     return [ReportRow(f"{quantity}[{param}={value:g}]",
                       func(scenario_with(config, param, value)), unit)
             for value in values]

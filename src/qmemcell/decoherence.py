@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData, angular_to_hz,
                         saturation_intensity)
 from .scenario import ScenarioConfig, ScenarioError
+from .shifts import stark_compensation_intensity
 
 #: width conventions for the Doppler average
 WIDTH_HWHM = "hwhm"
@@ -72,10 +73,8 @@ def faddeeva(z):
     return 2.0 * p / (denom * denom) + _INV_SQRT_PI / denom
 
 
-def scattering_rate(intensity: float, detuning: float,
-                    gamma: float = CESIUM.gamma_d1,
-                    wavelength: float = CESIUM.lambda_d1,
-                    constants: PhysicalConstants = CODATA) -> float:
+def scattering_rate(intensity: float, detuning: float, gamma: float,
+                    wavelength: float, constants: PhysicalConstants = CODATA) -> float:
     """Photon scattering rate (1/s) of a two-level atom.
 
     Gamma_ph = (gamma/2) s/(1+s) with saturation parameter
@@ -89,10 +88,8 @@ def scattering_rate(intensity: float, detuning: float,
 
 
 def doppler_averaged_scattering(intensity: float, center_detuning: float,
-                                doppler_halfwidth: float,
-                                gamma: float = CESIUM.gamma_d1,
-                                wavelength: float = CESIUM.lambda_d1,
-                                width_convention: str = WIDTH_HWHM,
+                                doppler_halfwidth: float, gamma: float,
+                                wavelength: float, width_convention: str = WIDTH_HWHM,
                                 constants: PhysicalConstants = CODATA) -> float:
     """Scattering rate averaged over the Doppler-shifted detuning.
 
@@ -138,6 +135,23 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
             f"doppler average is not finite: intensity={intensity}, "
             f"center={center_detuning}, sigma={sigma}")
     return value
+
+
+def edge_scattering_rate(intensity: float, delta_s: float, species: SpeciesData,
+                         constants: PhysicalConstants = CODATA) -> float:
+    """Doppler-averaged scattering rate (1/s) of the edge-pumped atoms in D1 light
+    at ``delta_s`` from the line center: they are resonant at Delta_2/2, so the
+    mean detuning is |Delta_S| - Delta_2/2.  The line data are the species' own."""
+    return doppler_averaged_scattering(
+        intensity, abs(delta_s) - species.delta2 / 2.0, species.doppler_halfwidth,
+        species.gamma_d1, species.lambda_d1, constants=constants)
+
+
+def compensation_scattering_rate(config: ScenarioConfig) -> float:
+    """Scattering rate (1/s) of the slope-compensation light of the configured point."""
+    sp = config.species
+    intensity = stark_compensation_intensity(config.omega_b, config.stark_detuning, sp)
+    return edge_scattering_rate(intensity, config.stark_detuning, sp)
 
 
 def scattered_photon_limit(species: SpeciesData = CESIUM) -> float:
@@ -231,31 +245,22 @@ class DecoherenceBudget:
             raise ValueError(f"n_boundaries must be non-negative, got {self.n_boundaries}")
 
     @classmethod
-    def from_scenario(cls, config: ScenarioConfig,
-                      constants: PhysicalConstants = CODATA) -> "DecoherenceBudget":
+    def from_scenario(cls, config: ScenarioConfig) -> "DecoherenceBudget":
         """Budget of the configured operating point.
 
-        Scattering is evaluated for the slope-compensation light at the
-        configured Stark detuning; the mean detuning from the resonance
-        of the edge-pumped atoms is |Delta_S| - Delta_2/2.  A pulse with
-        a collision probability of 1 or more, or that scatters one
-        photon per atom or more, raises ScenarioError.
+        Scattering is that of the slope-compensation light
+        (:func:`compensation_scattering_rate`).  A pulse with a collision
+        probability of 1 or more, or that scatters one photon per atom or
+        more, raises ScenarioError.
         """
-        from .shifts import stark_compensation_intensity
-        sp = config.species
-        eta = spin_exchange_probability(config.pulse_duration, sp,
+        eta = spin_exchange_probability(config.pulse_duration, config.species,
                                         density=config.atom_density)
         if eta >= 1.0:
             raise ScenarioError(
                 f"fields 'atom_density_m3' = {config.atom_density:g} m^-3 and 'tau_s' = "
                 f"{config.pulse_duration:g} s give a spin-exchange probability of "
                 f"{eta:.3g} per pulse; the collision channel needs eta < 1")
-        i_s = stark_compensation_intensity(config.omega_b, config.stark_detuning,
-                                           sp, constants)
-        gamma_ph = doppler_averaged_scattering(
-            i_s, abs(config.stark_detuning) - sp.delta2 / 2.0,
-            sp.doppler_halfwidth, gamma=sp.gamma_d1,
-            wavelength=sp.lambda_d1, constants=constants)
+        gamma_ph = compensation_scattering_rate(config)
         n_phot = gamma_ph * config.pulse_duration
         if n_phot >= 1.0:
             # the rate follows the compensation light, whose intensity
@@ -266,5 +271,4 @@ class DecoherenceBudget:
                 f"{angular_to_hz(config.stark_detuning):g} Hz scatter {n_phot:.3g} "
                 f"photons per atom at {gamma_ph:.4g} /s from the compensation light; "
                 "the scattering channel needs fewer than 1 per pulse (n_phot < 1)")
-        return cls(eta=eta, gamma_ph=gamma_ph, n_phot=n_phot,
-                   boundary_loss=config.boundary_loss, n_boundaries=2)
+        return cls(eta=eta, gamma_ph=gamma_ph, n_phot=n_phot, boundary_loss=config.boundary_loss)

@@ -352,7 +352,9 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     input against the output covariance.  The two channels are averaged.
     A decoded output covariance that is not positive definite in double
     precision (noise so large that its determinant cancels) raises
-    ValueError, and so does a non-finite argument or a non-integer n_phases.
+    ValueError, and so does a non-finite argument, a decode matrix without
+    a finite inverse, a finite argument so large that the computation
+    overflows, or a non-integer n_phases; the message names the argument.
     """
     if isinstance(n_phases, bool) or not isinstance(n_phases, (int, np.integer)):
         raise ValueError(f"n_phases must be an integer, got {n_phases!r}")
@@ -369,7 +371,22 @@ def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
         if not np.isfinite(a).all():
             raise ValueError(f"{label} must be finite")
     undo = np.stack([np.linalg.inv(decode_c), np.linalg.inv(decode_s)])
-    return _ring_fidelity(transfer_map, output_cov, undo, _phase_ring(amplitude, n_phases))
+    for label, inverse in zip(("decode_c", "decode_s"), undo):
+        if not np.isfinite(inverse).all():
+            raise ValueError(f"{label} has no finite inverse")
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            fidelity = _ring_fidelity(transfer_map, output_cov, undo,
+                                      _phase_ring(amplitude, n_phases))
+        if not math.isfinite(fidelity):  # einsum sets no floating-point flags
+            raise FloatingPointError(f"a fidelity of {fidelity!r}")
+    except FloatingPointError as exc:
+        # name the argument of the largest magnitude, a decode matrix by its inverse
+        sizes = {"transfer_map": np.abs(transfer_map).max(),
+                 "output_cov": np.abs(output_cov).max(), "decode_c": np.abs(undo[0]).max(),
+                 "decode_s": np.abs(undo[1]).max(), "amplitude": abs(amplitude)}
+        raise ValueError(f"{max(sizes, key=sizes.get)} is out of range: {exc}") from None
+    return fidelity
 
 
 def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:

@@ -342,36 +342,35 @@ def zeeman_pi_pulse(tau: float, species: SpeciesData = CESIUM,
     )
 
 
-def stark_pi_pulse(tau: float, delta_s: float,
-                   species: SpeciesData = CESIUM,
-                   constants: PhysicalConstants = CODATA,
-                   scattering_cost: bool = True) -> PulseDesign:
-    """Light pulse on D1 whose tensor ladder accumulates a pi edge phase.
+def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM,
+                       constants: PhysicalConstants = CODATA) -> float:
+    """D1 intensity (W/m^2) whose tensor ladder accumulates a pi edge phase in tau.
 
     I_S = 32 pi^3 hbar c |Delta_2^2 - 4 Delta_S^2|
           / (7 lambda^3 gamma Delta_2 tau)  for F = 4; far off resonance
     this approaches 128 pi^3 hbar c Delta_S^2/(7 lambda^3 gamma Delta_2 tau).
-
-    ``scattered_photons`` reports the Doppler-averaged photon-scattering
-    cost per atom of the pulse, evaluated at the mean detuning of the
-    field from the resonance of the edge-pumped atoms.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     factor = 4 * species.f_ground - 2
     unit = stark_ladder(1.0, delta_s, species, constants)
-    span_per_intensity = factor * abs(unit.affine_coefficients()[1])
-    intensity = math.pi / (tau * span_per_intensity)
+    return math.pi / (tau * (factor * abs(unit.affine_coefficients()[1])))
+
+
+def stark_pi_pulse(tau: float, delta_s: float,
+                   species: SpeciesData = CESIUM,
+                   constants: PhysicalConstants = CODATA) -> PulseDesign:
+    """Light pulse on D1 at :func:`stark_pi_intensity`.
+
+    ``scattered_photons`` reports the Doppler-averaged photon-scattering
+    cost per atom of the pulse, that of the edge-pumped atoms (see
+    :func:`qmemcell.decoherence.edge_scattering_rate`).
+    """
+    intensity = stark_pi_intensity(tau, delta_s, species, constants)
     ladder = stark_ladder(intensity, delta_s, species, constants)
     phase = ladder.spread() * tau
-    n_phot = 0.0
-    if scattering_cost:
-        from .decoherence import doppler_averaged_scattering
-        rate = doppler_averaged_scattering(
-            intensity, abs(delta_s) - species.delta2 / 2.0,
-            species.doppler_halfwidth, gamma=species.gamma_d1,
-            wavelength=species.lambda_d1, constants=constants)
-        n_phot = rate * tau
+    from .decoherence import edge_scattering_rate
+    n_phot = edge_scattering_rate(intensity, delta_s, species, constants) * tau
     return PulseDesign(
         mechanism=MECH_STARK,
         duration=tau,

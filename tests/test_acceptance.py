@@ -96,8 +96,10 @@ def test_04_doppler_averaged_scattering():
     center = DELTA_S - CESIUM.delta2 / 2.0
     start = time.perf_counter()
     hwhm = doppler_averaged_scattering(intensity, center, CESIUM.doppler_halfwidth,
+                                       CESIUM.gamma_d1, CESIUM.lambda_d1,
                                        width_convention=WIDTH_HWHM)
     sigma = doppler_averaged_scattering(intensity, center, CESIUM.doppler_halfwidth,
+                                        CESIUM.gamma_d1, CESIUM.lambda_d1,
                                         width_convention=WIDTH_SIGMA)
     elapsed = time.perf_counter() - start
     ok = 10.8 <= hwhm <= 25.2 and 10.8 <= sigma <= 25.2 and elapsed < 1.0

@@ -7,6 +7,7 @@ import pytest
 
 from qmemcell import (
     CESIUM,
+    CODATA,
     DecoherenceBudget,
     boundary_loss_budget,
     boundary_loss_channel,
@@ -43,46 +44,49 @@ I_COMP = stark_compensation_intensity(OMEGA_B, DELTA_S)
 
 
 def test_scattering_rate_saturates_at_half_gamma():
-    rate = scattering_rate(1.0e6 * I_SAT_D1, 0.0)
+    rate = scattering_rate(1.0e6 * I_SAT_D1, 0.0, CESIUM.gamma_d1, CESIUM.lambda_d1)
     assert rate == pytest.approx(CESIUM.gamma_d1 / 2.0, rel=2e-6)
 
 
 def test_scattering_rate_far_detuned_approximation():
     detuning = 100.0 * CESIUM.gamma_d1
-    exact = scattering_rate(I_SAT_D1, detuning)
+    exact = scattering_rate(I_SAT_D1, detuning, CESIUM.gamma_d1, CESIUM.lambda_d1)
     approx = (CESIUM.gamma_d1 / 2.0) * (CESIUM.gamma_d1 / (2.0 * detuning)) ** 2
     assert approx == pytest.approx(exact, rel=1e-2)
 
 
 def test_scattering_rate_validation():
-    assert scattering_rate(0.0, 0.0) == 0.0
+    assert scattering_rate(0.0, 0.0, CESIUM.gamma_d1, CESIUM.lambda_d1) == 0.0
     with pytest.raises(ValueError):
-        scattering_rate(-1.0, 0.0)
+        scattering_rate(-1.0, 0.0, CESIUM.gamma_d1, CESIUM.lambda_d1)
 
 
 def test_doppler_zero_width_reduces_to_plain_rate():
-    plain = scattering_rate(I_COMP, CENTER)
-    assert doppler_averaged_scattering(I_COMP, CENTER, 0.0) == plain
+    plain = scattering_rate(I_COMP, CENTER, CESIUM.gamma_d1, CESIUM.lambda_d1)
+    assert doppler_averaged_scattering(I_COMP, CENTER, 0.0, CESIUM.gamma_d1,
+                                       CESIUM.lambda_d1) == plain
     assert plain == pytest.approx(17.10567708718324, rel=1e-12)
 
 
 def test_doppler_average_frozen_both_conventions():
     hwhm = doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth,
+                                       CESIUM.gamma_d1, CESIUM.lambda_d1,
                                        width_convention=WIDTH_HWHM)
     sigma = doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth,
+                                        CESIUM.gamma_d1, CESIUM.lambda_d1,
                                         width_convention=WIDTH_SIGMA)
     assert hwhm == pytest.approx(17.339887707386037, rel=1e-9)
     assert sigma == pytest.approx(17.433316542154696, rel=1e-9)
     # reading the width as a sigma broadens the profile, so more weight
     # reaches the near-resonant wing
-    assert sigma > hwhm > scattering_rate(I_COMP, CENTER)
+    assert sigma > hwhm > scattering_rate(I_COMP, CENTER, CESIUM.gamma_d1, CESIUM.lambda_d1)
 
 
 def _trapezoid_doppler(intensity, center, sigma, gamma):
     # dense uniform grid over +-12 sigma; the trapezoid rule converges
     # geometrically once the spacing is well below the Lorentzian width
     u, du = np.linspace(-12.0, 12.0, 1_200_001, retstep=True)
-    f = (scattering_rate(intensity, center + sigma * u, gamma)
+    f = (scattering_rate(intensity, center + sigma * u, gamma, CESIUM.lambda_d1)
          * np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi))
     return du * (f.sum() - 0.5 * (f[0] + f[-1]))
 
@@ -100,6 +104,7 @@ def test_doppler_average_matches_dense_trapezoid(center_over_sigma, gamma_over_s
     intensity = s0 * saturation_intensity(gamma, CESIUM.lambda_d1)
     center = center_over_sigma * sigma
     got = doppler_averaged_scattering(intensity, center, sigma, gamma=gamma,
+                                      wavelength=CESIUM.lambda_d1,
                                       width_convention=WIDTH_SIGMA)
     ref = _trapezoid_doppler(intensity, center, sigma, gamma)
     assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
@@ -108,22 +113,26 @@ def test_doppler_average_matches_dense_trapezoid(center_over_sigma, gamma_over_s
 def test_doppler_average_of_default_point_matches_dense_trapezoid():
     sigma = CESIUM.doppler_halfwidth / math.sqrt(2.0 * math.log(2.0))
     ref = _trapezoid_doppler(I_COMP, CENTER, sigma, CESIUM.gamma_d1)
-    assert doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth) == \
+    assert doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth,
+                                       CESIUM.gamma_d1, CESIUM.lambda_d1) == \
         pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_doppler_average_rejects_bad_intensity():
     with pytest.raises(ValueError, match="intensity"):
-        doppler_averaged_scattering(-1.0, CENTER, CESIUM.doppler_halfwidth)
+        doppler_averaged_scattering(-1.0, CENTER, CESIUM.doppler_halfwidth,
+                                    CESIUM.gamma_d1, CESIUM.lambda_d1)
     with pytest.raises(ArithmeticError, match="not finite"):
-        doppler_averaged_scattering(math.nan, CENTER, CESIUM.doppler_halfwidth)
+        doppler_averaged_scattering(math.nan, CENTER, CESIUM.doppler_halfwidth,
+                                    CESIUM.gamma_d1, CESIUM.lambda_d1)
 
 
 def test_doppler_width_convention_validation():
     with pytest.raises(ValueError, match="convention"):
-        doppler_averaged_scattering(I_COMP, CENTER, 1.0, width_convention="fwhm")
+        doppler_averaged_scattering(I_COMP, CENTER, 1.0, CESIUM.gamma_d1, CESIUM.lambda_d1,
+                                    width_convention="fwhm")
     with pytest.raises(ValueError):
-        doppler_averaged_scattering(I_COMP, CENTER, -1.0)
+        doppler_averaged_scattering(I_COMP, CENTER, -1.0, CESIUM.gamma_d1, CESIUM.lambda_d1)
 
 
 def test_scattered_photon_floor_frozen():
@@ -303,3 +312,13 @@ def test_channel_validation():
         scattering_channel(state.modes, 1.5, atomic_modes=(LIGHT_C,))
     with pytest.raises(ValueError):
         boundary_loss_channel(state.modes, -0.1, 2, light_modes=(LIGHT_C,))
+
+
+def test_line_data_and_constants_have_no_cesium_defaults():
+    # a forgotten argument fails loudly instead of meaning cesium
+    with pytest.raises(TypeError):
+        scattering_rate(I_COMP, CENTER)
+    with pytest.raises(TypeError):
+        doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth)
+    with pytest.raises(TypeError):
+        DecoherenceBudget.from_scenario(default_scenario(), CODATA)

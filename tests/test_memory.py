@@ -426,6 +426,31 @@ def test_mean_fidelity_rejects_non_finite_arguments_by_name(bad):
                 call()
 
 
+@pytest.mark.parametrize("args, label", [
+    ((np.eye(4), 1e300 * np.eye(4), np.eye(2), np.eye(2)), "output_cov"),
+    ((np.eye(4), 0.5 * np.eye(4), 1e-200 * np.eye(2), np.eye(2)), "decode_c"),
+    # a positive-definite noise block whose inverse has mixed signs turns the
+    # overflowing displacement cost into inf - inf inside einsum
+    ((1e200 * np.eye(4), np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0000001, 0.0, 0.0],
+                                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+      np.eye(2), np.eye(2)), "transfer_map"),
+])
+def test_mean_fidelity_names_an_argument_that_overflows(args, label):
+    # finite but extreme: numpy would warn in det or matmul before any check,
+    # or return NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{label} is out of range: "):
+            mean_fidelity(*args)
+
+
+def test_mean_fidelity_names_a_decode_matrix_without_finite_inverse():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^decode_s has no finite inverse$"):
+            mean_fidelity(np.eye(4), 0.5 * np.eye(4), np.eye(2), 1e-310 * np.eye(2))
+
+
 @pytest.mark.parametrize("n_phases", [2.5, 7.0, True, "7", None])
 def test_mean_fidelity_rejects_a_non_integer_ring_by_name(n_phases):
     with pytest.raises(ValueError, match=r"^n_phases must be an integer, got "):

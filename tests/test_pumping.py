@@ -1,5 +1,7 @@
 """Optical pumping rate model for the sixteen ground sublevels."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -184,3 +186,21 @@ def test_history_equals_chained_evolution(pump, repump, steps, record_every):
 def test_pump_report_overflow_names_run_time():
     with pytest.raises(ValueError, match=r"dt \* steps = .* overflows"):
         pump_rows(PUMP, REPUMP, 1.0e305, 10)
+
+
+@pytest.mark.parametrize("pump", [1.0e300, 1.0e16])
+def test_propagator_that_loses_conservation_names_the_rates(pump):
+    # expm of the stiff generator no longer keeps its column sums at 1;
+    # unchecked, the run printed a total population of 173430.6 and
+    # 1.0000314 for these two pump rates
+    prefix = f"pump rate {pump:g} /s and repump rate 10000 /s are too stiff"
+    with pytest.raises(ValueError, match="^" + re.escape(prefix)):
+        pump_rows(pump, REPUMP, DT, 2000)
+
+
+@pytest.mark.parametrize("pump", [5.0e3, 1.0e4, 2.0e4])
+@pytest.mark.parametrize("repump", [5.0e3, 1.0e4, 2.0e4])
+@pytest.mark.parametrize("dt, steps", [(1.0e-6, 1000), (2.0e-6, 8000)])
+def test_catalogue_rates_conserve_population(pump, repump, dt, steps):
+    rows = {row.name: row.value for row in pump_rows(pump, repump, dt, steps)}
+    assert abs(rows["total_population"] - 1.0) < 1e-12

@@ -19,7 +19,8 @@ from qmemcell import (
     zeeman_ladder,
     zeeman_pi_pulse,
 )
-from qmemcell.shifts import ac_zeeman_state_shift, ladder_m_values, stark_state_shift
+from qmemcell.shifts import (ac_zeeman_state_shift, ladder_m_values, stark_pi_intensity,
+                             stark_state_shift)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -266,10 +267,10 @@ def test_stark_pi_pulse_frozen():
     assert pulse.required_field is None
 
 
-def test_stark_pi_pulse_without_scattering_cost():
-    pulse = stark_pi_pulse(PI_TAU, DELTA_S, scattering_cost=False)
-    assert pulse.scattered_photons == 0.0
-    assert pulse.required_intensity == pytest.approx(1356.774650305846, rel=1e-12)
+def test_stark_pi_intensity_is_the_pulse_intensity():
+    intensity = stark_pi_intensity(PI_TAU, DELTA_S)
+    assert intensity == pytest.approx(1356.774650305846, rel=1e-12)
+    assert intensity == stark_pi_pulse(PI_TAU, DELTA_S).required_intensity
 
 
 def test_microwave_pi_pulse_frozen():
