@@ -28,24 +28,12 @@ def w_m2_to_mw_cm2(intensity: float) -> float:
     return intensity * 0.1
 
 
-def mw_cm2_to_w_m2(intensity: float) -> float:
-    return intensity * 10.0
-
-
 def w_m2_to_w_cm2(intensity: float) -> float:
     return intensity * 1e-4
 
 
-def w_cm2_to_w_m2(intensity: float) -> float:
-    return intensity * 1e4
-
-
 def tesla_to_gauss(b: float) -> float:
     return b * 1e4
-
-
-def gauss_to_tesla(b: float) -> float:
-    return b * 1e-4
 
 
 @dataclass(frozen=True)
@@ -104,8 +92,7 @@ class SpeciesData:
 CESIUM = SpeciesData()
 
 
-def vacuum_field_squared(area: float, duration: float, wavelength: float,
-                         constants: PhysicalConstants = CODATA) -> float:
+def vacuum_field_squared(area: float, duration: float, wavelength: float) -> float:
     """Squared field amplitude per photon of a pulse mode, in V^2/m^2.
 
     A single photon at the carrier wavelength, spread over beam area
@@ -118,12 +105,11 @@ def vacuum_field_squared(area: float, duration: float, wavelength: float,
         raise ValueError(f"pulse duration must be positive, got {duration}")
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    omega0 = TWO_PI * constants.c / wavelength
-    return constants.hbar * omega0 / (2.0 * constants.epsilon0 * area * constants.c * duration)
+    omega0 = TWO_PI * CODATA.c / wavelength
+    return CODATA.hbar * omega0 / (2.0 * CODATA.epsilon0 * area * CODATA.c * duration)
 
 
-def dipole_moment_squared(gamma: float, wavelength: float,
-                          constants: PhysicalConstants = CODATA) -> float:
+def dipole_moment_squared(gamma: float, wavelength: float) -> float:
     """Reduced squared dipole moment of a D line, in (C m)^2.
 
     Inverts the spontaneous-decay relation for a transition with natural
@@ -134,14 +120,13 @@ def dipole_moment_squared(gamma: float, wavelength: float,
         raise ValueError(f"linewidth must be positive, got {gamma}")
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return 3.0 * constants.epsilon0 * constants.hbar * wavelength**3 * gamma / (2.0 * math.pi**2)
+    return 3.0 * CODATA.epsilon0 * CODATA.hbar * wavelength**3 * gamma / (2.0 * math.pi**2)
 
 
-def saturation_intensity(gamma: float, wavelength: float,
-                         constants: PhysicalConstants = CODATA) -> float:
+def saturation_intensity(gamma: float, wavelength: float) -> float:
     """Two-level saturation intensity 2 pi^2 hbar c gamma / (3 lambda^3), W/m^2."""
     if gamma <= 0.0:
         raise ValueError(f"linewidth must be positive, got {gamma}")
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return 2.0 * math.pi**2 * constants.hbar * constants.c * gamma / (3.0 * wavelength**3)
+    return 2.0 * math.pi**2 * CODATA.hbar * CODATA.c * gamma / (3.0 * wavelength**3)

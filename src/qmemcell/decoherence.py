@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData, angular_to_hz,
-                        saturation_intensity)
+from .constants import CESIUM, SpeciesData, angular_to_hz, saturation_intensity
 from .scenario import ScenarioConfig, ScenarioError
 from .shifts import stark_compensation_intensity
 
@@ -74,7 +73,7 @@ def faddeeva(z):
 
 
 def scattering_rate(intensity: float, detuning: float, gamma: float,
-                    wavelength: float, constants: PhysicalConstants = CODATA) -> float:
+                    wavelength: float) -> float:
     """Photon scattering rate (1/s) of a two-level atom.
 
     Gamma_ph = (gamma/2) s/(1+s) with saturation parameter
@@ -82,15 +81,14 @@ def scattering_rate(intensity: float, detuning: float, gamma: float,
     """
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
-    isat = saturation_intensity(gamma, wavelength, constants)
+    isat = saturation_intensity(gamma, wavelength)
     s = (intensity / isat) / (1.0 + (2.0 * detuning / gamma) ** 2)
     return 0.5 * gamma * s / (1.0 + s)
 
 
 def doppler_averaged_scattering(intensity: float, center_detuning: float,
                                 doppler_halfwidth: float, gamma: float,
-                                wavelength: float, width_convention: str = WIDTH_HWHM,
-                                constants: PhysicalConstants = CODATA) -> float:
+                                wavelength: float, width_convention: str = WIDTH_HWHM) -> float:
     """Scattering rate averaged over the Doppler-shifted detuning.
 
     The detuning of the field from an atom's resonance is Gaussian-
@@ -120,11 +118,11 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
     else:
         raise ValueError(f"unknown width convention {width_convention!r}")
     if sigma == 0.0:
-        return scattering_rate(intensity, center_detuning, gamma, wavelength, constants)
+        return scattering_rate(intensity, center_detuning, gamma, wavelength)
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
 
-    s0 = intensity / saturation_intensity(gamma, wavelength, constants)
+    s0 = intensity / saturation_intensity(gamma, wavelength)
     peak = 0.5 * gamma * s0 / (1.0 + s0)
     width = 0.5 * gamma * math.sqrt(1.0 + s0)
     scale = sigma * math.sqrt(2.0)
@@ -137,14 +135,13 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
     return value
 
 
-def edge_scattering_rate(intensity: float, delta_s: float, species: SpeciesData,
-                         constants: PhysicalConstants = CODATA) -> float:
+def edge_scattering_rate(intensity: float, delta_s: float, species: SpeciesData) -> float:
     """Doppler-averaged scattering rate (1/s) of the edge-pumped atoms in D1 light
     at ``delta_s`` from the line center: they are resonant at Delta_2/2, so the
     mean detuning is |Delta_S| - Delta_2/2.  The line data are the species' own."""
     return doppler_averaged_scattering(
         intensity, abs(delta_s) - species.delta2 / 2.0, species.doppler_halfwidth,
-        species.gamma_d1, species.lambda_d1, constants=constants)
+        species.gamma_d1, species.lambda_d1)
 
 
 def compensation_scattering_rate(config: ScenarioConfig) -> float:

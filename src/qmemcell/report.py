@@ -31,7 +31,7 @@ from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
 from .scenario import ScenarioConfig
 from .shifts import (MECH_AC_ZEEMAN, MECH_STARK, MECH_ZEEMAN,
                      ac_zeeman_compensation_intensity, ac_zeeman_ladder,
-                     class_dephasing, collective_k_eff, collective_kappa,
+                     class_dephasing, collective_kappa,
                      microwave_pi_pulse, stark_compensation_intensity, stark_ladder,
                      stark_pi_intensity, stark_pi_pulse, zeeman_ladder, zeeman_pi_pulse)
 
@@ -267,7 +267,7 @@ QUANTITIES = {
         .scattered_photons / scattered_photon_limit(c.species), "1"),
     **_pi_pulses(PI_PULSE_TAU),
     "kappa": (lambda c: collective_kappa(c).kappa_per_s, "1/s"),
-    "k_eff": (collective_k_eff, "1"),
+    "k_eff": (lambda c: collective_kappa(c).k_eff, "1"),
 }
 
 
@@ -293,9 +293,8 @@ def shifts_rows(config: ScenarioConfig) -> list[ReportRow]:
     for mech, ladder in ((MECH_ZEEMAN, zee), (MECH_STARK, sta),
                          (MECH_AC_ZEEMAN, _ac_zeeman(config)),
                          ("composite_zeeman_stark", zee + sta)):
-        for m in sorted(ladder.omegas):
-            rows.append(ReportRow(name=f"{mech}[m={m}]",
-                                  value=ladder.omegas[m] / TWO_PI, unit="Hz"))
+        for m, omega in ladder.omegas().items():
+            rows.append(ReportRow(name=f"{mech}[m={m}]", value=omega / TWO_PI, unit="Hz"))
     return rows
 
 

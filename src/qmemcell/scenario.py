@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import CESIUM, CODATA, SpeciesData, angular_to_hz, hz_to_angular
@@ -136,6 +137,14 @@ def _check_scalar(key: str, value: float) -> None:
         # the collective coupling divides by 12 hbar^2 Delta (shifts.collective_kappa)
         raise ScenarioError(f"field 'probe_detuning_hz' = {value:g} is out of range: "
                             "the coupling denominator hbar^2 Delta underflows to zero")
+    if key == "microwave_detuning_hz" and abs(
+            2.0 * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3
+            * hz_to_angular(value)) < sys.float_info.min:
+        # the dressing slope divides by 2 F^2 eps0 hbar^2 c^3 Delta_mu with F >= 1
+        # (shifts.ac_zeeman_ladder); a subnormal one has lost its digits
+        raise ScenarioError(f"field 'microwave_detuning_hz' = {value:g} is out of range: "
+                            "the dressing denominator 2 F^2 eps0 hbar^2 c^3 Delta_mu "
+                            "underflows")
     if key == "boundary_loss" and not 0.0 <= value < 1.0:
         raise ScenarioError(f"field 'boundary_loss' must lie in [0, 1), got {value}")
 

@@ -20,10 +20,10 @@ coupling strengths close the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .constants import (CESIUM, CODATA, PhysicalConstants, SpeciesData,
-                        angular_to_hz, dipole_moment_squared, vacuum_field_squared)
+from .constants import (CESIUM, CODATA, SpeciesData, angular_to_hz,
+                        dipole_moment_squared, vacuum_field_squared)
 from .scenario import ScenarioConfig, ScenarioError
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
@@ -42,51 +42,38 @@ def ladder_m_values(f_ground: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ShiftLadder:
-    """Spacing frequencies Omega(m) in rad/s for one shift mechanism.
+    """Spacing frequencies Omega(m) in rad/s, m = -F .. F-1, of one mechanism.
 
-    ``omegas[m]`` is the precession frequency of the (m, m+1) coherence
-    contribution of this mechanism.  ``energy_shifts[m]``, where a
-    mechanism defines per-level shifts, holds E(m)/hbar in rad/s over
-    the full m = -F .. F range.
+    Each term ``(c0, c1)`` is the affine ladder c0 + c1 (2m + 1); a sum
+    of ladders keeps the terms of both, and ``omegas()`` adds their
+    per-m values left to right, so a composite row is the sum of its
+    parts' rows, rounded as such.
     """
 
     mechanism: str
-    omegas: dict[int, float]
-    energy_shifts: dict[int, float] = field(default_factory=dict)
+    f_ground: int
+    terms: tuple[tuple[float, float], ...]
+
+    def omegas(self) -> dict[int, float]:
+        """Omega(m) of the (m, m+1) coherence, rad/s, in ascending m."""
+        (c0, c1), *rest = self.terms
+        out = {}
+        for m in ladder_m_values(self.f_ground):
+            value = c0 + c1 * (2 * m + 1)
+            for d0, d1 in rest:
+                value += d0 + d1 * (2 * m + 1)
+            out[m] = value
+        return out
 
     def spread(self) -> float:
         """Full spread max Omega - min Omega across the ladder, rad/s."""
-        vals = list(self.omegas.values())
+        vals = self.omegas().values()
         return max(vals) - min(vals)
 
-    def affine_coefficients(self) -> tuple[float, float]:
-        """Least-squares (c0, c1) of Omega(m) = c0 + c1 (2m + 1).
-
-        For the physical mechanisms the fit is exact to rounding; the
-        residual is available through :func:`affine_residual`.
-        """
-        ms = sorted(self.omegas)
-        n = len(ms)
-        xs = [2 * m + 1 for m in ms]
-        ys = [self.omegas[m] for m in ms]
-        xbar = sum(xs) / n
-        ybar = sum(ys) / n
-        sxx = sum((x - xbar) ** 2 for x in xs)
-        sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-        c1 = sxy / sxx
-        c0 = ybar - c1 * xbar
-        return c0, c1
-
-    def affine_residual(self) -> float:
-        """Largest deviation from the affine fit, rad/s."""
-        c0, c1 = self.affine_coefficients()
-        return max(abs(self.omegas[m] - (c0 + c1 * (2 * m + 1))) for m in self.omegas)
-
     def __add__(self, other: "ShiftLadder") -> "ShiftLadder":
-        if sorted(self.omegas) != sorted(other.omegas):
+        if self.f_ground != other.f_ground:
             raise ValueError("cannot compose ladders over different m ranges")
-        omegas = {m: self.omegas[m] + other.omegas[m] for m in self.omegas}
-        return ShiftLadder(mechanism=MECH_COMPOSITE, omegas=omegas)
+        return ShiftLadder(MECH_COMPOSITE, self.f_ground, self.terms + other.terms)
 
 
 @dataclass(frozen=True)
@@ -124,9 +111,8 @@ def zeeman_ladder(omega_b: float, species: SpeciesData = CESIUM) -> ShiftLadder:
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
-    slope = -omega_b**2 / species.delta_hf
-    omegas = {m: omega_b + slope * (2 * m + 1) for m in ladder_m_values(species.f_ground)}
-    return ShiftLadder(mechanism=MECH_ZEEMAN, omegas=omegas)
+    return ShiftLadder(MECH_ZEEMAN, species.f_ground,
+                       ((omega_b, -omega_b**2 / species.delta_hf),))
 
 
 def class_dephasing(omega_b: float, tau: float, species: SpeciesData = CESIUM) -> float:
@@ -152,32 +138,22 @@ def _stark_denominators(delta_s: float, species: SpeciesData) -> tuple[float, fl
     return delta_s + half, delta_s - half
 
 
-def stark_state_shift(m: int, intensity: float, delta_s: float,
-                      species: SpeciesData = CESIUM,
-                      constants: PhysicalConstants = CODATA) -> float:
-    """Light shift E_S(m)/hbar (rad/s) of level m under the D1 field.
+def _odd_ladder(mechanism: str, f_ground: int, slope: float) -> ShiftLadder:
+    # -0.0 is the exact additive identity: -0.0 + slope * (2m + 1) keeps the
+    # sign of a zero product, where a 0.0 start would print -0.0 rows as 0.0
+    return ShiftLadder(mechanism, f_ground, ((-0.0, slope),))
 
-    Sums the contributions of the two excited hyperfine components with
-    pi-polarization dipole weights (F^2 - m^2) and m^2; the edge states
-    couple only to the upper component.
-    """
-    f = species.f_ground
-    if abs(m) > f:
-        raise ValueError(f"m = {m} outside |m| <= {f}")
+
+def _stark_slope(intensity: float, delta_s: float, species: SpeciesData) -> float:
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     d_low, d_up = _stark_denominators(delta_s, species)
-    # squared dipole moments over eps0*hbar: lambda^3 gamma/(2^7 pi^2) * weight
-    unit = species.lambda_d1**3 * species.gamma_d1 / (2.0**7 * math.pi**2)
-    w_low = (f - m) * (f + m)
-    w_up = m * m
-    return intensity / (2.0 * constants.hbar * constants.c) * unit * (
-        w_low / d_low + w_up / d_up)
+    return (species.lambda_d1**3 * species.gamma_d1 * intensity * species.delta2
+            / (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * (d_low * d_up)))
 
 
 def stark_ladder(intensity: float, delta_s: float,
-                 species: SpeciesData = CESIUM,
-                 constants: PhysicalConstants = CODATA) -> ShiftLadder:
+                 species: SpeciesData = CESIUM) -> ShiftLadder:
     """Tensor light-shift ladder of an off-resonant D1 field.
 
     Omega_S(m) = lambda^3 gamma I Delta_2 (2m+1)
@@ -185,46 +161,24 @@ def stark_ladder(intensity: float, delta_s: float,
 
     Pure odd-affine: no m-independent part.  The slope flips sign when
     the field is tuned between the two excited hyperfine components
-    (|Delta_S| < Delta_2/2).  ``energy_shifts`` carries the underlying
-    per-level shifts, whose neighbor differences reproduce the ladder.
+    (|Delta_S| < Delta_2/2).
     """
-    if intensity < 0.0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
-    d_low, d_up = _stark_denominators(delta_s, species)
-    slope = (species.lambda_d1**3 * species.gamma_d1 * intensity * species.delta2
-             / (2.0**8 * math.pi**2 * constants.hbar * constants.c * (d_low * d_up)))
-    f = species.f_ground
-    omegas = {m: slope * (2 * m + 1) for m in ladder_m_values(f)}
-    shifts = {m: stark_state_shift(m, intensity, delta_s, species, constants)
-              for m in range(-f, f + 1)}
-    return ShiftLadder(mechanism=MECH_STARK, omegas=omegas, energy_shifts=shifts)
+    return _odd_ladder(MECH_STARK, species.f_ground,
+                       _stark_slope(intensity, delta_s, species))
 
 
-def ac_zeeman_state_shift(m: int, intensity: float, delta_mu: float,
-                          species: SpeciesData = CESIUM,
-                          constants: PhysicalConstants = CODATA) -> float:
-    """Microwave dressing shift E_mu(m)/hbar (rad/s) of level m.
-
-    Magnetic-dipole weight mu_B^2 (1 - (m/F)^2): the edge states have no
-    pi-coupled partner in the lower manifold and do not shift.  The sign
-    is fixed so that neighbor differences reproduce
-    :func:`ac_zeeman_ladder` for the same detuning sign convention.
-    """
-    f = species.f_ground
-    if abs(m) > f:
-        raise ValueError(f"m = {m} outside |m| <= {f}")
+def _ac_zeeman_slope(intensity: float, delta_mu: float, species: SpeciesData) -> float:
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     if delta_mu == 0.0:
         raise ValueError("microwave detuning must be nonzero")
-    musq = constants.mu_bohr**2 * (1.0 - (m / f) ** 2)
-    return -intensity * musq / (
-        2.0 * constants.epsilon0 * constants.hbar**2 * constants.c**3 * delta_mu)
+    f = species.f_ground
+    return intensity * CODATA.mu_bohr**2 / (
+        2.0 * f * f * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * delta_mu)
 
 
 def ac_zeeman_ladder(intensity: float, delta_mu: float,
-                     species: SpeciesData = CESIUM,
-                     constants: PhysicalConstants = CODATA) -> ShiftLadder:
+                     species: SpeciesData = CESIUM) -> ShiftLadder:
     """Microwave dressing ladder.
 
     Omega_mu(m) = I mu_B^2 (2m+1) / (32 eps0 hbar^2 c^3 Delta_mu) for
@@ -232,17 +186,8 @@ def ac_zeeman_ladder(intensity: float, delta_mu: float,
     affine with slope sign following the detuning sign, so a red- or
     blue-tuned microwave can cancel either sign of static-ladder slope.
     """
-    if intensity < 0.0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
-    if delta_mu == 0.0:
-        raise ValueError("microwave detuning must be nonzero")
-    f = species.f_ground
-    slope = intensity * constants.mu_bohr**2 / (
-        2.0 * f * f * constants.epsilon0 * constants.hbar**2 * constants.c**3 * delta_mu)
-    omegas = {m: slope * (2 * m + 1) for m in ladder_m_values(f)}
-    shifts = {m: ac_zeeman_state_shift(m, intensity, delta_mu, species, constants)
-              for m in range(-f, f + 1)}
-    return ShiftLadder(mechanism=MECH_AC_ZEEMAN, omegas=omegas, energy_shifts=shifts)
+    return _odd_ladder(MECH_AC_ZEEMAN, species.f_ground,
+                       _ac_zeeman_slope(intensity, delta_mu, species))
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +195,7 @@ def ac_zeeman_ladder(intensity: float, delta_mu: float,
 
 
 def stark_compensation_intensity(omega_b: float, delta_s: float,
-                                 species: SpeciesData = CESIUM,
-                                 constants: PhysicalConstants = CODATA) -> float:
+                                 species: SpeciesData = CESIUM) -> float:
     """D1 intensity (W/m^2) whose tensor shift cancels the static ladder slope.
 
     I_S = 2^8 pi^2 hbar c Omega_B^2 / (lambda^3 gamma Delta_hf)
@@ -270,7 +214,7 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
             "stark compensation needs |delta_s| > delta2/2; between the "
             f"excited components (|delta_s| = {abs(delta_s):.6e} rad/s) the "
             "tensor slope has the wrong sign")
-    intensity = (2.0**8 * math.pi**2 * constants.hbar * constants.c * omega_b**2
+    intensity = (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * omega_b**2
                  / (species.lambda_d1**3 * species.gamma_d1 * species.delta_hf)
                  * (d_low * d_up) / species.delta2)
     if not math.isfinite(intensity):
@@ -282,8 +226,7 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
 
 
 def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
-                                     species: SpeciesData = CESIUM,
-                                     constants: PhysicalConstants = CODATA) -> float:
+                                     species: SpeciesData = CESIUM) -> float:
     """Microwave intensity (W/m^2) cancelling the static ladder slope.
 
     I_mu = 2 F^2 eps0 hbar^2 c^3 Delta_mu Omega_B^2 / (Delta_hf mu_B^2),
@@ -297,8 +240,8 @@ def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
         raise ValueError(
             f"microwave compensation needs delta_mu > 0, got {delta_mu}")
     f = species.f_ground
-    return (2.0 * f * f * constants.epsilon0 * constants.hbar**2 * constants.c**3
-            * delta_mu * omega_b**2 / (species.delta_hf * constants.mu_bohr**2))
+    return (2.0 * f * f * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3
+            * delta_mu * omega_b**2 / (species.delta_hf * CODATA.mu_bohr**2))
 
 
 def microwave_detuning_default(omega_b: float) -> float:
@@ -317,8 +260,22 @@ def microwave_detuning_default(omega_b: float) -> float:
 # pi-pulse designers
 
 
+def _finite_solution(value: float, what: str, tau: float) -> float:
+    """``value`` if finite; else the pulse duration is out of range."""
+    if not math.isfinite(value):
+        raise ValueError(f"pulse duration tau (--tau-s) = {tau:g} s is out of range: "
+                         f"the pi pulse needs {what} {value!r}")
+    return value
+
+
+def _pi_intensity(tau: float, slope: float, species: SpeciesData, what: str) -> float:
+    """Intensity (W/m^2) at which a ladder of ``slope`` per unit intensity
+    puts a pi phase across its (4F - 2)-wide span in tau."""
+    span = tau * ((4 * species.f_ground - 2) * abs(slope))
+    return _finite_solution(math.pi / span if span else math.inf, what, tau)
+
+
 def zeeman_pi_pulse(tau: float, species: SpeciesData = CESIUM,
-                    constants: PhysicalConstants = CODATA,
                     use_g_factor: bool = True) -> PulseDesign:
     """Strong-field pulse giving the edge coherences a relative phase pi.
 
@@ -330,9 +287,10 @@ def zeeman_pi_pulse(tau: float, species: SpeciesData = CESIUM,
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     factor = 4 * species.f_ground - 2
-    omega_b = math.sqrt(math.pi * species.delta_hf / (factor * tau))
+    omega_b = _finite_solution(math.sqrt(math.pi * species.delta_hf / (factor * tau)),
+                               "a Larmor frequency (rad/s) of", tau)
     g = species.g_f if use_g_factor else 1.0
-    b_field = constants.hbar * omega_b / (g * constants.mu_bohr)
+    b_field = CODATA.hbar * omega_b / (g * CODATA.mu_bohr)
     return PulseDesign(
         mechanism=MECH_ZEEMAN,
         duration=tau,
@@ -342,8 +300,7 @@ def zeeman_pi_pulse(tau: float, species: SpeciesData = CESIUM,
     )
 
 
-def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM,
-                       constants: PhysicalConstants = CODATA) -> float:
+def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM) -> float:
     """D1 intensity (W/m^2) whose tensor ladder accumulates a pi edge phase in tau.
 
     I_S = 32 pi^3 hbar c |Delta_2^2 - 4 Delta_S^2|
@@ -352,25 +309,23 @@ def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    factor = 4 * species.f_ground - 2
-    unit = stark_ladder(1.0, delta_s, species, constants)
-    return math.pi / (tau * (factor * abs(unit.affine_coefficients()[1])))
+    return _pi_intensity(tau, _stark_slope(1.0, delta_s, species), species,
+                         "a D1 intensity (W/m^2) of")
 
 
 def stark_pi_pulse(tau: float, delta_s: float,
-                   species: SpeciesData = CESIUM,
-                   constants: PhysicalConstants = CODATA) -> PulseDesign:
+                   species: SpeciesData = CESIUM) -> PulseDesign:
     """Light pulse on D1 at :func:`stark_pi_intensity`.
 
     ``scattered_photons`` reports the Doppler-averaged photon-scattering
     cost per atom of the pulse, that of the edge-pumped atoms (see
     :func:`qmemcell.decoherence.edge_scattering_rate`).
     """
-    intensity = stark_pi_intensity(tau, delta_s, species, constants)
-    ladder = stark_ladder(intensity, delta_s, species, constants)
+    intensity = stark_pi_intensity(tau, delta_s, species)
+    ladder = stark_ladder(intensity, delta_s, species)
     phase = ladder.spread() * tau
     from .decoherence import edge_scattering_rate
-    n_phot = edge_scattering_rate(intensity, delta_s, species, constants) * tau
+    n_phot = edge_scattering_rate(intensity, delta_s, species) * tau
     return PulseDesign(
         mechanism=MECH_STARK,
         duration=tau,
@@ -381,8 +336,7 @@ def stark_pi_pulse(tau: float, delta_s: float,
 
 
 def microwave_pi_pulse(tau: float, delta_mu: float,
-                       species: SpeciesData = CESIUM,
-                       constants: PhysicalConstants = CODATA) -> PulseDesign:
+                       species: SpeciesData = CESIUM) -> PulseDesign:
     """Microwave pulse whose dressing ladder accumulates a pi edge phase.
 
     I_mu = 16 pi eps0 hbar^2 c^3 Delta_mu / (7 mu_B^2 tau) for F = 4.
@@ -391,11 +345,9 @@ def microwave_pi_pulse(tau: float, delta_mu: float,
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    factor = 4 * species.f_ground - 2
-    unit = ac_zeeman_ladder(1.0, abs(delta_mu), species, constants)
-    span_per_intensity = factor * abs(unit.affine_coefficients()[1])
-    intensity = math.pi / (tau * span_per_intensity)
-    ladder = ac_zeeman_ladder(intensity, abs(delta_mu), species, constants)
+    intensity = _pi_intensity(tau, _ac_zeeman_slope(1.0, abs(delta_mu), species), species,
+                              "a microwave intensity (W/m^2) of")
+    ladder = ac_zeeman_ladder(intensity, abs(delta_mu), species)
     return PulseDesign(
         mechanism=MECH_AC_ZEEMAN,
         duration=tau,
@@ -410,23 +362,21 @@ def microwave_pi_pulse(tau: float, delta_mu: float,
 
 @dataclass(frozen=True)
 class CouplingSet:
-    """Single-atom and collective coupling figures for one operating point.
+    """Collective coupling figures for one operating point.
 
-    g_m          single-atom Raman rates (1/s) for the m -> m+1 ladder
     kappa_per_s  collective two-mode coupling rate (1/s), signed like
                  1/detuning
     kappa_tau    dimensionless integrated coupling
     k_eff        pass-interaction strength entering the protocol maps
     """
 
-    g_m: dict[int, float]
     kappa_per_s: float
     kappa_tau: float
     k_eff: float
 
 
 def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,
-               detuning: float, constants: PhysicalConstants = CODATA) -> float:
+               detuning: float) -> float:
     """Single-atom coupling of the m <-> m+1 coherence to the sidebands."""
     if not -f <= m <= f - 1:
         raise ValueError(f"m must lie in [{-f}, {f - 1}] for F = {f}, got {m}")
@@ -434,25 +384,25 @@ def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,
         raise ValueError("detuning must be nonzero")
     strength = math.sqrt(f * (f + 1) - m * (m + 1))
     return (dipole_squared * field_squared * strength
-            / (48.0 * constants.hbar**2 * detuning))
+            / (48.0 * CODATA.hbar**2 * detuning))
 
 
-def _collective(config: ScenarioConfig,
-                constants: PhysicalConstants) -> tuple[float, float, float, float, float]:
-    """(E0^2, mu^2, kappa, kappa tau, k_eff) of :func:`collective_kappa`.
+def collective_kappa(config: ScenarioConfig) -> CouplingSet:
+    """Collective coupling of the configured cell on the probe line.
 
-    Everything but the g_m ladder, with collective_kappa's errors in
-    its order: a zero detuning raises coupling_g's ValueError before
-    kappa divides by it, and a non-finite k_eff raises ScenarioError.
+    The probe runs on the stronger line; its vacuum field is set by the
+    beam area and the pulse duration.  kappa carries the sign of
+    -1/detuning, so red and blue probe detunings give opposite k_eff.
+    A zero detuning raises :func:`coupling_g`'s ValueError, and a
+    non-finite k_eff a ScenarioError naming the three keys that set it.
     """
     sp = config.species
-    e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration,
-                                 sp.lambda_d2, constants)
-    mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2, constants)
+    e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration, sp.lambda_d2)
+    mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2)
     if config.probe_detuning == 0.0:
         raise ValueError("detuning must be nonzero")
     kappa = -(e0_sq * mu_sq * math.sqrt(config.photon_number * config.atom_number)
-              / (12.0 * constants.hbar**2 * config.probe_detuning))
+              / (12.0 * CODATA.hbar**2 * config.probe_detuning))
     kappa_tau = kappa * config.pulse_duration
     k_eff = math.sqrt(2.0) * kappa_tau
     if not math.isfinite(k_eff):
@@ -461,25 +411,4 @@ def _collective(config: ScenarioConfig,
             f"{config.photon_number:g} and 'probe_detuning_hz' = "
             f"{angular_to_hz(config.probe_detuning):g} Hz are out of range together: "
             f"the collective coupling kappa is {kappa!r} /s")
-    return e0_sq, mu_sq, kappa, kappa_tau, k_eff
-
-
-def collective_kappa(config: ScenarioConfig,
-                     constants: PhysicalConstants = CODATA) -> CouplingSet:
-    """Collective coupling of the configured cell on the probe line.
-
-    The probe runs on the stronger line; its vacuum field is set by the
-    beam area and the pulse duration.  kappa carries the sign of
-    -1/detuning, so red and blue probe detunings give opposite k_eff.
-    """
-    e0_sq, mu_sq, kappa, kappa_tau, k_eff = _collective(config, constants)
-    f = config.species.f_ground
-    g_m = {m: coupling_g(m, f, e0_sq, mu_sq, config.probe_detuning, constants)
-           for m in range(-f, f)}
-    return CouplingSet(g_m=g_m, kappa_per_s=kappa, kappa_tau=kappa_tau, k_eff=k_eff)
-
-
-def collective_k_eff(config: ScenarioConfig,
-                     constants: PhysicalConstants = CODATA) -> float:
-    """``collective_kappa(config).k_eff`` without building the g_m ladder."""
-    return _collective(config, constants)[4]
+    return CouplingSet(kappa_per_s=kappa, kappa_tau=kappa_tau, k_eff=k_eff)

@@ -8,13 +8,10 @@ from qmemcell import CESIUM, CODATA
 from qmemcell.constants import (
     angular_to_hz,
     dipole_moment_squared,
-    gauss_to_tesla,
     hz_to_angular,
-    mw_cm2_to_w_m2,
     saturation_intensity,
     tesla_to_gauss,
     vacuum_field_squared,
-    w_cm2_to_w_m2,
     w_m2_to_mw_cm2,
     w_m2_to_w_cm2,
 )
@@ -24,18 +21,13 @@ def test_converters_spot_values():
     assert hz_to_angular(1.0) == 2.0 * math.pi
     assert angular_to_hz(2.0 * math.pi) == 1.0
     assert w_m2_to_mw_cm2(10.0) == 1.0
-    assert mw_cm2_to_w_m2(1.0) == 10.0
     assert w_m2_to_w_cm2(1.0e4) == 1.0
-    assert w_cm2_to_w_m2(1.0) == 1.0e4
     assert tesla_to_gauss(1.0) == 1.0e4
-    assert gauss_to_tesla(1.0e4) == 1.0
 
 
 def test_converters_round_trip():
     for value in (1.0, 3.7e-5, 2.9e11):
         assert angular_to_hz(hz_to_angular(value)) == pytest.approx(value, rel=1e-15)
-        assert w_m2_to_mw_cm2(mw_cm2_to_w_m2(value)) == pytest.approx(value, rel=1e-15)
-        assert gauss_to_tesla(tesla_to_gauss(value)) == pytest.approx(value, rel=1e-15)
 
 
 def test_cesium_line_data_sanity():

@@ -56,7 +56,7 @@ from qmemcell.memory import (
     _write_stages,
     atomic_basis_matrix,
 )
-from qmemcell.shifts import collective_k_eff
+from qmemcell.report import QUANTITIES
 
 CANONICAL_FID = 2.0 / math.sqrt(6.0)
 
@@ -86,7 +86,6 @@ def test_collective_kappa_frozen():
     assert coupling.kappa_tau == pytest.approx(-1.0776744450289114, rel=1e-12)
     assert coupling.k_eff == pytest.approx(-1.524061815982785, rel=1e-12)
     assert coupling.k_eff == pytest.approx(math.sqrt(2.0) * coupling.kappa_tau, rel=1e-12)
-    assert len(coupling.g_m) == 8
 
 
 def test_collective_kappa_sign_follows_detuning():
@@ -115,17 +114,23 @@ def test_collective_kappa_matches_its_formulas_bit_for_bit():
         assert coupling.kappa_per_s == kappa
         assert coupling.kappa_tau == kappa * cfg.pulse_duration
         assert coupling.k_eff == math.sqrt(2.0) * kappa * cfg.pulse_duration
-        assert coupling.g_m == {m: coupling_g(m, sp.f_ground, e0_sq, mu_sq, cfg.probe_detuning)
-                                for m in range(-sp.f_ground, sp.f_ground)}
-        # the sweep quantity skips the ladder, not the arithmetic
-        assert collective_k_eff(cfg) == coupling.k_eff
+        g_m = {m: coupling_g(m, sp.f_ground, e0_sq, mu_sq, cfg.probe_detuning)
+               for m in range(-sp.f_ground, sp.f_ground)}
+        assert len(g_m) == 2 * sp.f_ground
+        # each single-atom rate is the collective one over 4 sqrt(N n), times its weight
+        for m, g in g_m.items():
+            weight = math.sqrt(sp.f_ground * (sp.f_ground + 1) - m * (m + 1))
+            assert -4.0 * g * math.sqrt(cfg.photon_number * cfg.atom_number) / weight == (
+                pytest.approx(kappa, rel=1e-12))
+        # the registry's k_eff entry is the same arithmetic
+        assert QUANTITIES["k_eff"][0](cfg) == coupling.k_eff
 
 
 def test_collective_kappa_zero_detuning_is_coupling_g_error():
-    # a hand-built config skips the scenario checks; the ladder's check
-    # still fires first, for the full set and for k_eff alone
+    # a hand-built config skips the scenario checks; coupling_g's check
+    # still fires first, for the full set and for the k_eff entry alone
     cfg = dataclasses.replace(default_scenario(), probe_detuning=0.0)
-    for fn in (collective_kappa, collective_k_eff):
+    for fn in (collective_kappa, QUANTITIES["k_eff"][0]):
         with pytest.raises(ValueError, match="^detuning must be nonzero$"):
             fn(cfg)
 

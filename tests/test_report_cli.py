@@ -702,6 +702,55 @@ def test_cli_overflowing_omega_b_exits_2(tmp_path, capsys):
         assert "omega_b_hz" in lines[0]
 
 
+@pytest.mark.parametrize("value", ["1e-275", "1e-270"])
+@pytest.mark.parametrize("argv", [
+    ["shifts"], ["compensate"], ["pulse-design"],
+    ["sweep", "--param", "omega_b_hz", "--quantity", "compensated_ac_zeeman_spread",
+     "--values", "3e5"],
+])
+def test_cli_underflowing_microwave_detuning_exits_2(tmp_path, capsys, argv, value):
+    # 1e-275 divided by zero, 1e-270 printed a spread of digits lost to a
+    # subnormal dressing denominator with exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"microwave_detuning_hz": {value}}}')
+    assert main([*argv, "--config", str(path)]) == 2
+    assert "'microwave_detuning_hz'" in _single_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("value", ["1e-275", "1e-270"])
+def test_cli_sweep_underflowing_microwave_detuning_exits_2(capsys, value):
+    argv = ["sweep", "--param", "microwave_detuning_hz", "--quantity",
+            "compensated_ac_zeeman_spread", "--values", f"3.6e7,{value}"]
+    assert main(argv) == 2
+    assert "'microwave_detuning_hz'" in _single_error_line(capsys.readouterr())
+
+
+def test_cli_small_microwave_detuning_still_compensates(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"microwave_detuning_hz": 1e-250}')
+    assert main(["compensate", "--config", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "compensated_ac_zeeman_spread,0.0,Hz,,,,,"
+
+
+@pytest.mark.parametrize("tau", ["1e-300", "1e-320"])
+def test_cli_pulse_design_too_short_exits_2(capsys, tau):
+    # 1e-300 printed zeeman_pi_omega_b,inf with exit 0; 1e-320 named no option
+    assert main(["pulse-design", "--tau-s", tau]) == 2
+    assert "--tau-s" in _single_error_line(capsys.readouterr())
+
+
+def test_cli_pulse_design_long_pulse_rows_pinned(capsys):
+    assert main(["pulse-design", "--tau-s", "1e300"]) == 0
+    assert capsys.readouterr().out == (
+        "name,value,unit,reference,rel_dev,low,high,status\n"
+        "zeeman_pi_omega_b,1.8116685284959987e-152,MHz,,,,,\n"
+        "zeeman_pi_field,5.177584518306671e-152,G,,,,,\n"
+        "stark_pi_intensity,4.0703239509175386e-303,mW/cm^2,,,,,\n"
+        "stark_pi_scattered_photons,0.06323562084416734,1,,,,,\n"
+        "microwave_pi_intensity,5.0105132820199514e-303,W/cm^2,,,,,\n"
+        "pulse_duration,1e+306,us,,,,,\n")
+
+
 @pytest.mark.parametrize("doc, key", [
     ('{"tau_s": NaN}', "tau_s"),
     ('{"species": {"doppler_halfwidth_hz": Infinity}}', "doppler_halfwidth_hz"),

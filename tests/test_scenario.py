@@ -204,7 +204,7 @@ CATALOGUE_DOCS = (
 # boundary-loss range, and the overflow/underflow edges of the detunings
 EDGE_VALUES = (0, 0.0, -0.0, -1.0, -3.0e9, 0.5, 1.0, 1.5, 7, math.nan, math.inf, -math.inf,
                True, False, "3e9", None, 1.0e300, -1.0e300, 2.2e153, 2.1e153, 1.0e-300,
-               3.0e-258, 2.9e-258, 1.0e-320)
+               3.0e-258, 2.9e-258, 1.0e-320, 1.0e-270, 1.0e-250)
 
 
 def _outcome(make):
@@ -243,6 +243,8 @@ def test_scenario_with_matches_round_trip(doc, key, value):
     ('{"stark_detuning_hz": -2.2e153}', "stark_detuning_hz"),
     ('{"probe_detuning_hz": 1e-300}', "probe_detuning_hz"),
     ('{"probe_detuning_hz": -2.9e-258}', "probe_detuning_hz"),
+    ('{"microwave_detuning_hz": 1e-275}', "microwave_detuning_hz"),
+    ('{"microwave_detuning_hz": -1e-270}', "microwave_detuning_hz"),
 ])
 def test_detuning_out_of_range_rejected(doc, key):
     with pytest.raises(ScenarioError, match=f"'{key}' = .* is out of range"):
@@ -250,9 +252,19 @@ def test_detuning_out_of_range_rejected(doc, key):
 
 
 def test_detunings_inside_range_kept():
-    cfg = load_scenario('{"stark_detuning_hz": 2.1e153, "probe_detuning_hz": 3.0e-258}')
+    cfg = load_scenario('{"stark_detuning_hz": 2.1e153, "probe_detuning_hz": 3.0e-258, '
+                        '"microwave_detuning_hz": -1e-250}')
     assert cfg.stark_detuning == TWO_PI * 2.1e153
     assert cfg.probe_detuning == TWO_PI * 3.0e-258
+    assert cfg.microwave_detuning == TWO_PI * -1e-250
+
+
+@pytest.mark.parametrize("doc", CATALOGUE_DOCS)
+def test_catalogue_microwave_detunings_pass_the_underflow_guard(doc):
+    for value in (doc.get("microwave_detuning_hz", DEFAULTS["microwave_detuning_hz"]),
+                  1e-250):
+        cfg = scenario_with(load_scenario(json.dumps(doc)), "microwave_detuning_hz", value)
+        assert cfg.microwave_detuning == TWO_PI * value
 
 
 def test_load_scenario_file(tmp_path):

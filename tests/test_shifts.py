@@ -1,13 +1,15 @@
 """Level-shift ladders, compensation solvers, and pi-pulse designers."""
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmemcell import (
     CESIUM,
+    CODATA,
     ac_zeeman_compensation_intensity,
     ac_zeeman_ladder,
     class_dephasing,
@@ -19,8 +21,9 @@ from qmemcell import (
     zeeman_ladder,
     zeeman_pi_pulse,
 )
-from qmemcell.shifts import (ac_zeeman_state_shift, ladder_m_values, stark_pi_intensity,
-                             stark_state_shift)
+from qmemcell.cli import main
+from qmemcell.shifts import (POLE_GUARD, _stark_denominators, ladder_m_values,
+                             stark_pi_intensity)
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -28,6 +31,64 @@ DELTA_S = TWO_PI * 3.0e9
 DELTA_MU = TWO_PI * 3.6e7
 TAU = 1.0e-3
 PI_TAU = 30.0e-6
+
+
+# ---------------------------------------------------------------------------
+# oracles the ladders no longer carry: per-level shifts and a least-squares fit
+
+
+def stark_state_shift(m, intensity, delta_s, species=CESIUM):
+    """Light shift E_S(m)/hbar (rad/s) of level m under the D1 field.
+
+    Sums the contributions of the two excited hyperfine components with
+    pi-polarization dipole weights (F^2 - m^2) and m^2; the edge states
+    couple only to the upper component.
+    """
+    f = species.f_ground
+    if abs(m) > f:
+        raise ValueError(f"m = {m} outside |m| <= {f}")
+    if intensity < 0.0:
+        raise ValueError(f"intensity must be non-negative, got {intensity}")
+    d_low, d_up = _stark_denominators(delta_s, species)
+    # squared dipole moments over eps0*hbar: lambda^3 gamma/(2^7 pi^2) * weight
+    unit = species.lambda_d1**3 * species.gamma_d1 / (2.0**7 * math.pi**2)
+    return intensity / (2.0 * CODATA.hbar * CODATA.c) * unit * (
+        (f - m) * (f + m) / d_low + m * m / d_up)
+
+
+def ac_zeeman_state_shift(m, intensity, delta_mu, species=CESIUM):
+    """Microwave dressing shift E_mu(m)/hbar (rad/s) of level m.
+
+    Magnetic-dipole weight mu_B^2 (1 - (m/F)^2): the edge states have no
+    pi-coupled partner in the lower manifold and do not shift.  The sign
+    is fixed so that neighbor differences reproduce ac_zeeman_ladder for
+    the same detuning sign convention.
+    """
+    f = species.f_ground
+    if abs(m) > f:
+        raise ValueError(f"m = {m} outside |m| <= {f}")
+    if intensity < 0.0:
+        raise ValueError(f"intensity must be non-negative, got {intensity}")
+    if delta_mu == 0.0:
+        raise ValueError("microwave detuning must be nonzero")
+    musq = CODATA.mu_bohr**2 * (1.0 - (m / f) ** 2)
+    return -intensity * musq / (
+        2.0 * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * delta_mu)
+
+
+def affine_fit(ladder):
+    """Least-squares (c0, c1) of Omega(m) = c0 + c1 (2m + 1), and the largest residual."""
+    omegas = ladder.omegas()
+    xs = [2 * m + 1 for m in omegas]
+    ys = list(omegas.values())
+    n = len(xs)
+    xbar = sum(xs) / n
+    ybar = sum(ys) / n
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    sxy = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    c1 = sxy / sxx
+    c0 = ybar - c1 * xbar
+    return c0, c1, max(abs(y - (c0 + c1 * x)) for x, y in zip(xs, ys))
 
 
 def test_ladder_m_values():
@@ -40,18 +101,19 @@ def test_ladder_m_values():
 
 
 def test_zeeman_ladder_frozen_values():
-    ladder = zeeman_ladder(OMEGA_B)
-    assert ladder.omegas[-4] == pytest.approx(1885386.3219409839, rel=1e-12)
-    assert ladder.omegas[0] == pytest.approx(1884894.059327146, rel=1e-12)
-    assert ladder.omegas[3] == pytest.approx(1884524.8623667678, rel=1e-12)
+    omegas = zeeman_ladder(OMEGA_B).omegas()
+    assert omegas[-4] == pytest.approx(1885386.3219409839, rel=1e-12)
+    assert omegas[0] == pytest.approx(1884894.059327146, rel=1e-12)
+    assert omegas[3] == pytest.approx(1884524.8623667678, rel=1e-12)
 
 
 def test_zeeman_ladder_affine():
     ladder = zeeman_ladder(OMEGA_B)
-    c0, c1 = ladder.affine_coefficients()
+    assert ladder.terms == ((OMEGA_B, -OMEGA_B**2 / CESIUM.delta_hf),)
+    c0, c1, residual = affine_fit(ladder)
     assert c0 == pytest.approx(OMEGA_B, rel=1e-12)
     assert c1 == pytest.approx(-OMEGA_B**2 / CESIUM.delta_hf, rel=1e-9)
-    assert ladder.affine_residual() <= 1e-9 * abs(c1)
+    assert residual <= 1e-9 * abs(c1)
 
 
 def test_zeeman_ladder_spread():
@@ -85,29 +147,36 @@ def test_zeeman_validation():
 
 def test_stark_ladder_is_odd_affine():
     ladder = stark_ladder(10.0, DELTA_S)
-    c0, c1 = ladder.affine_coefficients()
+    ((start, slope),) = ladder.terms
+    assert math.copysign(1.0, start) == -1.0 and start == 0.0
+    assert slope > 0.0
+    c0, c1, residual = affine_fit(ladder)
     assert abs(c0) <= 1e-12 * abs(c1)
     assert c1 > 0.0
-    assert ladder.affine_residual() <= 1e-9 * abs(c1)
+    assert residual <= 1e-9 * abs(c1)
 
 
 def test_stark_ladder_linear_in_intensity():
-    base = stark_ladder(1.0, DELTA_S)
-    scaled = stark_ladder(7.5, DELTA_S)
-    for m in base.omegas:
-        assert scaled.omegas[m] == pytest.approx(7.5 * base.omegas[m], rel=1e-12)
+    base = stark_ladder(1.0, DELTA_S).omegas()
+    scaled = stark_ladder(7.5, DELTA_S).omegas()
+    for m in base:
+        assert scaled[m] == pytest.approx(7.5 * base[m], rel=1e-12)
 
 
 def test_stark_slope_flips_inside_doublet():
     inside = stark_ladder(10.0, TWO_PI * 0.3e9)
-    assert inside.affine_coefficients()[1] < 0.0
+    assert inside.terms[0][1] < 0.0
+    assert affine_fit(inside)[1] < 0.0
 
 
 def test_stark_level_shifts_reproduce_ladder():
-    ladder = stark_ladder(25.0, DELTA_S)
-    for m in ladder.omegas:
-        diff = ladder.energy_shifts[m + 1] - ladder.energy_shifts[m]
-        assert diff == pytest.approx(ladder.omegas[m], rel=1e-9)
+    for f_ground in (1, 4, 7):
+        sp = dataclasses.replace(CESIUM, f_ground=f_ground)
+        for delta_s in (DELTA_S, -DELTA_S, TWO_PI * 0.3e9):
+            for m, omega in stark_ladder(25.0, delta_s, sp).omegas().items():
+                diff = (stark_state_shift(m + 1, 25.0, delta_s, sp)
+                        - stark_state_shift(m, 25.0, delta_s, sp))
+                assert diff == pytest.approx(omega, rel=1e-9)
 
 
 def test_stark_edge_states_couple_to_upper_component_only():
@@ -141,22 +210,29 @@ def test_stark_validation():
 
 def test_ac_zeeman_ladder_is_odd_affine():
     ladder = ac_zeeman_ladder(100.0, DELTA_MU)
-    c0, c1 = ladder.affine_coefficients()
+    ((start, slope),) = ladder.terms
+    assert math.copysign(1.0, start) == -1.0 and start == 0.0
+    assert slope > 0.0
+    c0, c1, residual = affine_fit(ladder)
     assert abs(c0) <= 1e-12 * abs(c1)
     assert c1 > 0.0
-    assert ladder.affine_residual() <= 1e-9 * abs(c1)
+    assert residual <= 1e-9 * abs(c1)
 
 
 def test_ac_zeeman_slope_follows_detuning_sign():
     red = ac_zeeman_ladder(100.0, -DELTA_MU)
-    assert red.affine_coefficients()[1] < 0.0
+    assert red.terms[0][1] < 0.0
+    assert affine_fit(red)[1] < 0.0
 
 
 def test_ac_zeeman_level_shifts_reproduce_ladder():
-    ladder = ac_zeeman_ladder(250.0, DELTA_MU)
-    for m in ladder.omegas:
-        diff = ladder.energy_shifts[m + 1] - ladder.energy_shifts[m]
-        assert diff == pytest.approx(ladder.omegas[m], rel=1e-9)
+    for f_ground in (1, 4, 7):
+        sp = dataclasses.replace(CESIUM, f_ground=f_ground)
+        for delta_mu in (DELTA_MU, -DELTA_MU):
+            for m, omega in ac_zeeman_ladder(250.0, delta_mu, sp).omegas().items():
+                diff = (ac_zeeman_state_shift(m + 1, 250.0, delta_mu, sp)
+                        - ac_zeeman_state_shift(m, 250.0, delta_mu, sp))
+                assert diff == pytest.approx(omega, rel=1e-9)
 
 
 def test_ac_zeeman_edge_states_do_not_shift():
@@ -175,6 +251,102 @@ def test_ac_zeeman_validation():
 
 
 # ---------------------------------------------------------------------------
+# a ladder is its affine terms
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_larmor=st.one_of(st.just(0.0), st.floats(1.0, 1e8)),
+       f_stark=st.floats(1e7, 1e12), f_mu=st.floats(1e3, 1e10),
+       signs=st.tuples(st.sampled_from((-1.0, 1.0)), st.sampled_from((-1.0, 1.0))),
+       intensity=st.one_of(st.just(0.0), st.floats(1e-6, 1e6)),
+       f_ground=st.integers(1, 8))
+def test_ladders_are_the_written_out_expressions_bit_for_bit(
+        f_larmor, f_stark, f_mu, signs, intensity, f_ground):
+    sp = dataclasses.replace(CESIUM, f_ground=f_ground)
+    omega_b = TWO_PI * f_larmor
+    delta_s, delta_mu = signs[0] * TWO_PI * f_stark, signs[1] * TWO_PI * f_mu
+    half = sp.delta2 / 2.0
+    assume(abs(abs(delta_s) - half) > POLE_GUARD * half)
+    d_low, d_up = delta_s + half, delta_s - half
+    f, ms = f_ground, ladder_m_values(f_ground)
+
+    def stark_rows(i):
+        slope = (sp.lambda_d1**3 * sp.gamma_d1 * i * sp.delta2
+                 / (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * (d_low * d_up)))
+        return {m: slope * (2 * m + 1) for m in ms}
+
+    def ac_zeeman_rows(i, d):
+        slope = i * CODATA.mu_bohr**2 / (
+            2.0 * f * f * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * d)
+        return {m: slope * (2 * m + 1) for m in ms}
+
+    slope = -omega_b**2 / sp.delta_hf
+    zee = {m: omega_b + slope * (2 * m + 1) for m in ms}
+    sta, acz = stark_rows(intensity), ac_zeeman_rows(intensity, delta_mu)
+    z, s, a = (zeeman_ladder(omega_b, sp), stark_ladder(intensity, delta_s, sp),
+               ac_zeeman_ladder(intensity, delta_mu, sp))
+    cases = [(z, zee), (s, sta), (a, acz), (z + s, {m: zee[m] + sta[m] for m in ms}),
+             (z + s + a, {m: (zee[m] + sta[m]) + acz[m] for m in ms})]
+    if d_low * d_up > 0.0:  # the compensated sums, whose spread is a rounding residual
+        i_s = stark_compensation_intensity(omega_b, delta_s, sp)
+        cases.append((z + stark_ladder(i_s, delta_s, sp),
+                      {m: zee[m] + v for m, v in stark_rows(i_s).items()}))
+    if delta_mu > 0.0:
+        i_mu = ac_zeeman_compensation_intensity(omega_b, delta_mu, sp)
+        cases.append((z + ac_zeeman_ladder(i_mu, delta_mu, sp),
+                      {m: zee[m] + v for m, v in ac_zeeman_rows(i_mu, delta_mu).items()}))
+    for ladder, want in cases:
+        omegas = ladder.omegas()
+        assert list(omegas) == ms
+        assert _hex(omegas.values()) == _hex(want.values())
+        assert ladder.spread().hex() == (max(want.values()) - min(want.values())).hex()
+
+
+def test_a_sum_keeps_its_terms():
+    z, s = zeeman_ladder(OMEGA_B), stark_ladder(10.0, DELTA_S)
+    combined = z + s
+    assert combined.mechanism == "composite"
+    assert combined.terms == z.terms + s.terms
+    with pytest.raises(ValueError, match="different m ranges"):
+        z + zeeman_ladder(OMEGA_B, dataclasses.replace(CESIUM, f_ground=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f_stark=st.floats(1e7, 1e12), f_mu=st.floats(1e3, 1e10),
+       sign=st.sampled_from((-1.0, 1.0)), f_ground=st.integers(1, 8))
+def test_least_squares_fit_agrees_with_the_closed_slope(f_stark, f_mu, sign, f_ground):
+    sp = dataclasses.replace(CESIUM, f_ground=f_ground)
+    delta_s, delta_mu = sign * TWO_PI * f_stark, TWO_PI * f_mu
+    half = sp.delta2 / 2.0
+    assume(abs(abs(delta_s) - half) > POLE_GUARD * half)
+    factor = 4 * f_ground - 2
+    for ladder in (stark_ladder(1.0, delta_s, sp), ac_zeeman_ladder(1.0, delta_mu, sp)):
+        assert affine_fit(ladder)[1] == pytest.approx(ladder.terms[0][1], rel=1e-15)
+    # the pi intensities as they were solved from the fitted unit ladders
+    fitted = math.pi / (PI_TAU * (factor * abs(affine_fit(stark_ladder(1.0, delta_s, sp))[1])))
+    assert stark_pi_intensity(PI_TAU, delta_s, sp) == pytest.approx(fitted, rel=1e-15)
+    fitted = math.pi / (PI_TAU * (factor * abs(affine_fit(ac_zeeman_ladder(1.0, delta_mu, sp))[1])))
+    assert microwave_pi_pulse(PI_TAU, delta_mu, sp).required_intensity == pytest.approx(
+        fitted, rel=1e-15)
+
+
+def test_zero_field_shifts_csv_keeps_its_signed_zeros(capsys):
+    assert main(["shifts", "--omega-b-hz", "0"]) == 0
+    rows = [f"{mech}[m={m}],{value},Hz,,,,,"
+            for mech, negative, positive in (("quadratic_zeeman", "0.0", "0.0"),
+                                             ("ac_stark", "-0.0", "0.0"),
+                                             ("ac_zeeman", "-0.0", "0.0"),
+                                             ("composite_zeeman_stark", "0.0", "0.0"))
+            for m, value in zip(range(-4, 4), [negative] * 4 + [positive] * 4)]
+    assert capsys.readouterr().out == "\n".join(
+        ["name,value,unit,reference,rel_dev,low,high,status", *rows, ""])
+
+
+# ---------------------------------------------------------------------------
 # compensation solvers
 
 
@@ -188,7 +360,7 @@ def test_stark_compensation_cancels_slope():
     combined = zeeman_ladder(OMEGA_B) + stark_ladder(intensity, DELTA_S)
     assert combined.spread() <= 1e-9 * OMEGA_B
     # the common Larmor precession survives untouched
-    c0, _ = combined.affine_coefficients()
+    c0, _, _ = affine_fit(combined)
     assert c0 == pytest.approx(OMEGA_B, rel=1e-9)
 
 
@@ -286,6 +458,18 @@ def test_pi_pulse_validation():
                      lambda: microwave_pi_pulse(0.0, DELTA_MU)):
         with pytest.raises(ValueError):
             designer()
+
+
+@pytest.mark.parametrize("designer, tau, solved", [
+    (lambda tau: zeeman_pi_pulse(tau), 1e-300, "Larmor frequency"),
+    (lambda tau: stark_pi_intensity(tau, DELTA_S), 1e-320, "D1 intensity"),
+    (lambda tau: stark_pi_pulse(tau, DELTA_S), 1e-320, "D1 intensity"),
+    (lambda tau: microwave_pi_pulse(tau, DELTA_MU), 1e-320, "microwave intensity"),
+])
+def test_pi_pulse_designers_reject_non_finite_solutions(designer, tau, solved):
+    with pytest.raises(ValueError, match=rf"tau \(--tau-s\) = {tau:g} s .* {solved} .* inf$"):
+        designer(tau)
+    designer(1e300)
 
 
 @settings(max_examples=50, deadline=None)
