@@ -22,11 +22,9 @@ _EXPORTS = {
     "SpeciesData": "constants", "dipole_moment_squared": "constants",
     "saturation_intensity": "constants", "vacuum_field_squared": "constants",
     "DecoherenceBudget": "decoherence", "boundary_loss_budget": "decoherence",
-    "boundary_loss_channel": "memory", "doppler_averaged_scattering": "decoherence",
+    "doppler_averaged_scattering": "decoherence",
     "residual_pump_occupation": "decoherence", "scattered_photon_limit": "decoherence",
-    "scattering_channel": "memory", "scattering_rate": "decoherence",
-    "spin_exchange_channel": "memory", "spin_exchange_probability": "decoherence",
-    "BASIS_CLASS": "gaussian", "BASIS_PLUS_MINUS": "gaussian",
+    "scattering_rate": "decoherence", "spin_exchange_probability": "decoherence",
     "GaussianChannel": "gaussian", "GaussianState": "gaussian",
     "VACUUM_VARIANCE": "gaussian", "attenuation_channel": "gaussian",
     "displace": "gaussian", "hamiltonian_to_symplectic": "gaussian",

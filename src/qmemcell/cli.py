@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .report import (QUANTITIES, RENDERERS, STATUS_PASS, ReportRow,
+from .report import (PI_PULSE_TAU, QUANTITIES, RENDERERS, STATUS_PASS, ReportRow,
                      compensate_rows, decoherence_rows, memory_sim_rows,
                      paper_check_rows, pulse_design_rows, pump_rows,
                      render_rows, shifts_rows)
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pulse-design",
                        help="differential pi pulses for a given duration")
-    p.add_argument("--tau-s", type=_finite_float, default=30.0e-6,
+    p.add_argument("--tau-s", type=_finite_float, default=PI_PULSE_TAU,
                    help="pulse duration in seconds (default 30 us)")
     _add_common(p, "csv")
 
@@ -168,9 +168,9 @@ def _sweep_rows(config, args) -> list[ReportRow]:
 
 
 def _dispatch(args) -> tuple[list[ReportRow], int]:
-    if args.command == "pump":
-        return pump_rows(args.pump_rate, args.repump_rate, args.dt, args.steps), 0
     config = _resolve_config(args.config)
+    if args.command == "pump":
+        return pump_rows(config, args.pump_rate, args.repump_rate, args.dt, args.steps), 0
     if args.command == "shifts":
         if args.omega_b_hz is not None:
             config = scenario_with(config, "omega_b_hz", args.omega_b_hz)

@@ -191,8 +191,6 @@ def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
 class BoundaryLossBudget:
     """Transmission bookkeeping for n lossy window crossings."""
 
-    loss_per_crossing: float
-    n_crossings: int
     transmission: float
     added_vacuum_fraction: float
 
@@ -204,12 +202,8 @@ def boundary_loss_budget(loss_per_crossing: float, n_crossings: int) -> Boundary
     if n_crossings < 0:
         raise ValueError(f"n_crossings must be non-negative, got {n_crossings}")
     transmission = (1.0 - loss_per_crossing) ** n_crossings
-    return BoundaryLossBudget(
-        loss_per_crossing=loss_per_crossing,
-        n_crossings=n_crossings,
-        transmission=transmission,
-        added_vacuum_fraction=1.0 - transmission,
-    )
+    return BoundaryLossBudget(transmission=transmission,
+                              added_vacuum_fraction=1.0 - transmission)
 
 
 @dataclass(frozen=True)

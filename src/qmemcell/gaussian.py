@@ -41,9 +41,6 @@ ATOM_MINUS = "atom_minus"
 ATOM_1 = "atom_1"        # class pumped to m = -F
 ATOM_2 = "atom_2"        # class pumped to m = +F
 
-BASIS_PLUS_MINUS = "plus_minus"
-BASIS_CLASS = "class"
-
 MEMORY_MODES_PLUS_MINUS = (LIGHT_C, LIGHT_S, ATOM_PLUS, ATOM_MINUS)
 MEMORY_MODES_CLASS = (LIGHT_C, LIGHT_S, ATOM_1, ATOM_2)
 
@@ -99,7 +96,9 @@ class GaussianChannel:
     Every step of the memory protocol (a pass, a lossy crossing, homodyne
     feedback with reset, a collision or scattering admixture) has this
     form, so a chain of steps composes into one (X, Y) pair (Weedbrook
-    et al., Rev. Mod. Phys. 84, 621 (2012)).
+    et al., Rev. Mod. Phys. 84, 621 (2012)).  A channel maps the means
+    and the covariance but never relabels modes: a change of basis such
+    as :func:`~qmemcell.memory.atomic_basis_matrix` keeps the labels.
     """
 
     x: np.ndarray
@@ -210,15 +209,14 @@ def _target_diagonal(modes: tuple[str, ...], targets: tuple[str, ...]) -> np.nda
 class GaussianState:
     """Means vector and covariance matrix over labeled modes.
 
-    ``basis`` records whether the atomic modes are the (+, -) collective
-    pair or the raw class pair; protocol operations check it so that a
-    map derived in one basis is never applied in the other by accident.
+    The labels are the only record of the atomic basis: (atom_plus,
+    atom_minus) for the collective pair, (atom_1, atom_2) for the raw
+    classes.  No channel changes them.
     """
 
     modes: tuple[str, ...]
     means: np.ndarray
     cov: np.ndarray
-    basis: str = BASIS_PLUS_MINUS
 
     def __post_init__(self):
         modes = tuple(self.modes)
@@ -289,25 +287,20 @@ class GaussianState:
         return self.cov[2 * ja:2 * ja + 2, 2 * jb:2 * jb + 2].copy()
 
 
-def vacuum_state(modes: tuple[str, ...], basis: str = BASIS_PLUS_MINUS) -> GaussianState:
+def vacuum_state(modes: tuple[str, ...]) -> GaussianState:
     n = len(modes)
-    return GaussianState(modes=tuple(modes), basis=basis,
-                         means=np.zeros(2 * n),
+    return GaussianState(modes=tuple(modes), means=np.zeros(2 * n),
                          cov=VACUUM_VARIANCE * np.eye(2 * n))
 
 
-#: vacuum of the four-mode memory layout in each basis, built once; states
-#: are immutable, so every caller can share them
-_MEMORY_VACUA = {BASIS_PLUS_MINUS: vacuum_state(MEMORY_MODES_PLUS_MINUS, BASIS_PLUS_MINUS),
-                 BASIS_CLASS: vacuum_state(MEMORY_MODES_CLASS, BASIS_CLASS)}
+#: vacuum of the four-mode memory layout, built once; states are
+#: immutable, so every caller can share it
+_MEMORY_VACUUM = vacuum_state(MEMORY_MODES_PLUS_MINUS)
 
 
-def memory_vacuum(basis: str = BASIS_PLUS_MINUS) -> GaussianState:
+def memory_vacuum() -> GaussianState:
     """The standard four-mode layout (two sidebands, two atomic modes)."""
-    try:
-        return _MEMORY_VACUA[basis]
-    except (KeyError, TypeError):
-        raise ValueError(f"unknown basis {basis!r}") from None
+    return _MEMORY_VACUUM
 
 
 def displace(state: GaussianState, mode: str, dx: float, dp: float) -> GaussianState:

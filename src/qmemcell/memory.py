@@ -24,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceBudget
-from .gaussian import (ATOM_MINUS, ATOM_PLUS, BASIS_PLUS_MINUS, LIGHT_C, LIGHT_S,
-                       MEMORY_MODES_PLUS_MINUS, POLICY_MEAN, QUAD_P, QUAD_X,
-                       GaussianChannel, GaussianState, _identity, _read_only,
-                       attenuation_channel, homodyne_outcome, memory_vacuum,
-                       rotation_2x2, symplectic_form)
+from .decoherence import DecoherenceBudget, boundary_loss_budget
+from .gaussian import (ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S, MEMORY_MODES_PLUS_MINUS,
+                       POLICY_MEAN, QUAD_P, QUAD_X, GaussianChannel, GaussianState,
+                       _identity, _read_only, attenuation_channel, homodyne_outcome,
+                       memory_vacuum, rotation_2x2, symplectic_form)
 
 #: pass-interaction variants
 VARIANT_TWO_CLASS = "two_class"
@@ -148,54 +147,6 @@ def differential_rotation(phi_1: float, phi_2: float) -> GaussianChannel:
 
 
 # ---------------------------------------------------------------------------
-# decoherence channels
-
-
-def _labels(modes: tuple[str, ...], chosen: tuple[str, ...] | None,
-            prefix: str) -> tuple[str, ...]:
-    return tuple(m for m in modes if m.startswith(prefix)) if chosen is None else chosen
-
-
-def spin_exchange_channel(modes: tuple[str, ...], eta: float,
-                          atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
-    """Spin-exchange collision channel on the atomic modes of a register.
-
-    A colliding atom leaves its class, shortening the collective means
-    by eta and admixing vacuum-level fluctuation of the fresh spins: an
-    attenuation of transmission (1 - eta)^2.
-    """
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
-    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
-                               (1.0 - eta) ** 2)
-
-
-def scattering_channel(modes: tuple[str, ...], n_phot: float,
-                       atomic_modes: tuple[str, ...] | None = None) -> GaussianChannel:
-    """Photon-scattering channel on the atomic modes of a register.
-
-    Each scattered photon randomizes one atom's sublevel; for
-    n_phot << 1 per atom the collective effect is the same attenuation
-    with vacuum refill as a collision with probability n_phot.
-    """
-    if not 0.0 <= n_phot < 1.0:
-        raise ValueError(f"n_phot must lie in [0, 1), got {n_phot}")
-    return attenuation_channel(modes, _labels(modes, atomic_modes, "atom"),
-                               (1.0 - n_phot) ** 2)
-
-
-def boundary_loss_channel(modes: tuple[str, ...], loss: float, n_crossings: int,
-                          light_modes: tuple[str, ...] | None = None) -> GaussianChannel:
-    """Pass the light modes of a register through n lossy window crossings."""
-    if not 0.0 <= loss < 1.0:
-        raise ValueError(f"loss must lie in [0, 1), got {loss}")
-    if n_crossings < 0:
-        raise ValueError(f"n_crossings must be non-negative, got {n_crossings}")
-    return attenuation_channel(modes, _labels(modes, light_modes, "light"),
-                               (1.0 - loss) ** n_crossings)
-
-
-# ---------------------------------------------------------------------------
 # write / read protocol
 
 
@@ -222,11 +173,10 @@ class ProtocolResult:
 
 
 def _require_memory_state(state: GaussianState):
-    if state.modes != MEMORY_MODES_PLUS_MINUS or state.basis != BASIS_PLUS_MINUS:
+    if state.modes != MEMORY_MODES_PLUS_MINUS:
         raise ValueError(
             "protocol states must use the (light_c, light_s, atom_plus, "
-            f"atom_minus) layout in the collective basis, got {state.modes} "
-            f"in basis {state.basis!r}")
+            f"atom_minus) layout in the collective basis, got {state.modes}")
 
 
 def _quad(mode: str, quadrature: str) -> int:
@@ -277,20 +227,38 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
     return name, GaussianChannel._wrap(x, _RESETS[measured_mode].y), (q_meas, q_tgt, gain)
 
 
+def _crossings(budget: DecoherenceBudget, n: int) -> GaussianChannel:
+    """The light modes through n lossy window crossings."""
+    return attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES,
+                               boundary_loss_budget(budget.boundary_loss, n).transmission)
+
+
+def _atomic_decay(budget: DecoherenceBudget) -> list:
+    """The collisions and scattering stages on the atomic modes.
+
+    A colliding atom leaves its class, shortening the collective means
+    by eta and admixing vacuum-level fluctuation of the fresh spins: an
+    attenuation of transmission (1 - eta)^2.  Each scattered photon
+    randomizes one atom's sublevel; for n_phot << 1 per atom the
+    collective effect is the same attenuation with n_phot in place of eta.
+    """
+    return [("collisions", attenuation_channel(MEMORY_MODES_PLUS_MINUS, _ATOMIC_MODES,
+                                               (1.0 - budget.eta) ** 2), None),
+            ("scattering", attenuation_channel(MEMORY_MODES_PLUS_MINUS, _ATOMIC_MODES,
+                                               (1.0 - budget.n_phot) ** 2), None)]
+
+
 def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     """One pass between two window crossings, homodyne feedback of X_c
     and P_s onto X_plus and P_minus, then collisions and scattering."""
-    modes, loss = MEMORY_MODES_PLUS_MINUS, budget.boundary_loss
     n_entry = budget.n_boundaries // 2
     return [
-        ("entry_loss", boundary_loss_channel(modes, loss, n_entry, _LIGHT_MODES), None),
+        ("entry_loss", _crossings(budget, n_entry), None),
         ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
-        ("exit_loss", boundary_loss_channel(modes, loss, budget.n_boundaries - n_entry,
-                                            _LIGHT_MODES), None),
+        ("exit_loss", _crossings(budget, budget.n_boundaries - n_entry), None),
         _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
         _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -gain),
-        ("collisions", spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
-        ("scattering", scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
+        *_atomic_decay(budget),
     ]
 
 
@@ -299,17 +267,15 @@ def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     quarter turn of the collective modes, a second pass, homodyne
     feedback of P_plus and X_minus onto the light, the exit crossing and
     a final quarter turn of both sidebands."""
-    modes, loss = MEMORY_MODES_PLUS_MINUS, budget.boundary_loss
     n_exit = budget.n_boundaries - budget.n_boundaries // 2
     return [
-        ("collisions", spin_exchange_channel(modes, budget.eta, _ATOMIC_MODES), None),
-        ("scattering", scattering_channel(modes, budget.n_phot, _ATOMIC_MODES), None),
+        *_atomic_decay(budget),
         ("fresh_pulse", _FRESH_PULSE, None),
         ("quarter_turn", _QUARTER_TURN, None),
         ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
         _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
         _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
-        ("exit_loss", boundary_loss_channel(modes, loss, n_exit, _LIGHT_MODES), None),
+        ("exit_loss", _crossings(budget, n_exit), None),
         ("align", _ALIGN, None),
     ]
 
@@ -469,7 +435,7 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
             raise ValueError(f"protocol output noise is out of range at gain={gain!r}, "
                              f"k_eff={k_eff!r}: {exc}") from None
     return ProtocolResult(
-        state=GaussianState(modes=state.modes, basis=state.basis, means=means, cov=cov),
+        state=GaussianState(modes=state.modes, means=means, cov=cov),
         transfer_map=transfer, added_noise=added, mean_fidelity=fidelity,
         measurements=outcomes, budget=budget)
 

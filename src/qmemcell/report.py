@@ -28,7 +28,7 @@ from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
                           doppler_averaged_scattering, edge_scattering_rate,
                           residual_pump_occupation, scattered_photon_limit,
                           spin_exchange_probability)
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, ScenarioError
 from .shifts import (MECH_AC_ZEEMAN, MECH_STARK, MECH_ZEEMAN,
                      ac_zeeman_compensation_intensity, ac_zeeman_ladder,
                      class_dephasing, collective_kappa,
@@ -322,8 +322,11 @@ def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
     ]
 
 
-def pump_rows(pump_rate: float, repump_rate: float, dt: float,
+def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: float,
               steps: int, n_checkpoints: int = 5) -> list[ReportRow]:
+    if config.species.f_ground != 4:
+        raise ScenarioError(f"field 'f_ground' = {config.species.f_ground} is not supported "
+                            "by pump: the pumping model is the F = 4 manifold")
     from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
     system = uniform_f4_system(pump_rate, repump_rate)
     record_every = max(1, steps // max(1, n_checkpoints))

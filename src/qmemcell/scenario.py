@@ -189,7 +189,14 @@ def load_scenario(text: str) -> ScenarioConfig:
                     raise ScenarioError(f"field 'f_ground' must be >= 1, got {raw}")
                 overrides[field] = raw
             else:
-                overrides[field] = conv(_coerce_number(key, raw))
+                value = _coerce_number(key, raw)
+                if key == "g_f" and abs(value * CODATA.mu_bohr) < sys.float_info.min:
+                    # zeeman_pi_pulse converts a Larmor frequency to a field over g_F mu_B
+                    raise ScenarioError(f"field 'g_f' = {value:g} is out of range: the "
+                                        "field denominator g_F mu_B underflows")
+                if key == "spin_exchange_cross_section_m2" and value < 0.0:
+                    raise ScenarioError(f"field '{key}' must be non-negative, got {value}")
+                overrides[field] = conv(value)
         species = dataclasses.replace(CESIUM, **overrides)
         for field in ("lambda_d1", "lambda_d2", "gamma_d1", "gamma_d2",
                       "delta_hf", "delta2", "doppler_halfwidth", "mean_speed"):

@@ -285,7 +285,7 @@ def zeeman_pi_pulse(tau: float, species: SpeciesData = CESIUM,
     B = hbar Omega_B / mu_B reading).
     """
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
     factor = 4 * species.f_ground - 2
     omega_b = _finite_solution(math.sqrt(math.pi * species.delta_hf / (factor * tau)),
                                "a Larmor frequency (rad/s) of", tau)
@@ -308,7 +308,7 @@ def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM
     this approaches 128 pi^3 hbar c Delta_S^2/(7 lambda^3 gamma Delta_2 tau).
     """
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
     return _pi_intensity(tau, _stark_slope(1.0, delta_s, species), species,
                          "a D1 intensity (W/m^2) of")
 
@@ -344,7 +344,7 @@ def microwave_pi_pulse(tau: float, delta_mu: float,
     optical transition.
     """
     if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+        raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
     intensity = _pi_intensity(tau, _ac_zeeman_slope(1.0, abs(delta_mu), species), species,
                               "a microwave intensity (W/m^2) of")
     ladder = ac_zeeman_ladder(intensity, abs(delta_mu), species)

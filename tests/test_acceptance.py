@@ -33,11 +33,12 @@ from qmemcell import (
     stark_pi_pulse,
     symplectic_form,
     uniform_f4_system,
+    vacuum_state,
     zeeman_ladder,
     zeeman_pi_pulse,
 )
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
-from qmemcell.gaussian import LIGHT_C, LIGHT_S
+from qmemcell.gaussian import LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS
 from qmemcell.memory import VARIANT_CLASS_1, VARIANT_CLASS_2, atomic_basis_matrix
 
 from _mc_oracle import write_fidelity_mc
@@ -201,7 +202,7 @@ def test_14_sideband_cross_covariance():
     clean = float(np.max(np.abs(collective.cross_block(LIGHT_C, LIGHT_S))))
     singles = []
     for variant in (VARIANT_CLASS_1, VARIANT_CLASS_2):
-        state = qnd_transform(1.0, variant).apply(memory_vacuum("class"))
+        state = qnd_transform(1.0, variant).apply(vacuum_state(MEMORY_MODES_CLASS))
         singles.append(float(np.max(np.abs(state.cross_block(LIGHT_C, LIGHT_S)))))
     ok = clean < 1e-12 and all(s > 1e-3 for s in singles)
     _check(14, "sideband_cross_covariance", ok,

@@ -1,4 +1,4 @@
-"""Scattering rates, budgets, and the Gaussian decoherence channels."""
+"""Scattering rates, budgets, and the protocol's loss stages."""
 
 import math
 
@@ -9,8 +9,8 @@ from qmemcell import (
     CESIUM,
     CODATA,
     DecoherenceBudget,
+    attenuation_channel,
     boundary_loss_budget,
-    boundary_loss_channel,
     default_scenario,
     displace,
     doppler_averaged_scattering,
@@ -19,16 +19,14 @@ from qmemcell import (
     residual_pump_occupation,
     saturation_intensity,
     scattered_photon_limit,
-    scattering_channel,
     scattering_rate,
-    spin_exchange_channel,
     spin_exchange_probability,
     stark_compensation_intensity,
     stark_pi_pulse,
-    vacuum_state,
 )
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
 from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
+from qmemcell.memory import _atomic_decay, _crossings
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -224,7 +222,7 @@ def test_budget_from_scenario():
 
 
 # ---------------------------------------------------------------------------
-# Gaussian channels
+# the protocol's loss stages: attenuation channels at the budget's transmissions
 
 
 def _correlated_state():
@@ -234,10 +232,14 @@ def _correlated_state():
     return qnd_transform(1.0).apply(state)
 
 
+def _decay_stage(budget, name):
+    return {stage: channel for stage, channel, _ in _atomic_decay(budget)}[name]
+
+
 def test_spin_exchange_channel_action():
     eta = 0.2
     state = _correlated_state()
-    out = spin_exchange_channel(state.modes, eta).apply(state)
+    out = _decay_stage(DecoherenceBudget(eta=eta), "collisions").apply(state)
     t = 1.0 - eta
     for mode in (ATOM_PLUS, ATOM_MINUS):
         mean, block = state.mode_block(mode)
@@ -256,16 +258,19 @@ def test_spin_exchange_channel_action():
 
 def test_scattering_channel_matches_spin_exchange_form():
     state = _correlated_state()
-    assert np.allclose(scattering_channel(state.modes, 0.05).apply(state).cov,
-                       spin_exchange_channel(state.modes, 0.05).apply(state).cov,
+    scattering = _decay_stage(DecoherenceBudget(n_phot=0.05), "scattering")
+    collisions = _decay_stage(DecoherenceBudget(eta=0.05), "collisions")
+    assert np.array_equal(scattering.x, collisions.x)
+    assert np.array_equal(scattering.y, collisions.y)
+    assert np.allclose(scattering.apply(state).cov, collisions.apply(state).cov,
                        rtol=1e-12, atol=1e-12)
 
 
 def test_channels_at_zero_strength_are_identity():
     state = _correlated_state()
-    for channel in (spin_exchange_channel(state.modes, 0.0),
-                    scattering_channel(state.modes, 0.0),
-                    boundary_loss_channel(state.modes, 0.0, 2)):
+    budget = DecoherenceBudget()
+    for channel in (*(ch for _, ch, _ in _atomic_decay(budget)), _crossings(budget, 2),
+                    attenuation_channel(state.modes, (LIGHT_C, ATOM_PLUS), 1.0)):
         out = channel.apply(state)
         assert np.array_equal(out.means, state.means)
         assert np.array_equal(out.cov, state.cov)
@@ -274,7 +279,7 @@ def test_channels_at_zero_strength_are_identity():
 def test_boundary_losses_touch_only_light():
     loss, n = 0.02, 2
     state = _correlated_state()
-    out = boundary_loss_channel(state.modes, loss, n).apply(state)
+    out = _crossings(DecoherenceBudget(boundary_loss=loss), n).apply(state)
     amp = math.sqrt((1.0 - loss) ** n)
     for mode in (LIGHT_C, LIGHT_S):
         mean, block = state.mode_block(mode)
@@ -290,28 +295,21 @@ def test_boundary_losses_touch_only_light():
 def test_channels_preserve_physicality():
     # the GaussianState constructor enforces the uncertainty bound, so a
     # channel output that constructs at all is a valid state; push a
-    # strongly correlated state through every channel at several strengths
+    # strongly correlated state through every loss stage at several strengths
     state = _correlated_state()
     for p in (0.0, 0.1, 0.5, 0.9):
-        spin_exchange_channel(state.modes, p).apply(state)
-        scattering_channel(state.modes, p).apply(state)
-        boundary_loss_channel(state.modes, p, 3).apply(state)
+        budget = DecoherenceBudget(eta=p, n_phot=p, boundary_loss=p)
+        for _, channel, _ in _atomic_decay(budget):
+            channel.apply(state)
+        _crossings(budget, 3).apply(state)
 
 
 def test_channel_custom_mode_selection():
     state = _correlated_state()
-    out = spin_exchange_channel(state.modes, 0.3, atomic_modes=(ATOM_PLUS,)).apply(state)
+    out = attenuation_channel(state.modes, (ATOM_PLUS,), (1.0 - 0.3) ** 2).apply(state)
     assert np.allclose(out.mode_block(ATOM_MINUS)[1], state.mode_block(ATOM_MINUS)[1],
                        rtol=1e-12, atol=1e-12)
     assert not np.allclose(out.mode_block(ATOM_PLUS)[1], state.mode_block(ATOM_PLUS)[1])
-
-
-def test_channel_validation():
-    state = vacuum_state((LIGHT_C,))
-    with pytest.raises(ValueError):
-        scattering_channel(state.modes, 1.5, atomic_modes=(LIGHT_C,))
-    with pytest.raises(ValueError):
-        boundary_loss_channel(state.modes, -0.1, 2, light_modes=(LIGHT_C,))
 
 
 def test_line_data_and_constants_have_no_cesium_defaults():

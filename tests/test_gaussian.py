@@ -21,8 +21,6 @@ from qmemcell import (
 from qmemcell.gaussian import (
     ATOM_MINUS,
     ATOM_PLUS,
-    BASIS_CLASS,
-    BASIS_PLUS_MINUS,
     LIGHT_C,
     LIGHT_S,
     MEMORY_MODES_CLASS,
@@ -161,17 +159,14 @@ def test_state_is_read_only():
 def test_vacuum_and_lookup():
     state = memory_vacuum()
     assert state.modes == MEMORY_MODES_PLUS_MINUS
-    assert state.basis == BASIS_PLUS_MINUS
     assert np.array_equal(state.means, np.zeros(8))
     assert np.array_equal(state.cov, VACUUM_VARIANCE * np.eye(8))
     assert state.quad_index(LIGHT_S, QUAD_P) == 3
-    assert memory_vacuum(BASIS_CLASS).modes == MEMORY_MODES_CLASS
+    assert vacuum_state(MEMORY_MODES_CLASS).modes == MEMORY_MODES_CLASS
     with pytest.raises(ValueError, match="unknown mode"):
         state.mode_index("light_d")
     with pytest.raises(ValueError, match="quadrature"):
         state.quad_index(LIGHT_C, "y")
-    with pytest.raises(ValueError, match="basis"):
-        memory_vacuum("bare")
 
 
 def test_displace_touches_only_means():
@@ -348,13 +343,13 @@ def test_shared_forms_and_vacua_are_read_only():
     assert symplectic_form(4) is omega
     with pytest.raises(ValueError):
         omega[0, 1] = 2.0
-    for basis in (BASIS_PLUS_MINUS, BASIS_CLASS):
-        vacuum = memory_vacuum(basis)
-        assert memory_vacuum(basis) is vacuum
+    vacuum = memory_vacuum()
+    assert memory_vacuum() is vacuum
+    for state in (vacuum, vacuum_state(MEMORY_MODES_CLASS)):
         with pytest.raises(ValueError):
-            vacuum.means[0] = 1.0
+            state.means[0] = 1.0
         with pytest.raises(ValueError):
-            vacuum.cov[0, 0] = 2.0
+            state.cov[0, 0] = 2.0
     assert np.array_equal(memory_vacuum().cov, VACUUM_VARIANCE * np.eye(8))
 
 

@@ -15,6 +15,7 @@ from qmemcell import (
     DecoherenceBudget,
     GaussianChannel,
     GaussianState,
+    boundary_loss_budget,
     collective_kappa,
     coupling_g,
     default_scenario,
@@ -34,9 +35,10 @@ from qmemcell.constants import CODATA, dipole_moment_squared, vacuum_field_squar
 from qmemcell.gaussian import (
     ATOM_MINUS,
     ATOM_PLUS,
-    BASIS_CLASS,
     LIGHT_C,
     LIGHT_S,
+    MEMORY_MODES_CLASS,
+    MEMORY_MODES_PLUS_MINUS,
     POLICY_SAMPLE,
     QUAD_P,
     QUAD_X,
@@ -189,7 +191,7 @@ def test_two_class_leaves_cross_sideband_clean():
 
 def test_single_class_mixes_sidebands():
     for variant, sign in ((VARIANT_CLASS_1, 1.0), (VARIANT_CLASS_2, -1.0)):
-        state = qnd_transform(1.0, variant).apply(memory_vacuum(BASIS_CLASS))
+        state = qnd_transform(1.0, variant).apply(vacuum_state(MEMORY_MODES_CLASS))
         cross = state.cross_block(LIGHT_C, LIGHT_S)
         # second-order term k^2/2 of the pass correlates the sidebands
         assert cross[0, 0] == pytest.approx(sign * 0.25, rel=1e-12)
@@ -587,6 +589,16 @@ def test_write_validation():
         run_write(1.0, state=vacuum_state((LIGHT_C, LIGHT_S)))
 
 
+def test_protocol_checks_the_mode_labels_and_channels_keep_them():
+    # the labels are the only record of the basis: a class-basis register is
+    # rejected by both runs, and a change of basis leaves the labels as they are
+    for run in (run_write, run_read):
+        with pytest.raises(ValueError, match="layout"):
+            run(1.0, state=vacuum_state(MEMORY_MODES_CLASS))
+    state = displace(memory_vacuum(), LIGHT_C, 1.0, 0.0)
+    assert atomic_basis_matrix().apply(state).modes == state.modes
+
+
 def test_write_rejects_a_bad_seed_by_name():
     for seed in (-1, 1.5, "3"):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got "):
@@ -704,8 +716,8 @@ def _random_memory_state(rng):
     s = hamiltonian_to_symplectic(0.3 * (h + h.T)).x
     nu = np.repeat(0.5 + rng.exponential(0.5, size=4), 2)
     base = memory_vacuum()
-    return GaussianState(modes=base.modes, basis=base.basis,
-                         means=rng.normal(scale=2.0, size=8), cov=s @ np.diag(nu) @ s.T)
+    return GaussianState(modes=base.modes, means=rng.normal(scale=2.0, size=8),
+                         cov=s @ np.diag(nu) @ s.T)
 
 
 def _stage_loop(stages, means, cov, policy, rng):
@@ -789,6 +801,29 @@ def test_stage_names_of_both_builders():
         assert set(run(1.0).measurements) == want
 
 
+@pytest.mark.parametrize("n_boundaries", range(5))
+def test_loss_stages_are_attenuation_channels_at_the_budget(n_boundaries):
+    # an odd crossing count puts the extra crossing after the pass, in
+    # the write's and in the read's exit
+    eta, n_phot, loss = 0.013, 0.021, 0.07
+    budget = DecoherenceBudget(eta=eta, n_phot=n_phot, boundary_loss=loss,
+                               n_boundaries=n_boundaries)
+    n_entry = n_boundaries // 2
+    light, atoms = (LIGHT_C, LIGHT_S), (ATOM_PLUS, ATOM_MINUS)
+    want = {"entry_loss": (light, boundary_loss_budget(loss, n_entry).transmission),
+            "exit_loss": (light, boundary_loss_budget(loss, n_boundaries - n_entry).transmission),
+            "collisions": (atoms, (1.0 - eta) ** 2),
+            "scattering": (atoms, (1.0 - n_phot) ** 2)}
+    for stages, names in ((_write_stages(1.0, -1.0, budget), set(want)),
+                          (_read_stages(1.0, -1.0, budget), set(want) - {"entry_loss"})):
+        losses = {name: channel for name, channel, _ in stages if name in want}
+        assert set(losses) == names
+        for name, channel in losses.items():
+            expected = gaussian.attenuation_channel(MEMORY_MODES_PLUS_MINUS, *want[name])
+            assert np.array_equal(channel.x, expected.x), name
+            assert np.array_equal(channel.y, expected.y), name
+
+
 def _module_arrays(module) -> list[np.ndarray]:
     """Every array a module holds at top level, also inside channels,
     states, tuples and dicts."""
@@ -841,7 +876,7 @@ def test_cached_constants_are_read_only_and_channels_own_their_x():
     modes = memory.MEMORY_MODES_PLUS_MINUS
     built = [gaussian.attenuation_channel(modes, (LIGHT_C,), 0.5),
              gaussian.attenuation_channel(modes, (LIGHT_C,), 0.5),
-             memory.spin_exchange_channel(modes, 0.1),
+             *(channel for _, channel, _ in memory._atomic_decay(DecoherenceBudget(eta=0.1))),
              *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS),
              *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS)]
     buffers = [cached[0], *(channel.x for channel in built)]

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmemcell import evolve_pumping, pumping_history, rate_matrix, state_index, uniform_f4_system
+from qmemcell import (default_scenario, evolve_pumping, pumping_history, rate_matrix, state_index,
+                      uniform_f4_system)
 from qmemcell.pumping import (
     DARK_INDICES,
     F3_SLICE,
@@ -185,7 +186,7 @@ def test_history_equals_chained_evolution(pump, repump, steps, record_every):
 
 def test_pump_report_overflow_names_run_time():
     with pytest.raises(ValueError, match=r"dt \* steps = .* overflows"):
-        pump_rows(PUMP, REPUMP, 1.0e305, 10)
+        pump_rows(default_scenario(), PUMP, REPUMP, 1.0e305, 10)
 
 
 @pytest.mark.parametrize("pump", [1.0e300, 1.0e16])
@@ -195,12 +196,12 @@ def test_propagator_that_loses_conservation_names_the_rates(pump):
     # 1.0000314 for these two pump rates
     prefix = f"pump rate {pump:g} /s and repump rate 10000 /s are too stiff"
     with pytest.raises(ValueError, match="^" + re.escape(prefix)):
-        pump_rows(pump, REPUMP, DT, 2000)
+        pump_rows(default_scenario(), pump, REPUMP, DT, 2000)
 
 
 @pytest.mark.parametrize("pump", [5.0e3, 1.0e4, 2.0e4])
 @pytest.mark.parametrize("repump", [5.0e3, 1.0e4, 2.0e4])
 @pytest.mark.parametrize("dt, steps", [(1.0e-6, 1000), (2.0e-6, 8000)])
 def test_catalogue_rates_conserve_population(pump, repump, dt, steps):
-    rows = {row.name: row.value for row in pump_rows(pump, repump, dt, steps)}
+    rows = {row.name: row.value for row in pump_rows(default_scenario(), pump, repump, dt, steps)}
     assert abs(rows["total_population"] - 1.0) < 1e-12

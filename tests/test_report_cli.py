@@ -17,8 +17,9 @@ import pytest
 
 import qmemcell
 from qmemcell import cli, default_scenario, scenario
-from qmemcell.cli import CONFIG_ENV_VAR, main
+from qmemcell.cli import CONFIG_ENV_VAR, build_parser, main
 from qmemcell.report import (
+    PI_PULSE_TAU,
     CSV_COLUMNS,
     QUANTITIES,
     STATUS_FAIL,
@@ -266,7 +267,7 @@ def _subcommand_rows(doc):
             pulse_design_rows(config, 30.0e-6), decoherence_rows(config),
             paper_check_rows(config), memory_sim_rows(config),
             memory_sim_rows(config, seed=7, k_eff=0.5),
-            pump_rows(1.0e4, 2.0e4, 1.0e-6, 2000), sweep]
+            pump_rows(config, 1.0e4, 2.0e4, 1.0e-6, 2000), sweep]
 
 
 @pytest.mark.parametrize("render, oracle", RENDER_PAIRS)
@@ -382,7 +383,7 @@ def test_decoherence_rows():
 
 
 def test_pump_rows():
-    rows = pump_rows(1.0e4, 1.0e4, 1.0e-6, 2000)
+    rows = pump_rows(default_scenario(), 1.0e4, 1.0e4, 1.0e-6, 2000)
     names = [r.name for r in rows]
     assert names[0] == "dark_fraction[t=0s]"
     assert names[-3:] == ["dark_minus_edge", "dark_plus_edge", "total_population"]
@@ -737,6 +738,60 @@ def test_cli_pulse_design_too_short_exits_2(capsys, tau):
     # 1e-300 printed zeeman_pi_omega_b,inf with exit 0; 1e-320 named no option
     assert main(["pulse-design", "--tau-s", tau]) == 2
     assert "--tau-s" in _single_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("tau", ["0", "-1e-6"])
+def test_cli_pulse_design_non_positive_tau_names_the_option(capsys, tau):
+    # the message used to name only the library argument tau
+    assert main(["pulse-design", f"--tau-s={tau}"]) == 2
+    line = _single_error_line(capsys.readouterr())
+    assert line.startswith("error: pulse duration tau (--tau-s) must be positive, got ")
+
+
+def test_cli_pulse_design_default_tau_is_the_reference_check_tau():
+    assert build_parser().parse_args(["pulse-design"]).tau_s is PI_PULSE_TAU
+
+
+@pytest.mark.parametrize("g_f", ["0", "1e-320"])
+@pytest.mark.parametrize("command", ["pulse-design", "paper-check"])
+def test_cli_vanishing_g_f_names_its_key(tmp_path, capsys, command, g_f):
+    # both exited 2 with "float division by zero", naming no key
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"species": {{"g_f": {g_f}}}}}')
+    assert main([command, "--config", str(path)]) == 2
+    assert "'g_f'" in _single_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta", "--values", "1e-3"],
+    ["decoherence"], ["memory-sim"]])
+def test_cli_negative_cross_section_names_its_key(tmp_path, capsys, argv):
+    # the sweep printed an eta of -0.00325 with exit 0; the others named eta
+    path = tmp_path / "cfg.json"
+    path.write_text('{"species": {"spin_exchange_cross_section_m2": -1e-18}}')
+    assert main([*argv, "--config", str(path)]) == 2
+    assert "'spin_exchange_cross_section_m2'" in _single_error_line(capsys.readouterr())
+
+
+def test_cli_pump_reads_its_config(tmp_path, capsys, monkeypatch):
+    # pump used to ignore --config and $QMEMCELL_CONFIG altogether
+    argv = ["pump", "--steps", "10"]
+    assert main([*argv, "--config", str(tmp_path / "missing.json")]) == 2
+    assert "missing.json" in _single_error_line(capsys.readouterr())
+    f3 = tmp_path / "f3.json"
+    f3.write_text('{"species": {"f_ground": 3}}')
+    assert main([*argv, "--config", str(f3)]) == 2
+    assert "'f_ground'" in _single_error_line(capsys.readouterr())
+    monkeypatch.setenv(CONFIG_ENV_VAR, str(f3))
+    assert main(argv) == 2
+    assert "'f_ground'" in _single_error_line(capsys.readouterr())
+    monkeypatch.delenv(CONFIG_ENV_VAR)
+    assert main(argv) == 0
+    base = capsys.readouterr().out
+    valid = tmp_path / "valid.json"
+    valid.write_text('{"tau_s": 2e-3, "species": {"gamma_d1_hz": 4.8e6}}')
+    assert main([*argv, "--config", str(valid)]) == 0
+    assert capsys.readouterr().out == base
 
 
 def test_cli_pulse_design_long_pulse_rows_pinned(capsys):

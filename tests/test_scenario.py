@@ -128,6 +128,22 @@ def test_species_validation():
         load_scenario('{"species": 3}')
 
 
+@pytest.mark.parametrize("block, key", [
+    ('{"g_f": 0}', "g_f"), ('{"g_f": 1e-320}', "g_f"), ('{"g_f": -1e-310}', "g_f"),
+    ('{"spin_exchange_cross_section_m2": -1e-18}', "spin_exchange_cross_section_m2"),
+])
+def test_species_g_f_and_cross_section_ranges(block, key):
+    with pytest.raises(ScenarioError, match=f"^field '{key}' "):
+        load_scenario(f'{{"species": {block}}}')
+
+
+def test_species_g_f_of_either_sign_and_a_zero_cross_section_load():
+    for g_f in (0.25, -0.25):
+        assert load_scenario(f'{{"species": {{"g_f": {g_f}}}}}').species.g_f == g_f
+    cfg = load_scenario('{"species": {"spin_exchange_cross_section_m2": 0}}')
+    assert cfg.species.spin_exchange_cross_section == 0.0
+
+
 def test_document_round_trip():
     cfg = default_scenario()
     doc = scenario_to_document(cfg)
