@@ -9,7 +9,7 @@ core formulas never see a non-SI number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,26 +36,48 @@ def tesla_to_gauss(b: float) -> float:
     return b * 1e4
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+#: CODATA 2018 values, field name -> default
+_CODATA_2018 = {
+    "hbar": 1.054571817e-34,        # J s (exact in the 2019 SI)
+    "c": 299792458.0,               # m/s (exact)
+    "epsilon0": 8.8541878128e-12,   # F/m
+    "mu_bohr": 9.2740100783e-24,    # J/T
+}
+
+
+class PhysicalConstants(namedtuple("PhysicalConstants", _CODATA_2018,
+                                   defaults=_CODATA_2018.values())):
     """CODATA 2018 values, frozen at build time."""
 
-    hbar: float = 1.054571817e-34        # J s (exact in the 2019 SI)
-    c: float = 299792458.0               # m/s (exact)
-    epsilon0: float = 8.8541878128e-12   # F/m
-    mu_bohr: float = 9.2740100783e-24    # J/T
+    __slots__ = ()
 
 
 CODATA = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class SpeciesData:
+#: cesium line data, field name -> default (units in SpeciesData)
+_CESIUM_LINE_DATA = {
+    "lambda_d1": 894.6e-9,
+    "lambda_d2": 852.3e-9,
+    "gamma_d1": hz_to_angular(4.56e6),
+    "gamma_d2": hz_to_angular(5.22e6),
+    "delta_hf": hz_to_angular(9.19e9),
+    "delta2": hz_to_angular(1.168e9),
+    "doppler_halfwidth": hz_to_angular(1.90e8),
+    "mean_speed": 130.0,
+    "spin_exchange_cross_section": 2.0e-18,
+    "f_ground": 4,
+    "g_f": 0.25,
+}
+
+
+class SpeciesData(namedtuple("SpeciesData", _CESIUM_LINE_DATA,
+                             defaults=_CESIUM_LINE_DATA.values())):
     """Line data for the alkali species filling the cell.
 
     Only the handful of cesium numbers the memory formulas need; pass a
-    modified instance (or the ``species`` block of a scenario file) to
-    override any of them.
+    modified instance (``CESIUM._replace(f_ground=3)``, or the
+    ``species`` block of a scenario file) to override any of them.
 
     Attributes
     ----------
@@ -76,17 +98,7 @@ class SpeciesData:
     g_f : ground-state Lande factor (1/4 for cesium F = 4)
     """
 
-    lambda_d1: float = 894.6e-9
-    lambda_d2: float = 852.3e-9
-    gamma_d1: float = hz_to_angular(4.56e6)
-    gamma_d2: float = hz_to_angular(5.22e6)
-    delta_hf: float = hz_to_angular(9.19e9)
-    delta2: float = hz_to_angular(1.168e9)
-    doppler_halfwidth: float = hz_to_angular(1.90e8)
-    mean_speed: float = 130.0
-    spin_exchange_cross_section: float = 2.0e-18
-    f_ground: int = 4
-    g_f: float = 0.25
+    __slots__ = ()
 
 
 CESIUM = SpeciesData()

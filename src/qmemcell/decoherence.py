@@ -8,7 +8,7 @@ protocol in ``memory``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import CESIUM, SpeciesData, angular_to_hz, saturation_intensity
 from .scenario import ScenarioConfig, ScenarioError
@@ -187,12 +187,11 @@ def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
     return species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
 
 
-@dataclass(frozen=True)
-class BoundaryLossBudget:
+class BoundaryLossBudget(namedtuple("BoundaryLossBudget",
+                                    ("transmission", "added_vacuum_fraction"))):
     """Transmission bookkeeping for n lossy window crossings."""
 
-    transmission: float
-    added_vacuum_fraction: float
+    __slots__ = ()
 
 
 def boundary_loss_budget(loss_per_crossing: float, n_crossings: int) -> BoundaryLossBudget:
@@ -206,8 +205,8 @@ def boundary_loss_budget(loss_per_crossing: float, n_crossings: int) -> Boundary
                               added_vacuum_fraction=1.0 - transmission)
 
 
-@dataclass(frozen=True)
-class DecoherenceBudget:
+class DecoherenceBudget(namedtuple("DecoherenceBudget", (
+        "eta", "gamma_ph", "n_phot", "boundary_loss", "n_boundaries"))):
     """Per-pulse decoherence parameters applied by the memory protocol.
 
     eta              spin-exchange collision probability
@@ -215,25 +214,30 @@ class DecoherenceBudget:
     n_phot           scattered photons per atom per pulse
     boundary_loss    intensity loss per window crossing
     n_boundaries     window crossings per pass (2 for a single cell)
+
+    The ranges are checked on construction, ``_make`` and ``_replace``
+    included.
     """
 
-    eta: float = 0.0
-    gamma_ph: float = 0.0
-    n_phot: float = 0.0
-    boundary_loss: float = 0.0
-    n_boundaries: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
-        if self.gamma_ph < 0.0:
-            raise ValueError(f"gamma_ph must be non-negative, got {self.gamma_ph}")
-        if not 0.0 <= self.n_phot < 1.0:
-            raise ValueError(f"n_phot must lie in [0, 1), got {self.n_phot}")
-        if not 0.0 <= self.boundary_loss < 1.0:
-            raise ValueError(f"boundary_loss must lie in [0, 1), got {self.boundary_loss}")
-        if self.n_boundaries < 0:
-            raise ValueError(f"n_boundaries must be non-negative, got {self.n_boundaries}")
+    def __new__(cls, eta: float = 0.0, gamma_ph: float = 0.0, n_phot: float = 0.0,
+                boundary_loss: float = 0.0, n_boundaries: int = 2):
+        if not 0.0 <= eta < 1.0:
+            raise ValueError(f"eta must lie in [0, 1), got {eta}")
+        if gamma_ph < 0.0:
+            raise ValueError(f"gamma_ph must be non-negative, got {gamma_ph}")
+        if not 0.0 <= n_phot < 1.0:
+            raise ValueError(f"n_phot must lie in [0, 1), got {n_phot}")
+        if not 0.0 <= boundary_loss < 1.0:
+            raise ValueError(f"boundary_loss must lie in [0, 1), got {boundary_loss}")
+        if n_boundaries < 0:
+            raise ValueError(f"n_boundaries must be non-negative, got {n_boundaries}")
+        return tuple.__new__(cls, (eta, gamma_ph, n_phot, boundary_loss, n_boundaries))
+
+    @classmethod
+    def _make(cls, iterable) -> "DecoherenceBudget":
+        return cls(*iterable)
 
     @classmethod
     def from_scenario(cls, config: ScenarioConfig) -> "DecoherenceBudget":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .constants import CESIUM, TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
@@ -58,40 +58,39 @@ class _Factory:
 _FACTORY = _Factory()
 
 
-@dataclass(frozen=True, init=False)
-class ReportRow:
+class ReportRow(namedtuple("ReportRow", (*CSV_COLUMNS, "extras"))):
     """One reported quantity, optionally checked against a reference.
 
     rel_dev is the signed relative deviation from the reference and is
     present exactly when a reference is; status carries PASS/FAIL for
     windowed checks.  extras holds named sub-values that take part in
-    the status but are only shown in the JSON rendering.
+    the status but are only shown in the JSON rendering; each row gets
+    its own empty dict by default.
 
-    ``__init__`` takes the arguments of the generated one and writes the
-    instance dict once, not once per field: a sweep builds a row per
-    point.  ``dataclasses.replace`` goes through it, so it recomputes
-    rel_dev.
+    rel_dev is computed, not passed: the constructor takes every field
+    but it, and ``_replace`` goes through the constructor, so it
+    recomputes rel_dev.
     """
 
-    name: str
-    value: float
-    unit: str
-    reference: float | None = None
-    rel_dev: float | None = field(default=None, init=False)
-    low: float | None = None
-    high: float | None = None
-    status: str | None = None
-    extras: dict[str, float] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __init__(self, name: str, value: float, unit: str,
-                 reference: float | None = None, low: float | None = None,
-                 high: float | None = None, status: str | None = None,
-                 extras: dict[str, float] = _FACTORY) -> None:
-        self.__dict__.update(
-            name=name, value=value, unit=unit, reference=reference,
-            rel_dev=None if reference is None else (value - reference) / abs(reference),
-            low=low, high=high, status=status,
-            extras={} if extras is _FACTORY else extras)
+    def __new__(cls, name: str, value: float, unit: str,
+                reference: float | None = None, low: float | None = None,
+                high: float | None = None, status: str | None = None,
+                extras: dict[str, float] = _FACTORY):
+        return tuple.__new__(cls, (
+            name, value, unit, reference,
+            None if reference is None else (value - reference) / abs(reference),
+            low, high, status, {} if extras is _FACTORY else extras))
+
+    def __getnewargs__(self):
+        """The constructor's arguments, for copy and pickle."""
+        return (*self[:4], *self[5:])
+
+    def _replace(self, /, **changes) -> "ReportRow":
+        fields = self._asdict()
+        del fields["rel_dev"]
+        return type(self)(**{**fields, **changes})
 
 
 def in_window(value: float, low: float, high: float) -> bool:
@@ -327,6 +326,17 @@ def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: 
     if config.species.f_ground != 4:
         raise ScenarioError(f"field 'f_ground' = {config.species.f_ground} is not supported "
                             "by pump: the pumping model is the F = 4 manifold")
+    if not 0.0 <= pump_rate < math.inf:
+        raise ValueError(f"pump rate (--pump-rate) must be non-negative and finite, "
+                         f"got {pump_rate}")
+    if not 0.0 <= repump_rate < math.inf:
+        raise ValueError(f"repump rate (--repump-rate) must be non-negative and finite, "
+                         f"got {repump_rate}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"record spacing dt (--dt) must be positive and finite, got {dt}")
+    if steps < 0:
+        raise ValueError(f"number of record spacings (--steps) must be non-negative, "
+                         f"got {steps}")
     from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
     system = uniform_f4_system(pump_rate, repump_rate)
     record_every = max(1, steps // max(1, n_checkpoints))

@@ -7,12 +7,11 @@ are rejected so typos fail loudly instead of silently using a default.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import CESIUM, CODATA, SpeciesData, angular_to_hz, hz_to_angular
 
@@ -21,8 +20,10 @@ class ScenarioError(ValueError):
     """Raised when a scenario document fails validation."""
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(namedtuple("ScenarioConfig", (
+        "omega_b", "pulse_duration", "probe_detuning", "stark_detuning", "microwave_detuning",
+        "atom_number", "photon_number", "beam_area", "atom_density", "boundary_loss",
+        "feedback_gain", "species"))):
     """Operating point of the memory, all values SI with rad/s frequencies.
 
     omega_b            Larmor frequency of the bias field
@@ -42,18 +43,7 @@ class ScenarioConfig:
     species            line data (defaults to cesium)
     """
 
-    omega_b: float
-    pulse_duration: float
-    probe_detuning: float
-    stark_detuning: float
-    microwave_detuning: float
-    atom_number: float
-    photon_number: float
-    beam_area: float
-    atom_density: float
-    boundary_loss: float
-    feedback_gain: float
-    species: SpeciesData
+    __slots__ = ()
 
 
 # JSON key -> (ScenarioConfig field, converter). Frequencies are cyclic Hz
@@ -71,6 +61,9 @@ _SCALAR_KEYS = {
     "boundary_loss": ("boundary_loss", float),
     "feedback_gain": ("feedback_gain", float),
 }
+#: JSON key -> index of its field in a ScenarioConfig
+_FIELD_INDEX = {key: ScenarioConfig._fields.index(field)
+                for key, (field, _) in _SCALAR_KEYS.items()}
 
 _SPECIES_KEYS = {
     "lambda_d1_m": ("lambda_d1", float),
@@ -197,7 +190,7 @@ def load_scenario(text: str) -> ScenarioConfig:
                 if key == "spin_exchange_cross_section_m2" and value < 0.0:
                     raise ScenarioError(f"field '{key}' must be non-negative, got {value}")
                 overrides[field] = conv(value)
-        species = dataclasses.replace(CESIUM, **overrides)
+        species = CESIUM._replace(**overrides)
         for field in ("lambda_d1", "lambda_d2", "gamma_d1", "gamma_d2",
                       "delta_hf", "delta2", "doppler_halfwidth", "mean_speed"):
             if getattr(species, field) <= 0.0:
@@ -244,22 +237,18 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
             f"unknown scenario key '{key}'; choose from {sorted(_SCALAR_KEYS)}")
     value = _coerce_number(key, value)
     _check_scalar(key, value)
-    field, conv = _SCALAR_KEYS[key]
-    # The copy equals dataclasses.replace(config, field=...) at a fraction
-    # of its cost: ScenarioConfig has no __post_init__, so skipping the
-    # generated __init__ skips no check, and the species object is shared.
-    state = config.__dict__.copy()
-    state[field] = conv(value)
-    copy = object.__new__(type(config))
-    object.__setattr__(copy, "__dict__", state)
-    return copy
+    # ScenarioConfig checks nothing on construction, so _make skips no check;
+    # it keeps type(config) and shares the species object
+    values = list(config)
+    values[_FIELD_INDEX[key]] = _SCALAR_KEYS[key][1](value)
+    return type(config)._make(values)
 
 
 @functools.cache
 def default_scenario() -> ScenarioConfig:
     """The packaged cesium operating point (``DEFAULTS``).
 
-    Built on the first call; ScenarioConfig is frozen, so every caller
+    Built on the first call; ScenarioConfig is immutable, so every caller
     shares the one instance.
     """
     return load_scenario("{}")

@@ -20,7 +20,7 @@ coupling strengths close the module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import (CESIUM, CODATA, SpeciesData, angular_to_hz,
                         dipole_moment_squared, vacuum_field_squared)
@@ -40,19 +40,16 @@ def ladder_m_values(f_ground: int) -> list[int]:
     return list(range(-f_ground, f_ground))
 
 
-@dataclass(frozen=True)
-class ShiftLadder:
+class ShiftLadder(namedtuple("ShiftLadder", ("mechanism", "f_ground", "terms"))):
     """Spacing frequencies Omega(m) in rad/s, m = -F .. F-1, of one mechanism.
 
     Each term ``(c0, c1)`` is the affine ladder c0 + c1 (2m + 1); a sum
     of ladders keeps the terms of both, and ``omegas()`` adds their
     per-m values left to right, so a composite row is the sum of its
-    parts' rows, rounded as such.
+    parts' rows, rounded as such.  ``terms`` is a tuple of such pairs.
     """
 
-    mechanism: str
-    f_ground: int
-    terms: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
     def omegas(self) -> dict[int, float]:
         """Omega(m) of the (m, m+1) coherence, rad/s, in ascending m."""
@@ -76,8 +73,10 @@ class ShiftLadder:
         return ShiftLadder(MECH_COMPOSITE, self.f_ground, self.terms + other.terms)
 
 
-@dataclass(frozen=True)
-class PulseDesign:
+class PulseDesign(namedtuple(
+        "PulseDesign", ("mechanism", "duration", "achieved_phase_difference",
+                        "required_intensity", "required_field", "omega_b", "scattered_photons"),
+        defaults=(None, None, None, 0.0))):
     """A differential pi pulse: parameters plus what it costs.
 
     ``achieved_phase_difference`` is |Omega(F-1) - Omega(-F)| * duration,
@@ -90,13 +89,7 @@ class PulseDesign:
     the others.
     """
 
-    mechanism: str
-    duration: float
-    achieved_phase_difference: float
-    required_intensity: float | None = None
-    required_field: float | None = None
-    omega_b: float | None = None
-    scattered_photons: float = 0.0
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +353,7 @@ def microwave_pi_pulse(tau: float, delta_mu: float,
 # probe couplings
 
 
-@dataclass(frozen=True)
-class CouplingSet:
+class CouplingSet(namedtuple("CouplingSet", ("kappa_per_s", "kappa_tau", "k_eff"))):
     """Collective coupling figures for one operating point.
 
     kappa_per_s  collective two-mode coupling rate (1/s), signed like
@@ -370,9 +362,7 @@ class CouplingSet:
     k_eff        pass-interaction strength entering the protocol maps
     """
 
-    kappa_per_s: float
-    kappa_tau: float
-    k_eff: float
+    __slots__ = ()
 
 
 def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,

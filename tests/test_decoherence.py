@@ -210,6 +210,12 @@ def test_budget_defaults_and_validation():
         DecoherenceBudget(boundary_loss=1.0)
     with pytest.raises(ValueError):
         DecoherenceBudget(n_boundaries=-1)
+    # copies are checked too, and a positional budget reads in field order
+    assert budget._replace(eta=0.5) == DecoherenceBudget(0.5) == (0.5, 0.0, 0.0, 0.0, 2)
+    with pytest.raises(ValueError, match="eta must lie"):
+        budget._replace(eta=1.0)
+    with pytest.raises(ValueError, match="n_phot must lie"):
+        DecoherenceBudget._make((0.0, 0.0, 2.0, 0.0, 2))
 
 
 def test_budget_from_scenario():

@@ -1,6 +1,5 @@
 """QND pass maps, rotations, and the write/read protocol."""
 
-import dataclasses
 import functools
 import math
 import warnings
@@ -103,10 +102,9 @@ def test_collective_kappa_scaling():
 
 
 def test_collective_kappa_matches_its_formulas_bit_for_bit():
-    species = dataclasses.replace(default_scenario().species, f_ground=3, lambda_d2=8.0e-7)
+    species = default_scenario().species._replace(f_ground=3, lambda_d2=8.0e-7)
     for cfg in (default_scenario(), scenario_with(default_scenario(), "tau_s", 2.0e-3),
-                dataclasses.replace(default_scenario(), species=species,
-                                    probe_detuning=-1.0e9)):
+                default_scenario()._replace(species=species, probe_detuning=-1.0e9)):
         sp = cfg.species
         e0_sq = vacuum_field_squared(cfg.beam_area, cfg.pulse_duration, sp.lambda_d2)
         mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2)
@@ -131,7 +129,7 @@ def test_collective_kappa_matches_its_formulas_bit_for_bit():
 def test_collective_kappa_zero_detuning_is_coupling_g_error():
     # a hand-built config skips the scenario checks; coupling_g's check
     # still fires first, for the full set and for the k_eff entry alone
-    cfg = dataclasses.replace(default_scenario(), probe_detuning=0.0)
+    cfg = default_scenario()._replace(probe_detuning=0.0)
     for fn in (collective_kappa, QUANTITIES["k_eff"][0]):
         with pytest.raises(ValueError, match="^detuning must be nonzero$"):
             fn(cfg)

@@ -15,7 +15,7 @@ from scipy.linalg import expm as scipy_expm
 from scipy.special import wofz
 
 import qmemcell
-from qmemcell import symplectic_form
+from qmemcell import cli, symplectic_form
 from qmemcell.decoherence import _WEIDEMAN, _WEIDEMAN_L, faddeeva
 from qmemcell.numerics import expm
 
@@ -124,12 +124,13 @@ SCALAR_ARGVS = [
                              "doppler_scattering_rate", "spin_exchange_eta", "k_eff")),
 ]
 
-# runs the scalar subcommands through cli.main, optionally with numpy
-# made unimportable, and prints exit codes, stdout and loaded numpy modules
+# runs the scalar subcommands through cli.main with the modules named in
+# poison made unimportable, and prints exit codes, stdout and which of
+# numpy and the dataclass machinery got loaded
 _SCALAR_RUN = """
 import contextlib, io, json, sys
-if {poison}:
-    sys.modules["numpy"] = None
+for name in {poison!r}:
+    sys.modules[name] = None
 import qmemcell
 qmemcell.load_scenario_file({config!r})
 from qmemcell.cli import main
@@ -138,9 +139,9 @@ for argv in {argvs!r}:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         runs.append([main(argv), out.getvalue()])
-loaded = sorted(m for m, mod in sys.modules.items()
-                if m.split(".")[0] == "numpy" and mod is not None)
-print(json.dumps({{"runs": runs, "numpy": loaded}}))
+loaded = sorted(m for m, mod in sys.modules.items() if mod is not None
+                and m.split(".")[0] in ("numpy", "dataclasses", "inspect"))
+print(json.dumps({{"runs": runs, "loaded": loaded}}))
 """
 
 
@@ -148,13 +149,59 @@ def test_scalar_subcommands_run_without_numpy(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text('{"omega_b_hz": 2.0e5, "species": {"gamma_d1_hz": 4.8e6}}')
     argvs = [[*argv, "--config", str(config)] for argv in SCALAR_ARGVS] + SCALAR_ARGVS
-    results = [json.loads(_fresh_python(_SCALAR_RUN.format(
-        poison=poison, config=str(config), argvs=argvs))) for poison in (True, False)]
-    poisoned, plain = results
-    assert poisoned == plain
-    assert plain["numpy"] == []
+    plain, *poisoned = [json.loads(_fresh_python(_SCALAR_RUN.format(
+        poison=poison, config=str(config), argvs=argvs)))
+        for poison in ((), ("numpy",), ("dataclasses",))]
+    for run in poisoned:
+        assert run == plain
+    # neither numpy nor the dataclass machinery: the records are namedtuples
+    assert plain["loaded"] == []
     for argv, (code, out) in zip(argvs, plain["runs"]):
         assert out.startswith(("name,", "[", "quantity")), argv
         # paper-check reports its windows; at these points the magnetic
         # pi-pulse field row falls outside (the documented discrepancy)
         assert code == (1 if argv[0] == "paper-check" else 0), argv
+
+
+#: the records of the scalar path, module.class -> fields in order
+SCALAR_RECORDS = {
+    "constants.PhysicalConstants": "hbar c epsilon0 mu_bohr",
+    "constants.SpeciesData": "lambda_d1 lambda_d2 gamma_d1 gamma_d2 delta_hf delta2 "
+                             "doppler_halfwidth mean_speed spin_exchange_cross_section "
+                             "f_ground g_f",
+    "scenario.ScenarioConfig": "omega_b pulse_duration probe_detuning stark_detuning "
+                               "microwave_detuning atom_number photon_number beam_area "
+                               "atom_density boundary_loss feedback_gain species",
+    "shifts.ShiftLadder": "mechanism f_ground terms",
+    "shifts.PulseDesign": "mechanism duration achieved_phase_difference required_intensity "
+                          "required_field omega_b scattered_photons",
+    "shifts.CouplingSet": "kappa_per_s kappa_tau k_eff",
+    "decoherence.BoundaryLossBudget": "transmission added_vacuum_fraction",
+    "decoherence.DecoherenceBudget": "eta gamma_ph n_phot boundary_loss n_boundaries",
+    "report.ReportRow": "name value unit reference rel_dev low high status extras",
+}
+
+
+@pytest.mark.parametrize("path", SCALAR_RECORDS)
+def test_scalar_records_are_slotted_namedtuples(path):
+    module, name = path.split(".")
+    cls = getattr(importlib.import_module(f"qmemcell.{module}"), name)
+    assert issubclass(cls, tuple) and cls.__name__ == name
+    assert cls._fields == tuple(SCALAR_RECORDS[path].split())
+    # no instance dict: a record holds its fields and nothing else
+    assert cls.__dict__["__slots__"] == () and cls.__dictoffset__ == 0
+
+
+def test_numpy_subcommands_still_run_with_dataclasses(tmp_path, capsys):
+    # memory-sim and pump load numpy and, through gaussian and pumping, dataclasses
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    argvs = [["memory-sim", "--seed", "3"], ["pump", "--steps", "20"]]
+    expected = []
+    for argv in argvs:
+        code = cli.main(argv)
+        expected.append([code, capsys.readouterr().out])
+    run = json.loads(_fresh_python(_SCALAR_RUN.format(
+        poison=(), config=str(config), argvs=argvs)))
+    assert run["runs"] == expected and [code for code, _ in expected] == [0, 0]
+    assert {"numpy", "dataclasses"} <= set(run["loaded"])

@@ -1,6 +1,7 @@
 """Report rows, renderers, and the command-line front end."""
 
 import contextlib
+import copy
 import csv
 import dataclasses
 import inspect
@@ -8,6 +9,7 @@ import io
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -78,7 +80,7 @@ def test_report_row_rel_dev_tracks_reference():
 
 @dataclasses.dataclass(frozen=True)
 class _GeneratedRow:
-    """ReportRow's fields with the dataclass-generated __init__."""
+    """ReportRow as the frozen dataclass it used to be: the oracle of its contract."""
 
     name: str
     value: float
@@ -96,14 +98,16 @@ class _GeneratedRow:
                                (self.value - self.reference) / abs(self.reference))
 
 
-def test_report_row_keeps_the_frozen_dataclass_contract():
+def test_report_row_keeps_the_record_contract():
     row = ReportRow("a", 1.0, "1")
     assert (row.name, row.value, row.unit, row.reference, row.rel_dev) == ("a", 1.0, "1",
                                                                            None, None)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         row.value = 2.0
-    names = [f.name for f in dataclasses.fields(ReportRow)]
-    assert names == [f.name for f in dataclasses.fields(_GeneratedRow)]
+    with pytest.raises(AttributeError):
+        row.note = "x"
+    assert ReportRow._fields == (*CSV_COLUMNS, "extras")
+    assert list(ReportRow._fields) == [f.name for f in dataclasses.fields(_GeneratedRow)]
 
     def parameters(cls):
         return [(p.name, p.kind, repr(p.default))
@@ -113,17 +117,28 @@ def test_report_row_keeps_the_frozen_dataclass_contract():
     args = ("b", 1.1, "mW", 1.0, 0.9, 1.2, STATUS_PASS, {"x": 2.0})
     assert repr(ReportRow(*args)) == repr(_GeneratedRow(*args)).replace("_GeneratedRow",
                                                                          "ReportRow")
-    assert vars(ReportRow(*args)) == vars(_GeneratedRow(*args))
+    assert ReportRow(*args)._asdict() == vars(_GeneratedRow(*args))
     assert ReportRow(*args) == ReportRow(*args) and ReportRow(*args) != ReportRow(*args[:7])
-    # extras is a dict, so rows hash only without one, as before
+    # a fresh extras dict per row; an explicit None is kept as given
+    assert ReportRow("a", 1.0, "1").extras == {}
+    assert ReportRow("a", 1.0, "1").extras is not row.extras
+    assert ReportRow("a", 1.0, "1", extras=None).extras is None
+    # extras is a dict, so rows hash only without one, to the value they hashed to before
     assert hash(ReportRow("a", 1.0, "1", extras=None)) == hash(
-        ReportRow(name="a", value=1.0, unit="1", extras=None))
+        ReportRow(name="a", value=1.0, unit="1", extras=None)) == hash(
+        _GeneratedRow("a", 1.0, "1", extras=None))
     with pytest.raises(TypeError, match="unhashable"):
         hash(row)
-    moved = dataclasses.replace(ReportRow(*args), value=1.3)
+    # _replace goes through the constructor, so rel_dev follows value and reference
+    moved = ReportRow(*args)._replace(value=1.3)
+    assert type(moved) is ReportRow
     assert moved.rel_dev == (1.3 - 1.0) / 1.0 and moved.extras == {"x": 2.0}
-    assert dataclasses.replace(moved, reference=None).rel_dev is None
-    assert ReportRow("a", 1.0, "1").extras is not row.extras
+    assert moved._replace(reference=None).rel_dev is None
+    assert moved._replace(reference=2.0).rel_dev == (1.3 - 2.0) / 2.0
+    with pytest.raises(TypeError, match="rel_dev"):
+        moved._replace(rel_dev=0.5)
+    # copies and pickles rebuild the same row
+    assert copy.copy(moved) == moved == pickle.loads(pickle.dumps(moved))
 
 
 def test_in_window_boundaries():
@@ -834,6 +849,21 @@ def test_cli_non_finite_option_exits_2(capsys, argv, option):
     assert option in err and "finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--pump-rate", "-5"], "pump rate (--pump-rate) must be non-negative and finite, got -5.0"),
+    (["--repump-rate=-1"],
+     "repump rate (--repump-rate) must be non-negative and finite, got -1.0"),
+    (["--dt", "0"], "record spacing dt (--dt) must be positive and finite, got 0.0"),
+    (["--dt=-1e-6"], "record spacing dt (--dt) must be positive and finite, got -1e-06"),
+    (["--steps", "-1"], "number of record spacings (--steps) must be non-negative, got -1"),
+])
+def test_cli_pump_out_of_range_option_exits_2(capsys, argv, message):
+    assert main(["pump", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_sweep_non_finite_value_exits_2(capsys):
     assert main(["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta",
                  "--values", "1e-3,nan"]) == 2
@@ -982,7 +1012,7 @@ def test_sweep_rows_match_the_public_functions(doc):
                  "--values=" + ",".join(map(repr, values))])
             rows = cli._sweep_rows(config, args)
             expected = [ReportRow(f"{quantity}[{param}={v:g}]", _reference_quantity(
-                quantity, dataclasses.replace(config, **{field: conv(v)})), unit)
+                quantity, config._replace(**{field: conv(v)})), unit)
                 for v in values]
             assert rows == expected, (param, quantity)
 
