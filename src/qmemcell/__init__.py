@@ -2,7 +2,7 @@
 quantum memory for light.
 
 The package splits into a parameter side (level-shift ladders, slope
-compensation, pulse designs, decoherence budgets, optical pumping) and a
+compensation, pi pulses, decoherence budgets, optical pumping) and a
 Gaussian-dynamics side (symplectic pass interactions, homodyne plus
 feedback write/read protocol).  ``qmemcell.cli`` exposes both on the
 command line.
@@ -25,6 +25,7 @@ _EXPORTS = {
     "doppler_averaged_scattering": "decoherence",
     "residual_pump_occupation": "decoherence", "scattered_photon_limit": "decoherence",
     "scattering_rate": "decoherence", "spin_exchange_probability": "decoherence",
+    "stark_pi_scattered_photons": "decoherence",
     "GaussianChannel": "gaussian", "GaussianState": "gaussian",
     "VACUUM_VARIANCE": "gaussian", "attenuation_channel": "gaussian",
     "displace": "gaussian", "hamiltonian_to_symplectic": "gaussian",
@@ -37,12 +38,12 @@ _EXPORTS = {
     "uniform_f4_system": "pumping", "ScenarioConfig": "scenario",
     "ScenarioError": "scenario", "default_scenario": "scenario",
     "load_scenario": "scenario", "load_scenario_file": "scenario",
-    "scenario_with": "scenario", "PulseDesign": "shifts", "ShiftLadder": "shifts",
+    "scenario_with": "scenario", "ShiftLadder": "shifts",
     "ac_zeeman_compensation_intensity": "shifts", "ac_zeeman_ladder": "shifts",
-    "class_dephasing": "shifts", "microwave_detuning_default": "shifts",
-    "microwave_pi_pulse": "shifts", "stark_compensation_intensity": "shifts",
-    "stark_ladder": "shifts", "stark_pi_pulse": "shifts", "zeeman_ladder": "shifts",
-    "zeeman_pi_pulse": "shifts",
+    "class_dephasing": "shifts", "microwave_pi_intensity": "shifts",
+    "stark_compensation_intensity": "shifts", "stark_ladder": "shifts",
+    "stark_pi_intensity": "shifts", "zeeman_ladder": "shifts",
+    "zeeman_pi_field": "shifts", "zeeman_pi_omega_b": "shifts",
 }
 
 __all__ = list(_EXPORTS)

@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import os
+import re
 import sys
 
 from .report import (PI_PULSE_TAU, QUANTITIES, RENDERERS, STATUS_PASS, ReportRow,
@@ -117,6 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=None, help="grid point count")
     _add_common(p, "csv")
 
+    # argparse's negative-number pattern misses exponents and lists and takes
+    # "--dt -1e-6" for a flag with no value; no option name starts with a digit
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

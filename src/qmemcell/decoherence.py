@@ -12,7 +12,7 @@ from collections import namedtuple
 
 from .constants import CESIUM, SpeciesData, angular_to_hz, saturation_intensity
 from .scenario import ScenarioConfig, ScenarioError
-from .shifts import stark_compensation_intensity
+from .shifts import stark_compensation_intensity, stark_pi_intensity
 
 #: width conventions for the Doppler average
 WIDTH_HWHM = "hwhm"
@@ -162,6 +162,16 @@ def scattered_photon_limit(species: SpeciesData = CESIUM) -> float:
     """
     factor = 4 * species.f_ground - 2
     return 48.0 * math.pi / factor * species.gamma_d1 / species.delta2
+
+
+def stark_pi_scattered_photons(tau: float, delta_s: float,
+                               species: SpeciesData = CESIUM) -> float:
+    """Photons scattered per atom by the light pi pulse of duration tau at
+    ``delta_s``: the edge atoms' rate at :func:`~qmemcell.shifts.stark_pi_intensity`
+    times tau.  Far detuned it approaches :func:`scattered_photon_limit`.
+    """
+    return edge_scattering_rate(stark_pi_intensity(tau, delta_s, species), delta_s,
+                                species) * tau
 
 
 def spin_exchange_probability(tau: float, species: SpeciesData = CESIUM,

@@ -25,15 +25,15 @@ from json.encoder import encode_basestring_ascii
 from .constants import CESIUM, TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
                           boundary_loss_budget, compensation_scattering_rate,
-                          doppler_averaged_scattering, edge_scattering_rate,
-                          residual_pump_occupation, scattered_photon_limit,
-                          spin_exchange_probability)
+                          doppler_averaged_scattering, residual_pump_occupation,
+                          scattered_photon_limit, spin_exchange_probability,
+                          stark_pi_scattered_photons)
 from .scenario import ScenarioConfig, ScenarioError
 from .shifts import (MECH_AC_ZEEMAN, MECH_STARK, MECH_ZEEMAN,
                      ac_zeeman_compensation_intensity, ac_zeeman_ladder,
-                     class_dephasing, collective_kappa,
-                     microwave_pi_pulse, stark_compensation_intensity, stark_ladder,
-                     stark_pi_intensity, stark_pi_pulse, zeeman_ladder, zeeman_pi_pulse)
+                     class_dephasing, collective_kappa, microwave_pi_intensity,
+                     stark_compensation_intensity, stark_ladder, stark_pi_intensity,
+                     zeeman_ladder, zeeman_pi_field, zeeman_pi_omega_b)
 
 STATUS_PASS = "PASS"
 STATUS_FAIL = "FAIL"
@@ -214,16 +214,15 @@ def _pi_pulses(tau: float) -> dict:
     """Registry entries of the differential pi pulses of duration ``tau``."""
     return {
         "zeeman_pi_omega_b": (
-            lambda c: zeeman_pi_pulse(tau, c.species).omega_b / TWO_PI / 1e6, "MHz"),
+            lambda c: zeeman_pi_omega_b(tau, c.species) / TWO_PI / 1e6, "MHz"),
         "zeeman_pi_field": (
-            lambda c: tesla_to_gauss(zeeman_pi_pulse(tau, c.species).required_field), "G"),
+            lambda c: tesla_to_gauss(zeeman_pi_field(tau, c.species)), "G"),
         "stark_pi_intensity": (lambda c: w_m2_to_mw_cm2(
             stark_pi_intensity(tau, c.stark_detuning, c.species)), "mW/cm^2"),
-        "stark_pi_scattered_photons": (lambda c: edge_scattering_rate(  # as in stark_pi_pulse
-            stark_pi_intensity(tau, c.stark_detuning, c.species), c.stark_detuning,
-            c.species) * tau, "1"),
-        "microwave_pi_intensity": (lambda c: w_m2_to_w_cm2(microwave_pi_pulse(
-            tau, c.microwave_detuning, c.species).required_intensity), "W/cm^2"),
+        "stark_pi_scattered_photons": (
+            lambda c: stark_pi_scattered_photons(tau, c.stark_detuning, c.species), "1"),
+        "microwave_pi_intensity": (lambda c: w_m2_to_w_cm2(
+            microwave_pi_intensity(tau, c.microwave_detuning, c.species)), "W/cm^2"),
     }
 
 
@@ -262,8 +261,8 @@ QUANTITIES = {
     "residual_pump_occupation": (lambda c: residual_pump_occupation(c.species), "1"),
     "scattered_photon_floor": (lambda c: scattered_photon_limit(c.species), "1"),
     "far_detuned_ratio": (  # a far-detuned light pi pulse against the floor
-        lambda c: stark_pi_pulse(PI_PULSE_TAU, 30.0 * c.species.delta2, c.species)
-        .scattered_photons / scattered_photon_limit(c.species), "1"),
+        lambda c: stark_pi_scattered_photons(PI_PULSE_TAU, 30.0 * c.species.delta2, c.species)
+        / scattered_photon_limit(c.species), "1"),
     **_pi_pulses(PI_PULSE_TAU),
     "kappa": (lambda c: collective_kappa(c).kappa_per_s, "1/s"),
     "k_eff": (lambda c: collective_kappa(c).k_eff, "1"),

@@ -80,6 +80,8 @@ _SPECIES_KEYS = {
 }
 
 # Documented defaults, in document units: the packaged cesium operating point.
+# The microwave detuning is 120 Omega_B, ten times the ~12 Omega_B span of the
+# m pairs' hyperfine transitions (linear Zeeman fan): the dressing is uniform.
 DEFAULTS = {
     "omega_b_hz": 3.0e5,
     "tau_s": 1.0e-3,
@@ -184,7 +186,7 @@ def load_scenario(text: str) -> ScenarioConfig:
             else:
                 value = _coerce_number(key, raw)
                 if key == "g_f" and abs(value * CODATA.mu_bohr) < sys.float_info.min:
-                    # zeeman_pi_pulse converts a Larmor frequency to a field over g_F mu_B
+                    # zeeman_pi_field converts a Larmor frequency to a field over g_F mu_B
                     raise ScenarioError(f"field 'g_f' = {value:g} is out of range: the "
                                         "field denominator g_F mu_B underflows")
                 if key == "spin_exchange_cross_section_m2" and value < 0.0:

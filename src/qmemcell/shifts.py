@@ -12,7 +12,7 @@ not the level energies themselves.  Three mechanisms move the ladder:
 
 All three ladders are exactly affine in (2m + 1), so any one of them can
 cancel the m-dependence of another.  The compensation solvers and the
-pi-pulse designers below do exactly that bookkeeping.  The same ladder
+pi-pulse solutions below do exactly that bookkeeping.  The same ladder
 coherences couple to the probe light; their single-atom and collective
 coupling strengths close the module.
 """
@@ -71,25 +71,6 @@ class ShiftLadder(namedtuple("ShiftLadder", ("mechanism", "f_ground", "terms")))
         if self.f_ground != other.f_ground:
             raise ValueError("cannot compose ladders over different m ranges")
         return ShiftLadder(MECH_COMPOSITE, self.f_ground, self.terms + other.terms)
-
-
-class PulseDesign(namedtuple(
-        "PulseDesign", ("mechanism", "duration", "achieved_phase_difference",
-                        "required_intensity", "required_field", "omega_b", "scattered_photons"),
-        defaults=(None, None, None, 0.0))):
-    """A differential pi pulse: parameters plus what it costs.
-
-    ``achieved_phase_difference`` is |Omega(F-1) - Omega(-F)| * duration,
-    the relative phase accumulated between the two edge coherences; the
-    designers solve for it to equal pi exactly.
-
-    Exactly one of ``required_intensity`` (W/m^2) and ``required_field``
-    (T) is set, depending on the mechanism.  ``scattered_photons`` is
-    the photon-scattering cost per atom for light-driven pulses, 0 for
-    the others.
-    """
-
-    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +218,8 @@ def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
             * delta_mu * omega_b**2 / (species.delta_hf * CODATA.mu_bohr**2))
 
 
-def microwave_detuning_default(omega_b: float) -> float:
-    """Convenient dressing detuning, 120 * Omega_B.
-
-    The hyperfine transition frequencies of the different m pairs span
-    about 12 Omega_B (linear Zeeman fan of both manifolds); detuning ten
-    times further keeps the dressing uniform across the ladder.
-    """
-    if omega_b < 0.0:
-        raise ValueError(f"omega_b must be non-negative, got {omega_b}")
-    return 120.0 * omega_b
-
-
 # ---------------------------------------------------------------------------
-# pi-pulse designers
+# differential pi pulses
 
 
 def _finite_solution(value: float, what: str, tau: float) -> float:
@@ -268,29 +237,23 @@ def _pi_intensity(tau: float, slope: float, species: SpeciesData, what: str) -> 
     return _finite_solution(math.pi / span if span else math.inf, what, tau)
 
 
-def zeeman_pi_pulse(tau: float, species: SpeciesData = CESIUM,
-                    use_g_factor: bool = True) -> PulseDesign:
-    """Strong-field pulse giving the edge coherences a relative phase pi.
+def zeeman_pi_omega_b(tau: float, species: SpeciesData = CESIUM) -> float:
+    """Larmor frequency (rad/s) of the strong-field pulse giving the edge
+    coherences a relative phase pi in tau.
 
-    Solves (4F - 2) Omega_B^2 tau / Delta_hf = pi for Omega_B, then
-    converts to field via B = hbar Omega_B / (g_F mu_B).  With
-    ``use_g_factor=False`` the conversion drops g_F (the bare
-    B = hbar Omega_B / mu_B reading).
+    Solves (4F - 2) Omega_B^2 tau / Delta_hf = pi, i.e. sets
+    :func:`class_dephasing` to pi.
     """
     if tau <= 0.0:
         raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
     factor = 4 * species.f_ground - 2
-    omega_b = _finite_solution(math.sqrt(math.pi * species.delta_hf / (factor * tau)),
-                               "a Larmor frequency (rad/s) of", tau)
-    g = species.g_f if use_g_factor else 1.0
-    b_field = CODATA.hbar * omega_b / (g * CODATA.mu_bohr)
-    return PulseDesign(
-        mechanism=MECH_ZEEMAN,
-        duration=tau,
-        achieved_phase_difference=class_dephasing(omega_b, tau, species),
-        required_field=b_field,
-        omega_b=omega_b,
-    )
+    return _finite_solution(math.sqrt(math.pi * species.delta_hf / (factor * tau)),
+                            "a Larmor frequency (rad/s) of", tau)
+
+
+def zeeman_pi_field(tau: float, species: SpeciesData = CESIUM) -> float:
+    """Static field (T) of the strong-field pi pulse, B = hbar Omega_B / (g_F mu_B)."""
+    return CODATA.hbar * zeeman_pi_omega_b(tau, species) / (species.g_f * CODATA.mu_bohr)
 
 
 def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM) -> float:
@@ -306,47 +269,19 @@ def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM
                          "a D1 intensity (W/m^2) of")
 
 
-def stark_pi_pulse(tau: float, delta_s: float,
-                   species: SpeciesData = CESIUM) -> PulseDesign:
-    """Light pulse on D1 at :func:`stark_pi_intensity`.
+def microwave_pi_intensity(tau: float, delta_mu: float,
+                           species: SpeciesData = CESIUM) -> float:
+    """Microwave intensity (W/m^2) whose dressing ladder accumulates a pi
+    edge phase in tau.
 
-    ``scattered_photons`` reports the Doppler-averaged photon-scattering
-    cost per atom of the pulse, that of the edge-pumped atoms (see
-    :func:`qmemcell.decoherence.edge_scattering_rate`).
-    """
-    intensity = stark_pi_intensity(tau, delta_s, species)
-    ladder = stark_ladder(intensity, delta_s, species)
-    phase = ladder.spread() * tau
-    from .decoherence import edge_scattering_rate
-    n_phot = edge_scattering_rate(intensity, delta_s, species) * tau
-    return PulseDesign(
-        mechanism=MECH_STARK,
-        duration=tau,
-        achieved_phase_difference=phase,
-        required_intensity=intensity,
-        scattered_photons=n_phot,
-    )
-
-
-def microwave_pi_pulse(tau: float, delta_mu: float,
-                       species: SpeciesData = CESIUM) -> PulseDesign:
-    """Microwave pulse whose dressing ladder accumulates a pi edge phase.
-
-    I_mu = 16 pi eps0 hbar^2 c^3 Delta_mu / (7 mu_B^2 tau) for F = 4.
+    I_mu = 16 pi eps0 hbar^2 c^3 |Delta_mu| / (7 mu_B^2 tau) for F = 4.
     No photon-scattering cost: the dressing field is far from any
     optical transition.
     """
     if tau <= 0.0:
         raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
-    intensity = _pi_intensity(tau, _ac_zeeman_slope(1.0, abs(delta_mu), species), species,
-                              "a microwave intensity (W/m^2) of")
-    ladder = ac_zeeman_ladder(intensity, abs(delta_mu), species)
-    return PulseDesign(
-        mechanism=MECH_AC_ZEEMAN,
-        duration=tau,
-        achieved_phase_difference=ladder.spread() * tau,
-        required_intensity=intensity,
-    )
+    return _pi_intensity(tau, _ac_zeeman_slope(1.0, abs(delta_mu), species), species,
+                         "a microwave intensity (W/m^2) of")
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from qmemcell import (
     doppler_averaged_scattering,
     evolve_pumping,
     memory_vacuum,
-    microwave_pi_pulse,
+    microwave_pi_intensity,
     qnd_transform,
     residual_pump_occupation,
     run_write,
@@ -30,12 +30,14 @@ from qmemcell import (
     spin_exchange_probability,
     stark_compensation_intensity,
     stark_ladder,
-    stark_pi_pulse,
+    stark_pi_intensity,
+    stark_pi_scattered_photons,
     symplectic_form,
     uniform_f4_system,
     vacuum_state,
     zeeman_ladder,
-    zeeman_pi_pulse,
+    zeeman_pi_field,
+    zeeman_pi_omega_b,
 )
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
 from qmemcell.gaussian import LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS
@@ -116,9 +118,8 @@ def test_05_microwave_compensation():
 
 
 def test_06_zeeman_pi_pulse():
-    pulse = zeeman_pi_pulse(PI_TAU)
-    omega_mhz = pulse.omega_b / TWO_PI * 1e-6
-    field_g = pulse.required_field * 1e4
+    omega_mhz = zeeman_pi_omega_b(PI_TAU) / TWO_PI * 1e-6
+    field_g = zeeman_pi_field(PI_TAU) * 1e4
     ok = 3.0 <= omega_mhz <= 3.4 and 8.4 <= field_g <= 9.2
     _check(6, "zeeman_pi_pulse", ok,
            f"Omega_B {omega_mhz:.4f} MHz in [3.0, 3.4], "
@@ -126,18 +127,17 @@ def test_06_zeeman_pi_pulse():
 
 
 def test_07_stark_pi_pulse():
-    pulse = stark_pi_pulse(PI_TAU, DELTA_S)
-    mw_cm2 = pulse.required_intensity * 0.1
-    ok = 120.0 <= mw_cm2 <= 155.0 and 0.04 <= pulse.scattered_photons <= 0.08
+    mw_cm2 = stark_pi_intensity(PI_TAU, DELTA_S) * 0.1
+    photons = stark_pi_scattered_photons(PI_TAU, DELTA_S)
+    ok = 120.0 <= mw_cm2 <= 155.0 and 0.04 <= photons <= 0.08
     _check(7, "stark_pi_pulse", ok,
            f"{mw_cm2:.1f} mW/cm^2 in [120, 155], "
-           f"{pulse.scattered_photons:.4f} photons in [0.04, 0.08]")
+           f"{photons:.4f} photons in [0.04, 0.08]")
 
 
 def test_08_scattered_photon_floor():
     floor = scattered_photon_limit()
-    far = stark_pi_pulse(PI_TAU, 30.0 * CESIUM.delta2)
-    ratio = far.scattered_photons / floor
+    ratio = stark_pi_scattered_photons(PI_TAU, 30.0 * CESIUM.delta2) / floor
     ok = 0.038 <= floor <= 0.046 and abs(ratio - 1.0) <= 0.1
     _check(8, "scattered_photon_floor", ok,
            f"floor {floor:.5f} in [0.038, 0.046], far-detuned cost "
@@ -145,7 +145,7 @@ def test_08_scattered_photon_floor():
 
 
 def test_09_microwave_pi_pulse():
-    w_cm2 = microwave_pi_pulse(PI_TAU, DELTA_MU).required_intensity * 1e-4
+    w_cm2 = microwave_pi_intensity(PI_TAU, DELTA_MU) * 1e-4
     _check(9, "microwave_pi_pulse", 160.0 <= w_cm2 <= 180.0,
            f"{w_cm2:.2f} W/cm^2 in [160, 180]")
 

@@ -1,6 +1,7 @@
 """Plain-numpy kernels against scipy, the scipy-free runtime, and the
 numpy-free path of the scalar subcommands."""
 
+import ast
 import importlib
 import json
 import math
@@ -173,8 +174,6 @@ SCALAR_RECORDS = {
                                "microwave_detuning atom_number photon_number beam_area "
                                "atom_density boundary_loss feedback_gain species",
     "shifts.ShiftLadder": "mechanism f_ground terms",
-    "shifts.PulseDesign": "mechanism duration achieved_phase_difference required_intensity "
-                          "required_field omega_b scattered_photons",
     "shifts.CouplingSet": "kappa_per_s kappa_tau k_eff",
     "decoherence.BoundaryLossBudget": "transmission added_vacuum_fraction",
     "decoherence.DecoherenceBudget": "eta gamma_ph n_phot boundary_loss n_boundaries",
@@ -190,6 +189,46 @@ def test_scalar_records_are_slotted_namedtuples(path):
     assert cls._fields == tuple(SCALAR_RECORDS[path].split())
     # no instance dict: a record holds its fields and nothing else
     assert cls.__dict__["__slots__"] == () and cls.__dictoffset__ == 0
+
+
+#: the scalar modules in layer order: each imports only the ones before it
+SCALAR_LAYERS = ("constants", "scenario", "shifts", "decoherence", "report", "cli")
+#: the only imports inside functions: the numpy side, loaded when its rows are built
+DEFERRED_IMPORTS = {("report", "pump_rows", "pumping"), ("report", "memory_sim_rows", "gaussian"),
+                    ("report", "memory_sim_rows", "memory")}
+
+
+def _package_imports(tree):
+    """(enclosing function or None, qmemcell module) of each package import in ``tree``."""
+    enclosing = {}
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):  # inner functions come later and win
+                enclosing[node] = func.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("qmemcell."):
+            targets = [node.module.split(".")[1]]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.split(".")[1] for a in node.names
+                       if a.name.startswith("qmemcell.")]
+        else:
+            continue
+        for target in targets:
+            yield enclosing.get(node), target.split(".")[0]
+
+
+def test_scalar_modules_import_each_other_in_layer_order():
+    deferred = set()
+    for rank, name in enumerate(SCALAR_LAYERS):
+        tree = ast.parse((Path(qmemcell.__file__).parent / f"{name}.py").read_text())
+        for func, target in _package_imports(tree):
+            if func is None:
+                assert target in SCALAR_LAYERS[:rank], f"{name} imports {target}"
+            else:
+                deferred.add((name, func, target))
+    assert deferred == DEFERRED_IMPORTS
 
 
 def test_numpy_subcommands_still_run_with_dataclasses(tmp_path, capsys):

@@ -43,11 +43,11 @@ from qmemcell.report import (
 from qmemcell.constants import w_m2_to_mw_cm2, w_m2_to_w_cm2
 from qmemcell.decoherence import (boundary_loss_budget, doppler_averaged_scattering,
                                   residual_pump_occupation, scattered_photon_limit,
-                                  spin_exchange_probability)
+                                  spin_exchange_probability, stark_pi_scattered_photons)
 from qmemcell.shifts import (ac_zeeman_compensation_intensity, ac_zeeman_ladder,
-                             class_dephasing, collective_kappa, microwave_pi_pulse,
-                             stark_compensation_intensity, stark_ladder, stark_pi_pulse,
-                             zeeman_ladder, zeeman_pi_pulse)
+                             class_dephasing, collective_kappa, microwave_pi_intensity,
+                             stark_compensation_intensity, stark_ladder, stark_pi_intensity,
+                             zeeman_ladder, zeeman_pi_field, zeeman_pi_omega_b)
 
 PAPER_CHECK_NAMES = [
     "zeeman_dephasing_phase",
@@ -864,6 +864,31 @@ def test_cli_pump_out_of_range_option_exits_2(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta",
+      "--start", "-1e-3", "--stop", "1e-3", "--num", "3"],
+     "field 'tau_s' must be positive, got -0.001"),
+    (["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta", "--values", "-1e-3,1e-3"],
+     "field 'tau_s' must be positive, got -0.001"),
+    (["shifts", "--omega-b-hz", "-3e5"], "field 'omega_b_hz' must be non-negative, got -300000.0"),
+    (["pump", "--dt", "-1e-6"], "record spacing dt (--dt) must be positive and finite, got -1e-06"),
+    (["pulse-design", "--tau-s", "-1e-6"],
+     "pulse duration tau (--tau-s) must be positive, got -1e-06"),
+])
+def test_cli_negative_exponent_value_gets_the_named_error(capsys, argv, message):
+    # argparse took such a token for a flag: "argument ...: expected one argument"
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_cli_memory_sim_takes_a_negative_exponent_gain(capsys):
+    assert main(["memory-sim", "--gain=-0.1"]) == 0
+    expected = capsys.readouterr()
+    assert main(["memory-sim", "--gain", "-1e-1"]) == 0
+    assert capsys.readouterr() == expected
+    assert "\nprotocol_gain,-0.1,1,,,,,\n" in expected.out
+
+
 def test_cli_sweep_non_finite_value_exits_2(capsys):
     assert main(["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta",
                  "--values", "1e-3,nan"]) == 2
@@ -970,16 +995,16 @@ def _reference_quantity(quantity, cfg):
             / boundary_loss_budget(cfg.boundary_loss, 2).added_vacuum_fraction),
         "residual_pump_occupation": lambda: residual_pump_occupation(sp),
         "scattered_photon_floor": lambda: scattered_photon_limit(sp),
-        "far_detuned_ratio": lambda: stark_pi_pulse(
-            tau, 30.0 * sp.delta2, sp).scattered_photons / scattered_photon_limit(sp),
-        "zeeman_pi_omega_b": lambda: zeeman_pi_pulse(tau, sp).omega_b / (2.0 * math.pi) / 1e6,
-        "zeeman_pi_field": lambda: zeeman_pi_pulse(tau, sp).required_field * 1e4,
+        "far_detuned_ratio": lambda: stark_pi_scattered_photons(
+            tau, 30.0 * sp.delta2, sp) / scattered_photon_limit(sp),
+        "zeeman_pi_omega_b": lambda: zeeman_pi_omega_b(tau, sp) / (2.0 * math.pi) / 1e6,
+        "zeeman_pi_field": lambda: zeeman_pi_field(tau, sp) * 1e4,
         "stark_pi_intensity": lambda: w_m2_to_mw_cm2(
-            stark_pi_pulse(tau, cfg.stark_detuning, sp).required_intensity),
-        "stark_pi_scattered_photons": lambda: stark_pi_pulse(
-            tau, cfg.stark_detuning, sp).scattered_photons,
+            stark_pi_intensity(tau, cfg.stark_detuning, sp)),
+        "stark_pi_scattered_photons": lambda: stark_pi_scattered_photons(
+            tau, cfg.stark_detuning, sp),
         "microwave_pi_intensity": lambda: w_m2_to_w_cm2(
-            microwave_pi_pulse(tau, cfg.microwave_detuning, sp).required_intensity),
+            microwave_pi_intensity(tau, cfg.microwave_detuning, sp)),
         "kappa": lambda: collective_kappa(cfg).kappa_per_s,
         "k_eff": lambda: collective_kappa(cfg).k_eff,
     }

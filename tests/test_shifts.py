@@ -1,4 +1,4 @@
-"""Level-shift ladders, compensation solvers, and pi-pulse designers."""
+"""Level-shift ladders, compensation solvers, and differential pi pulses."""
 
 import math
 
@@ -12,17 +12,18 @@ from qmemcell import (
     ac_zeeman_compensation_intensity,
     ac_zeeman_ladder,
     class_dephasing,
-    microwave_detuning_default,
-    microwave_pi_pulse,
+    microwave_pi_intensity,
     stark_compensation_intensity,
     stark_ladder,
-    stark_pi_pulse,
+    stark_pi_intensity,
+    stark_pi_scattered_photons,
     zeeman_ladder,
-    zeeman_pi_pulse,
+    zeeman_pi_field,
+    zeeman_pi_omega_b,
 )
 from qmemcell.cli import main
-from qmemcell.shifts import (POLE_GUARD, _stark_denominators, ladder_m_values,
-                             stark_pi_intensity)
+from qmemcell.decoherence import edge_scattering_rate
+from qmemcell.shifts import POLE_GUARD, _stark_denominators, ladder_m_values
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -329,8 +330,7 @@ def test_least_squares_fit_agrees_with_the_closed_slope(f_stark, f_mu, sign, f_g
     fitted = math.pi / (PI_TAU * (factor * abs(affine_fit(stark_ladder(1.0, delta_s, sp))[1])))
     assert stark_pi_intensity(PI_TAU, delta_s, sp) == pytest.approx(fitted, rel=1e-15)
     fitted = math.pi / (PI_TAU * (factor * abs(affine_fit(ac_zeeman_ladder(1.0, delta_mu, sp))[1])))
-    assert microwave_pi_pulse(PI_TAU, delta_mu, sp).required_intensity == pytest.approx(
-        fitted, rel=1e-15)
+    assert microwave_pi_intensity(PI_TAU, delta_mu, sp) == pytest.approx(fitted, rel=1e-15)
 
 
 def test_zero_field_shifts_csv_keeps_its_signed_zeros(capsys):
@@ -384,19 +384,13 @@ def test_ac_zeeman_compensation_needs_blue_detuning():
         ac_zeeman_compensation_intensity(OMEGA_B, -DELTA_MU)
 
 
-def test_microwave_detuning_default():
-    assert microwave_detuning_default(OMEGA_B) == pytest.approx(120.0 * OMEGA_B, rel=1e-15)
-    with pytest.raises(ValueError):
-        microwave_detuning_default(-1.0)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e4, max_value=1e7))
 def test_compensation_property_over_field_range(f_larmor):
     omega_b = TWO_PI * f_larmor
     i_s = stark_compensation_intensity(omega_b, DELTA_S)
     assert (zeeman_ladder(omega_b) + stark_ladder(i_s, DELTA_S)).spread() <= 1e-9 * omega_b
-    delta_mu = microwave_detuning_default(omega_b)
+    delta_mu = 120.0 * omega_b
     i_mu = ac_zeeman_compensation_intensity(omega_b, delta_mu)
     assert (zeeman_ladder(omega_b) + ac_zeeman_ladder(i_mu, delta_mu)).spread() <= 1e-9 * omega_b
 
@@ -411,59 +405,63 @@ def test_compensation_scales_as_omega_b_squared(f_larmor):
 
 
 # ---------------------------------------------------------------------------
-# pi-pulse designers
+# differential pi pulses
 
 
 def test_zeeman_pi_pulse_frozen():
-    pulse = zeeman_pi_pulse(PI_TAU)
-    assert pulse.achieved_phase_difference == pytest.approx(math.pi, rel=1e-12)
-    assert pulse.omega_b == pytest.approx(TWO_PI * 3.3076390659314976e6, rel=1e-12)
-    assert pulse.required_field * 1e4 == pytest.approx(9.452932780220278, rel=1e-12)
-    assert pulse.required_intensity is None
-    assert pulse.scattered_photons == 0.0
+    omega_b = zeeman_pi_omega_b(PI_TAU)
+    assert class_dephasing(omega_b, PI_TAU) == pytest.approx(math.pi, rel=1e-12)
+    assert omega_b == pytest.approx(TWO_PI * 3.3076390659314976e6, rel=1e-12)
+    assert zeeman_pi_field(PI_TAU) * 1e4 == pytest.approx(9.452932780220278, rel=1e-12)
 
 
 def test_zeeman_pi_pulse_bare_field_reading():
-    with_g = zeeman_pi_pulse(PI_TAU)
-    bare = zeeman_pi_pulse(PI_TAU, use_g_factor=False)
-    assert bare.required_field == pytest.approx(
-        CESIUM.g_f * with_g.required_field, rel=1e-12)
+    # the bare reading B = hbar Omega_B / mu_B is g_F times the field
+    omega_b = zeeman_pi_omega_b(PI_TAU)
+    assert CODATA.hbar * omega_b / CODATA.mu_bohr == pytest.approx(
+        CESIUM.g_f * zeeman_pi_field(PI_TAU), rel=1e-12)
 
 
 def test_stark_pi_pulse_frozen():
-    pulse = stark_pi_pulse(PI_TAU, DELTA_S)
-    assert pulse.achieved_phase_difference == pytest.approx(math.pi, rel=1e-9)
-    assert pulse.required_intensity == pytest.approx(1356.774650305846, rel=1e-12)
-    assert pulse.scattered_photons == pytest.approx(0.06322614360426586, rel=1e-9)
-    assert pulse.required_field is None
+    intensity = stark_pi_intensity(PI_TAU, DELTA_S)
+    assert stark_ladder(intensity, DELTA_S).spread() * PI_TAU == pytest.approx(
+        math.pi, rel=1e-9)
+    assert intensity == pytest.approx(1356.774650305846, rel=1e-12)
+    assert stark_pi_scattered_photons(PI_TAU, DELTA_S) == pytest.approx(
+        0.06322614360426586, rel=1e-9)
 
 
 def test_stark_pi_intensity_is_the_pulse_intensity():
+    # the photon cost is the edge atoms' rate at the pi intensity, bit for bit
     intensity = stark_pi_intensity(PI_TAU, DELTA_S)
-    assert intensity == pytest.approx(1356.774650305846, rel=1e-12)
-    assert intensity == stark_pi_pulse(PI_TAU, DELTA_S).required_intensity
+    assert stark_pi_scattered_photons(PI_TAU, DELTA_S) == (
+        edge_scattering_rate(intensity, DELTA_S, CESIUM) * PI_TAU)
 
 
 def test_microwave_pi_pulse_frozen():
-    pulse = microwave_pi_pulse(PI_TAU, DELTA_MU)
-    assert pulse.achieved_phase_difference == pytest.approx(math.pi, rel=1e-9)
-    assert pulse.required_intensity == pytest.approx(1.6701710940066502e6, rel=1e-11)
-    assert pulse.scattered_photons == 0.0
+    intensity = microwave_pi_intensity(PI_TAU, DELTA_MU)
+    assert ac_zeeman_ladder(intensity, DELTA_MU).spread() * PI_TAU == pytest.approx(
+        math.pi, rel=1e-9)
+    assert intensity == pytest.approx(1.6701710940066502e6, rel=1e-11)
+    # a red-tuned microwave needs the same intensity
+    assert microwave_pi_intensity(PI_TAU, -DELTA_MU) == intensity
 
 
 def test_pi_pulse_validation():
-    for designer in (lambda: zeeman_pi_pulse(0.0),
-                     lambda: stark_pi_pulse(-1.0, DELTA_S),
-                     lambda: microwave_pi_pulse(0.0, DELTA_MU)):
-        with pytest.raises(ValueError):
-            designer()
+    for solve in (lambda: zeeman_pi_omega_b(0.0), lambda: zeeman_pi_field(-1.0),
+                  lambda: stark_pi_intensity(-1.0, DELTA_S),
+                  lambda: stark_pi_scattered_photons(0.0, DELTA_S),
+                  lambda: microwave_pi_intensity(0.0, DELTA_MU)):
+        with pytest.raises(ValueError, match=r"tau \(--tau-s\) must be positive"):
+            solve()
 
 
 @pytest.mark.parametrize("designer, tau, solved", [
-    (lambda tau: zeeman_pi_pulse(tau), 1e-300, "Larmor frequency"),
+    (lambda tau: zeeman_pi_omega_b(tau), 1e-300, "Larmor frequency"),
     (lambda tau: stark_pi_intensity(tau, DELTA_S), 1e-320, "D1 intensity"),
-    (lambda tau: stark_pi_pulse(tau, DELTA_S), 1e-320, "D1 intensity"),
-    (lambda tau: microwave_pi_pulse(tau, DELTA_MU), 1e-320, "microwave intensity"),
+    (lambda tau: stark_pi_scattered_photons(tau, DELTA_S), 1e-320, "D1 intensity"),
+    (lambda tau: microwave_pi_intensity(tau, DELTA_MU), 1e-320, "microwave intensity"),
+    (zeeman_pi_field, 1e-300, "Larmor frequency"),
 ])
 def test_pi_pulse_designers_reject_non_finite_solutions(designer, tau, solved):
     with pytest.raises(ValueError, match=rf"tau \(--tau-s\) = {tau:g} s .* {solved} .* inf$"):
@@ -474,14 +472,26 @@ def test_pi_pulse_designers_reject_non_finite_solutions(designer, tau, solved):
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e-6, max_value=1e-2))
 def test_zeeman_pi_pulse_phase_property(tau):
-    pulse = zeeman_pi_pulse(tau)
-    assert pulse.achieved_phase_difference == pytest.approx(math.pi, rel=1e-9)
+    assert class_dephasing(zeeman_pi_omega_b(tau), tau) == pytest.approx(math.pi, rel=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e-2))
+def test_stark_pi_pulse_phase_property(tau):
+    intensity = stark_pi_intensity(tau, DELTA_S)
+    assert stark_ladder(intensity, DELTA_S).spread() * tau == pytest.approx(math.pi, rel=1e-9)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(min_value=1e-6, max_value=1e-2), st.sampled_from([DELTA_MU, -DELTA_MU]))
+def test_microwave_pi_pulse_phase_property(tau, delta_mu):
+    intensity = microwave_pi_intensity(tau, delta_mu)
+    assert ac_zeeman_ladder(intensity, abs(delta_mu)).spread() * tau == pytest.approx(
+        math.pi, rel=1e-9)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=1e-5, max_value=1e-3))
 def test_microwave_pi_pulse_cost_scales_inversely_with_tau(tau):
-    pulse = microwave_pi_pulse(tau, DELTA_MU)
-    ref = microwave_pi_pulse(PI_TAU, DELTA_MU)
-    assert pulse.required_intensity * tau == pytest.approx(
-        ref.required_intensity * PI_TAU, rel=1e-9)
+    assert microwave_pi_intensity(tau, DELTA_MU) * tau == pytest.approx(
+        microwave_pi_intensity(PI_TAU, DELTA_MU) * PI_TAU, rel=1e-9)
