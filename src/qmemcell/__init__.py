@@ -21,7 +21,7 @@ _EXPORTS = {
     "CESIUM": "constants", "CODATA": "constants", "PhysicalConstants": "constants",
     "SpeciesData": "constants", "dipole_moment_squared": "constants",
     "saturation_intensity": "constants", "vacuum_field_squared": "constants",
-    "DecoherenceBudget": "decoherence", "boundary_loss_budget": "decoherence",
+    "DecoherenceBudget": "decoherence", "boundary_transmission": "decoherence",
     "doppler_averaged_scattering": "decoherence",
     "residual_pump_occupation": "decoherence", "scattered_photon_limit": "decoherence",
     "scattering_rate": "decoherence", "spin_exchange_probability": "decoherence",

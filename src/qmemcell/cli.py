@@ -118,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--num", type=int, default=None, help="grid point count")
     _add_common(p, "csv")
 
-    # argparse's negative-number pattern misses exponents and lists and takes
-    # "--dt -1e-6" for a flag with no value; no option name starts with a digit
+    # argparse's pattern misses exponents, lists, -inf and -nan and takes "--dt -1e-6"
+    # for a flag with no value; no option name starts with a digit, inf or nan
     for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -174,17 +174,14 @@ def stark_pi_scattered_photons(tau: float, delta_s: float,
                                 species) * tau
 
 
-def spin_exchange_probability(tau: float, species: SpeciesData = CESIUM,
-                              density: float | None = None,
-                              mean_speed: float | None = None) -> float:
-    """Collision probability eta = sigma * v * tau * rho during time tau."""
+def spin_exchange_probability(tau: float, species: SpeciesData, density: float) -> float:
+    """Collision probability eta = sigma * v * tau * rho in time tau, v the mean speed."""
     if tau < 0.0:
         raise ValueError(f"tau must be non-negative, got {tau}")
-    rho = 2.5e16 if density is None else density
-    v = species.mean_speed if mean_speed is None else mean_speed
-    if rho < 0.0 or v < 0.0:
+    v = species.mean_speed
+    if density < 0.0 or v < 0.0:
         raise ValueError("density and speed must be non-negative")
-    return species.spin_exchange_cross_section * v * tau * rho
+    return species.spin_exchange_cross_section * v * tau * density
 
 
 def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
@@ -197,22 +194,14 @@ def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
     return species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
 
 
-class BoundaryLossBudget(namedtuple("BoundaryLossBudget",
-                                    ("transmission", "added_vacuum_fraction"))):
-    """Transmission bookkeeping for n lossy window crossings."""
-
-    __slots__ = ()
-
-
-def boundary_loss_budget(loss_per_crossing: float, n_crossings: int) -> BoundaryLossBudget:
-    """Total transmission (1-A)^n and the vacuum fraction 1-(1-A)^n."""
+def boundary_transmission(loss_per_crossing: float, n_crossings: int) -> float:
+    """Total transmission (1-A)^n of n lossy window crossings; the vacuum
+    fraction they add is its complement."""
     if not 0.0 <= loss_per_crossing <= 1.0:
         raise ValueError(f"loss per crossing must lie in [0, 1], got {loss_per_crossing}")
     if n_crossings < 0:
         raise ValueError(f"n_crossings must be non-negative, got {n_crossings}")
-    transmission = (1.0 - loss_per_crossing) ** n_crossings
-    return BoundaryLossBudget(transmission=transmission,
-                              added_vacuum_fraction=1.0 - transmission)
+    return (1.0 - loss_per_crossing) ** n_crossings
 
 
 class DecoherenceBudget(namedtuple("DecoherenceBudget", (
@@ -259,7 +248,7 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", (
         more, raises ScenarioError.
         """
         eta = spin_exchange_probability(config.pulse_duration, config.species,
-                                        density=config.atom_density)
+                                        config.atom_density)
         if eta >= 1.0:
             raise ScenarioError(
                 f"fields 'atom_density_m3' = {config.atom_density:g} m^-3 and 'tau_s' = "

@@ -275,17 +275,6 @@ class GaussianState:
         q = self.quad_index(label, quadrature)
         return float(self.cov[q, q])
 
-    def mode_block(self, label: str) -> tuple[np.ndarray, np.ndarray]:
-        """(means, 2x2 covariance) of one mode."""
-        j = self.mode_index(label)
-        sl = slice(2 * j, 2 * j + 2)
-        return self.means[sl].copy(), self.cov[sl, sl].copy()
-
-    def cross_block(self, label_a: str, label_b: str) -> np.ndarray:
-        """2x2 covariance block between two modes."""
-        ja, jb = self.mode_index(label_a), self.mode_index(label_b)
-        return self.cov[2 * ja:2 * ja + 2, 2 * jb:2 * jb + 2].copy()
-
 
 def vacuum_state(modes: tuple[str, ...]) -> GaussianState:
     n = len(modes)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceBudget, boundary_loss_budget
+from .decoherence import DecoherenceBudget, boundary_transmission
 from .gaussian import (ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S, MEMORY_MODES_PLUS_MINUS,
                        POLICY_MEAN, QUAD_P, QUAD_X, GaussianChannel, GaussianState,
                        _identity, _read_only, attenuation_channel, homodyne_outcome,
@@ -161,7 +161,6 @@ class ProtocolResult:
                   transmitted vacuum level
     mean_fidelity coherent-state ensemble fidelity of the map
     measurements  homodyne outcomes fed back during the run
-    budget        decoherence budget the run was evaluated with
     """
 
     state: GaussianState
@@ -169,7 +168,6 @@ class ProtocolResult:
     added_noise: np.ndarray
     mean_fidelity: float
     measurements: dict[str, float]
-    budget: DecoherenceBudget
 
 
 def _require_memory_state(state: GaussianState):
@@ -230,7 +228,7 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
 def _crossings(budget: DecoherenceBudget, n: int) -> GaussianChannel:
     """The light modes through n lossy window crossings."""
     return attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES,
-                               boundary_loss_budget(budget.boundary_loss, n).transmission)
+                               boundary_transmission(budget.boundary_loss, n))
 
 
 def _atomic_decay(budget: DecoherenceBudget) -> list:
@@ -437,7 +435,7 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
     return ProtocolResult(
         state=GaussianState(modes=state.modes, means=means, cov=cov),
         transfer_map=transfer, added_noise=added, mean_fidelity=fidelity,
-        measurements=outcomes, budget=budget)
+        measurements=outcomes)
 
 
 def run_write(k_eff: float, state: GaussianState | None = None,

@@ -24,13 +24,12 @@ from json.encoder import encode_basestring_ascii
 
 from .constants import CESIUM, TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
-                          boundary_loss_budget, compensation_scattering_rate,
+                          boundary_transmission, compensation_scattering_rate,
                           doppler_averaged_scattering, residual_pump_occupation,
                           scattered_photon_limit, spin_exchange_probability,
                           stark_pi_scattered_photons)
 from .scenario import ScenarioConfig, ScenarioError
-from .shifts import (MECH_AC_ZEEMAN, MECH_STARK, MECH_ZEEMAN,
-                     ac_zeeman_compensation_intensity, ac_zeeman_ladder,
+from .shifts import (ac_zeeman_compensation_intensity, ac_zeeman_ladder,
                      class_dephasing, collective_kappa, microwave_pi_intensity,
                      stark_compensation_intensity, stark_ladder, stark_pi_intensity,
                      zeeman_ladder, zeeman_pi_field, zeeman_pi_omega_b)
@@ -44,53 +43,29 @@ PI_PULSE_TAU = 30.0e-6
 #: weak-field operating point of the reference check
 WEAK_OMEGA_B = TWO_PI * 50.0e3
 
+#: a pump report records the dark fraction every max(1, steps // PUMP_CHECKPOINTS) spacings
+PUMP_CHECKPOINTS = 5
+
 CSV_COLUMNS = ("name", "value", "unit", "reference", "rel_dev",
                "low", "high", "status")
 
 
-class _Factory:
-    """Default of a field that gets a fresh value per instance."""
-
-    def __repr__(self):
-        return "<factory>"
-
-
-_FACTORY = _Factory()
-
-
-class ReportRow(namedtuple("ReportRow", (*CSV_COLUMNS, "extras"))):
+class ReportRow(namedtuple("ReportRow", ("name", "value", "unit", "reference", "low", "high",
+                                         "status", "extras"), defaults=(None,) * 5)):
     """One reported quantity, optionally checked against a reference.
 
-    rel_dev is the signed relative deviation from the reference and is
-    present exactly when a reference is; status carries PASS/FAIL for
-    windowed checks.  extras holds named sub-values that take part in
-    the status but are only shown in the JSON rendering; each row gets
-    its own empty dict by default.
-
-    rel_dev is computed, not passed: the constructor takes every field
-    but it, and ``_replace`` goes through the constructor, so it
-    recomputes rel_dev.
+    status carries PASS/FAIL for windowed checks.  extras holds named
+    sub-values that take part in the status but are only shown in the
+    JSON rendering.
     """
 
     __slots__ = ()
 
-    def __new__(cls, name: str, value: float, unit: str,
-                reference: float | None = None, low: float | None = None,
-                high: float | None = None, status: str | None = None,
-                extras: dict[str, float] = _FACTORY):
-        return tuple.__new__(cls, (
-            name, value, unit, reference,
-            None if reference is None else (value - reference) / abs(reference),
-            low, high, status, {} if extras is _FACTORY else extras))
-
-    def __getnewargs__(self):
-        """The constructor's arguments, for copy and pickle."""
-        return (*self[:4], *self[5:])
-
-    def _replace(self, /, **changes) -> "ReportRow":
-        fields = self._asdict()
-        del fields["rel_dev"]
-        return type(self)(**{**fields, **changes})
+    @property
+    def rel_dev(self) -> float | None:
+        """Signed relative deviation from the reference; None without one."""
+        reference = self.reference
+        return None if reference is None else (self.value - reference) / abs(reference)
 
 
 def in_window(value: float, low: float, high: float) -> bool:
@@ -249,15 +224,13 @@ QUANTITIES = {
     "scattered_photons_per_pulse": (
         lambda c: compensation_scattering_rate(c) * c.pulse_duration, "1"),
     "spin_exchange_eta": (lambda c: spin_exchange_probability(
-        c.pulse_duration, c.species, density=c.atom_density), "1"),
+        c.pulse_duration, c.species, c.atom_density), "1"),
     # a single cell's pass crosses two windows
-    "boundary_transmission": (
-        lambda c: boundary_loss_budget(c.boundary_loss, 2).transmission, "1"),
-    "boundary_added_vacuum": (
-        lambda c: boundary_loss_budget(c.boundary_loss, 2).added_vacuum_fraction, "1"),
+    "boundary_transmission": (lambda c: boundary_transmission(c.boundary_loss, 2), "1"),
+    "boundary_added_vacuum": (lambda c: 1.0 - boundary_transmission(c.boundary_loss, 2), "1"),
     "boundary_noise_ratio": (  # window-loss noise, four crossings against two
-        lambda c: (boundary_loss_budget(c.boundary_loss, 4).added_vacuum_fraction
-                   / boundary_loss_budget(c.boundary_loss, 2).added_vacuum_fraction), "1"),
+        lambda c: ((1.0 - boundary_transmission(c.boundary_loss, 4))
+                   / (1.0 - boundary_transmission(c.boundary_loss, 2))), "1"),
     "residual_pump_occupation": (lambda c: residual_pump_occupation(c.species), "1"),
     "scattered_photon_floor": (lambda c: scattered_photon_limit(c.species), "1"),
     "far_detuned_ratio": (  # a far-detuned light pi pulse against the floor
@@ -288,8 +261,8 @@ def shifts_rows(config: ScenarioConfig) -> list[ReportRow]:
     """
     zee, sta = zeeman_ladder(config.omega_b, config.species), _stark(config)
     rows = []
-    for mech, ladder in ((MECH_ZEEMAN, zee), (MECH_STARK, sta),
-                         (MECH_AC_ZEEMAN, _ac_zeeman(config)),
+    for mech, ladder in (("quadratic_zeeman", zee), ("ac_stark", sta),
+                         ("ac_zeeman", _ac_zeeman(config)),
                          ("composite_zeeman_stark", zee + sta)):
         for m, omega in ladder.omegas().items():
             rows.append(ReportRow(name=f"{mech}[m={m}]", value=omega / TWO_PI, unit="Hz"))
@@ -321,7 +294,7 @@ def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
 
 
 def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: float,
-              steps: int, n_checkpoints: int = 5) -> list[ReportRow]:
+              steps: int) -> list[ReportRow]:
     if config.species.f_ground != 4:
         raise ScenarioError(f"field 'f_ground' = {config.species.f_ground} is not supported "
                             "by pump: the pumping model is the F = 4 manifold")
@@ -338,7 +311,7 @@ def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: 
                          f"got {steps}")
     from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
     system = uniform_f4_system(pump_rate, repump_rate)
-    record_every = max(1, steps // max(1, n_checkpoints))
+    record_every = max(1, steps // PUMP_CHECKPOINTS)
     times, pops = pumping_history(system, dt, steps, record_every)
     lo, hi = DARK_INDICES
     rows = []

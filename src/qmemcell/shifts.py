@@ -29,18 +29,13 @@ from .scenario import ScenarioConfig, ScenarioError
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
 POLE_GUARD = 1e-6
 
-MECH_ZEEMAN = "quadratic_zeeman"
-MECH_STARK = "ac_stark"
-MECH_AC_ZEEMAN = "ac_zeeman"
-MECH_COMPOSITE = "composite"
-
 
 def ladder_m_values(f_ground: int) -> list[int]:
     """m indices of the neighboring-level spacings Omega(m), m -> m+1."""
     return list(range(-f_ground, f_ground))
 
 
-class ShiftLadder(namedtuple("ShiftLadder", ("mechanism", "f_ground", "terms"))):
+class ShiftLadder(namedtuple("ShiftLadder", ("f_ground", "terms"))):
     """Spacing frequencies Omega(m) in rad/s, m = -F .. F-1, of one mechanism.
 
     Each term ``(c0, c1)`` is the affine ladder c0 + c1 (2m + 1); a sum
@@ -70,7 +65,7 @@ class ShiftLadder(namedtuple("ShiftLadder", ("mechanism", "f_ground", "terms")))
     def __add__(self, other: "ShiftLadder") -> "ShiftLadder":
         if self.f_ground != other.f_ground:
             raise ValueError("cannot compose ladders over different m ranges")
-        return ShiftLadder(MECH_COMPOSITE, self.f_ground, self.terms + other.terms)
+        return ShiftLadder(self.f_ground, self.terms + other.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +80,7 @@ def zeeman_ladder(omega_b: float, species: SpeciesData = CESIUM) -> ShiftLadder:
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
-    return ShiftLadder(MECH_ZEEMAN, species.f_ground,
-                       ((omega_b, -omega_b**2 / species.delta_hf),))
+    return ShiftLadder(species.f_ground, ((omega_b, -omega_b**2 / species.delta_hf),))
 
 
 def class_dephasing(omega_b: float, tau: float, species: SpeciesData = CESIUM) -> float:
@@ -112,10 +106,10 @@ def _stark_denominators(delta_s: float, species: SpeciesData) -> tuple[float, fl
     return delta_s + half, delta_s - half
 
 
-def _odd_ladder(mechanism: str, f_ground: int, slope: float) -> ShiftLadder:
+def _odd_ladder(f_ground: int, slope: float) -> ShiftLadder:
     # -0.0 is the exact additive identity: -0.0 + slope * (2m + 1) keeps the
     # sign of a zero product, where a 0.0 start would print -0.0 rows as 0.0
-    return ShiftLadder(mechanism, f_ground, ((-0.0, slope),))
+    return ShiftLadder(f_ground, ((-0.0, slope),))
 
 
 def _stark_slope(intensity: float, delta_s: float, species: SpeciesData) -> float:
@@ -137,8 +131,7 @@ def stark_ladder(intensity: float, delta_s: float,
     the field is tuned between the two excited hyperfine components
     (|Delta_S| < Delta_2/2).
     """
-    return _odd_ladder(MECH_STARK, species.f_ground,
-                       _stark_slope(intensity, delta_s, species))
+    return _odd_ladder(species.f_ground, _stark_slope(intensity, delta_s, species))
 
 
 def _ac_zeeman_slope(intensity: float, delta_mu: float, species: SpeciesData) -> float:
@@ -160,8 +153,7 @@ def ac_zeeman_ladder(intensity: float, delta_mu: float,
     affine with slope sign following the detuning sign, so a red- or
     blue-tuned microwave can cancel either sign of static-ladder slope.
     """
-    return _odd_ladder(MECH_AC_ZEEMAN, species.f_ground,
-                       _ac_zeeman_slope(intensity, delta_mu, species))
+    return _odd_ladder(species.f_ground, _ac_zeeman_slope(intensity, delta_mu, species))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +310,7 @@ def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     The probe runs on the stronger line; its vacuum field is set by the
     beam area and the pulse duration.  kappa carries the sign of
     -1/detuning, so red and blue probe detunings give opposite k_eff.
-    A zero detuning raises :func:`coupling_g`'s ValueError, and a
+    A zero detuning raises a ValueError, as in :func:`coupling_g`, and a
     non-finite k_eff a ScenarioError naming the three keys that set it.
     """
     sp = config.species

@@ -16,7 +16,7 @@ from qmemcell import (
     CESIUM,
     ac_zeeman_compensation_intensity,
     ac_zeeman_ladder,
-    boundary_loss_budget,
+    boundary_transmission,
     class_dephasing,
     differential_rotation,
     doppler_averaged_scattering,
@@ -42,6 +42,7 @@ from qmemcell import (
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
 from qmemcell.gaussian import LIGHT_C, LIGHT_S, MEMORY_MODES_CLASS
 from qmemcell.memory import VARIANT_CLASS_1, VARIANT_CLASS_2, atomic_basis_matrix
+from qmemcell.scenario import DEFAULTS
 
 from _mc_oracle import write_fidelity_mc
 
@@ -151,7 +152,7 @@ def test_09_microwave_pi_pulse():
 
 
 def test_10_spin_exchange_probability():
-    eta = spin_exchange_probability(TAU)
+    eta = spin_exchange_probability(TAU, CESIUM, DEFAULTS["atom_density_m3"])
     ok = abs(eta / 6.5e-3 - 1.0) <= 0.01
     _check(10, "spin_exchange", ok, f"{eta:.6f} within 1% of 6.5e-3")
 
@@ -163,8 +164,8 @@ def test_11_residual_pump_occupation():
 
 
 def test_12_boundary_loss_doubling():
-    two = boundary_loss_budget(0.01, 2).added_vacuum_fraction
-    four = boundary_loss_budget(0.01, 4).added_vacuum_fraction
+    two = 1.0 - boundary_transmission(0.01, 2)
+    four = 1.0 - boundary_transmission(0.01, 4)
     ratio = four / two
     _check(12, "boundary_doubling", 1.9 <= ratio <= 2.0,
            f"4-vs-2 crossing vacuum ratio {ratio:.4f} in [1.9, 2.0]")
@@ -197,13 +198,19 @@ def test_13_symplectic_invariant_random_compositions():
            f"max |S Omega S^T - Omega| = {worst:.2e} over 1000 compositions")
 
 
+def _sideband_cross(state):
+    """2x2 covariance block between the two light sidebands."""
+    c, s = 2 * state.mode_index(LIGHT_C), 2 * state.mode_index(LIGHT_S)
+    return state.cov[c:c + 2, s:s + 2]
+
+
 def test_14_sideband_cross_covariance():
     collective = qnd_transform(1.0).apply(memory_vacuum())
-    clean = float(np.max(np.abs(collective.cross_block(LIGHT_C, LIGHT_S))))
+    clean = float(np.max(np.abs(_sideband_cross(collective))))
     singles = []
     for variant in (VARIANT_CLASS_1, VARIANT_CLASS_2):
         state = qnd_transform(1.0, variant).apply(vacuum_state(MEMORY_MODES_CLASS))
-        singles.append(float(np.max(np.abs(state.cross_block(LIGHT_C, LIGHT_S)))))
+        singles.append(float(np.max(np.abs(_sideband_cross(state)))))
     ok = clean < 1e-12 and all(s > 1e-3 for s in singles)
     _check(14, "sideband_cross_covariance", ok,
            f"two-class {clean:.1e} < 1e-12, single-class "

@@ -1,0 +1,108 @@
+"""Byte identity of the scalar subcommands against committed digests.
+
+``cli_golden.json`` holds one sha256 of ``(exit code, stdout, stderr)``
+per case: each scalar subcommand (``shifts``, ``compensate``,
+``pulse-design``, ``decoherence``, ``paper-check``, ``sweep``) in every
+output format, on the packaged cesium point and on five edge documents.
+The scalar subcommands load no numpy, so their bytes do not depend on a
+BLAS build.  A refactor that keeps the reports leaves every digest as it
+is.
+
+Regenerate the file only for a change that is meant to alter the output,
+and list the reason in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from qmemcell.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+
+#: scenario documents by file name: the packaged point and five edge cases
+DOCUMENTS = {
+    "cesium.json": json.loads((Path(__file__).parents[1] / "cesium.json").read_text()),
+    "d1.json": {"species": {"gamma_d1_hz": 9.12e6, "lambda_d1_m": 795e-9}},
+    "f_ground_3.json": {"species": {"f_ground": 3}},
+    "boundary_loss_0.json": {"boundary_loss": 0.0},
+    "omega_b_1e150.json": {"omega_b_hz": 1e150},
+    "tau_1e-300.json": {"tau_s": 1e-300},
+}
+
+COMMANDS = (
+    ("shifts",),
+    ("compensate",),
+    ("pulse-design", "--tau-s", "30e-6"),
+    ("pulse-design", "--tau-s", "1e-320"),
+    ("pulse-design", "--tau-s", "0"),
+    ("decoherence",),
+    ("paper-check",),
+    ("sweep", "--param", "boundary_loss", "--quantity", "boundary_noise_ratio",
+     "--values", "0.001,0.01,0.5"),
+    ("sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta",
+     "--start", "1e-4", "--stop", "1e-3", "--num", "3"),
+)
+
+FORMATS = ("csv", "table", "json")
+
+CASES = {" ".join((*command, "--format", fmt, "--config", doc)):
+         [*command, "--format", fmt, "--config", doc]
+         for doc in DOCUMENTS for command in COMMANDS for fmt in FORMATS}
+
+
+def write_documents(directory: Path) -> None:
+    for name, doc in DOCUMENTS.items():
+        (directory / name).write_text(json.dumps(doc))
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of the exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return hashlib.sha256(json.dumps([code, out.getvalue(), err.getvalue()]).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    write_documents(directory)
+    return directory
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_the_golden_file_lists_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_scalar_subcommand_output_is_unchanged(case, documents, golden, monkeypatch):
+    monkeypatch.chdir(documents)
+    assert digest(CASES[case]) == golden[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        write_documents(Path(scratch))
+        here = os.getcwd()
+        os.chdir(scratch)
+        try:
+            digests = {case: digest(argv) for case, argv in CASES.items()}
+        finally:
+            os.chdir(here)
+    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {GOLDEN}", file=sys.stderr)

@@ -10,7 +10,7 @@ from qmemcell import (
     CODATA,
     DecoherenceBudget,
     attenuation_channel,
-    boundary_loss_budget,
+    boundary_transmission,
     default_scenario,
     displace,
     doppler_averaged_scattering,
@@ -27,6 +27,7 @@ from qmemcell import (
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
 from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
 from qmemcell.memory import _atomic_decay, _crossings
+from qmemcell.scenario import DEFAULTS
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -147,20 +148,25 @@ def test_pi_pulse_cost_approaches_floor_far_detuned():
     assert abs(far / floor - 1.0) < 0.1
 
 
+RHO = DEFAULTS["atom_density_m3"]
+
+
 def test_spin_exchange_probability_frozen():
-    assert spin_exchange_probability(1.0e-3) == pytest.approx(6.5e-3, rel=1e-12)
+    assert spin_exchange_probability(1.0e-3, CESIUM, RHO) == pytest.approx(6.5e-3, rel=1e-12)
 
 
 def test_spin_exchange_probability_overrides():
-    base = spin_exchange_probability(1.0e-3)
-    assert spin_exchange_probability(1.0e-3, density=5.0e16) == pytest.approx(
+    base = spin_exchange_probability(1.0e-3, CESIUM, RHO)
+    assert spin_exchange_probability(1.0e-3, CESIUM, 5.0e16) == pytest.approx(
         2.0 * base, rel=1e-12)
-    assert spin_exchange_probability(1.0e-3, mean_speed=260.0) == pytest.approx(
-        2.0 * base, rel=1e-12)
+    assert spin_exchange_probability(1.0e-3, CESIUM._replace(mean_speed=260.0),
+                                     RHO) == pytest.approx(2.0 * base, rel=1e-12)
     with pytest.raises(ValueError):
-        spin_exchange_probability(-1.0)
+        spin_exchange_probability(-1.0, CESIUM, RHO)
     with pytest.raises(ValueError):
-        spin_exchange_probability(1.0e-3, density=-1.0)
+        spin_exchange_probability(1.0e-3, CESIUM, -1.0)
+    with pytest.raises(ValueError):
+        spin_exchange_probability(1.0e-3, CESIUM._replace(mean_speed=-1.0), RHO)
 
 
 def test_residual_pump_occupation_frozen():
@@ -172,24 +178,20 @@ def test_residual_pump_occupation_frozen():
 
 
 def test_boundary_budget_arithmetic():
-    budget = boundary_loss_budget(0.01, 4)
-    assert budget.transmission == pytest.approx(0.99**4, rel=1e-15)
-    assert budget.added_vacuum_fraction == pytest.approx(1.0 - 0.99**4, rel=1e-12)
-    assert boundary_loss_budget(0.25, 0).transmission == 1.0
+    assert boundary_transmission(0.01, 4) == pytest.approx(0.99**4, rel=1e-15)
+    assert boundary_transmission(0.25, 0) == 1.0
 
 
 def test_boundary_doubling_ratio_frozen():
-    two = boundary_loss_budget(0.01, 2)
-    four = boundary_loss_budget(0.01, 4)
-    ratio = four.added_vacuum_fraction / two.added_vacuum_fraction
+    ratio = (1.0 - boundary_transmission(0.01, 4)) / (1.0 - boundary_transmission(0.01, 2))
     assert ratio == pytest.approx(1.9801, rel=1e-12)
 
 
 def test_boundary_budget_validation():
-    with pytest.raises(ValueError):
-        boundary_loss_budget(1.5, 2)
-    with pytest.raises(ValueError):
-        boundary_loss_budget(0.01, -1)
+    with pytest.raises(ValueError, match=r"loss per crossing must lie in \[0, 1\], got 1.5"):
+        boundary_transmission(1.5, 2)
+    with pytest.raises(ValueError, match="n_crossings must be non-negative, got -1"):
+        boundary_transmission(0.01, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +240,18 @@ def _correlated_state():
     return qnd_transform(1.0).apply(state)
 
 
+def _mean(state, mode):
+    """Means of one mode."""
+    i = 2 * state.mode_index(mode)
+    return state.means[i:i + 2]
+
+
+def _block(state, mode, other=None):
+    """2x2 covariance block between two modes, of one mode by default."""
+    i, j = 2 * state.mode_index(mode), 2 * state.mode_index(other or mode)
+    return state.cov[i:i + 2, j:j + 2]
+
+
 def _decay_stage(budget, name):
     return {stage: channel for stage, channel, _ in _atomic_decay(budget)}[name]
 
@@ -248,17 +262,17 @@ def test_spin_exchange_channel_action():
     out = _decay_stage(DecoherenceBudget(eta=eta), "collisions").apply(state)
     t = 1.0 - eta
     for mode in (ATOM_PLUS, ATOM_MINUS):
-        mean, block = state.mode_block(mode)
-        mean_out, block_out = out.mode_block(mode)
+        mean, block = _mean(state, mode), _block(state, mode)
+        mean_out, block_out = _mean(out, mode), _block(out, mode)
         assert np.allclose(mean_out, t * mean, rtol=1e-12, atol=1e-12)
         expected = t * t * block + (1.0 - t * t) * 0.5 * np.eye(2)
         assert np.allclose(block_out, expected, rtol=1e-12, atol=1e-12)
     # light marginals untouched, cross covariances scale by the amplitude factor
     for mode in (LIGHT_C, LIGHT_S):
-        assert np.allclose(out.mode_block(mode)[1], state.mode_block(mode)[1],
+        assert np.allclose(_block(out, mode), _block(state, mode),
                            rtol=1e-12, atol=1e-12)
-    assert np.allclose(out.cross_block(LIGHT_C, ATOM_PLUS),
-                       t * state.cross_block(LIGHT_C, ATOM_PLUS),
+    assert np.allclose(_block(out, LIGHT_C, ATOM_PLUS),
+                       t * _block(state, LIGHT_C, ATOM_PLUS),
                        rtol=1e-12, atol=1e-12)
 
 
@@ -288,13 +302,13 @@ def test_boundary_losses_touch_only_light():
     out = _crossings(DecoherenceBudget(boundary_loss=loss), n).apply(state)
     amp = math.sqrt((1.0 - loss) ** n)
     for mode in (LIGHT_C, LIGHT_S):
-        mean, block = state.mode_block(mode)
-        mean_out, block_out = out.mode_block(mode)
+        mean, block = _mean(state, mode), _block(state, mode)
+        mean_out, block_out = _mean(out, mode), _block(out, mode)
         assert np.allclose(mean_out, amp * mean, rtol=1e-12, atol=1e-12)
         expected = amp * amp * block + (1.0 - amp * amp) * 0.5 * np.eye(2)
         assert np.allclose(block_out, expected, rtol=1e-12, atol=1e-12)
     for mode in (ATOM_PLUS, ATOM_MINUS):
-        assert np.allclose(out.mode_block(mode)[1], state.mode_block(mode)[1],
+        assert np.allclose(_block(out, mode), _block(state, mode),
                            rtol=1e-12, atol=1e-12)
 
 
@@ -313,9 +327,9 @@ def test_channels_preserve_physicality():
 def test_channel_custom_mode_selection():
     state = _correlated_state()
     out = attenuation_channel(state.modes, (ATOM_PLUS,), (1.0 - 0.3) ** 2).apply(state)
-    assert np.allclose(out.mode_block(ATOM_MINUS)[1], state.mode_block(ATOM_MINUS)[1],
+    assert np.allclose(_block(out, ATOM_MINUS), _block(state, ATOM_MINUS),
                        rtol=1e-12, atol=1e-12)
-    assert not np.allclose(out.mode_block(ATOM_PLUS)[1], state.mode_block(ATOM_PLUS)[1])
+    assert not np.allclose(_block(out, ATOM_PLUS), _block(state, ATOM_PLUS))
 
 
 def test_line_data_and_constants_have_no_cesium_defaults():
@@ -326,3 +340,6 @@ def test_line_data_and_constants_have_no_cesium_defaults():
         doppler_averaged_scattering(I_COMP, CENTER, CESIUM.doppler_halfwidth)
     with pytest.raises(TypeError):
         DecoherenceBudget.from_scenario(default_scenario(), CODATA)
+    # nor a density that means the packaged operating point
+    with pytest.raises(TypeError):
+        spin_exchange_probability(1.0e-3, CESIUM)

@@ -14,7 +14,7 @@ from qmemcell import (
     DecoherenceBudget,
     GaussianChannel,
     GaussianState,
-    boundary_loss_budget,
+    boundary_transmission,
     collective_kappa,
     coupling_g,
     default_scenario,
@@ -181,16 +181,22 @@ def test_unknown_variant_rejected():
         qnd_transform(1.0, "three_class")
 
 
+def _sideband_cross(state):
+    """2x2 covariance block between the two light sidebands."""
+    c, s = 2 * state.mode_index(LIGHT_C), 2 * state.mode_index(LIGHT_S)
+    return state.cov[c:c + 2, s:s + 2]
+
+
 def test_two_class_leaves_cross_sideband_clean():
     state = qnd_transform(1.0).apply(memory_vacuum())
-    cross = state.cross_block(LIGHT_C, LIGHT_S)
+    cross = _sideband_cross(state)
     assert np.max(np.abs(cross)) < 1e-12
 
 
 def test_single_class_mixes_sidebands():
     for variant, sign in ((VARIANT_CLASS_1, 1.0), (VARIANT_CLASS_2, -1.0)):
         state = qnd_transform(1.0, variant).apply(vacuum_state(MEMORY_MODES_CLASS))
-        cross = state.cross_block(LIGHT_C, LIGHT_S)
+        cross = _sideband_cross(state)
         # second-order term k^2/2 of the pass correlates the sidebands
         assert cross[0, 0] == pytest.approx(sign * 0.25, rel=1e-12)
         assert abs(cross[0, 0]) > 1e-3
@@ -808,8 +814,8 @@ def test_loss_stages_are_attenuation_channels_at_the_budget(n_boundaries):
                                n_boundaries=n_boundaries)
     n_entry = n_boundaries // 2
     light, atoms = (LIGHT_C, LIGHT_S), (ATOM_PLUS, ATOM_MINUS)
-    want = {"entry_loss": (light, boundary_loss_budget(loss, n_entry).transmission),
-            "exit_loss": (light, boundary_loss_budget(loss, n_boundaries - n_entry).transmission),
+    want = {"entry_loss": (light, boundary_transmission(loss, n_entry)),
+            "exit_loss": (light, boundary_transmission(loss, n_boundaries - n_entry)),
             "collisions": (atoms, (1.0 - eta) ** 2),
             "scattering": (atoms, (1.0 - n_phot) ** 2)}
     for stages, names in ((_write_stages(1.0, -1.0, budget), set(want)),

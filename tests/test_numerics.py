@@ -2,10 +2,12 @@
 numpy-free path of the scalar subcommands."""
 
 import ast
+import copy
 import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +18,12 @@ from scipy.linalg import expm as scipy_expm
 from scipy.special import wofz
 
 import qmemcell
-from qmemcell import cli, symplectic_form
+from qmemcell import (CESIUM, CODATA, CouplingSet, DecoherenceBudget, PhysicalConstants,
+                      ShiftLadder, SpeciesData, cli, default_scenario, symplectic_form,
+                      zeeman_ladder)
 from qmemcell.decoherence import _WEIDEMAN, _WEIDEMAN_L, faddeeva
 from qmemcell.numerics import expm
+from qmemcell.report import ReportRow
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-3, 0.5, 4.0, 30.0, 200.0])
@@ -173,12 +178,27 @@ SCALAR_RECORDS = {
     "scenario.ScenarioConfig": "omega_b pulse_duration probe_detuning stark_detuning "
                                "microwave_detuning atom_number photon_number beam_area "
                                "atom_density boundary_loss feedback_gain species",
-    "shifts.ShiftLadder": "mechanism f_ground terms",
+    "shifts.ShiftLadder": "f_ground terms",
     "shifts.CouplingSet": "kappa_per_s kappa_tau k_eff",
-    "decoherence.BoundaryLossBudget": "transmission added_vacuum_fraction",
     "decoherence.DecoherenceBudget": "eta gamma_ph n_phot boundary_loss n_boundaries",
-    "report.ReportRow": "name value unit reference rel_dev low high status extras",
+    "report.ReportRow": "name value unit reference low high status extras",
 }
+
+#: two instances of each record that differ in every field
+RECORD_PAIRS = {
+    "constants.PhysicalConstants": (CODATA, PhysicalConstants(1.0, 2.0, 3.0, 4.0)),
+    "constants.SpeciesData": (CESIUM, SpeciesData(*[float(i) for i in range(1, 10)], 3, 0.5)),
+    "scenario.ScenarioConfig": (
+        default_scenario(), default_scenario()._make([*range(1, 12), CESIUM._replace(g_f=0.5)])),
+    "shifts.ShiftLadder": (zeeman_ladder(1.0e6), ShiftLadder(3, ((1.0, 2.0), (3.0, 4.0)))),
+    "shifts.CouplingSet": (CouplingSet(1.0, 2.0, 3.0), CouplingSet(-1.0, -2.0, -3.0)),
+    "decoherence.DecoherenceBudget": (DecoherenceBudget(),
+                                      DecoherenceBudget(0.1, 2.0, 0.2, 0.3, 4)),
+    "report.ReportRow": (ReportRow("a", 1.0, "1"),
+                         ReportRow("b", 1.1, "mW", 1.0, 0.9, 1.2, "PASS", {"x": 2.0})),
+}
+#: records that check their ranges on every construction: a change each must refuse
+REFUSED_CHANGES = {"decoherence.DecoherenceBudget": {"eta": 1.0}}
 
 
 @pytest.mark.parametrize("path", SCALAR_RECORDS)
@@ -189,6 +209,24 @@ def test_scalar_records_are_slotted_namedtuples(path):
     assert cls._fields == tuple(SCALAR_RECORDS[path].split())
     # no instance dict: a record holds its fields and nothing else
     assert cls.__dict__["__slots__"] == () and cls.__dictoffset__ == 0
+
+
+@pytest.mark.parametrize("path", SCALAR_RECORDS)
+def test_scalar_records_copy_pickle_make_and_replace(path):
+    record, other = RECORD_PAIRS[path]
+    cls = type(record)
+    assert f"{cls.__module__}.{cls.__name__}" == f"qmemcell.{path}"
+    for rebuilt in (copy.copy(record), pickle.loads(pickle.dumps(record)),
+                    cls._make(tuple(record))):
+        assert type(rebuilt) is cls and rebuilt == record
+    for field in cls._fields:
+        new = getattr(other, field)
+        changed = record._replace(**{field: new})
+        assert type(changed) is cls
+        assert changed == tuple(new if f == field else getattr(record, f) for f in cls._fields)
+    for field, value in REFUSED_CHANGES.get(path, {}).items():
+        with pytest.raises(ValueError, match=field):
+            record._replace(**{field: value})
 
 
 #: the scalar modules in layer order: each imports only the ones before it
