@@ -28,14 +28,12 @@ _EXPORTS = {
     "stark_pi_scattered_photons": "decoherence",
     "GaussianChannel": "gaussian", "GaussianState": "gaussian",
     "VACUUM_VARIANCE": "gaussian", "attenuation_channel": "gaussian",
-    "displace": "gaussian", "hamiltonian_to_symplectic": "gaussian",
-    "memory_vacuum": "gaussian", "symplectic_form": "gaussian",
+    "displace": "gaussian", "memory_vacuum": "gaussian", "symplectic_form": "gaussian",
     "vacuum_state": "gaussian", "CouplingSet": "shifts", "ProtocolResult": "memory",
     "collective_kappa": "shifts", "coupling_g": "shifts", "differential_rotation": "memory",
-    "mean_fidelity": "memory", "qnd_transform": "memory", "run_read": "memory",
-    "run_write": "memory", "PumpLevelSystem": "pumping", "evolve_pumping": "pumping",
-    "pumping_history": "pumping", "rate_matrix": "pumping", "state_index": "pumping",
-    "uniform_f4_system": "pumping", "ScenarioConfig": "scenario",
+    "qnd_transform": "memory", "run_read": "memory", "run_write": "memory",
+    "PumpLevelSystem": "pumping", "pumping_history": "pumping", "rate_matrix": "pumping",
+    "state_index": "pumping", "uniform_f4_system": "pumping", "ScenarioConfig": "scenario",
     "ScenarioError": "scenario", "default_scenario": "scenario",
     "load_scenario": "scenario", "load_scenario_file": "scenario",
     "scenario_with": "scenario", "ShiftLadder": "shifts",

@@ -24,8 +24,6 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
-from .numerics import expm
-
 VACUUM_VARIANCE = 0.5
 
 #: tolerances for state and transform validation
@@ -260,21 +258,6 @@ class GaussianState:
         except ValueError:
             raise ValueError(f"unknown mode {label!r}; state has {self.modes}") from None
 
-    def quad_index(self, label: str, quadrature: str) -> int:
-        j = self.mode_index(label)
-        if quadrature == QUAD_X:
-            return 2 * j
-        if quadrature == QUAD_P:
-            return 2 * j + 1
-        raise ValueError(f"quadrature must be 'x' or 'p', got {quadrature!r}")
-
-    def mean(self, label: str, quadrature: str) -> float:
-        return float(self.means[self.quad_index(label, quadrature)])
-
-    def variance(self, label: str, quadrature: str) -> float:
-        q = self.quad_index(label, quadrature)
-        return float(self.cov[q, q])
-
 
 def vacuum_state(modes: tuple[str, ...]) -> GaussianState:
     n = len(modes)
@@ -299,39 +282,6 @@ def displace(state: GaussianState, mode: str, dx: float, dp: float) -> GaussianS
     means[2 * j] += dx
     means[2 * j + 1] += dp
     return _dc_replace(state, means=means)
-
-
-def hamiltonian_to_symplectic(h: np.ndarray, t: float = 1.0) -> GaussianChannel:
-    """Quadratic Hamiltonian (1/2) r^T H r evolved for time t.
-
-    The noiseless channel of S = exp(Omega H t).  The bilinear pass
-    interactions have nilpotent generators, for which the power series
-    terminates after a few terms and is evaluated exactly; anything else
-    falls back to the Pade scaling-and-squaring exponential of
-    ``qmemcell.numerics``.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
-        raise ValueError(f"hamiltonian matrix must be square of even size, got {h.shape}")
-    scale = float(np.abs(h).max())
-    if not math.isfinite(scale):
-        raise ValueError("hamiltonian matrix must be finite")
-    scale = max(1.0, scale)
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
-    if not float(np.abs(h - h.T).max()) <= SYMMETRY_TOL * scale:
-        raise ValueError("hamiltonian matrix must be symmetric")
-    n = h.shape[0] // 2
-    gen = symplectic_form(n) @ h * t
-    # terminating power series for nilpotent generators; no array is
-    # written in place, so the first term may share the identity
-    total = term = np.eye(2 * n)
-    for k in range(1, 2 * n + 1):
-        term = term @ gen / k
-        if not term.any():
-            return GaussianChannel.symplectic(total)
-        total = total + term
-    return GaussianChannel.symplectic(expm(gen))
 
 
 def homodyne_outcome(mean: float, variance: float, policy: str,

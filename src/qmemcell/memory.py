@@ -99,9 +99,8 @@ def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianCha
                  map at sqrt(2) larger k conjugated by the basis change.
 
     The map is exp(k G) = I + k G (+ (k G)^2 / 2 for the class-basis
-    variants) of the variant's unit generator G, the terminating power
-    series that :func:`hamiltonian_to_symplectic` gives for the pass
-    Hamiltonian, with the same float operations.
+    variants) of the variant's unit generator G: the terminating series
+    of exp(k G) for a nilpotent G.
     """
     try:
         unit = _PASS_GENERATORS[variant]
@@ -304,55 +303,6 @@ def _run_stages(stages: list, means: np.ndarray, cov: np.ndarray, policy: str,
     return means, cov, outcomes, GaussianChannel._wrap(xc, stack[1])
 
 
-def mean_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
-                  decode_c: np.ndarray, decode_s: np.ndarray,
-                  amplitude: float = FIDELITY_AMPLITUDE,
-                  n_phases: int = FIDELITY_PHASES) -> float:
-    """Coherent-state ensemble fidelity of a stored or retrieved map.
-
-    Inputs of fixed quadrature amplitude and uniformly spread phase are
-    pushed through the 4x4 mean transfer map; the matching output block
-    is decoded with the ideal matrix of the protocol and compared to the
-    input against the output covariance.  The two channels are averaged.
-    A decoded output covariance that is not positive definite in double
-    precision (noise so large that its determinant cancels) raises
-    ValueError, and so does a non-finite argument, a decode matrix without
-    a finite inverse, a finite argument so large that the computation
-    overflows, or a non-integer n_phases; the message names the argument.
-    """
-    if isinstance(n_phases, bool) or not isinstance(n_phases, (int, np.integer)):
-        raise ValueError(f"n_phases must be an integer, got {n_phases!r}")
-    if n_phases < 1:
-        raise ValueError(f"n_phases must be positive, got {n_phases}")
-    transfer_map = np.asarray(transfer_map, dtype=float)
-    output_cov = np.asarray(output_cov, dtype=float)
-    if transfer_map.shape != (4, 4) or output_cov.shape != (4, 4):
-        raise ValueError("transfer map and output covariance must be 4x4")
-    if np.shape(decode_c) != (2, 2) or np.shape(decode_s) != (2, 2):
-        raise ValueError("decode matrices must be 2x2")
-    for label, a in (("transfer_map", transfer_map), ("output_cov", output_cov),
-                     ("decode_c", decode_c), ("decode_s", decode_s), ("amplitude", amplitude)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{label} must be finite")
-    undo = np.stack([np.linalg.inv(decode_c), np.linalg.inv(decode_s)])
-    for label, inverse in zip(("decode_c", "decode_s"), undo):
-        if not np.isfinite(inverse).all():
-            raise ValueError(f"{label} has no finite inverse")
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            fidelity = _ring_fidelity(transfer_map, output_cov, undo,
-                                      _phase_ring(amplitude, n_phases))
-        if not math.isfinite(fidelity):  # einsum sets no floating-point flags
-            raise FloatingPointError(f"a fidelity of {fidelity!r}")
-    except FloatingPointError as exc:
-        # name the argument of the largest magnitude, a decode matrix by its inverse
-        sizes = {"transfer_map": np.abs(transfer_map).max(),
-                 "output_cov": np.abs(output_cov).max(), "decode_c": np.abs(undo[0]).max(),
-                 "decode_s": np.abs(undo[1]).max(), "amplitude": abs(amplitude)}
-        raise ValueError(f"{max(sizes, key=sizes.get)} is out of range: {exc}") from None
-    return fidelity
-
-
 def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
     """2 x n input quadratures of fixed amplitude, uniformly spread phase."""
     phases = 2.0 * math.pi * np.arange(n_phases) / n_phases
@@ -372,8 +322,18 @@ _EYE2 = _read_only(np.eye(2))
 
 def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
                    undo: np.ndarray, ring: np.ndarray) -> float:
-    """:func:`mean_fidelity` over the input ``ring``, given the 2x2x2 stack
-    of inverted decode matrices; both channels go through one batched pass."""
+    """Coherent-state ensemble fidelity of a stored or retrieved map.
+
+    The 2 x n inputs of ``ring`` (fixed quadrature amplitude, uniformly
+    spread phase) are pushed through the 4x4 mean transfer map; the
+    matching output block is decoded with the ideal matrix of the
+    protocol, given as the 2x2x2 stack ``undo`` of inverted decode
+    matrices, and compared to the input against the output covariance.
+    The two channels go through one batched pass and are averaged.  A
+    decoded output covariance that is not positive definite in double
+    precision (noise so large that its determinant cancels) raises
+    ValueError.
+    """
     sigma = undo @ output_cov[_CHANNEL_BLOCKS] @ undo.transpose(0, 2, 1) + 0.5 * _EYE2
     dets = np.linalg.det(sigma).tolist()
     for block, det in zip(sigma, dets):

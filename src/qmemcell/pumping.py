@@ -70,13 +70,6 @@ class PumpLevelSystem:
         object.__setattr__(self, "populations", pops.copy())
         self.populations.setflags(write=False)
 
-    @property
-    def total_population(self) -> float:
-        return float(self.populations.sum())
-
-    def dark_fraction(self) -> float:
-        return float(sum(self.populations[i] for i in DARK_INDICES))
-
     def dark_split(self) -> tuple[float, float]:
         """Populations of the m = -4 and m = +4 stretched states."""
         return (float(self.populations[DARK_INDICES[0]]),
@@ -125,13 +118,6 @@ def rate_matrix(system: PumpLevelSystem) -> np.ndarray:
     return mat
 
 
-def _check_grid(dt: float, steps: int) -> None:
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
-
-
 #: largest deviation of a propagator column sum from 1: 2e-15 at the catalogue
 #: rates, growing with pump/repump (3e-9 at 1e12/1e4, 15 at 1e300/1e4)
 CONSERVATION_TOL = 1e-9
@@ -153,14 +139,6 @@ def _propagator(system: PumpLevelSystem, mat: np.ndarray, dt: float, steps: int)
     return prop
 
 
-def evolve_pumping(system: PumpLevelSystem, dt: float,
-                   steps: int) -> PumpLevelSystem:
-    """Populations after a time dt * steps, propagated exactly."""
-    _check_grid(dt, steps)
-    prop = _propagator(system, rate_matrix(system), dt, steps)
-    return replace(system, populations=prop @ system.populations)
-
-
 def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
                     record_every: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Times and population snapshots every ``record_every`` dt up to dt * steps.
@@ -170,7 +148,10 @@ def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
     layer to print pump-up curves.  The rates are constant, so one
     propagator per chunk length (at most two) serves every record.
     """
-    _check_grid(dt, steps)
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
     mat = rate_matrix(system)

@@ -228,9 +228,9 @@ QUANTITIES = {
     # a single cell's pass crosses two windows
     "boundary_transmission": (lambda c: boundary_transmission(c.boundary_loss, 2), "1"),
     "boundary_added_vacuum": (lambda c: 1.0 - boundary_transmission(c.boundary_loss, 2), "1"),
-    "boundary_noise_ratio": (  # window-loss noise, four crossings against two
-        lambda c: ((1.0 - boundary_transmission(c.boundary_loss, 4))
-                   / (1.0 - boundary_transmission(c.boundary_loss, 2))), "1"),
+    # window-loss noise, four crossings against two: (1 - t^2) / (1 - t) at
+    # t = (1 - A)^2 is exactly 1 + t, also in the lossless limit A = 0
+    "boundary_noise_ratio": (lambda c: 1.0 + boundary_transmission(c.boundary_loss, 2), "1"),
     "residual_pump_occupation": (lambda c: residual_pump_occupation(c.species), "1"),
     "scattered_photon_floor": (lambda c: scattered_photon_limit(c.species), "1"),
     "far_detuned_ratio": (  # a far-detuned light pi pulse against the floor

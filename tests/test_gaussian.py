@@ -13,7 +13,6 @@ from qmemcell import (
     VACUUM_VARIANCE,
     attenuation_channel,
     displace,
-    hamiltonian_to_symplectic,
     memory_vacuum,
     symplectic_form,
     vacuum_state,
@@ -27,12 +26,16 @@ from qmemcell.gaussian import (
     MEMORY_MODES_PLUS_MINUS,
     POLICY_MEAN,
     POLICY_SAMPLE,
-    QUAD_P,
-    QUAD_X,
     GaussianChannel,
     homodyne_outcome,
     rotation_2x2,
 )
+
+
+def _hamiltonian_channel(h, t=1.0):
+    """The noiseless channel of the quadratic Hamiltonian (1/2) r^T H r
+    evolved for time t: S = exp(Omega H t)."""
+    return GaussianChannel.symplectic(expm(symplectic_form(len(h) // 2) @ h * t))
 
 
 def test_symplectic_form():
@@ -67,11 +70,11 @@ def test_symplectic_inverse_and_compose():
                   [0.0, 0.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0, 0.0],
                   [1.3, 0.0, 0.0, 0.0]])
-    s = hamiltonian_to_symplectic(h)
+    s = _hamiltonian_channel(h)
     omega = symplectic_form(2)
     inverse = GaussianChannel.symplectic(-omega @ s.x.T @ omega)
     assert np.allclose(inverse.then(s).x, np.eye(4), atol=1e-12)
-    turn = hamiltonian_to_symplectic(np.eye(4), t=0.4)
+    turn = _hamiltonian_channel(np.eye(4), t=0.4)
     assert np.allclose(s.then(s).x, s.x @ s.x, atol=1e-12)
     assert np.array_equal(s.then(turn).x, turn.x @ s.x)
     assert not s.then(turn).y.any()
@@ -117,10 +120,10 @@ def test_state_rejects_non_finite_means_and_cov(bad):
 
 @pytest.mark.parametrize("bad", NON_FINITE)
 def test_symplectic_transform_rejects_non_finite_matrices(bad):
-    start = hamiltonian_to_symplectic(np.array([[0.0, 0.0, 0.0, 1.3],
-                                                [0.0, 0.0, 0.0, 0.0],
-                                                [0.0, 0.0, 0.0, 0.0],
-                                                [1.3, 0.0, 0.0, 0.0]])).x
+    start = _hamiltonian_channel(np.array([[0.0, 0.0, 0.0, 1.3],
+                                           [0.0, 0.0, 0.0, 0.0],
+                                           [0.0, 0.0, 0.0, 0.0],
+                                           [1.3, 0.0, 0.0, 0.0]])).x
     for index in np.ndindex(4, 4):
         with pytest.raises(ValueError, match="^symplectic matrix must be finite$"):
             GaussianChannel.symplectic(_spoiled(start, index, bad))
@@ -137,17 +140,6 @@ def test_channel_rejects_non_finite_x_and_y(bad):
             GaussianChannel(np.eye(4), _spoiled(np.zeros((4, 4)), index, bad))
 
 
-@pytest.mark.parametrize("bad", NON_FINITE)
-def test_hamiltonian_rejects_non_finite_h_and_t(bad):
-    for index in np.ndindex(4, 4):
-        for h in (_spoiled(np.zeros((4, 4)), index, bad),
-                  _spoiled(_spoiled(np.eye(4), index, bad), index[::-1], bad)):
-            with pytest.raises(ValueError, match="^hamiltonian matrix must be finite$"):
-                hamiltonian_to_symplectic(h)
-    with pytest.raises(ValueError, match="^evolution time must be finite"):
-        hamiltonian_to_symplectic(np.eye(2), t=bad)
-
-
 def test_state_is_read_only():
     state = memory_vacuum()
     with pytest.raises(ValueError):
@@ -161,63 +153,30 @@ def test_vacuum_and_lookup():
     assert state.modes == MEMORY_MODES_PLUS_MINUS
     assert np.array_equal(state.means, np.zeros(8))
     assert np.array_equal(state.cov, VACUUM_VARIANCE * np.eye(8))
-    assert state.quad_index(LIGHT_S, QUAD_P) == 3
+    assert state.mode_index(LIGHT_S) == 1
     assert vacuum_state(MEMORY_MODES_CLASS).modes == MEMORY_MODES_CLASS
     with pytest.raises(ValueError, match="unknown mode"):
         state.mode_index("light_d")
-    with pytest.raises(ValueError, match="quadrature"):
-        state.quad_index(LIGHT_C, "y")
 
 
 def test_displace_touches_only_means():
     state = displace(memory_vacuum(), ATOM_PLUS, 1.0, -2.0)
-    assert state.mean(ATOM_PLUS, QUAD_X) == 1.0
-    assert state.mean(ATOM_PLUS, QUAD_P) == -2.0
+    assert state.means.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0, -2.0, 0.0, 0.0]
     assert np.array_equal(state.cov, 0.5 * np.eye(8))
-    assert state.mean(LIGHT_C, QUAD_X) == 0.0
 
 
 def test_hamiltonian_rotation_generator():
     # H = (omega/2)(X^2 + P^2) evolved for t is the quadrature rotation
     omega_t = 0.8
-    s = hamiltonian_to_symplectic(np.eye(2), t=omega_t)
+    s = _hamiltonian_channel(np.eye(2), t=omega_t)
     assert np.allclose(s.x, rotation_2x2(omega_t), atol=1e-12)
-
-
-def test_hamiltonian_nilpotent_matches_expm():
-    k = 1.7
-    h = np.zeros((4, 4))
-    h[0, 3] = h[3, 0] = k     # k X_1 P_2
-    s = hamiltonian_to_symplectic(h)
-    gen = symplectic_form(2) @ h
-    assert np.array_equal(gen @ gen, np.zeros((4, 4)))
-    # the terminating series is exactly I + G here
-    assert np.array_equal(s.x, np.eye(4) + gen)
-    assert np.allclose(s.x, expm(gen), atol=1e-12)
-
-
-def test_hamiltonian_generic_falls_back_to_expm():
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=(4, 4))
-    h = 0.1 * (h + h.T)
-    s = hamiltonian_to_symplectic(h, t=0.9)
-    assert np.allclose(s.x, expm(symplectic_form(2) @ h * 0.9), atol=1e-12)
-    omega = symplectic_form(2)
-    assert np.abs(s.x @ omega @ s.x.T - omega).max() < 1e-10
-
-
-def test_hamiltonian_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        hamiltonian_to_symplectic(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError, match="square"):
-        hamiltonian_to_symplectic(np.zeros((2, 4)))
 
 
 def test_channel_apply_congruence():
     state = displace(memory_vacuum(), LIGHT_C, 2.0, 0.0)
     h = np.zeros((8, 8))
     h[0, 5] = h[5, 0] = 0.6   # couple X of light_c to P of atom_plus
-    s = hamiltonian_to_symplectic(h)
+    s = _hamiltonian_channel(h)
     out = s.apply(state)
     assert np.allclose(out.means, s.x @ state.means, atol=1e-15)
     assert np.allclose(out.cov, s.x @ state.cov @ s.x.T, atol=1e-15)
@@ -238,9 +197,8 @@ def test_one_mode_rotation():
     state = displace(state, LIGHT_S, -3.0, 4.0)
     out = _rotate(state, LIGHT_C, math.pi / 2.0)
     # quarter turn: the P mean moves into X, the X mean into -P
-    assert out.mean(LIGHT_C, QUAD_X) == pytest.approx(2.0, abs=1e-12)
-    assert out.mean(LIGHT_C, QUAD_P) == pytest.approx(-1.0, abs=1e-12)
-    assert out.mean(LIGHT_S, QUAD_X) == -3.0
+    assert out.means[0:2] == pytest.approx([2.0, -1.0], abs=1e-12)
+    assert out.means[2] == -3.0
     full = _rotate(state, LIGHT_C, 2.0 * math.pi)
     assert np.allclose(full.means, state.means, atol=1e-12)
     assert np.allclose(full.cov, state.cov, atol=1e-12)
@@ -253,13 +211,12 @@ def test_attenuation_channel():
         return attenuation_channel(state.modes, (LIGHT_C,), transmission).apply(state)
 
     out = loss(0.64)
-    assert out.mean(LIGHT_C, QUAD_X) == pytest.approx(1.6, rel=1e-12)
-    assert out.mean(LIGHT_C, QUAD_P) == pytest.approx(-0.8, rel=1e-12)
-    assert out.variance(LIGHT_C, QUAD_X) == pytest.approx(0.5, rel=1e-12)
+    assert out.means[0:2] == pytest.approx([1.6, -0.8], rel=1e-12)
+    assert out.cov[0, 0] == pytest.approx(0.5, rel=1e-12)
     assert np.array_equal(loss(1.0).means, state.means)
     dark = loss(0.0)
-    assert dark.mean(LIGHT_C, QUAD_X) == 0.0
-    assert dark.variance(LIGHT_C, QUAD_P) == VACUUM_VARIANCE
+    assert dark.means[0] == 0.0
+    assert dark.cov[1, 1] == VACUUM_VARIANCE
     with pytest.raises(ValueError):
         loss(1.5)
     with pytest.raises(ValueError, match="unknown mode"):
@@ -359,7 +316,7 @@ def test_random_hamiltonian_gives_symplectic(seed):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(8, 8))
     h = 0.2 * (h + h.T)
-    s = hamiltonian_to_symplectic(h)
+    s = _hamiltonian_channel(h)
     omega = symplectic_form(4)
     assert np.abs(s.x @ omega @ s.x.T - omega).max() < 1e-10
     state = s.apply(memory_vacuum())

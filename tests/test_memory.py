@@ -2,7 +2,6 @@
 
 import functools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +19,6 @@ from qmemcell import (
     default_scenario,
     differential_rotation,
     displace,
-    hamiltonian_to_symplectic,
-    mean_fidelity,
     memory_vacuum,
     qnd_transform,
     run_read,
@@ -241,11 +238,29 @@ def _pass_hamiltonian(k, variant):
 @pytest.mark.parametrize("variant", [VARIANT_TWO_CLASS, VARIANT_CLASS_1, VARIANT_CLASS_2,
                                      VARIANT_BOTH_CLASSES])
 @pytest.mark.parametrize("k", [0.5, 0.83, 1.0, 2.0, -1.3, 1e-8, 1e8])
-def test_qnd_transform_matches_hamiltonian_bit_for_bit(variant, k):
+def test_qnd_transform_matches_hamiltonian(variant, k):
+    # the terminating series against scipy's Pade exponential of the pass
+    # Hamiltonian's generator Omega H: equal to rounding of the largest entry
     got = qnd_transform(k, variant).x
-    want = hamiltonian_to_symplectic(_pass_hamiltonian(k, variant)).x
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    want = expm(symplectic_form(4) @ _pass_hamiltonian(k, variant))
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+# both_classes is the collective pass in the class basis, so of index two
+@pytest.mark.parametrize("variant, index", [(VARIANT_TWO_CLASS, 2), (VARIANT_CLASS_1, 3),
+                                            (VARIANT_CLASS_2, 3), (VARIANT_BOTH_CLASSES, 2)])
+def test_pass_generator_is_nilpotent_of_its_index(variant, index):
+    # the series of exp(k G) terminates after the term of power index - 1,
+    # and qnd_transform keeps no more than the second-order term
+    gen = memory._PASS_GENERATORS[variant]
+    power = np.linalg.matrix_power(gen, index - 1)
+    assert power.any()
+    assert np.array_equal(power @ gen, np.zeros((8, 8)))
+    k = 0.83
+    series = sum(np.linalg.matrix_power(k * gen, j) / math.factorial(j) for j in range(index))
+    # equal to one rounding: the square of both_classes' k G cancels only to
+    # rounding when the matrix product fuses its multiply-adds
+    assert np.abs(qnd_transform(k, variant).x - series).max() <= 1e-16 * np.abs(series).max()
 
 
 def test_qnd_transform_rejects_non_finite_and_overflowing_strength():
@@ -353,21 +368,21 @@ def test_rotations_are_symplectic(phi_1, phi_2):
 def test_mean_fidelity_of_exact_map():
     transfer = np.diag([-1.0, -1.0, 1.0, 1.0])
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    fid = mean_fidelity(transfer, cov, WRITE_DECODE_C, WRITE_DECODE_S)
+    fid = memory._ring_fidelity(transfer, cov, memory._WRITE_UNDO, memory._RING)
     assert fid == pytest.approx(CANONICAL_FID, rel=1e-12)
 
 
 def test_mean_fidelity_of_identity_channel():
-    fid = mean_fidelity(np.eye(4), 0.5 * np.eye(4), np.eye(2), np.eye(2))
+    undo = np.stack([np.eye(2), np.eye(2)])
+    fid = memory._ring_fidelity(np.eye(4), 0.5 * np.eye(4), undo, memory._RING)
     assert fid == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mean_fidelity_penalizes_miscalibration():
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    exact = mean_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov,
-                          WRITE_DECODE_C, WRITE_DECODE_S)
-    off = mean_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov,
-                        WRITE_DECODE_C, WRITE_DECODE_S)
+    undo, ring = memory._WRITE_UNDO, memory._RING
+    exact = memory._ring_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov, undo, ring)
+    off = memory._ring_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov, undo, ring)
     assert off < exact
 
 
@@ -394,84 +409,26 @@ def test_mean_fidelity_matches_phase_loop(seed):
     transfer = np.diag([-1.0, -1.0, 1.0, 1.0]) + 0.05 * rng.normal(size=(4, 4))
     a = rng.normal(size=(4, 4))
     cov = 0.5 * np.eye(4) + 0.3 * a @ a.T
-    for decode_c, decode_s in ((WRITE_DECODE_C, WRITE_DECODE_S),
-                               (READ_DECODE_C, READ_DECODE_S)):
+    for decode_c, decode_s, undo in ((WRITE_DECODE_C, WRITE_DECODE_S, memory._WRITE_UNDO),
+                                     (READ_DECODE_C, READ_DECODE_S, memory._READ_UNDO)):
         for n_phases in (1, 7, 256):
             want = _mean_fidelity_loop(transfer, cov, decode_c, decode_s,
                                        n_phases=n_phases)
-            got = mean_fidelity(transfer, cov, decode_c, decode_s, n_phases=n_phases)
+            got = memory._ring_fidelity(transfer, cov, undo, memory._phase_ring(20.0, n_phases))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
-def test_mean_fidelity_validation():
-    with pytest.raises(ValueError):
-        mean_fidelity(np.eye(3), np.eye(4), np.eye(2), np.eye(2))
-    with pytest.raises(ValueError):
-        mean_fidelity(np.eye(4), np.eye(4), np.eye(2), np.eye(2), n_phases=0)
-    for decode_c, decode_s in ((np.eye(3), np.eye(3)), (np.eye(2), np.eye(3))):
-        with pytest.raises(ValueError, match="decode matrices must be 2x2"):
-            mean_fidelity(np.eye(4), np.eye(4), decode_c, decode_s)
-
-
-def _poisoned(value):
-    array = np.eye(4)
-    array[1, 2] = value
-    return array
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_mean_fidelity_rejects_non_finite_arguments_by_name(bad):
-    eye4, eye2 = 0.5 * np.eye(4), np.eye(2)
-    cases = {
-        "transfer_map": lambda: mean_fidelity(_poisoned(bad), eye4, eye2, eye2),
-        "output_cov": lambda: mean_fidelity(np.eye(4), _poisoned(bad), eye2, eye2),
-        "decode_c": lambda: mean_fidelity(np.eye(4), eye4, _poisoned(bad)[1:3, 1:3], eye2),
-        "decode_s": lambda: mean_fidelity(np.eye(4), eye4, eye2, [[1.0, bad], [0.0, 1.0]]),
-        "amplitude": lambda: mean_fidelity(np.eye(4), eye4, eye2, eye2, amplitude=bad),
-    }
-    # the check comes before any arithmetic, so no numpy warning fires
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for label, call in cases.items():
-            with pytest.raises(ValueError, match=rf"^{label} must be finite$"):
-                call()
-
-
-@pytest.mark.parametrize("args, label", [
-    ((np.eye(4), 1e300 * np.eye(4), np.eye(2), np.eye(2)), "output_cov"),
-    ((np.eye(4), 0.5 * np.eye(4), 1e-200 * np.eye(2), np.eye(2)), "decode_c"),
-    # a positive-definite noise block whose inverse has mixed signs turns the
-    # overflowing displacement cost into inf - inf inside einsum
-    ((1e200 * np.eye(4), np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0000001, 0.0, 0.0],
-                                   [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
-      np.eye(2), np.eye(2)), "transfer_map"),
-])
-def test_mean_fidelity_names_an_argument_that_overflows(args, label):
-    # finite but extreme: numpy would warn in det or matmul before any check,
-    # or return NaN
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"^{label} is out of range: "):
-            mean_fidelity(*args)
-
-
-def test_mean_fidelity_names_a_decode_matrix_without_finite_inverse():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^decode_s has no finite inverse$"):
-            mean_fidelity(np.eye(4), 0.5 * np.eye(4), np.eye(2), 1e-310 * np.eye(2))
-
-
-@pytest.mark.parametrize("n_phases", [2.5, 7.0, True, "7", None])
-def test_mean_fidelity_rejects_a_non_integer_ring_by_name(n_phases):
-    with pytest.raises(ValueError, match=r"^n_phases must be an integer, got "):
-        mean_fidelity(np.eye(4), 0.5 * np.eye(4), np.eye(2), np.eye(2), n_phases=n_phases)
-
-
-def test_mean_fidelity_takes_numpy_integer_rings():
-    args = (np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([0.5, 1.0, 1.0, 0.5]),
-            WRITE_DECODE_C, WRITE_DECODE_S)
-    assert mean_fidelity(*args, n_phases=np.int64(7)) == mean_fidelity(*args, n_phases=7)
+@pytest.mark.parametrize("n_phases", [1, 2, 7, 256])
+def test_phase_ring_spreads_a_fixed_amplitude_uniformly(n_phases):
+    ring = memory._phase_ring(20.0, n_phases)
+    assert ring.shape == (2, n_phases)
+    assert np.abs(np.hypot(*ring) - 20.0).max() <= 4e-15 * 20.0
+    assert np.array_equal(ring[:, 0], [20.0, 0.0])
+    if n_phases > 1:
+        # equally spaced phases: the ring sums to zero
+        assert np.abs(ring.sum(axis=1)).max() <= 1e-12 * 20.0 * n_phases
+    # a numpy integer count gives the same ring bit for bit
+    assert np.array_equal(memory._phase_ring(20.0, np.int64(n_phases)), ring)
 
 
 def _ring_fidelity_per_block(transfer, cov, undo_c, undo_s, ring):
@@ -499,10 +456,6 @@ def test_ring_fidelity_matches_per_block_loop_bit_for_bit():
         for undo in undos:
             want = _ring_fidelity_per_block(transfer, cov, undo[0], undo[1], ring)
             assert memory._ring_fidelity(transfer, cov, undo, ring) == want
-        decode_c, decode_s = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-        want = _ring_fidelity_per_block(transfer, cov, np.linalg.inv(decode_c),
-                                        np.linalg.inv(decode_s), ring)
-        assert mean_fidelity(transfer, cov, decode_c, decode_s) == want
 
 
 def test_ring_fidelity_checks_channel_c_first():
@@ -537,21 +490,19 @@ def test_write_stores_the_input_means():
     state = displace(state, LIGHT_S, 0.9, 2.1)
     result = run_write(1.0, state=state)
     out = result.state
-    assert out.mean(ATOM_PLUS, QUAD_X) == pytest.approx(-1.2, rel=1e-12)
-    assert out.mean(ATOM_PLUS, QUAD_P) == pytest.approx(0.4, rel=1e-12)
-    assert out.mean(ATOM_MINUS, QUAD_X) == pytest.approx(0.9, rel=1e-12)
-    assert out.mean(ATOM_MINUS, QUAD_P) == pytest.approx(2.1, rel=1e-12)
+    assert out.means[memory._quad(ATOM_PLUS, QUAD_X)] == pytest.approx(-1.2, rel=1e-12)
+    assert out.means[memory._quad(ATOM_PLUS, QUAD_P)] == pytest.approx(0.4, rel=1e-12)
+    assert out.means[memory._quad(ATOM_MINUS, QUAD_X)] == pytest.approx(0.9, rel=1e-12)
+    assert out.means[memory._quad(ATOM_MINUS, QUAD_P)] == pytest.approx(2.1, rel=1e-12)
     # the light register leaves the step empty
     assert np.allclose(out.means[0:4], 0.0, atol=1e-12)
     assert np.allclose(out.cov[0:4, 0:4], 0.5 * np.eye(4), atol=1e-12)
 
 
 def test_write_stored_variances():
-    out = run_write(1.0).state
-    assert out.variance(ATOM_PLUS, QUAD_X) == pytest.approx(0.5, rel=1e-12)
-    assert out.variance(ATOM_PLUS, QUAD_P) == pytest.approx(1.0, rel=1e-12)
-    assert out.variance(ATOM_MINUS, QUAD_X) == pytest.approx(1.0, rel=1e-12)
-    assert out.variance(ATOM_MINUS, QUAD_P) == pytest.approx(0.5, rel=1e-12)
+    # X_plus, P_plus, X_minus, P_minus
+    variances = np.diag(run_write(1.0).state.cov)[4:8]
+    assert variances == pytest.approx([0.5, 1.0, 1.0, 0.5], rel=1e-12)
 
 
 def test_write_transfer_at_general_coupling():
@@ -627,9 +578,8 @@ PROTOCOL_FEEDBACKS = [
 def test_feedback_matches_feed_then_reset_bit_for_bit(stage, gain):
     name, measured_mode, measured_quad, target_mode, target_quad = stage
     stage_name, channel, feedback = memory._feedback(*stage, gain)
-    base = memory_vacuum()
-    q_meas = base.quad_index(measured_mode, measured_quad)
-    q_tgt = base.quad_index(target_mode, target_quad)
+    q_meas = 2 * MEMORY_MODES_PLUS_MINUS.index(measured_mode) + (measured_quad == QUAD_P)
+    q_tgt = 2 * MEMORY_MODES_PLUS_MINUS.index(target_mode) + (target_quad == QUAD_P)
     feed = np.eye(8)
     feed[q_tgt, q_meas] = gain
     want = GaussianChannel(feed, np.zeros((8, 8))).then(memory._RESETS[measured_mode])
@@ -672,9 +622,8 @@ def test_read_canonical_transfer():
 def test_read_of_vacuum_memory_bounded_noise():
     result = run_read(1.0)
     out = result.state
-    for mode in (LIGHT_C, LIGHT_S):
-        for quad in (QUAD_X, QUAD_P):
-            assert out.variance(mode, quad) <= 1.5 + 1e-9
+    # every light quadrature
+    assert np.diag(out.cov)[0:4].max() <= 1.5 + 1e-9
     assert np.allclose(out.means, 0.0, atol=1e-12)
 
 
@@ -684,19 +633,18 @@ def test_full_cycle_returns_negated_input():
     written = run_write(1.0, state=state)
     read = run_read(1.0, state=written.state)
     out = read.state
-    assert out.mean(LIGHT_C, QUAD_X) == pytest.approx(-1.7, rel=1e-12)
-    assert out.mean(LIGHT_C, QUAD_P) == pytest.approx(0.6, rel=1e-12)
-    assert out.mean(LIGHT_S, QUAD_X) == pytest.approx(0.8, rel=1e-12)
-    assert out.mean(LIGHT_S, QUAD_P) == pytest.approx(-1.1, rel=1e-12)
+    assert out.means[memory._quad(LIGHT_C, QUAD_X)] == pytest.approx(-1.7, rel=1e-12)
+    assert out.means[memory._quad(LIGHT_C, QUAD_P)] == pytest.approx(0.6, rel=1e-12)
+    assert out.means[memory._quad(LIGHT_S, QUAD_X)] == pytest.approx(0.8, rel=1e-12)
+    assert out.means[memory._quad(LIGHT_S, QUAD_P)] == pytest.approx(-1.1, rel=1e-12)
 
 
 def test_full_cycle_noise_budget():
     written = run_write(1.0)
     read = run_read(1.0, state=written.state)
     out = read.state
-    variances = [out.variance(LIGHT_C, QUAD_X), out.variance(LIGHT_C, QUAD_P),
-                 out.variance(LIGHT_S, QUAD_X), out.variance(LIGHT_S, QUAD_P)]
-    assert variances == pytest.approx([0.5, 1.5, 1.5, 0.5], rel=1e-12)
+    variances = np.diag(out.cov)[0:4]   # X_c, P_c, X_s, P_s
+    assert variances.tolist() == pytest.approx([0.5, 1.5, 1.5, 0.5], rel=1e-12)
     # each quadrature stays within two vacuum units of added noise
     for v in variances:
         assert v - 0.5 <= 1.0 + 1e-12
@@ -717,7 +665,7 @@ def _random_memory_state(rng):
     """A physical four-mode state: a random thermal state under a random
     symplectic map, displaced."""
     h = rng.normal(size=(8, 8))
-    s = hamiltonian_to_symplectic(0.3 * (h + h.T)).x
+    s = expm(symplectic_form(4) @ (0.3 * (h + h.T)))
     nu = np.repeat(0.5 + rng.exponential(0.5, size=4), 2)
     base = memory_vacuum()
     return GaussianState(modes=base.modes, means=rng.normal(scale=2.0, size=8),
@@ -900,6 +848,16 @@ def test_protocol_overflow_names_gain_and_k_eff():
             run(1e200, policy=POLICY_SAMPLE, seed=1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("run", [run_write, run_read])
+def test_protocol_names_a_non_finite_gain_and_k_eff(run, bad):
+    with pytest.raises(ValueError, match=rf"^protocol map is not finite at gain={bad!r}, "
+                                         r"k_eff=1\.0$"):
+        run(1.0, gain=bad)
+    with pytest.raises(ValueError, match=rf"^pass strength must be finite, got k_eff={bad!r}$"):
+        run(bad)
+
+
 def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
     # a finite read map whose ~1e80 output noise cancels in the 2x2
     # determinant; the write at the same gain still has a fidelity
@@ -909,4 +867,5 @@ def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
     with pytest.raises(ValueError, match=r"k_eff=1e\+100"):
         run_read(1e100)
     with pytest.raises(ValueError, match="not positive definite"):
-        mean_fidelity(np.eye(4), -np.eye(4), -np.eye(2), np.eye(2))
+        memory._ring_fidelity(np.eye(4), -np.eye(4), np.stack([-np.eye(2), np.eye(2)]),
+                              memory._RING)

@@ -234,6 +234,9 @@ SCALAR_LAYERS = ("constants", "scenario", "shifts", "decoherence", "report", "cl
 #: the only imports inside functions: the numpy side, loaded when its rows are built
 DEFERRED_IMPORTS = {("report", "pump_rows", "pumping"), ("report", "memory_sim_rows", "gaussian"),
                     ("report", "memory_sim_rows", "memory")}
+#: the numpy side: each module and the package modules it imports
+NUMPY_IMPORTS = {"numerics": set(), "gaussian": set(), "pumping": {"numerics"},
+                 "memory": {"decoherence", "gaussian"}}
 
 
 def _package_imports(tree):
@@ -267,6 +270,9 @@ def test_scalar_modules_import_each_other_in_layer_order():
             else:
                 deferred.add((name, func, target))
     assert deferred == DEFERRED_IMPORTS
+    for name, allowed in NUMPY_IMPORTS.items():
+        tree = ast.parse((Path(qmemcell.__file__).parent / f"{name}.py").read_text())
+        assert {target for _, target in _package_imports(tree)} == allowed, name
 
 
 def test_numpy_subcommands_still_run_with_dataclasses(tmp_path, capsys):

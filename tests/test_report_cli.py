@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -957,9 +958,7 @@ def _reference_quantity(quantity, cfg):
                                                                cfg.atom_density),
         "boundary_transmission": lambda: boundary_transmission(cfg.boundary_loss, 2),
         "boundary_added_vacuum": lambda: 1.0 - boundary_transmission(cfg.boundary_loss, 2),
-        "boundary_noise_ratio": lambda: (
-            (1.0 - boundary_transmission(cfg.boundary_loss, 4))
-            / (1.0 - boundary_transmission(cfg.boundary_loss, 2))),
+        "boundary_noise_ratio": lambda: 1.0 + boundary_transmission(cfg.boundary_loss, 2),
         "residual_pump_occupation": lambda: residual_pump_occupation(sp),
         "scattered_photon_floor": lambda: scattered_photon_limit(sp),
         "far_detuned_ratio": lambda: stark_pi_scattered_photons(
@@ -1138,6 +1137,16 @@ def test_paper_check_row_4_reads_the_registry(doc):
     row = paper_check_rows(config)[3]
     assert row.name == "doppler_scattering_rate"
     assert row.value == QUANTITIES["doppler_scattering_rate"][0](config)
+
+
+@pytest.mark.parametrize("loss", [0.0, 1e-9, 1e-5, 0.001, 0.01, 0.5, 1.0])
+def test_boundary_noise_ratio_is_exact_down_to_zero_loss(loss):
+    # four crossings' vacuum fraction over two's is 1 + (1 - A)^2 exactly; as
+    # a quotient of the two it divided zero by zero at A = 0
+    config = default_scenario()._replace(boundary_loss=loss)
+    got = QUANTITIES["boundary_noise_ratio"][0](config)
+    want = 1 + (1 - Fraction(loss)) ** 2
+    assert abs(Fraction(got) - want) <= 2 * Fraction(math.ulp(float(want)))
 
 
 def test_d1_override_gives_one_scattering_rate_outside_row_4(tmp_path, capsys):
