@@ -204,35 +204,29 @@ def boundary_transmission(loss_per_crossing: float, n_crossings: int) -> float:
     return (1.0 - loss_per_crossing) ** n_crossings
 
 
-class DecoherenceBudget(namedtuple("DecoherenceBudget", (
-        "eta", "gamma_ph", "n_phot", "boundary_loss", "n_boundaries"))):
-    """Per-pulse decoherence parameters applied by the memory protocol.
+class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "boundary_loss"))):
+    """The three per-pulse losses the memory protocol applies.
 
     eta              spin-exchange collision probability
-    gamma_ph         photon scattering rate of the auxiliary light, 1/s
     n_phot           scattered photons per atom per pulse
-    boundary_loss    intensity loss per window crossing
-    n_boundaries     window crossings per pass (2 for a single cell)
+    boundary_loss    intensity loss per window crossing; a single cell has
+                     one window on the way in and one on the way out
 
-    The ranges are checked on construction, ``_make`` and ``_replace``
-    included.
+    The scattering rate behind n_phot is
+    :func:`compensation_scattering_rate` of the scenario.  The ranges are
+    checked on construction, ``_make`` and ``_replace`` included.
     """
 
     __slots__ = ()
 
-    def __new__(cls, eta: float = 0.0, gamma_ph: float = 0.0, n_phot: float = 0.0,
-                boundary_loss: float = 0.0, n_boundaries: int = 2):
+    def __new__(cls, eta: float = 0.0, n_phot: float = 0.0, boundary_loss: float = 0.0):
         if not 0.0 <= eta < 1.0:
             raise ValueError(f"eta must lie in [0, 1), got {eta}")
-        if gamma_ph < 0.0:
-            raise ValueError(f"gamma_ph must be non-negative, got {gamma_ph}")
         if not 0.0 <= n_phot < 1.0:
             raise ValueError(f"n_phot must lie in [0, 1), got {n_phot}")
         if not 0.0 <= boundary_loss < 1.0:
             raise ValueError(f"boundary_loss must lie in [0, 1), got {boundary_loss}")
-        if n_boundaries < 0:
-            raise ValueError(f"n_boundaries must be non-negative, got {n_boundaries}")
-        return tuple.__new__(cls, (eta, gamma_ph, n_phot, boundary_loss, n_boundaries))
+        return tuple.__new__(cls, (eta, n_phot, boundary_loss))
 
     @classmethod
     def _make(cls, iterable) -> "DecoherenceBudget":
@@ -254,8 +248,8 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", (
                 f"fields 'atom_density_m3' = {config.atom_density:g} m^-3 and 'tau_s' = "
                 f"{config.pulse_duration:g} s give a spin-exchange probability of "
                 f"{eta:.3g} per pulse; the collision channel needs eta < 1")
-        gamma_ph = compensation_scattering_rate(config)
-        n_phot = gamma_ph * config.pulse_duration
+        rate = compensation_scattering_rate(config)
+        n_phot = rate * config.pulse_duration
         if n_phot >= 1.0:
             # the rate follows the compensation light, whose intensity
             # omega_b_hz and stark_detuning_hz set
@@ -263,6 +257,6 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", (
                 f"fields 'tau_s' = {config.pulse_duration:g} s, 'omega_b_hz' = "
                 f"{angular_to_hz(config.omega_b):g} Hz and 'stark_detuning_hz' = "
                 f"{angular_to_hz(config.stark_detuning):g} Hz scatter {n_phot:.3g} "
-                f"photons per atom at {gamma_ph:.4g} /s from the compensation light; "
+                f"photons per atom at {rate:.4g} /s from the compensation light; "
                 "the scattering channel needs fewer than 1 per pulse (n_phot < 1)")
-        return cls(eta=eta, gamma_ph=gamma_ph, n_phot=n_phot, boundary_loss=config.boundary_loss)
+        return cls(eta=eta, n_phot=n_phot, boundary_loss=config.boundary_loss)

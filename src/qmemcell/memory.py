@@ -37,13 +37,6 @@ VARIANT_CLASS_2 = "class2"
 VARIANT_BOTH_CLASSES = "both_classes"
 
 
-#: ideal decode matrices: stored block = D @ input block for a write,
-#: output light block = D @ stored block for a read
-WRITE_DECODE_C = _read_only(-np.eye(2))
-WRITE_DECODE_S = _read_only(np.eye(2))
-READ_DECODE_C = _read_only(np.eye(2))
-READ_DECODE_S = _read_only(-np.eye(2))
-
 FIDELITY_AMPLITUDE = 20.0
 FIDELITY_PHASES = 256
 
@@ -97,10 +90,11 @@ def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianCha
                  mixes the two sidebands at second order in k.
     both_classes both classes in the class basis; equals the two_class
                  map at sqrt(2) larger k conjugated by the basis change.
+                 Its generator, like two_class's, squares to zero.
 
-    The map is exp(k G) = I + k G (+ (k G)^2 / 2 for the class-basis
-    variants) of the variant's unit generator G: the terminating series
-    of exp(k G) for a nilpotent G.
+    The map is exp(k G) = I + k G (+ (k G)^2 / 2 for class1/2) of the
+    variant's unit generator G: the terminating series of exp(k G) for a
+    nilpotent G.
     """
     try:
         unit = _PASS_GENERATORS[variant]
@@ -110,7 +104,7 @@ def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianCha
         raise ValueError(f"pass strength must be finite, got k_eff={k_eff!r}")
     gen = k_eff * unit
     s = _EYE8 + gen
-    if variant != VARIANT_TWO_CLASS:
+    if variant in (VARIANT_CLASS_1, VARIANT_CLASS_2):
         s = s + gen @ gen / 2.0
         if not np.isfinite(s).all():
             raise ArithmeticError(f"pass map overflows at k_eff={k_eff!r}")
@@ -224,10 +218,10 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
     return name, GaussianChannel._wrap(x, _RESETS[measured_mode].y), (q_meas, q_tgt, gain)
 
 
-def _crossings(budget: DecoherenceBudget, n: int) -> GaussianChannel:
-    """The light modes through n lossy window crossings."""
+def _window(budget: DecoherenceBudget) -> GaussianChannel:
+    """The light modes through one lossy window crossing."""
     return attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES,
-                               boundary_transmission(budget.boundary_loss, n))
+                               boundary_transmission(budget.boundary_loss, 1))
 
 
 def _atomic_decay(budget: DecoherenceBudget) -> list:
@@ -246,13 +240,14 @@ def _atomic_decay(budget: DecoherenceBudget) -> list:
 
 
 def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
-    """One pass between two window crossings, homodyne feedback of X_c
-    and P_s onto X_plus and P_minus, then collisions and scattering."""
-    n_entry = budget.n_boundaries // 2
+    """One pass between the cell's two windows (the same window stage on
+    the way in and out), homodyne feedback of X_c and P_s onto X_plus and
+    P_minus, then collisions and scattering."""
+    window = _window(budget)
     return [
-        ("entry_loss", _crossings(budget, n_entry), None),
+        ("entry_loss", window, None),
         ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
-        ("exit_loss", _crossings(budget, budget.n_boundaries - n_entry), None),
+        ("exit_loss", window, None),
         _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
         _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -gain),
         *_atomic_decay(budget),
@@ -262,9 +257,8 @@ def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
 def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
     """Collisions and scattering of the stored state, a fresh pulse, a
     quarter turn of the collective modes, a second pass, homodyne
-    feedback of P_plus and X_minus onto the light, the exit crossing and
-    a final quarter turn of both sidebands."""
-    n_exit = budget.n_boundaries - budget.n_boundaries // 2
+    feedback of P_plus and X_minus onto the light, one window crossing on
+    the way out and a final quarter turn of both sidebands."""
     return [
         *_atomic_decay(budget),
         ("fresh_pulse", _FRESH_PULSE, None),
@@ -272,7 +266,7 @@ def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
         ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
         _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
         _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
-        ("exit_loss", _crossings(budget, n_exit), None),
+        ("exit_loss", _window(budget), None),
         ("align", _ALIGN, None),
     ]
 
@@ -310,9 +304,10 @@ def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
 
 
 _RING = _read_only(_phase_ring(FIDELITY_AMPLITUDE, FIDELITY_PHASES))
-#: inverses of the (write, read) decode matrices, stacked (channel c, channel s)
-_WRITE_UNDO = _read_only(np.stack([np.linalg.inv(d) for d in (WRITE_DECODE_C, WRITE_DECODE_S)]))
-_READ_UNDO = _read_only(np.stack([np.linalg.inv(d) for d in (READ_DECODE_C, READ_DECODE_S)]))
+#: ideal decode of (channel c, channel s): stored block = sign * input block
+#: for a write, output light block = sign * stored block for a read
+_WRITE_SIGNS = _read_only(np.array([-1.0, 1.0]).reshape(2, 1, 1))
+_READ_SIGNS = _read_only(np.array([1.0, -1.0]).reshape(2, 1, 1))
 #: index gathering the (channel c, channel s) diagonal 2x2 blocks of a 4x4
 #: matrix into one 2x2x2 stack
 _CHANNEL_BLOCKS = (_read_only(np.array([[[0], [1]], [[2], [3]]])),
@@ -321,26 +316,26 @@ _EYE2 = _read_only(np.eye(2))
 
 
 def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
-                   undo: np.ndarray, ring: np.ndarray) -> float:
+                   signs: np.ndarray, ring: np.ndarray) -> float:
     """Coherent-state ensemble fidelity of a stored or retrieved map.
 
     The 2 x n inputs of ``ring`` (fixed quadrature amplitude, uniformly
     spread phase) are pushed through the 4x4 mean transfer map; the
-    matching output block is decoded with the ideal matrix of the
-    protocol, given as the 2x2x2 stack ``undo`` of inverted decode
-    matrices, and compared to the input against the output covariance.
-    The two channels go through one batched pass and are averaged.  A
-    decoded output covariance that is not positive definite in double
-    precision (noise so large that its determinant cancels) raises
-    ValueError.
+    matching output block is decoded with the ideal decode of the
+    protocol, one sign per channel given as the 2x1x1 stack ``signs``,
+    and compared to the input against the output covariance, which a
+    sign leaves as it is.  The two channels go through one batched pass
+    and are averaged.  An output covariance that is not positive
+    definite in double precision (noise so large that its determinant
+    cancels) raises ValueError.
     """
-    sigma = undo @ output_cov[_CHANNEL_BLOCKS] @ undo.transpose(0, 2, 1) + 0.5 * _EYE2
+    sigma = output_cov[_CHANNEL_BLOCKS] + 0.5 * _EYE2
     dets = np.linalg.det(sigma).tolist()
     for block, det in zip(sigma, dets):
         if not (block[0, 0] > 0.0 and 0.0 < det < math.inf):
             raise ValueError(f"output covariance is not positive definite: det {det!r}")
     # decoded-minus-ideal response of each channel to each input
-    d = (undo @ transfer_map[_CHANNEL_BLOCKS] - _EYE2) @ ring
+    d = (signs * transfer_map[_CHANNEL_BLOCKS] - _EYE2) @ ring
     exponent = np.einsum("bin,bij,bjn->bn", d, np.linalg.inv(sigma), d)
     total = 0.0
     for det, weight in zip(dets, np.exp(-0.5 * exponent).sum(axis=1).tolist()):
@@ -351,7 +346,7 @@ def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
 def _run(stage_builder, k_eff: float, state: GaussianState | None,
          gain: float | None, budget: DecoherenceBudget | None, policy: str,
          seed: int | None, in_block: slice, out_block: slice,
-         undo: np.ndarray) -> ProtocolResult:
+         signs: np.ndarray) -> ProtocolResult:
     """One protocol run: the final state and the composed channel from one
     fold over the stages, and the transfer map, added noise and fidelity.
 
@@ -388,7 +383,7 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
         out_cov = vacuum_out[out_block, out_block]
         added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
         try:
-            fidelity = _ring_fidelity(transfer, out_cov, undo, _RING)
+            fidelity = _ring_fidelity(transfer, out_cov, signs, _RING)
         except ValueError as exc:
             raise ValueError(f"protocol output noise is out of range at gain={gain!r}, "
                              f"k_eff={k_eff!r}: {exc}") from None
@@ -411,7 +406,7 @@ def run_write(k_eff: float, state: GaussianState | None = None,
     quadrature and none to the other.
     """
     return _run(_write_stages, k_eff, state, gain, budget, policy, seed,
-                _LIGHT_SLICE, _ATOM_SLICE, _WRITE_UNDO)
+                _LIGHT_SLICE, _ATOM_SLICE, _WRITE_SIGNS)
 
 
 def run_read(k_eff: float, state: GaussianState | None = None,
@@ -427,4 +422,4 @@ def run_read(k_eff: float, state: GaussianState | None = None,
     reading a written state returns the input with an overall sign flip.
     """
     return _run(_read_stages, k_eff, state, gain, budget, policy, seed,
-                _ATOM_SLICE, _LIGHT_SLICE, _READ_UNDO)
+                _ATOM_SLICE, _LIGHT_SLICE, _READ_SIGNS)

@@ -16,7 +16,7 @@ exactly, P(t) = exp(M t) P(0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,6 +51,11 @@ def pump_rate_profile(m: int, pump_rate: float) -> float:
     return pump_rate * (F_UPPER**2 - m * m) / F_UPPER**2
 
 
+def _check_nonnegative(pops: np.ndarray) -> None:
+    if np.any(pops < -1e-12):
+        raise ValueError("populations must be non-negative")
+
+
 @dataclass(frozen=True)
 class PumpLevelSystem:
     """Populations plus the rates driving them."""
@@ -63,10 +68,13 @@ class PumpLevelSystem:
         pops = np.asarray(self.populations, dtype=float).reshape(-1)
         if pops.shape != (N_STATES,):
             raise ValueError(f"populations must have length {N_STATES}, got {pops.shape}")
-        if np.any(pops < -1e-12):
-            raise ValueError("populations must be non-negative")
-        if not (0.0 <= self.pump_rate < math.inf and 0.0 <= self.repump_rate < math.inf):
-            raise ValueError("rates must be non-negative and finite")
+        _check_nonnegative(pops)
+        if not 0.0 <= self.pump_rate < math.inf:
+            raise ValueError(f"pump rate (--pump-rate) must be non-negative and finite, "
+                             f"got {self.pump_rate}")
+        if not 0.0 <= self.repump_rate < math.inf:
+            raise ValueError(f"repump rate (--repump-rate) must be non-negative and finite, "
+                             f"got {self.repump_rate}")
         object.__setattr__(self, "populations", pops.copy())
         self.populations.setflags(write=False)
 
@@ -146,26 +154,27 @@ def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
     Returns (times, populations) with one row per record, starting with
     the initial state and ending at dt * steps; used by the reporting
     layer to print pump-up curves.  The rates are constant, so one
-    propagator per chunk length (at most two) serves every record.
+    propagator per chunk length (at most two) serves every record; each
+    record is checked to be non-negative.
     """
     if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+        raise ValueError(f"record spacing dt (--dt) must be positive and finite, got {dt}")
     if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+        raise ValueError(f"number of record spacings (--steps) must be non-negative, "
+                         f"got {steps}")
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
     mat = rate_matrix(system)
     props: dict[int, np.ndarray] = {}
     times = [0.0]
-    rows = [system.populations.copy()]
-    current = system
+    rows = [system.populations]
     done = 0
     while done < steps:
         chunk = min(record_every, steps - done)
         if chunk not in props:
             props[chunk] = _propagator(system, mat, dt, chunk)
-        current = replace(current, populations=props[chunk] @ current.populations)
+        rows.append(props[chunk] @ rows[-1])
+        _check_nonnegative(rows[-1])
         done += chunk
         times.append(done * dt)
-        rows.append(current.populations.copy())
     return np.array(times), np.array(rows)

@@ -285,7 +285,7 @@ def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
     budget = DecoherenceBudget.from_scenario(config)
     return [
         ReportRow("spin_exchange_eta", budget.eta, "1"),
-        ReportRow("doppler_scattering_rate", budget.gamma_ph, "1/s"),
+        _row(config, "doppler_scattering_rate"),
         ReportRow("scattered_photons_per_pulse", budget.n_phot, "1"),
         *[_row(config, name) for name in (
             "boundary_transmission", "boundary_added_vacuum",
@@ -298,17 +298,6 @@ def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: 
     if config.species.f_ground != 4:
         raise ScenarioError(f"field 'f_ground' = {config.species.f_ground} is not supported "
                             "by pump: the pumping model is the F = 4 manifold")
-    if not 0.0 <= pump_rate < math.inf:
-        raise ValueError(f"pump rate (--pump-rate) must be non-negative and finite, "
-                         f"got {pump_rate}")
-    if not 0.0 <= repump_rate < math.inf:
-        raise ValueError(f"repump rate (--repump-rate) must be non-negative and finite, "
-                         f"got {repump_rate}")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"record spacing dt (--dt) must be positive and finite, got {dt}")
-    if steps < 0:
-        raise ValueError(f"number of record spacings (--steps) must be non-negative, "
-                         f"got {steps}")
     from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
     system = uniform_f4_system(pump_rate, repump_rate)
     record_every = max(1, steps // PUMP_CHECKPOINTS)

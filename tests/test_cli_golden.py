@@ -1,4 +1,5 @@
-"""Byte identity of the scalar subcommands against committed digests.
+"""Byte identity of the scalar subcommands against committed digests,
+and of the decoherence report's rows against the quantity registry.
 
 ``cli_golden.json`` holds one sha256 of ``(exit code, stdout, stderr)``
 per case: each scalar subcommand (``shifts``, ``compensate``,
@@ -25,7 +26,9 @@ from pathlib import Path
 
 import pytest
 
+from qmemcell import DecoherenceBudget, ScenarioError, load_scenario
 from qmemcell.cli import main
+from qmemcell.report import QUANTITIES, decoherence_rows
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -93,6 +96,23 @@ def test_the_golden_file_lists_every_case(golden):
 def test_scalar_subcommand_output_is_unchanged(case, documents, golden, monkeypatch):
     monkeypatch.chdir(documents)
     assert digest(CASES[case]) == golden[case]
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_decoherence_rows_are_their_registry_quantities(name):
+    # the report prints what the registry computes, bit for bit (repr
+    # tells every double apart, signed zeros included)
+    config = load_scenario(json.dumps(DOCUMENTS[name]))
+    try:
+        DecoherenceBudget.from_scenario(config)
+    except ScenarioError:
+        # a pulse the budget refuses prints no rows
+        with pytest.raises(ScenarioError):
+            decoherence_rows(config)
+        return
+    for row in decoherence_rows(config):
+        func, unit = QUANTITIES[row.name]
+        assert (repr(row.value), row.unit) == (repr(func(config)), unit), row.name
 
 
 if __name__ == "__main__":

@@ -24,9 +24,9 @@ from qmemcell import (
     stark_compensation_intensity,
     stark_pi_scattered_photons,
 )
-from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA
+from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA, compensation_scattering_rate
 from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
-from qmemcell.memory import _atomic_decay, _crossings
+from qmemcell.memory import _atomic_decay, _window
 from qmemcell.scenario import DEFAULTS
 
 TWO_PI = 2.0 * math.pi
@@ -200,33 +200,32 @@ def test_boundary_budget_validation():
 
 def test_budget_defaults_and_validation():
     budget = DecoherenceBudget()
-    assert budget.eta == 0.0 and budget.n_phot == 0.0
-    assert budget.n_boundaries == 2
+    assert budget == (0.0, 0.0, 0.0)
+    assert budget._fields == ("eta", "n_phot", "boundary_loss")
     with pytest.raises(ValueError):
         DecoherenceBudget(eta=1.0)
     with pytest.raises(ValueError):
         DecoherenceBudget(n_phot=-0.1)
     with pytest.raises(ValueError):
-        DecoherenceBudget(gamma_ph=-1.0)
-    with pytest.raises(ValueError):
         DecoherenceBudget(boundary_loss=1.0)
-    with pytest.raises(ValueError):
-        DecoherenceBudget(n_boundaries=-1)
+    # a scattering rate is no budget field: n_phot is what the protocol applies
+    with pytest.raises(TypeError):
+        DecoherenceBudget(gamma_ph=1e9, n_phot=0.0)
     # copies are checked too, and a positional budget reads in field order
-    assert budget._replace(eta=0.5) == DecoherenceBudget(0.5) == (0.5, 0.0, 0.0, 0.0, 2)
+    assert budget._replace(eta=0.5) == DecoherenceBudget(0.5) == (0.5, 0.0, 0.0)
     with pytest.raises(ValueError, match="eta must lie"):
         budget._replace(eta=1.0)
     with pytest.raises(ValueError, match="n_phot must lie"):
-        DecoherenceBudget._make((0.0, 0.0, 2.0, 0.0, 2))
+        DecoherenceBudget._make((0.0, 2.0, 0.0))
 
 
 def test_budget_from_scenario():
     budget = DecoherenceBudget.from_scenario(default_scenario())
     assert budget.eta == pytest.approx(6.5e-3, rel=1e-12)
-    assert budget.gamma_ph == pytest.approx(17.339887707386037, rel=1e-9)
-    assert budget.n_phot == pytest.approx(budget.gamma_ph * 1.0e-3, rel=1e-12)
+    gamma_ph = compensation_scattering_rate(default_scenario())
+    assert gamma_ph == pytest.approx(17.339887707386037, rel=1e-9)
+    assert budget.n_phot == pytest.approx(gamma_ph * 1.0e-3, rel=1e-12)
     assert budget.boundary_loss == 0.01
-    assert budget.n_boundaries == 2
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +288,7 @@ def test_scattering_channel_matches_spin_exchange_form():
 def test_channels_at_zero_strength_are_identity():
     state = _correlated_state()
     budget = DecoherenceBudget()
-    for channel in (*(ch for _, ch, _ in _atomic_decay(budget)), _crossings(budget, 2),
+    for channel in (*(ch for _, ch, _ in _atomic_decay(budget)), _window(budget),
                     attenuation_channel(state.modes, (LIGHT_C, ATOM_PLUS), 1.0)):
         out = channel.apply(state)
         assert np.array_equal(out.means, state.means)
@@ -299,7 +298,8 @@ def test_channels_at_zero_strength_are_identity():
 def test_boundary_losses_touch_only_light():
     loss, n = 0.02, 2
     state = _correlated_state()
-    out = _crossings(DecoherenceBudget(boundary_loss=loss), n).apply(state)
+    window = _window(DecoherenceBudget(boundary_loss=loss))
+    out = window.apply(window.apply(state))
     amp = math.sqrt((1.0 - loss) ** n)
     for mode in (LIGHT_C, LIGHT_S):
         mean, block = _mean(state, mode), _block(state, mode)
@@ -321,7 +321,7 @@ def test_channels_preserve_physicality():
         budget = DecoherenceBudget(eta=p, n_phot=p, boundary_loss=p)
         for _, channel, _ in _atomic_decay(budget):
             channel.apply(state)
-        _crossings(budget, 3).apply(state)
+        _window(budget).apply(state)
 
 
 def test_channel_custom_mode_selection():

@@ -41,14 +41,10 @@ from qmemcell.gaussian import (
     symplectic_form,
 )
 from qmemcell.memory import (
-    READ_DECODE_C,
-    READ_DECODE_S,
     VARIANT_BOTH_CLASSES,
     VARIANT_CLASS_1,
     VARIANT_CLASS_2,
     VARIANT_TWO_CLASS,
-    WRITE_DECODE_C,
-    WRITE_DECODE_S,
     _read_stages,
     _run_stages,
     _write_stages,
@@ -257,10 +253,14 @@ def test_pass_generator_is_nilpotent_of_its_index(variant, index):
     assert power.any()
     assert np.array_equal(power @ gen, np.zeros((8, 8)))
     k = 0.83
-    series = sum(np.linalg.matrix_power(k * gen, j) / math.factorial(j) for j in range(index))
-    # equal to one rounding: the square of both_classes' k G cancels only to
-    # rounding when the matrix product fuses its multiply-adds
-    assert np.abs(qnd_transform(k, variant).x - series).max() <= 1e-16 * np.abs(series).max()
+    got = qnd_transform(k, variant).x
+    if index == 2:
+        # no square term is added, so the map is exactly I + k G
+        assert np.array_equal(got, np.eye(8) + k * gen)
+    else:
+        series = sum(np.linalg.matrix_power(k * gen, j) / math.factorial(j)
+                     for j in range(index))
+        assert np.abs(got - series).max() <= 1e-16 * np.abs(series).max()
 
 
 def test_qnd_transform_rejects_non_finite_and_overflowing_strength():
@@ -365,24 +365,31 @@ def test_rotations_are_symplectic(phi_1, phi_2):
 # ensemble fidelity
 
 
+#: the ideal decode matrices of (channel c, channel s) as test data, with the
+#: signs the protocol holds for them: a write stores (-I, +I) times the input
+#: block, a read returns (+I, -I) times the stored block
+DECODES = ((memory._WRITE_SIGNS, (-np.eye(2), np.eye(2))),
+           (memory._READ_SIGNS, (np.eye(2), -np.eye(2))))
+
+
 def test_mean_fidelity_of_exact_map():
     transfer = np.diag([-1.0, -1.0, 1.0, 1.0])
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    fid = memory._ring_fidelity(transfer, cov, memory._WRITE_UNDO, memory._RING)
+    fid = memory._ring_fidelity(transfer, cov, memory._WRITE_SIGNS, memory._RING)
     assert fid == pytest.approx(CANONICAL_FID, rel=1e-12)
 
 
 def test_mean_fidelity_of_identity_channel():
-    undo = np.stack([np.eye(2), np.eye(2)])
-    fid = memory._ring_fidelity(np.eye(4), 0.5 * np.eye(4), undo, memory._RING)
+    signs = np.ones((2, 1, 1))
+    fid = memory._ring_fidelity(np.eye(4), 0.5 * np.eye(4), signs, memory._RING)
     assert fid == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mean_fidelity_penalizes_miscalibration():
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    undo, ring = memory._WRITE_UNDO, memory._RING
-    exact = memory._ring_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov, undo, ring)
-    off = memory._ring_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov, undo, ring)
+    signs, ring = memory._WRITE_SIGNS, memory._RING
+    exact = memory._ring_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov, signs, ring)
+    off = memory._ring_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov, signs, ring)
     assert off < exact
 
 
@@ -409,12 +416,11 @@ def test_mean_fidelity_matches_phase_loop(seed):
     transfer = np.diag([-1.0, -1.0, 1.0, 1.0]) + 0.05 * rng.normal(size=(4, 4))
     a = rng.normal(size=(4, 4))
     cov = 0.5 * np.eye(4) + 0.3 * a @ a.T
-    for decode_c, decode_s, undo in ((WRITE_DECODE_C, WRITE_DECODE_S, memory._WRITE_UNDO),
-                                     (READ_DECODE_C, READ_DECODE_S, memory._READ_UNDO)):
+    for signs, (decode_c, decode_s) in DECODES:
         for n_phases in (1, 7, 256):
             want = _mean_fidelity_loop(transfer, cov, decode_c, decode_s,
                                        n_phases=n_phases)
-            got = memory._ring_fidelity(transfer, cov, undo, memory._phase_ring(20.0, n_phases))
+            got = memory._ring_fidelity(transfer, cov, signs, memory._phase_ring(20.0, n_phases))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
@@ -446,30 +452,30 @@ def _ring_fidelity_per_block(transfer, cov, undo_c, undo_s, ring):
 
 
 def test_ring_fidelity_matches_per_block_loop_bit_for_bit():
+    # the sign decode against the congruence by the inverted decode matrices
     rng = np.random.default_rng(20050913)
     ring = memory._RING
     for _ in range(50):
         transfer = rng.normal(size=(4, 4))
         a = rng.normal(size=(4, 4))
         cov = 0.5 * np.eye(4) + 0.3 * a @ a.T
-        undos = (memory._WRITE_UNDO, memory._READ_UNDO, rng.normal(size=(2, 2, 2)))
-        for undo in undos:
-            want = _ring_fidelity_per_block(transfer, cov, undo[0], undo[1], ring)
-            assert memory._ring_fidelity(transfer, cov, undo, ring) == want
+        for signs, decodes in DECODES:
+            want = _ring_fidelity_per_block(transfer, cov, *map(np.linalg.inv, decodes), ring)
+            assert memory._ring_fidelity(transfer, cov, signs, ring) == want
 
 
 def test_ring_fidelity_checks_channel_c_first():
-    undo, ring = memory._WRITE_UNDO, memory._RING
+    (signs, decodes), ring = DECODES[0], memory._RING
     # both channels fail: the message is channel c's, as in the per-block loop
     cov = np.diag([-3.0, 1.0, -1.0, 5.0])
-    for fidelity in (lambda: memory._ring_fidelity(np.eye(4), cov, undo, ring),
-                     lambda: _ring_fidelity_per_block(np.eye(4), cov, *undo, ring)):
+    for fidelity in (lambda: memory._ring_fidelity(np.eye(4), cov, signs, ring),
+                     lambda: _ring_fidelity_per_block(np.eye(4), cov, *decodes, ring)):
         with pytest.raises(ValueError,
                            match=r"^output covariance is not positive definite: det -3.75$"):
             fidelity()
     # only channel s fails
     with pytest.raises(ValueError, match=r"not positive definite: det -0.75$"):
-        memory._ring_fidelity(np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0]), undo, ring)
+        memory._ring_fidelity(np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0]), signs, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -599,10 +605,9 @@ def test_write_fidelity_degrades_with_spin_exchange():
 
 def test_write_loss_excess_doubles_with_crossings():
     for loss in (0.01, 0.02):
-        two = run_write(1.0, budget=DecoherenceBudget(boundary_loss=loss,
-                                                      n_boundaries=2))
-        four = run_write(1.0, budget=DecoherenceBudget(boundary_loss=loss,
-                                                       n_boundaries=4))
+        two = run_write(1.0, budget=DecoherenceBudget(boundary_loss=loss))
+        # four crossings: each of the two windows passes (1 - loss)^2
+        four = run_write(1.0, budget=DecoherenceBudget(boundary_loss=1.0 - (1.0 - loss) ** 2))
         # the clean quadratures pick up excess noise only through the loss
         ratio = four.added_noise[0] / two.added_noise[0]
         assert 1.9 < ratio < 2.0
@@ -697,8 +702,7 @@ def _assert_bit_equal(got, want):
 def test_composed_channel_matches_stages(seed):
     rng = np.random.default_rng(seed)
     budget = DecoherenceBudget(eta=rng.uniform(0.0, 0.1), n_phot=rng.uniform(0.0, 0.1),
-                               boundary_loss=rng.uniform(0.0, 0.1),
-                               n_boundaries=int(rng.integers(0, 5)))
+                               boundary_loss=rng.uniform(0.0, 0.1))
     k_eff = rng.uniform(0.3, 2.0)
     gain = -rng.uniform(0.5, 2.0) / k_eff
     state = _random_memory_state(rng)
@@ -753,17 +757,14 @@ def test_stage_names_of_both_builders():
         assert set(run(1.0).measurements) == want
 
 
-@pytest.mark.parametrize("n_boundaries", range(5))
-def test_loss_stages_are_attenuation_channels_at_the_budget(n_boundaries):
-    # an odd crossing count puts the extra crossing after the pass, in
-    # the write's and in the read's exit
+def test_loss_stages_are_attenuation_channels_at_the_budget():
+    # each window crossing is one window's transmission: the write crosses
+    # one on the way in and one on the way out, the read one on the way out
     eta, n_phot, loss = 0.013, 0.021, 0.07
-    budget = DecoherenceBudget(eta=eta, n_phot=n_phot, boundary_loss=loss,
-                               n_boundaries=n_boundaries)
-    n_entry = n_boundaries // 2
+    budget = DecoherenceBudget(eta=eta, n_phot=n_phot, boundary_loss=loss)
     light, atoms = (LIGHT_C, LIGHT_S), (ATOM_PLUS, ATOM_MINUS)
-    want = {"entry_loss": (light, boundary_transmission(loss, n_entry)),
-            "exit_loss": (light, boundary_transmission(loss, n_boundaries - n_entry)),
+    want = {"entry_loss": (light, boundary_transmission(loss, 1)),
+            "exit_loss": (light, boundary_transmission(loss, 1)),
             "collisions": (atoms, (1.0 - eta) ** 2),
             "scattering": (atoms, (1.0 - n_phot) ** 2)}
     for stages, names in ((_write_stages(1.0, -1.0, budget), set(want)),
@@ -774,6 +775,9 @@ def test_loss_stages_are_attenuation_channels_at_the_budget(n_boundaries):
             expected = gaussian.attenuation_channel(MEMORY_MODES_PLUS_MINUS, *want[name])
             assert np.array_equal(channel.x, expected.x), name
             assert np.array_equal(channel.y, expected.y), name
+    # the write's two crossings are one window stage
+    write = {name: channel for name, channel, _ in _write_stages(1.0, -1.0, budget)}
+    assert write["entry_loss"] is write["exit_loss"]
 
 
 def _module_arrays(module) -> list[np.ndarray]:
@@ -796,18 +800,18 @@ def _module_arrays(module) -> list[np.ndarray]:
 
 
 def test_module_constants_are_read_only():
-    # the fixed protocol stages, the fidelity ring, the decode matrices and
+    # the fixed protocol stages, the fidelity ring, the decode signs and
     # the shared vacua are built once at import and must stay unwritable
     arrays = _module_arrays(memory) + _module_arrays(gaussian)
     assert len(arrays) >= 25
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 7.0
-    # the pass generators, the batched fidelity's index and stacked
-    # decode inverses are among the arrays checked
+    # the pass generators, the batched fidelity's index and the decode
+    # signs are among the arrays checked
     checked = {id(array) for array in arrays}
     new = [*memory._PASS_GENERATORS.values(), *memory._CHANNEL_BLOCKS, memory._EYE8,
-           memory._EYE2, memory._WRITE_UNDO, memory._READ_UNDO]
+           memory._EYE2, memory._WRITE_SIGNS, memory._READ_SIGNS]
     assert all(id(array) in checked for array in new)
     fixed = {id(ch) for _, ch, _ in _read_stages(1.0, -1.0, DecoherenceBudget())}
     assert {id(memory._FRESH_PULSE), id(memory._QUARTER_TURN), id(memory._ALIGN)} <= fixed
@@ -867,5 +871,4 @@ def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
     with pytest.raises(ValueError, match=r"k_eff=1e\+100"):
         run_read(1e100)
     with pytest.raises(ValueError, match="not positive definite"):
-        memory._ring_fidelity(np.eye(4), -np.eye(4), np.stack([-np.eye(2), np.eye(2)]),
-                              memory._RING)
+        memory._ring_fidelity(np.eye(4), -np.eye(4), memory._WRITE_SIGNS, memory._RING)

@@ -180,7 +180,7 @@ SCALAR_RECORDS = {
                                "atom_density boundary_loss feedback_gain species",
     "shifts.ShiftLadder": "f_ground terms",
     "shifts.CouplingSet": "kappa_per_s kappa_tau k_eff",
-    "decoherence.DecoherenceBudget": "eta gamma_ph n_phot boundary_loss n_boundaries",
+    "decoherence.DecoherenceBudget": "eta n_phot boundary_loss",
     "report.ReportRow": "name value unit reference low high status extras",
 }
 
@@ -193,7 +193,7 @@ RECORD_PAIRS = {
     "shifts.ShiftLadder": (zeeman_ladder(1.0e6), ShiftLadder(3, ((1.0, 2.0), (3.0, 4.0)))),
     "shifts.CouplingSet": (CouplingSet(1.0, 2.0, 3.0), CouplingSet(-1.0, -2.0, -3.0)),
     "decoherence.DecoherenceBudget": (DecoherenceBudget(),
-                                      DecoherenceBudget(0.1, 2.0, 0.2, 0.3, 4)),
+                                      DecoherenceBudget(0.1, 0.2, 0.3)),
     "report.ReportRow": (ReportRow("a", 1.0, "1"),
                          ReportRow("b", 1.1, "mW", 1.0, 0.9, 1.2, "PASS", {"x": 2.0})),
 }

@@ -66,8 +66,13 @@ def test_system_validation():
         PumpLevelSystem(populations=np.zeros(9), pump_rate=PUMP, repump_rate=REPUMP)
     with pytest.raises(ValueError, match="non-negative"):
         PumpLevelSystem(populations=-np.ones(16), pump_rate=PUMP, repump_rate=REPUMP)
-    with pytest.raises(ValueError, match="rates"):
+    with pytest.raises(ValueError, match=r"^pump rate \(--pump-rate\) must be non-negative "
+                                         r"and finite, got -1.0$"):
         uniform_f4_system(-1.0, REPUMP)
+    # each rate is checked on its own
+    with pytest.raises(ValueError, match=r"^repump rate \(--repump-rate\) must be "
+                                         r"non-negative and finite, got -1.0$"):
+        uniform_f4_system(PUMP, -1.0)
 
 
 def test_rate_matrix_conserves_population():
@@ -141,7 +146,7 @@ def test_pumping_argument_validation():
         pumping_history(system, DT, -1)
     with pytest.raises(ValueError, match="dt"):
         pumping_history(system, float("nan"), 0)
-    with pytest.raises(ValueError, match="rates"):
+    with pytest.raises(ValueError, match="pump rate"):
         uniform_f4_system(float("inf"), REPUMP)
 
 
