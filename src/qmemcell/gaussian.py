@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
@@ -87,8 +88,7 @@ def rotation_2x2(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-@dataclass(frozen=True)
-class GaussianChannel:
+class GaussianChannel(namedtuple("GaussianChannel", ("x", "y"))):
     """Affine Gaussian channel: means r -> X r, covariance V -> X V X^T + Y.
 
     Every step of the memory protocol (a pass, a lossy crossing, homodyne
@@ -97,24 +97,26 @@ class GaussianChannel:
     et al., Rev. Mod. Phys. 84, 621 (2012)).  A channel maps the means
     and the covariance but never relabels modes: a change of basis such
     as :func:`~qmemcell.memory.atomic_basis_matrix` keeps the labels.
+    X and Y are copied into read-only arrays; the checks run on
+    construction, ``_make`` and ``_replace`` included.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        y = np.array(self.y, dtype=float)
+    def __new__(cls, x: np.ndarray, y: np.ndarray):
+        x = np.array(x, dtype=float)
+        y = np.array(y, dtype=float)
         if x.ndim != 2 or x.shape[0] != x.shape[1] or y.shape != x.shape:
             raise ValueError(
                 f"channel needs square X and Y of one shape, got {x.shape} and {y.shape}")
         for label, a in (("X", x), ("Y", y)):
             if not np.isfinite(a).all():
                 raise ValueError(f"channel {label} must be finite")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        return cls._wrap(x, y)
+
+    @classmethod
+    def _make(cls, iterable) -> "GaussianChannel":
+        return cls(*iterable)
 
     @classmethod
     def symplectic(cls, s: np.ndarray) -> "GaussianChannel":
@@ -144,10 +146,7 @@ class GaussianChannel:
         """
         x.setflags(write=False)
         y.setflags(write=False)
-        channel = object.__new__(cls)
-        object.__setattr__(channel, "x", x)
-        object.__setattr__(channel, "y", y)
-        return channel
+        return tuple.__new__(cls, (x, y))
 
     def then(self, other: "GaussianChannel") -> "GaussianChannel":
         """The channel applying this one first, then ``other``."""
@@ -203,6 +202,7 @@ def _target_diagonal(modes: tuple[str, ...], targets: tuple[str, ...]) -> np.nda
     return _read_only(np.array(diagonal, dtype=np.intp))
 
 
+# a dataclass: the benchmark tracer (bench/tracing.py) hooks __post_init__
 @dataclass(frozen=True)
 class GaussianState:
     """Means vector and covariance matrix over labeled modes.

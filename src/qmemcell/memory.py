@@ -143,6 +143,7 @@ def differential_rotation(phi_1: float, phi_2: float) -> GaussianChannel:
 # write / read protocol
 
 
+# a dataclass: the benchmark self-tests call dataclasses.replace on it
 @dataclass(frozen=True)
 class ProtocolResult:
     """Outcome of one protocol run.

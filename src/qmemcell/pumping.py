@@ -10,17 +10,16 @@ hyperfine manifolds and a repumper returns F = 3 population to F = 4.
 
 Populations are classical probabilities; the model tracks no coherences.
 The rate matrix is constant in time, so populations are propagated
-exactly, P(t) = exp(M t) P(0).
+exactly, P(t) = exp(M t) P(0), by a plain-numpy exponential that spares
+every run a library routine's heavy import.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
-
-from .numerics import expm
 
 F_UPPER = 4
 F_LOWER = 3
@@ -56,27 +55,29 @@ def _check_nonnegative(pops: np.ndarray) -> None:
         raise ValueError("populations must be non-negative")
 
 
-@dataclass(frozen=True)
-class PumpLevelSystem:
-    """Populations plus the rates driving them."""
+class PumpLevelSystem(namedtuple("PumpLevelSystem", ("populations", "pump_rate", "repump_rate"))):
+    """Populations, copied read-only, plus the rates driving them; checked on
+    construction, ``_make`` and ``_replace`` included."""
 
-    populations: np.ndarray
-    pump_rate: float
-    repump_rate: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        pops = np.asarray(self.populations, dtype=float).reshape(-1)
+    def __new__(cls, populations: np.ndarray, pump_rate: float, repump_rate: float):
+        pops = np.array(populations, dtype=float).reshape(-1)
         if pops.shape != (N_STATES,):
             raise ValueError(f"populations must have length {N_STATES}, got {pops.shape}")
         _check_nonnegative(pops)
-        if not 0.0 <= self.pump_rate < math.inf:
+        if not 0.0 <= pump_rate < math.inf:
             raise ValueError(f"pump rate (--pump-rate) must be non-negative and finite, "
-                             f"got {self.pump_rate}")
-        if not 0.0 <= self.repump_rate < math.inf:
+                             f"got {pump_rate}")
+        if not 0.0 <= repump_rate < math.inf:
             raise ValueError(f"repump rate (--repump-rate) must be non-negative and finite, "
-                             f"got {self.repump_rate}")
-        object.__setattr__(self, "populations", pops.copy())
-        self.populations.setflags(write=False)
+                             f"got {repump_rate}")
+        pops.setflags(write=False)
+        return tuple.__new__(cls, (pops, pump_rate, repump_rate))
+
+    @classmethod
+    def _make(cls, iterable) -> "PumpLevelSystem":
+        return cls(*iterable)
 
     def dark_split(self) -> tuple[float, float]:
         """Populations of the m = -4 and m = +4 stretched states."""
@@ -124,6 +125,44 @@ def rate_matrix(system: PumpLevelSystem) -> np.ndarray:
                 mat[tgt, src] += system.repump_rate / n_f4
             mat[src, src] -= system.repump_rate
     return mat
+
+
+# Pade (13, 13) coefficients and the 1-norm up to which they need no scaling
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179, 2005)."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expm needs a square matrix, got shape {a.shape}")
+    norm = float(np.max(np.sum(np.abs(a), axis=0), initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError(f"expm needs a finite matrix, got 1-norm {norm}")
+    squarings = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    # (v - u)^-1 (v + u) written so that a zero column of a stays exact
+    result = ident + 2.0 * np.linalg.solve(v - u, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            result = result @ result
+    if not np.all(np.isfinite(result)):
+        raise ArithmeticError(f"expm overflowed for a matrix of 1-norm {norm:.3g}")
+    return result
 
 
 #: largest deviation of a propagator column sum from 1: 2e-15 at the catalogue

@@ -1,5 +1,5 @@
-"""Plain-numpy kernels against scipy, the scipy-free runtime, and the
-numpy-free path of the scalar subcommands."""
+"""Plain-numpy kernels against scipy, the scipy-free runtime, the
+named-tuple records, and which subcommands load numpy and dataclasses."""
 
 import ast
 import copy
@@ -22,7 +22,8 @@ from qmemcell import (CESIUM, CODATA, CouplingSet, DecoherenceBudget, PhysicalCo
                       ShiftLadder, SpeciesData, cli, default_scenario, symplectic_form,
                       zeeman_ladder)
 from qmemcell.decoherence import _WEIDEMAN, _WEIDEMAN_L, faddeeva
-from qmemcell.numerics import expm
+from qmemcell.gaussian import GaussianChannel
+from qmemcell.pumping import PumpLevelSystem, expm, uniform_f4_system
 from qmemcell.report import ReportRow
 
 
@@ -130,7 +131,7 @@ SCALAR_ARGVS = [
                              "doppler_scattering_rate", "spin_exchange_eta", "k_eff")),
 ]
 
-# runs the scalar subcommands through cli.main with the modules named in
+# runs subcommands through cli.main with the modules named in
 # poison made unimportable, and prints exit codes, stdout and which of
 # numpy and the dataclass machinery got loaded
 _SCALAR_RUN = """
@@ -169,7 +170,8 @@ def test_scalar_subcommands_run_without_numpy(tmp_path):
         assert code == (1 if argv[0] == "paper-check" else 0), argv
 
 
-#: the records of the scalar path, module.class -> fields in order
+#: the named-tuple records, module.class -> fields in order: the scalar path's,
+#: then the two of the numpy side, which hold read-only arrays
 SCALAR_RECORDS = {
     "constants.PhysicalConstants": "hbar c epsilon0 mu_bohr",
     "constants.SpeciesData": "lambda_d1 lambda_d2 gamma_d1 gamma_d2 delta_hf delta2 "
@@ -182,6 +184,8 @@ SCALAR_RECORDS = {
     "shifts.CouplingSet": "kappa_per_s kappa_tau k_eff",
     "decoherence.DecoherenceBudget": "eta n_phot boundary_loss",
     "report.ReportRow": "name value unit reference low high status extras",
+    "gaussian.GaussianChannel": "x y",
+    "pumping.PumpLevelSystem": "populations pump_rate repump_rate",
 }
 
 #: two instances of each record that differ in every field
@@ -196,9 +200,26 @@ RECORD_PAIRS = {
                                       DecoherenceBudget(0.1, 0.2, 0.3)),
     "report.ReportRow": (ReportRow("a", 1.0, "1"),
                          ReportRow("b", 1.1, "mW", 1.0, 0.9, 1.2, "PASS", {"x": 2.0})),
+    "gaussian.GaussianChannel": (GaussianChannel(np.eye(4), np.zeros((4, 4))),
+                                 GaussianChannel(2.0 * np.eye(4), np.ones((4, 4)))),
+    "pumping.PumpLevelSystem": (uniform_f4_system(1.0e4, 2.0e4),
+                                PumpLevelSystem(np.full(16, 1.0 / 16.0), 5.0e3, 0.0)),
 }
-#: records that check their ranges on every construction: a change each must refuse
-REFUSED_CHANGES = {"decoherence.DecoherenceBudget": {"eta": 1.0}}
+#: records that check their fields on every construction: changes each must
+#: refuse, as (field, value, message)
+REFUSED_CHANGES = {
+    "decoherence.DecoherenceBudget": [("eta", 1.0, "eta must lie")],
+    "gaussian.GaussianChannel": [("x", np.diag([1.0, np.inf, 1.0, 1.0]),
+                                  "channel X must be finite")],
+    "pumping.PumpLevelSystem": [("pump_rate", -5.0, r"pump rate \(--pump-rate\)"),
+                                ("populations", np.zeros(15), "length 16")],
+}
+
+
+def _same_fields(a, b) -> bool:
+    """Field-wise equality; tuple ``==`` raises on array fields."""
+    return len(a) == len(b) and all(
+        np.array_equal(u, v) if isinstance(u, np.ndarray) else u == v for u, v in zip(a, b))
 
 
 @pytest.mark.parametrize("path", SCALAR_RECORDS)
@@ -218,15 +239,21 @@ def test_scalar_records_copy_pickle_make_and_replace(path):
     assert f"{cls.__module__}.{cls.__name__}" == f"qmemcell.{path}"
     for rebuilt in (copy.copy(record), pickle.loads(pickle.dumps(record)),
                     cls._make(tuple(record))):
-        assert type(rebuilt) is cls and rebuilt == record
+        assert type(rebuilt) is cls and _same_fields(rebuilt, record)
+        assert not any(v.flags.writeable for v in rebuilt if isinstance(v, np.ndarray))
+    with pytest.raises(AttributeError):
+        setattr(record, cls._fields[0], getattr(other, cls._fields[0]))
     for field in cls._fields:
         new = getattr(other, field)
         changed = record._replace(**{field: new})
         assert type(changed) is cls
-        assert changed == tuple(new if f == field else getattr(record, f) for f in cls._fields)
-    for field, value in REFUSED_CHANGES.get(path, {}).items():
-        with pytest.raises(ValueError, match=field):
+        assert _same_fields(changed, tuple(new if f == field else getattr(record, f)
+                                           for f in cls._fields))
+    for field, value, message in REFUSED_CHANGES.get(path, ()):
+        with pytest.raises(ValueError, match=message):
             record._replace(**{field: value})
+        with pytest.raises(ValueError, match=message):
+            cls._make(value if f == field else getattr(record, f) for f in cls._fields)
 
 
 #: the scalar modules in layer order: each imports only the ones before it
@@ -235,8 +262,9 @@ SCALAR_LAYERS = ("constants", "scenario", "shifts", "decoherence", "report", "cl
 DEFERRED_IMPORTS = {("report", "pump_rows", "pumping"), ("report", "memory_sim_rows", "gaussian"),
                     ("report", "memory_sim_rows", "memory")}
 #: the numpy side: each module and the package modules it imports
-NUMPY_IMPORTS = {"numerics": set(), "gaussian": set(), "pumping": {"numerics"},
-                 "memory": {"decoherence", "gaussian"}}
+NUMPY_IMPORTS = {"gaussian": set(), "pumping": set(), "memory": {"decoherence", "gaussian"}}
+#: the only modules that import dataclasses, for GaussianState and ProtocolResult
+DATACLASS_MODULES = {"gaussian", "memory"}
 
 
 def _package_imports(tree):
@@ -275,16 +303,48 @@ def test_scalar_modules_import_each_other_in_layer_order():
         assert {target for _, target in _package_imports(tree)} == allowed, name
 
 
-def test_numpy_subcommands_still_run_with_dataclasses(tmp_path, capsys):
-    # memory-sim and pump load numpy and, through gaussian and pumping, dataclasses
-    config = tmp_path / "cfg.json"
-    config.write_text("{}")
-    argvs = [["memory-sim", "--seed", "3"], ["pump", "--steps", "20"]]
-    expected = []
+def test_only_gaussian_and_memory_import_dataclasses():
+    importers = set()
+    for path in Path(qmemcell.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any((name or "").split(".")[0] == "dataclasses" for name in names):
+                importers.add(path.stem)
+    assert importers == DATACLASS_MODULES
+
+
+def _in_process(argvs, capsys):
+    """[exit code, stdout] of each argv through cli.main in this process."""
+    runs = []
     for argv in argvs:
         code = cli.main(argv)
-        expected.append([code, capsys.readouterr().out])
+        runs.append([code, capsys.readouterr().out])
+    return runs
+
+
+def test_numpy_subcommands_still_run_with_dataclasses(tmp_path, capsys):
+    # memory-sim loads numpy and, through gaussian and memory, dataclasses
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    argvs = [["memory-sim", "--seed", "3"], ["memory-sim", "--format", "json"]]
+    expected = _in_process(argvs, capsys)
     run = json.loads(_fresh_python(_SCALAR_RUN.format(
         poison=(), config=str(config), argvs=argvs)))
     assert run["runs"] == expected and [code for code, _ in expected] == [0, 0]
     assert {"numpy", "dataclasses"} <= set(run["loaded"])
+
+
+def test_pump_runs_without_dataclasses(tmp_path, capsys):
+    # pumping's record is a named tuple: pump loads numpy but never dataclasses
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    argvs = [["pump", "--steps", "20"], ["pump", "--steps", "7", "--format", "json"],
+             ["pump", "--pump-rate", "-5"], ["pump", "--steps", "-1"]]
+    expected = _in_process(argvs, capsys)
+    plain, poisoned = [json.loads(_fresh_python(_SCALAR_RUN.format(
+        poison=poison, config=str(config), argvs=argvs)))
+        for poison in ((), ("dataclasses",))]
+    assert plain["runs"] == poisoned["runs"] == expected
+    assert [code for code, _ in expected] == [0, 0, 2, 2]
+    assert "numpy" in plain["loaded"] and "dataclasses" not in plain["loaded"]

@@ -1,7 +1,6 @@
 """Optical pumping rate model for the sixteen ground sublevels."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ DARK = list(DARK_INDICES)
 def _evolved(system, dt, steps):
     """``system`` after a time dt * steps, from one propagator."""
     _, rows = pumping_history(system, dt, steps, record_every=steps)
-    return replace(system, populations=rows[-1])
+    return system._replace(populations=rows[-1])
 
 
 def test_state_index_layout():
