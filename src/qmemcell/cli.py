@@ -165,10 +165,10 @@ def _sweep_values(args) -> list[float]:
 
 def _sweep_rows(config, args) -> list[ReportRow]:
     values = _sweep_values(args)
-    quantity, param = args.quantity, args.param
-    func, unit = QUANTITIES[quantity]
-    return [ReportRow(f"{quantity}[{param}={value:g}]",
-                      func(scenario_with(config, param, value)), unit)
+    param = args.param
+    func, unit = QUANTITIES[args.quantity]
+    prefix = f"{args.quantity}[{param}="
+    return [ReportRow(f"{prefix}{value:g}]", func(scenario_with(config, param, value)), unit)
             for value in values]
 
 
@@ -197,10 +197,33 @@ def _dispatch(args) -> tuple[list[ReportRow], int]:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str] | None):
+    """``build_parser().parse_args(argv)``, spared its top-level pass where
+    that pass only names the subcommand.
+
+    An argv that starts with a subcommand and leaves nothing over is parsed
+    by that subcommand's parser alone; any other argv (empty, help, an
+    unknown command, an option before the command, leftover arguments)
+    takes argparse's nested path, so every usage error and help text is
+    argparse's own.
+    """
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    if argv:
+        [commands] = [a for a in parser._actions if a.dest == "command"]
+        sub = commands.choices.get(argv[0])
+        if sub is not None:
+            args, extras = sub.parse_known_args(argv[1:])
+            if not extras:
+                args.command = argv[0]
+                return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

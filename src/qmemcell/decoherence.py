@@ -241,6 +241,11 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
         probability of 1 or more, or that scatters one photon per atom or
         more, raises ScenarioError.
         """
+        return cls._from_scenario_with_rate(config)[0]
+
+    @classmethod
+    def _from_scenario_with_rate(cls, config: ScenarioConfig) -> tuple["DecoherenceBudget", float]:
+        """``from_scenario``'s budget and the scattering rate (1/s) behind its n_phot."""
         eta = spin_exchange_probability(config.pulse_duration, config.species,
                                         config.atom_density)
         if eta >= 1.0:
@@ -259,4 +264,4 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
                 f"{angular_to_hz(config.stark_detuning):g} Hz scatter {n_phot:.3g} "
                 f"photons per atom at {rate:.4g} /s from the compensation light; "
                 "the scattering channel needs fewer than 1 per pulse (n_phot < 1)")
-        return cls(eta=eta, n_phot=n_phot, boundary_loss=config.boundary_loss)
+        return cls(eta=eta, n_phot=n_phot, boundary_loss=config.boundary_loss), rate

@@ -50,22 +50,34 @@ def pump_rate_profile(m: int, pump_rate: float) -> float:
     return pump_rate * (F_UPPER**2 - m * m) / F_UPPER**2
 
 
+#: largest deviation of a propagator column sum from 1: 2e-15 at the catalogue
+#: rates, growing with pump/repump (3e-9 at 1e12/1e4, 15 at 1e300/1e4)
+CONSERVATION_TOL = 1e-9
+
+
 def _check_nonnegative(pops: np.ndarray) -> None:
     if np.any(pops < -1e-12):
         raise ValueError("populations must be non-negative")
 
 
 class PumpLevelSystem(namedtuple("PumpLevelSystem", ("populations", "pump_rate", "repump_rate"))):
-    """Populations, copied read-only, plus the rates driving them; checked on
-    construction, ``_make`` and ``_replace`` included."""
+    """A probability distribution over the sixteen sublevels, copied
+    read-only, plus the rates driving them; checked on construction,
+    ``_make`` and ``_replace`` included.  The total may be off 1 by
+    CONSERVATION_TOL, as far as an evolved record drifts."""
 
     __slots__ = ()
 
     def __new__(cls, populations: np.ndarray, pump_rate: float, repump_rate: float):
-        pops = np.array(populations, dtype=float).reshape(-1)
+        pops = np.array(populations, dtype=float)
         if pops.shape != (N_STATES,):
-            raise ValueError(f"populations must have length {N_STATES}, got {pops.shape}")
+            raise ValueError(f"populations must be a 1-D array of length {N_STATES}, "
+                             f"got shape {pops.shape}")
         _check_nonnegative(pops)
+        total = float(pops.sum())
+        if not abs(total - 1.0) <= CONSERVATION_TOL:
+            raise ValueError(f"populations must sum to 1 within {CONSERVATION_TOL:g}, "
+                             f"got {total!r}")
         if not 0.0 <= pump_rate < math.inf:
             raise ValueError(f"pump rate (--pump-rate) must be non-negative and finite, "
                              f"got {pump_rate}")
@@ -104,26 +116,41 @@ def _decay_targets(m: int) -> list[int]:
     return targets
 
 
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=np.intp)
+    array.setflags(write=False)
+    return array
+
+
+# The generator's fixed layout.  Each pumped column (F = 4, |m| < 4) holds
+# its share rate / n_targets at every decay target and share - rate on the
+# diagonal (the source is one of its own targets); each F = 3 column holds
+# repump / 9 at every F = 4 row and -repump on the diagonal.
+_PUMPED_M = tuple(range(-F_UPPER + 1, F_UPPER))
+#: number of decay targets of each pumped column
+_N_TARGETS = tuple(len(_decay_targets(m)) for m in _PUMPED_M)
+#: flat positions of the pump block's entries, and for each the index of its
+#: value in [shares..., diagonals...]
+_PUMP_POSITIONS = _read_only(
+    [tgt * N_STATES + state_index(F_UPPER, m) for m in _PUMPED_M for tgt in _decay_targets(m)])
+_PUMP_VALUE_INDEX = _read_only(
+    [col + len(_PUMPED_M) * (tgt == state_index(F_UPPER, m))
+     for col, m in enumerate(_PUMPED_M) for tgt in _decay_targets(m)])
+#: flat positions of the F = 3 diagonal
+_REPUMP_DIAGONAL = _read_only([i * N_STATES + i for i in range(N_STATES)][F3_SLICE])
+
+
 def rate_matrix(system: PumpLevelSystem) -> np.ndarray:
     """Generator M of dP/dt = M P with exactly zero column sums."""
+    rates = [pump_rate_profile(m, system.pump_rate) for m in _PUMPED_M]
+    shares = [rate / n for rate, n in zip(rates, _N_TARGETS)]
+    values = np.array(shares + [share - rate for share, rate in zip(shares, rates)])
     mat = np.zeros((N_STATES, N_STATES))
-    for m in range(-F_UPPER, F_UPPER + 1):
-        rate = pump_rate_profile(m, system.pump_rate)
-        if rate == 0.0:
-            continue
-        src = state_index(F_UPPER, m)
-        targets = _decay_targets(m)
-        share = rate / len(targets)
-        for tgt in targets:
-            mat[tgt, src] += share
-        mat[src, src] -= rate
+    flat = mat.reshape(-1)
+    flat[_PUMP_POSITIONS] = values[_PUMP_VALUE_INDEX]
     if system.repump_rate > 0.0:
-        n_f4 = 2 * F_UPPER + 1
-        for m in range(-F_LOWER, F_LOWER + 1):
-            src = state_index(F_LOWER, m)
-            for tgt in range(n_f4):
-                mat[tgt, src] += system.repump_rate / n_f4
-            mat[src, src] -= system.repump_rate
+        mat[F4_SLICE, F3_SLICE] = system.repump_rate / (2 * F_UPPER + 1)
+        flat[_REPUMP_DIAGONAL] = -system.repump_rate
     return mat
 
 
@@ -165,11 +192,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     return result
 
 
-#: largest deviation of a propagator column sum from 1: 2e-15 at the catalogue
-#: rates, growing with pump/repump (3e-9 at 1e12/1e4, 15 at 1e300/1e4)
-CONSERVATION_TOL = 1e-9
-
-
 def _propagator(system: PumpLevelSystem, mat: np.ndarray, dt: float, steps: int) -> np.ndarray:
     """exp(M dt steps) of ``system``'s generator ``mat``, refusing a run time
     that overflows it and a result that does not conserve the population."""
@@ -193,8 +215,8 @@ def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
     Returns (times, populations) with one row per record, starting with
     the initial state and ending at dt * steps; used by the reporting
     layer to print pump-up curves.  The rates are constant, so one
-    propagator per chunk length (at most two) serves every record; each
-    record is checked to be non-negative.
+    propagator per chunk length (at most two) serves every record; the
+    records are checked to be non-negative.
     """
     if not 0.0 < dt < math.inf:
         raise ValueError(f"record spacing dt (--dt) must be positive and finite, got {dt}")
@@ -213,7 +235,8 @@ def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
         if chunk not in props:
             props[chunk] = _propagator(system, mat, dt, chunk)
         rows.append(props[chunk] @ rows[-1])
-        _check_nonnegative(rows[-1])
         done += chunk
         times.append(done * dt)
-    return np.array(times), np.array(rows)
+    pops = np.array(rows)
+    _check_nonnegative(pops)
+    return np.array(times), pops

@@ -86,9 +86,15 @@ def _fmt_machine(value) -> str:
 
 def render_csv(rows: list[ReportRow]) -> str:
     m = _fmt_machine
-    return ",".join(CSV_COLUMNS) + "\n" + "".join([
-        f"{r.name},{m(r.value)},{r.unit},{m(r.reference)},{m(r.rel_dev)},"
-        f"{m(r.low)},{m(r.high)},{r.status or ''}\n" for r in rows])
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for row in rows:
+        name, value, unit, reference, low, high, status, _ = row
+        if reference is None and low is None and high is None:
+            lines.append(f"{name},{m(value)},{unit},,,,,{status or ''}\n")
+        else:
+            lines.append(f"{name},{m(value)},{unit},{m(reference)},{m(row.rel_dev)},"
+                         f"{m(low)},{m(high)},{status or ''}\n")
+    return "".join(lines)
 
 
 _TABLE_HEADER = ("quantity", "value", "unit", "reference", "rel dev", "window", "status")
@@ -282,10 +288,11 @@ def pulse_design_rows(config: ScenarioConfig, tau: float) -> list[ReportRow]:
 
 
 def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
-    budget = DecoherenceBudget.from_scenario(config)
+    budget, rate = DecoherenceBudget._from_scenario_with_rate(config)
     return [
         ReportRow("spin_exchange_eta", budget.eta, "1"),
-        _row(config, "doppler_scattering_rate"),
+        # the registry's compensation_scattering_rate, already computed for n_phot
+        ReportRow("doppler_scattering_rate", rate, "1/s"),
         ReportRow("scattered_photons_per_pulse", budget.n_phot, "1"),
         *[_row(config, name) for name in (
             "boundary_transmission", "boundary_added_vacuum",
@@ -303,10 +310,8 @@ def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: 
     record_every = max(1, steps // PUMP_CHECKPOINTS)
     times, pops = pumping_history(system, dt, steps, record_every)
     lo, hi = DARK_INDICES
-    rows = []
-    for t, row in zip(times, pops):
-        dark = float(row[lo] + row[hi])
-        rows.append(ReportRow(name=f"dark_fraction[t={t:.6g}s]", value=dark, unit="1"))
+    rows = [ReportRow(f"dark_fraction[t={t:.6g}s]", dark, "1")
+            for t, dark in zip(times.tolist(), (pops[:, lo] + pops[:, hi]).tolist())]
     final = pops[-1]
     rows.append(ReportRow("dark_minus_edge", float(final[lo]), "1"))
     rows.append(ReportRow("dark_plus_edge", float(final[hi]), "1"))

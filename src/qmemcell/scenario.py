@@ -61,9 +61,9 @@ _SCALAR_KEYS = {
     "boundary_loss": ("boundary_loss", float),
     "feedback_gain": ("feedback_gain", float),
 }
-#: JSON key -> index of its field in a ScenarioConfig
-_FIELD_INDEX = {key: ScenarioConfig._fields.index(field)
-                for key, (field, _) in _SCALAR_KEYS.items()}
+#: JSON key -> (index of its field in a ScenarioConfig, converter)
+_FIELD_SLOTS = {key: (ScenarioConfig._fields.index(field), conv)
+                for key, (field, conv) in _SCALAR_KEYS.items()}
 
 _SPECIES_KEYS = {
     "lambda_d1_m": ("lambda_d1", float),
@@ -234,15 +234,17 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
     new value passes the same per-key checks as a loaded document, and
     every other field is kept as it is.
     """
-    if key not in _SCALAR_KEYS:
+    slot = _FIELD_SLOTS.get(key)
+    if slot is None:
         raise ScenarioError(
             f"unknown scenario key '{key}'; choose from {sorted(_SCALAR_KEYS)}")
     value = _coerce_number(key, value)
     _check_scalar(key, value)
     # ScenarioConfig checks nothing on construction, so _make skips no check;
     # it keeps type(config) and shares the species object
+    index, conv = slot
     values = list(config)
-    values[_FIELD_INDEX[key]] = _SCALAR_KEYS[key][1](value)
+    values[index] = conv(value)
     return type(config)._make(values)
 
 

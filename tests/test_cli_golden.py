@@ -1,5 +1,6 @@
 """Byte identity of the scalar subcommands against committed digests,
-and of the decoherence report's rows against the quantity registry.
+of the decoherence report's rows against the quantity registry, and of
+``main``'s argument parsing against argparse's nested path.
 
 ``cli_golden.json`` holds one sha256 of ``(exit code, stdout, stderr)``
 per case: each scalar subcommand (``shifts``, ``compensate``,
@@ -26,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from qmemcell import DecoherenceBudget, ScenarioError, load_scenario
-from qmemcell.cli import main
+from qmemcell import DecoherenceBudget, ScenarioError, cli, load_scenario
+from qmemcell.cli import build_parser, main
 from qmemcell.report import QUANTITIES, decoherence_rows
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
@@ -113,6 +114,54 @@ def test_decoherence_rows_are_their_registry_quantities(name):
     for row in decoherence_rows(config):
         func, unit = QUANTITIES[row.name]
         assert (repr(row.value), row.unit) == (repr(func(config)), unit), row.name
+
+
+#: argv that parse: every golden command, a negative value, an attached
+#: value and an abbreviated option
+PARSED = [*map(list, COMMANDS), ["pump", "--dt", "-1e-6"], ["pump", "--pump-rate=1e4"],
+          ["shifts", "--form", "json"]]
+#: argv that argparse refuses or answers with a help text
+REFUSED = [[], ["-h"], ["shifts", "-h"], ["nope"], ["--format", "csv", "shifts"],
+           ["shifts", "--bogus"], ["shifts", "extra"], ["shifts", "--", "x"],
+           ["pump", "--steps", "x"]]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "<none>"
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=_argv_id)
+def test_main_parses_as_the_nested_parser(argv, monkeypatch):
+    parsed = []
+
+    def dispatch(args):
+        parsed.append(args)
+        return [], 0
+
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert vars(parsed[0]) == vars(build_parser().parse_args(argv))
+
+
+def _outcome(call) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``call``; a SystemExit's code as ``main`` returns it."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = int(exc.code) if exc.code else 0
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=_argv_id)
+def test_main_refuses_and_helps_as_the_nested_parser(argv):
+    # the oracle is argparse itself on this Python, so its texts may change
+    # with the version but main's must follow them
+    nested = _outcome(lambda: build_parser().parse_args(argv))
+    assert nested[1] or nested[2]
+    assert _outcome(lambda: main(argv)) == nested
 
 
 if __name__ == "__main__":

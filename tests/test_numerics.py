@@ -212,7 +212,9 @@ REFUSED_CHANGES = {
     "gaussian.GaussianChannel": [("x", np.diag([1.0, np.inf, 1.0, 1.0]),
                                   "channel X must be finite")],
     "pumping.PumpLevelSystem": [("pump_rate", -5.0, r"pump rate \(--pump-rate\)"),
-                                ("populations", np.zeros(15), "length 16")],
+                                ("populations", np.zeros(15), "length 16"),
+                                ("populations", np.full(16, 1.0), "sum to 1"),
+                                ("populations", np.full((4, 4), 1.0 / 16.0), "1-D array")],
 }
 
 

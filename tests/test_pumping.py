@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmemcell import default_scenario, pumping_history, rate_matrix, state_index, uniform_f4_system
+from qmemcell import (default_scenario, pumping, pumping_history, rate_matrix, state_index,
+                      uniform_f4_system)
 from qmemcell.pumping import (
+    CONSERVATION_TOL,
     DARK_INDICES,
     F3_SLICE,
     F4_SLICE,
@@ -72,6 +74,62 @@ def test_system_validation():
     with pytest.raises(ValueError, match=r"^repump rate \(--repump-rate\) must be "
                                          r"non-negative and finite, got -1.0$"):
         uniform_f4_system(PUMP, -1.0)
+
+
+def test_system_is_a_probability_distribution():
+    # both were accepted once: a total of 16, and a 4 x 4 array flattened
+    with pytest.raises(ValueError, match=r"^populations must sum to 1 within 1e-09, got 16\.0$"):
+        PumpLevelSystem(np.full(16, 1.0), PUMP, REPUMP)
+    with pytest.raises(ValueError, match=r"^populations must be a 1-D array of length 16, "
+                                         r"got shape \(4, 4\)$"):
+        PumpLevelSystem(np.full((4, 4), 1.0 / 16.0), PUMP, REPUMP)
+    uniform = uniform_f4_system(PUMP, REPUMP)
+    with pytest.raises(ValueError, match="^populations must sum to 1"):
+        uniform._replace(populations=uniform.populations * (1.0 + 2.0 * CONSERVATION_TOL))
+    # an evolved record drifts from a total of 1 by at most CONSERVATION_TOL
+    for system in (uniform, _evolved(uniform, DT, 2000), _evolved(uniform, 1.0e-3, 1)):
+        assert abs(float(system.populations.sum()) - 1.0) <= CONSERVATION_TOL
+
+
+def _looped_rate_matrix(system):
+    """The generator written one entry at a time: each pumped F = 4 sublevel
+    shares its rate among its decay targets (itself included) and loses it on
+    the diagonal; each F = 3 sublevel returns to the nine F = 4 sublevels."""
+    mat = np.zeros((N_STATES, N_STATES))
+    for m in range(-4, 5):
+        rate = pump_rate_profile(m, system.pump_rate)
+        if rate == 0.0:
+            continue
+        src = state_index(4, m)
+        targets = [state_index(f, m + q) for q in (-1, 0, 1) for f in (4, 3)
+                   if abs(m + q) <= f]
+        share = rate / len(targets)
+        for tgt in targets:
+            mat[tgt, src] += share
+        mat[src, src] -= rate
+    if system.repump_rate > 0.0:
+        for m in range(-3, 4):
+            src = state_index(3, m)
+            for tgt in range(9):
+                mat[tgt, src] += system.repump_rate / 9
+            mat[src, src] -= system.repump_rate
+    return mat
+
+
+ORACLE_RATES = (0.0, 5e-324, 1.0, 5e3, 1e4, 2e4, 1e8, 1.7e300)
+
+
+@pytest.mark.parametrize("pump", ORACLE_RATES)
+@pytest.mark.parametrize("repump", ORACLE_RATES)
+def test_rate_matrix_is_the_looped_generator_bit_for_bit(pump, repump):
+    system = uniform_f4_system(pump, repump)
+    assert rate_matrix(system).tobytes() == _looped_rate_matrix(system).tobytes()
+
+
+def test_rate_matrix_layout_is_read_only():
+    layouts = [v for v in vars(pumping).values() if isinstance(v, np.ndarray)]
+    assert len(layouts) >= 3
+    assert not any(layout.flags.writeable for layout in layouts)
 
 
 def test_rate_matrix_conserves_population():
@@ -192,6 +250,16 @@ def test_history_equals_chained_evolution(pump, repump, steps, record_every):
     times, rows = pumping_history(system, DT, steps, record_every)
     assert np.array_equal(rows, _chained_history(system, DT, steps, record_every))
     assert len(times) == len(rows)
+
+
+def test_history_refuses_a_negative_record(monkeypatch):
+    # the records are checked once, stacked: a propagator that is no
+    # stochastic matrix shows in a record after the first
+    flip = np.eye(N_STATES)
+    flip[0, 0] = -1.0
+    monkeypatch.setattr(pumping, "_propagator", lambda *args: flip)
+    with pytest.raises(ValueError, match="^populations must be non-negative$"):
+        pumping_history(uniform_f4_system(PUMP, REPUMP), DT, 3)
 
 
 def test_pump_report_overflow_names_run_time():
