@@ -33,8 +33,8 @@ _EXPORTS = {
     "collective_kappa": "shifts", "coupling_g": "shifts", "differential_rotation": "memory",
     "qnd_transform": "memory", "run_read": "memory", "run_write": "memory",
     "PumpLevelSystem": "pumping", "pumping_history": "pumping", "rate_matrix": "pumping",
-    "state_index": "pumping", "uniform_f4_system": "pumping", "ScenarioConfig": "scenario",
-    "ScenarioError": "scenario", "default_scenario": "scenario",
+    "state_index": "pumping", "uniform_f4_system": "pumping", "InputError": "scenario",
+    "ScenarioConfig": "scenario", "ScenarioError": "scenario", "default_scenario": "scenario",
     "load_scenario": "scenario", "load_scenario_file": "scenario",
     "scenario_with": "scenario", "ShiftLadder": "shifts",
     "ac_zeeman_compensation_intensity": "shifts", "ac_zeeman_ladder": "shifts",

@@ -19,8 +19,8 @@ from .report import (PI_PULSE_TAU, QUANTITIES, RENDERERS, STATUS_PASS, ReportRow
                      compensate_rows, decoherence_rows, memory_sim_rows,
                      paper_check_rows, pulse_design_rows, pump_rows,
                      render_rows, shifts_rows)
-from .scenario import (ScenarioError, _SCALAR_KEYS, default_scenario,
-                       load_scenario_file, scenario_with)
+from .scenario import (_SCALAR_KEYS, _SPECIES_KEYS, default_scenario, load_scenario_file,
+                       scenario_with)
 
 CONFIG_ENV_VAR = "QMEMCELL_CONFIG"
 #: most points one sweep evaluates; checked before any grid is built
@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pulse-design",
                        help="differential pi pulses for a given duration")
-    p.add_argument("--tau-s", type=_finite_float, default=PI_PULSE_TAU,
+    p.add_argument("--tau-s", dest="tau", type=_finite_float, default=PI_PULSE_TAU,
                    help="pulse duration in seconds (default 30 us)")
     _add_common(p, "csv")
 
@@ -183,7 +183,7 @@ def _dispatch(args) -> tuple[list[ReportRow], int]:
     if args.command == "compensate":
         return compensate_rows(config), 0
     if args.command == "pulse-design":
-        return pulse_design_rows(config, args.tau_s), 0
+        return pulse_design_rows(config, args.tau), 0
     if args.command == "decoherence":
         return decoherence_rows(config), 0
     if args.command == "memory-sim":
@@ -197,6 +197,20 @@ def _dispatch(args) -> tuple[list[ReportRow], int]:
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by name."""
+    [commands] = [a for a in build_parser()._actions if a.dest == "command"]
+    return commands.choices
+
+
+def _error_line(command: str, exc: Exception) -> str:
+    """``error: MESSAGE``, led as argparse does by the option of each refused non-document key."""
+    options = {a.dest: "/".join(a.option_strings) for a in _subparsers()[command]._actions}
+    named = [options[key] for key in getattr(exc, "keys", ())
+             if key in options and key not in _SCALAR_KEYS and key not in _SPECIES_KEYS]
+    return f"error: argument {', '.join(named)}: {exc}" if named else f"error: {exc}"
+
+
 def _parse_args(argv: list[str] | None):
     """``build_parser().parse_args(argv)``, spared its top-level pass where
     that pass only names the subcommand.
@@ -207,18 +221,16 @@ def _parse_args(argv: list[str] | None):
     takes argparse's nested path, so every usage error and help text is
     argparse's own.
     """
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     if argv:
-        [commands] = [a for a in parser._actions if a.dest == "command"]
-        sub = commands.choices.get(argv[0])
+        sub = _subparsers().get(argv[0])
         if sub is not None:
             args, extras = sub.parse_known_args(argv[1:])
             if not extras:
                 args.command = argv[0]
                 return args
-    return parser.parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -229,8 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         rows, code = _dispatch(args)
         text = render_rows(rows, args.format)
-    except (ScenarioError, ValueError, ArithmeticError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(_error_line(args.command, exc), file=sys.stderr)
         return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

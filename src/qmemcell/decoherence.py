@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 
 from .constants import CESIUM, SpeciesData, angular_to_hz, saturation_intensity
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import InputError, ScenarioConfig
 from .shifts import stark_compensation_intensity, stark_pi_intensity
 
 #: width conventions for the Doppler average
@@ -161,7 +161,13 @@ def scattered_photon_limit(species: SpeciesData = CESIUM) -> float:
     quality alone.
     """
     factor = 4 * species.f_ground - 2
-    return 48.0 * math.pi / factor * species.gamma_d1 / species.delta2
+    value = 48.0 * math.pi / factor * species.gamma_d1 / species.delta2
+    if not math.isfinite(value):
+        raise InputError(
+            f"fields 'gamma_d1_hz' = {angular_to_hz(species.gamma_d1):g} Hz and 'delta2_hz' = "
+            f"{angular_to_hz(species.delta2):g} Hz are out of range together: the scattered-"
+            f"photon floor gamma/Delta_2 is {value!r}", "gamma_d1_hz", "delta2_hz")
+    return value
 
 
 def stark_pi_scattered_photons(tau: float, delta_s: float,
@@ -191,7 +197,15 @@ def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
     excited hyperfine component, weakly excites the other across the
     Doppler profile.  Dimensionless.
     """
-    return species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
+    value = species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
+    if not math.isfinite(value):
+        raise InputError(
+            f"fields 'gamma_d1_hz' = {angular_to_hz(species.gamma_d1):g} Hz, "
+            f"'doppler_halfwidth_hz' = {angular_to_hz(species.doppler_halfwidth):g} Hz and "
+            f"'delta2_hz' = {angular_to_hz(species.delta2):g} Hz are out of range together: "
+            f"the residual occupation gamma Delta_D/Delta_2^2 is {value!r}",
+            "gamma_d1_hz", "doppler_halfwidth_hz", "delta2_hz")
+    return value
 
 
 def boundary_transmission(loss_per_crossing: float, n_crossings: int) -> float:
@@ -239,7 +253,7 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
         Scattering is that of the slope-compensation light
         (:func:`compensation_scattering_rate`).  A pulse with a collision
         probability of 1 or more, or that scatters one photon per atom or
-        more, raises ScenarioError.
+        more, raises InputError.
         """
         return cls._from_scenario_with_rate(config)[0]
 
@@ -249,19 +263,21 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
         eta = spin_exchange_probability(config.pulse_duration, config.species,
                                         config.atom_density)
         if eta >= 1.0:
-            raise ScenarioError(
+            raise InputError(
                 f"fields 'atom_density_m3' = {config.atom_density:g} m^-3 and 'tau_s' = "
                 f"{config.pulse_duration:g} s give a spin-exchange probability of "
-                f"{eta:.3g} per pulse; the collision channel needs eta < 1")
+                f"{eta:.3g} per pulse; the collision channel needs eta < 1",
+                "atom_density_m3", "tau_s")
         rate = compensation_scattering_rate(config)
         n_phot = rate * config.pulse_duration
         if n_phot >= 1.0:
             # the rate follows the compensation light, whose intensity
             # omega_b_hz and stark_detuning_hz set
-            raise ScenarioError(
+            raise InputError(
                 f"fields 'tau_s' = {config.pulse_duration:g} s, 'omega_b_hz' = "
                 f"{angular_to_hz(config.omega_b):g} Hz and 'stark_detuning_hz' = "
                 f"{angular_to_hz(config.stark_detuning):g} Hz scatter {n_phot:.3g} "
                 f"photons per atom at {rate:.4g} /s from the compensation light; "
-                "the scattering channel needs fewer than 1 per pulse (n_phot < 1)")
+                "the scattering channel needs fewer than 1 per pulse (n_phot < 1)",
+                "tau_s", "omega_b_hz", "stark_detuning_hz")
         return cls(eta=eta, n_phot=n_phot, boundary_loss=config.boundary_loss), rate

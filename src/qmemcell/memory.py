@@ -29,6 +29,7 @@ from .gaussian import (ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S, MEMORY_MODES_PLU
                        POLICY_MEAN, QUAD_P, QUAD_X, GaussianChannel, GaussianState,
                        _identity, _read_only, attenuation_channel, homodyne_outcome,
                        memory_vacuum, rotation_2x2, symplectic_form)
+from .scenario import InputError
 
 #: pass-interaction variants
 VARIANT_TWO_CLASS = "two_class"
@@ -356,7 +357,7 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
     leaves the covariance X X^T / 2 + Y.
     """
     if k_eff == 0.0:
-        raise ValueError("k_eff must be nonzero")
+        raise InputError("k_eff must be nonzero", "k_eff")
     if state is None:
         state = memory_vacuum()
     _require_memory_state(state)
@@ -365,7 +366,7 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
     if budget is None:
         budget = DecoherenceBudget()
     if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}", "seed")
     rng = None if seed is None else np.random.default_rng(seed)
     # an extreme gain or k_eff overflows; report it once, by name
     with np.errstate(over="ignore", invalid="ignore"):

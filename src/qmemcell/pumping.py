@@ -21,6 +21,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .scenario import InputError
+
 F_UPPER = 4
 F_LOWER = 3
 N_STATES = 2 * F_UPPER + 1 + 2 * F_LOWER + 1
@@ -78,12 +80,9 @@ class PumpLevelSystem(namedtuple("PumpLevelSystem", ("populations", "pump_rate",
         if not abs(total - 1.0) <= CONSERVATION_TOL:
             raise ValueError(f"populations must sum to 1 within {CONSERVATION_TOL:g}, "
                              f"got {total!r}")
-        if not 0.0 <= pump_rate < math.inf:
-            raise ValueError(f"pump rate (--pump-rate) must be non-negative and finite, "
-                             f"got {pump_rate}")
-        if not 0.0 <= repump_rate < math.inf:
-            raise ValueError(f"repump rate (--repump-rate) must be non-negative and finite, "
-                             f"got {repump_rate}")
+        for name, rate in (("pump_rate", pump_rate), ("repump_rate", repump_rate)):
+            if not 0.0 <= rate < math.inf:
+                raise InputError(f"{name} must be non-negative and finite, got {rate}", name)
         pops.setflags(write=False)
         return tuple.__new__(cls, (pops, pump_rate, repump_rate))
 
@@ -219,10 +218,9 @@ def pumping_history(system: PumpLevelSystem, dt: float, steps: int,
     records are checked to be non-negative.
     """
     if not 0.0 < dt < math.inf:
-        raise ValueError(f"record spacing dt (--dt) must be positive and finite, got {dt}")
+        raise InputError(f"record spacing dt must be positive and finite, got {dt}", "dt")
     if steps < 0:
-        raise ValueError(f"number of record spacings (--steps) must be non-negative, "
-                         f"got {steps}")
+        raise InputError(f"number of record spacings must be non-negative, got {steps}", "steps")
     if record_every < 1:
         raise ValueError(f"record_every must be positive, got {record_every}")
     mat = rate_matrix(system)

@@ -16,8 +16,17 @@ from collections import namedtuple
 from .constants import CESIUM, CODATA, SpeciesData, angular_to_hz, hz_to_angular
 
 
-class ScenarioError(ValueError):
-    """Raised when a scenario document fails validation."""
+class InputError(ValueError):
+    """A refused input.  ``keys`` names the document keys or library parameters
+    refused together; it is empty where the document is not a JSON object or
+    holds an unknown key, which leaves no value to correct."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
+
+
+ScenarioError = InputError  # the older name, kept for callers that catch it
 
 
 class ScenarioConfig(namedtuple("ScenarioConfig", (
@@ -96,6 +105,10 @@ DEFAULTS = {
     "feedback_gain": -1.0,
 }
 
+#: largest species f_ground: cesium's F = 4 is the largest integer ground F
+#: of a stable alkali, and a ladder holds 2 f_ground spacings per mechanism
+F_GROUND_MAX = 10
+
 _POSITIVE_FIELDS = ("tau_s", "atom_number", "photon_number", "beam_area_m2",
                     "atom_density_m3")
 _NONZERO_FIELDS = ("probe_detuning_hz", "stark_detuning_hz", "microwave_detuning_hz")
@@ -108,40 +121,40 @@ _SQUARED_FIELDS = {"omega_b_hz": "the quadratic Zeeman term omega_b^2",
 
 def _coerce_number(key, raw):
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ScenarioError(f"field '{key}' must be a number, got {raw!r}")
+        raise InputError(f"field '{key}' must be a number, got {raw!r}", key)
     value = float(raw)
     if not math.isfinite(value):
-        raise ScenarioError(f"field '{key}' must be finite, got {raw!r}")
+        raise InputError(f"field '{key}' must be finite, got {raw!r}", key)
     return value
 
 
 def _check_scalar(key: str, value: float) -> None:
     """Range checks of one coerced scalar key, in document units."""
     if key in _POSITIVE_FIELDS and value <= 0.0:
-        raise ScenarioError(f"field '{key}' must be positive, got {value}")
+        raise InputError(f"field '{key}' must be positive, got {value}", key)
     if key == "omega_b_hz" and value < 0.0:
-        raise ScenarioError(f"field 'omega_b_hz' must be non-negative, got {value}")
+        raise InputError(f"field 'omega_b_hz' must be non-negative, got {value}", key)
     if key in _NONZERO_FIELDS and value == 0.0:
-        raise ScenarioError(f"field '{key}' must be nonzero (it appears in denominators)")
+        raise InputError(f"field '{key}' must be nonzero (it appears in denominators)", key)
     if key in _SQUARED_FIELDS:
         omega = hz_to_angular(value)
         if not math.isfinite(omega * omega):
-            raise ScenarioError(f"field '{key}' = {value:g} is out of range: "
-                                f"{_SQUARED_FIELDS[key]} overflows")
+            raise InputError(f"field '{key}' = {value:g} is out of range: "
+                             f"{_SQUARED_FIELDS[key]} overflows", key)
     if key == "probe_detuning_hz" and 12.0 * CODATA.hbar**2 * hz_to_angular(value) == 0.0:
         # the collective coupling divides by 12 hbar^2 Delta (shifts.collective_kappa)
-        raise ScenarioError(f"field 'probe_detuning_hz' = {value:g} is out of range: "
-                            "the coupling denominator hbar^2 Delta underflows to zero")
+        raise InputError(f"field 'probe_detuning_hz' = {value:g} is out of range: "
+                         "the coupling denominator hbar^2 Delta underflows to zero", key)
     if key == "microwave_detuning_hz" and abs(
             2.0 * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3
             * hz_to_angular(value)) < sys.float_info.min:
         # the dressing slope divides by 2 F^2 eps0 hbar^2 c^3 Delta_mu with F >= 1
         # (shifts.ac_zeeman_ladder); a subnormal one has lost its digits
-        raise ScenarioError(f"field 'microwave_detuning_hz' = {value:g} is out of range: "
-                            "the dressing denominator 2 F^2 eps0 hbar^2 c^3 Delta_mu "
-                            "underflows")
+        raise InputError(f"field 'microwave_detuning_hz' = {value:g} is out of range: "
+                         "the dressing denominator 2 F^2 eps0 hbar^2 c^3 Delta_mu "
+                         "underflows", key)
     if key == "boundary_loss" and not 0.0 <= value < 1.0:
-        raise ScenarioError(f"field 'boundary_loss' must lie in [0, 1), got {value}")
+        raise InputError(f"field 'boundary_loss' must lie in [0, 1), got {value}", key)
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -149,13 +162,13 @@ def load_scenario(text: str) -> ScenarioConfig:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario document is not valid JSON: {exc}") from exc
+        raise InputError(f"scenario document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+        raise InputError("scenario document must be a JSON object")
 
     unknown = set(doc) - set(_SCALAR_KEYS) - {"species"}
     if unknown:
-        raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
+        raise InputError(f"unknown scenario keys: {sorted(unknown)}")
 
     merged = dict(DEFAULTS)
     for key, raw in doc.items():
@@ -170,33 +183,37 @@ def load_scenario(text: str) -> ScenarioConfig:
     if "species" in doc:
         block = doc["species"]
         if not isinstance(block, dict):
-            raise ScenarioError("field 'species' must be a JSON object")
+            raise InputError("field 'species' must be a JSON object", "species")
         unknown = set(block) - set(_SPECIES_KEYS)
         if unknown:
-            raise ScenarioError(f"unknown species keys: {sorted(unknown)}")
+            raise InputError(f"unknown species keys: {sorted(unknown)}")
         overrides = {}
         for key, raw in block.items():
             field, conv = _SPECIES_KEYS[key]
             if key == "f_ground":
                 if isinstance(raw, bool) or not isinstance(raw, int):
-                    raise ScenarioError(f"field 'f_ground' must be an integer, got {raw!r}")
+                    raise InputError(f"field 'f_ground' must be an integer, got {raw!r}", key)
                 if raw < 1:
-                    raise ScenarioError(f"field 'f_ground' must be >= 1, got {raw}")
+                    raise InputError(f"field 'f_ground' must be >= 1, got {raw}", key)
+                if raw > F_GROUND_MAX:
+                    raise InputError(
+                        f"field 'f_ground' must be <= {F_GROUND_MAX}, got {raw}", key)
                 overrides[field] = raw
             else:
                 value = _coerce_number(key, raw)
                 if key == "g_f" and abs(value * CODATA.mu_bohr) < sys.float_info.min:
                     # zeeman_pi_field converts a Larmor frequency to a field over g_F mu_B
-                    raise ScenarioError(f"field 'g_f' = {value:g} is out of range: the "
-                                        "field denominator g_F mu_B underflows")
+                    raise InputError(f"field 'g_f' = {value:g} is out of range: the "
+                                     "field denominator g_F mu_B underflows", key)
                 if key == "spin_exchange_cross_section_m2" and value < 0.0:
-                    raise ScenarioError(f"field '{key}' must be non-negative, got {value}")
+                    raise InputError(f"field '{key}' must be non-negative, got {value}", key)
                 overrides[field] = conv(value)
         species = CESIUM._replace(**overrides)
-        for field in ("lambda_d1", "lambda_d2", "gamma_d1", "gamma_d2",
-                      "delta_hf", "delta2", "doppler_halfwidth", "mean_speed"):
+        for key in ("lambda_d1_m", "lambda_d2_m", "gamma_d1_hz", "gamma_d2_hz", "delta_hf_hz",
+                    "delta2_hz", "doppler_halfwidth_hz", "mean_speed_m_s"):
+            field = _SPECIES_KEYS[key][0]
             if getattr(species, field) <= 0.0:
-                raise ScenarioError(f"species field '{field}' must be positive")
+                raise InputError(f"species field '{field}' must be positive", key)
 
     kwargs = {}
     for key, (field, conv) in _SCALAR_KEYS.items():
@@ -236,7 +253,7 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
     """
     slot = _FIELD_SLOTS.get(key)
     if slot is None:
-        raise ScenarioError(
+        raise InputError(
             f"unknown scenario key '{key}'; choose from {sorted(_SCALAR_KEYS)}")
     value = _coerce_number(key, value)
     _check_scalar(key, value)

@@ -24,7 +24,7 @@ from collections import namedtuple
 
 from .constants import (CESIUM, CODATA, SpeciesData, angular_to_hz,
                         dipole_moment_squared, vacuum_field_squared)
-from .scenario import ScenarioConfig, ScenarioError
+from .scenario import InputError, ScenarioConfig
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
 POLE_GUARD = 1e-6
@@ -170,7 +170,7 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
     Requires |Delta_S| > Delta_2/2: inside the doublet the tensor slope
     has the wrong sign for cancellation at positive intensity.  Two
     in-range values can still overflow the product; that raises
-    ValueError naming both scenario keys.
+    InputError naming both scenario keys.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
@@ -184,10 +184,11 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
                  / (species.lambda_d1**3 * species.gamma_d1 * species.delta_hf)
                  * (d_low * d_up) / species.delta2)
     if not math.isfinite(intensity):
-        raise ValueError(
+        raise InputError(
             f"fields 'omega_b_hz' = {angular_to_hz(omega_b):g} Hz and 'stark_detuning_hz' = "
             f"{angular_to_hz(delta_s):g} Hz are out of range together: the Stark "
-            f"compensation intensity omega_b^2 (Delta_S^2 - Delta_2^2/4) is {intensity!r}")
+            f"compensation intensity omega_b^2 (Delta_S^2 - Delta_2^2/4) is {intensity!r}",
+            "omega_b_hz", "stark_detuning_hz")
     return intensity
 
 
@@ -214,11 +215,16 @@ def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
 # differential pi pulses
 
 
+def _check_tau(tau: float) -> None:
+    if tau <= 0.0:
+        raise InputError(f"pulse duration tau must be positive, got {tau}", "tau")
+
+
 def _finite_solution(value: float, what: str, tau: float) -> float:
     """``value`` if finite; else the pulse duration is out of range."""
     if not math.isfinite(value):
-        raise ValueError(f"pulse duration tau (--tau-s) = {tau:g} s is out of range: "
-                         f"the pi pulse needs {what} {value!r}")
+        raise InputError(f"pulse duration tau = {tau:g} s is out of range: "
+                         f"the pi pulse needs {what} {value!r}", "tau")
     return value
 
 
@@ -236,8 +242,7 @@ def zeeman_pi_omega_b(tau: float, species: SpeciesData = CESIUM) -> float:
     Solves (4F - 2) Omega_B^2 tau / Delta_hf = pi, i.e. sets
     :func:`class_dephasing` to pi.
     """
-    if tau <= 0.0:
-        raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
+    _check_tau(tau)
     factor = 4 * species.f_ground - 2
     return _finite_solution(math.sqrt(math.pi * species.delta_hf / (factor * tau)),
                             "a Larmor frequency (rad/s) of", tau)
@@ -255,8 +260,7 @@ def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM
           / (7 lambda^3 gamma Delta_2 tau)  for F = 4; far off resonance
     this approaches 128 pi^3 hbar c Delta_S^2/(7 lambda^3 gamma Delta_2 tau).
     """
-    if tau <= 0.0:
-        raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
+    _check_tau(tau)
     return _pi_intensity(tau, _stark_slope(1.0, delta_s, species), species,
                          "a D1 intensity (W/m^2) of")
 
@@ -270,8 +274,7 @@ def microwave_pi_intensity(tau: float, delta_mu: float,
     No photon-scattering cost: the dressing field is far from any
     optical transition.
     """
-    if tau <= 0.0:
-        raise ValueError(f"pulse duration tau (--tau-s) must be positive, got {tau}")
+    _check_tau(tau)
     return _pi_intensity(tau, _ac_zeeman_slope(1.0, abs(delta_mu), species), species,
                          "a microwave intensity (W/m^2) of")
 
@@ -311,7 +314,7 @@ def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     beam area and the pulse duration.  kappa carries the sign of
     -1/detuning, so red and blue probe detunings give opposite k_eff.
     A zero detuning raises a ValueError, as in :func:`coupling_g`, and a
-    non-finite k_eff a ScenarioError naming the three keys that set it.
+    non-finite k_eff an InputError naming the three keys that set it.
     """
     sp = config.species
     e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration, sp.lambda_d2)
@@ -323,9 +326,10 @@ def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     kappa_tau = kappa * config.pulse_duration
     k_eff = math.sqrt(2.0) * kappa_tau
     if not math.isfinite(k_eff):
-        raise ScenarioError(
+        raise InputError(
             f"fields 'atom_number' = {config.atom_number:g}, 'photon_number' = "
             f"{config.photon_number:g} and 'probe_detuning_hz' = "
             f"{angular_to_hz(config.probe_detuning):g} Hz are out of range together: "
-            f"the collective coupling kappa is {kappa!r} /s")
+            f"the collective coupling kappa is {kappa!r} /s",
+            "atom_number", "photon_number", "probe_detuning_hz")
     return CouplingSet(kappa_per_s=kappa, kappa_tau=kappa_tau, k_eff=k_eff)

@@ -9,11 +9,13 @@ from qmemcell import (
     CESIUM,
     CODATA,
     DecoherenceBudget,
+    InputError,
     attenuation_channel,
     boundary_transmission,
     default_scenario,
     displace,
     doppler_averaged_scattering,
+    load_scenario,
     memory_vacuum,
     qnd_transform,
     residual_pump_occupation,
@@ -171,6 +173,30 @@ def test_spin_exchange_probability_overrides():
 
 def test_residual_pump_occupation_frozen():
     assert residual_pump_occupation() == pytest.approx(0.0006350863201351098, rel=1e-12)
+
+
+def test_species_closed_forms_refuse_non_finite_results():
+    # both printed inf: a D1 width of 1e300 Hz, and a hyperfine splitting of 1e-10 Hz
+    wide = load_scenario('{"species": {"gamma_d1_hz": 1e300}}').species
+    with pytest.raises(InputError, match=r"^fields 'gamma_d1_hz' = 1e\+300 Hz, .*inf$") as refused:
+        residual_pump_occupation(wide)
+    assert refused.value.keys == ("gamma_d1_hz", "doppler_halfwidth_hz", "delta2_hz")
+    assert math.isfinite(scattered_photon_limit(wide))
+    narrow = load_scenario('{"species": {"gamma_d1_hz": 1e300, "delta2_hz": 1e-10}}').species
+    with pytest.raises(InputError, match=r"^fields 'gamma_d1_hz' = 1e\+300 Hz and 'delta2_hz' = "
+                                         r"1e-10 Hz .* is inf$") as refused:
+        scattered_photon_limit(narrow)
+    assert refused.value.keys == ("gamma_d1_hz", "delta2_hz")
+
+
+@pytest.mark.parametrize("doc, keys", [
+    ('{"atom_density_m3": 1e19}', ("atom_density_m3", "tau_s")),
+    ('{"tau_s": 0.1}', ("tau_s", "omega_b_hz", "stark_detuning_hz")),
+])
+def test_refused_budgets_carry_their_keys(doc, keys):
+    with pytest.raises(InputError) as refused:
+        DecoherenceBudget.from_scenario(load_scenario(doc))
+    assert refused.value.keys == keys
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ REFUSED_CHANGES = {
     "decoherence.DecoherenceBudget": [("eta", 1.0, "eta must lie")],
     "gaussian.GaussianChannel": [("x", np.diag([1.0, np.inf, 1.0, 1.0]),
                                   "channel X must be finite")],
-    "pumping.PumpLevelSystem": [("pump_rate", -5.0, r"pump rate \(--pump-rate\)"),
+    "pumping.PumpLevelSystem": [("pump_rate", -5.0, "pump_rate must be"),
                                 ("populations", np.zeros(15), "length 16"),
                                 ("populations", np.full(16, 1.0), "sum to 1"),
                                 ("populations", np.full((4, 4), 1.0 / 16.0), "1-D array")],
@@ -263,8 +263,10 @@ SCALAR_LAYERS = ("constants", "scenario", "shifts", "decoherence", "report", "cl
 #: the only imports inside functions: the numpy side, loaded when its rows are built
 DEFERRED_IMPORTS = {("report", "pump_rows", "pumping"), ("report", "memory_sim_rows", "gaussian"),
                     ("report", "memory_sim_rows", "memory")}
-#: the numpy side: each module and the package modules it imports
-NUMPY_IMPORTS = {"gaussian": set(), "pumping": set(), "memory": {"decoherence", "gaussian"}}
+#: the numpy side: each module and the package modules it imports (scenario
+#: for InputError)
+NUMPY_IMPORTS = {"gaussian": set(), "pumping": {"scenario"},
+                 "memory": {"decoherence", "gaussian", "scenario"}}
 #: the only modules that import dataclasses, for GaussianState and ProtocolResult
 DATACLASS_MODULES = {"gaussian", "memory"}
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from qmemcell import (default_scenario, pumping, pumping_history, rate_matrix, state_index,
-                      uniform_f4_system)
+from qmemcell import (InputError, default_scenario, pumping, pumping_history, rate_matrix,
+                      state_index, uniform_f4_system)
 from qmemcell.pumping import (
     CONSERVATION_TOL,
     DARK_INDICES,
@@ -67,13 +67,15 @@ def test_system_validation():
         PumpLevelSystem(populations=np.zeros(9), pump_rate=PUMP, repump_rate=REPUMP)
     with pytest.raises(ValueError, match="non-negative"):
         PumpLevelSystem(populations=-np.ones(16), pump_rate=PUMP, repump_rate=REPUMP)
-    with pytest.raises(ValueError, match=r"^pump rate \(--pump-rate\) must be non-negative "
-                                         r"and finite, got -1.0$"):
+    with pytest.raises(InputError, match=r"^pump_rate must be non-negative and finite, "
+                                         r"got -1.0$") as refused:
         uniform_f4_system(-1.0, REPUMP)
+    assert refused.value.keys == ("pump_rate",)
     # each rate is checked on its own
-    with pytest.raises(ValueError, match=r"^repump rate \(--repump-rate\) must be "
-                                         r"non-negative and finite, got -1.0$"):
+    with pytest.raises(InputError, match=r"^repump_rate must be non-negative and finite, "
+                                         r"got -1.0$") as refused:
         uniform_f4_system(PUMP, -1.0)
+    assert refused.value.keys == ("repump_rate",)
 
 
 def test_system_is_a_probability_distribution():
@@ -194,16 +196,20 @@ def test_evolution_matches_scipy_expm(pump, repump, dt, steps):
 
 def test_pumping_argument_validation():
     system = uniform_f4_system(PUMP, REPUMP)
-    with pytest.raises(ValueError, match="dt"):
+    with pytest.raises(InputError, match=r"^record spacing dt must be positive and finite, "
+                                         r"got 0.0$") as refused:
         pumping_history(system, 0.0, 10)
+    assert refused.value.keys == ("dt",)
     with pytest.raises(ValueError, match="overflows"):
         pumping_history(system, 1.0e300, 10**10, record_every=10**10)
     # the history checks its grid even when it takes no step
-    with pytest.raises(ValueError, match="steps"):
+    with pytest.raises(InputError, match=r"^number of record spacings must be non-negative, "
+                                         r"got -1$") as refused:
         pumping_history(system, DT, -1)
+    assert refused.value.keys == ("steps",)
     with pytest.raises(ValueError, match="dt"):
         pumping_history(system, float("nan"), 0)
-    with pytest.raises(ValueError, match="pump rate"):
+    with pytest.raises(ValueError, match="pump_rate"):
         uniform_f4_system(float("inf"), REPUMP)
 
 

@@ -723,11 +723,11 @@ def test_cli_pulse_design_non_positive_tau_names_the_option(capsys, tau):
     # the message used to name only the library argument tau
     assert main(["pulse-design", f"--tau-s={tau}"]) == 2
     line = _single_error_line(capsys.readouterr())
-    assert line.startswith("error: pulse duration tau (--tau-s) must be positive, got ")
+    assert line.startswith("error: argument --tau-s: pulse duration tau must be positive, got ")
 
 
 def test_cli_pulse_design_default_tau_is_the_reference_check_tau():
-    assert build_parser().parse_args(["pulse-design"]).tau_s is PI_PULSE_TAU
+    assert build_parser().parse_args(["pulse-design"]).tau is PI_PULSE_TAU
 
 
 @pytest.mark.parametrize("g_f", ["0", "1e-320"])
@@ -818,12 +818,15 @@ def test_cli_non_finite_option_exits_2(capsys, argv, option):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--pump-rate", "-5"], "pump rate (--pump-rate) must be non-negative and finite, got -5.0"),
+    (["--pump-rate", "-5"],
+     "argument --pump-rate: pump_rate must be non-negative and finite, got -5.0"),
     (["--repump-rate=-1"],
-     "repump rate (--repump-rate) must be non-negative and finite, got -1.0"),
-    (["--dt", "0"], "record spacing dt (--dt) must be positive and finite, got 0.0"),
-    (["--dt=-1e-6"], "record spacing dt (--dt) must be positive and finite, got -1e-06"),
-    (["--steps", "-1"], "number of record spacings (--steps) must be non-negative, got -1"),
+     "argument --repump-rate: repump_rate must be non-negative and finite, got -1.0"),
+    (["--dt", "0"], "argument --dt: record spacing dt must be positive and finite, got 0.0"),
+    (["--dt=-1e-6"],
+     "argument --dt: record spacing dt must be positive and finite, got -1e-06"),
+    (["--steps", "-1"],
+     "argument --steps: number of record spacings must be non-negative, got -1"),
 ])
 def test_cli_pump_out_of_range_option_exits_2(capsys, argv, message):
     assert main(["pump", *argv]) == 2
@@ -839,9 +842,10 @@ def test_cli_pump_out_of_range_option_exits_2(capsys, argv, message):
     (["sweep", "--param", "tau_s", "--quantity", "spin_exchange_eta", "--values", "-1e-3,1e-3"],
      "field 'tau_s' must be positive, got -0.001"),
     (["shifts", "--omega-b-hz", "-3e5"], "field 'omega_b_hz' must be non-negative, got -300000.0"),
-    (["pump", "--dt", "-1e-6"], "record spacing dt (--dt) must be positive and finite, got -1e-06"),
+    (["pump", "--dt", "-1e-6"],
+     "argument --dt: record spacing dt must be positive and finite, got -1e-06"),
     (["pulse-design", "--tau-s", "-1e-6"],
-     "pulse duration tau (--tau-s) must be positive, got -1e-06"),
+     "argument --tau-s: pulse duration tau must be positive, got -1e-06"),
     (["sweep", "--param", "omega_b_hz", "--quantity", "kappa", "--values", "-inf,1"],
      "field 'omega_b_hz' must be finite, got -inf"),
 ])
@@ -871,7 +875,7 @@ def test_cli_memory_sim_negative_seed_exits_2_naming_seed(capsys):
     assert main(["memory-sim", "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert captured.err == "error: argument --seed: seed must be a non-negative integer, got -1\n"
 
 
 @pytest.mark.parametrize("grid, option", [

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcell import CESIUM, ScenarioError, default_scenario, load_scenario, load_scenario_file
-from qmemcell.scenario import (_SCALAR_KEYS, DEFAULTS, ScenarioConfig, scenario_to_document,
-                               scenario_with)
+from qmemcell.scenario import (_SCALAR_KEYS, DEFAULTS, F_GROUND_MAX, ScenarioConfig,
+                               scenario_to_document, scenario_with)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 TWO_PI = 2.0 * math.pi
@@ -126,6 +126,60 @@ def test_species_validation():
         load_scenario('{"species": {"mean_speed_m_s": -1.0}}')
     with pytest.raises(ScenarioError, match="JSON object"):
         load_scenario('{"species": 3}')
+
+
+def test_f_ground_is_capped_at_load():
+    # the ladders hold 2 f_ground spacings per mechanism: 1e8 ran shifts out of memory
+    with pytest.raises(ScenarioError, match=rf"^field 'f_ground' must be <= {F_GROUND_MAX}, "
+                                            r"got 100000000$") as refused:
+        load_scenario('{"species": {"f_ground": 100000000}}')
+    assert refused.value.keys == ("f_ground",)
+    for f_ground in (3, F_GROUND_MAX):
+        doc = json.dumps({"species": {"f_ground": f_ground}})
+        assert load_scenario(doc).species.f_ground == f_ground
+
+
+#: refused documents and the keys their error carries
+REFUSED_DOCUMENTS = [
+    ('{"omega_b_hz": "fast"}', ("omega_b_hz",)),
+    ('{"tau_s": NaN}', ("tau_s",)),
+    ('{"tau_s": 0.0}', ("tau_s",)),
+    ('{"omega_b_hz": -1.0}', ("omega_b_hz",)),
+    ('{"probe_detuning_hz": 0.0}', ("probe_detuning_hz",)),
+    ('{"stark_detuning_hz": 1e300}', ("stark_detuning_hz",)),
+    ('{"probe_detuning_hz": 1e-300}', ("probe_detuning_hz",)),
+    ('{"microwave_detuning_hz": 1e-275}', ("microwave_detuning_hz",)),
+    ('{"boundary_loss": 1.0}', ("boundary_loss",)),
+    ('{"species": 3}', ("species",)),
+    ('{"species": {"f_ground": 2.5}}', ("f_ground",)),
+    ('{"species": {"f_ground": 0}}', ("f_ground",)),
+    ('{"species": {"gamma_d1_hz": NaN}}', ("gamma_d1_hz",)),
+    ('{"species": {"g_f": 1e-320}}', ("g_f",)),
+    ('{"species": {"spin_exchange_cross_section_m2": -1e-18}}',
+     ("spin_exchange_cross_section_m2",)),
+    # the message names the species field, the keys the document key
+    ('{"species": {"mean_speed_m_s": -1.0}}', ("mean_speed_m_s",)),
+    ('{"species": {"delta2_hz": 0}}', ("delta2_hz",)),
+    # the document's shape: no value to correct
+    ("{", ()), ("[1, 2]", ()), ('{"omega_b": 3.0e5}', ()),
+    ('{"species": {"lambda_d3_m": 1.0e-6}}', ()),
+]
+
+
+@pytest.mark.parametrize("doc, keys", REFUSED_DOCUMENTS)
+def test_refused_documents_carry_their_keys(doc, keys):
+    with pytest.raises(ScenarioError) as refused:
+        load_scenario(doc)
+    assert refused.value.keys == keys
+
+
+def test_scenario_with_refusals_carry_their_keys():
+    with pytest.raises(ScenarioError) as refused:
+        scenario_with(default_scenario(), "tau_s", 0.0)
+    assert refused.value.keys == ("tau_s",)
+    with pytest.raises(ScenarioError, match="unknown scenario key") as refused:
+        scenario_with(default_scenario(), "tau", 1.0)
+    assert refused.value.keys == ()
 
 
 @pytest.mark.parametrize("block, key", [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qmemcell import (
     CESIUM,
     CODATA,
+    InputError,
     ac_zeeman_compensation_intensity,
     ac_zeeman_ladder,
     class_dephasing,
@@ -23,7 +24,8 @@ from qmemcell import (
 )
 from qmemcell.cli import main
 from qmemcell.decoherence import edge_scattering_rate
-from qmemcell.shifts import POLE_GUARD, _stark_denominators, ladder_m_values
+from qmemcell.scenario import load_scenario
+from qmemcell.shifts import POLE_GUARD, _stark_denominators, collective_kappa, ladder_m_values
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -367,6 +369,16 @@ def test_stark_compensation_rejects_doublet_interior():
         stark_compensation_intensity(OMEGA_B, TWO_PI * 0.3e9)
 
 
+def test_out_of_range_pairs_carry_every_key():
+    with pytest.raises(InputError, match="out of range together") as refused:
+        stark_compensation_intensity(TWO_PI * 1e153, TWO_PI * 2e153)
+    assert refused.value.keys == ("omega_b_hz", "stark_detuning_hz")
+    cfg = load_scenario('{"atom_number": 1e300, "photon_number": 1e300}')
+    with pytest.raises(InputError, match="out of range together") as refused:
+        collective_kappa(cfg)
+    assert refused.value.keys == ("atom_number", "photon_number", "probe_detuning_hz")
+
+
 def test_ac_zeeman_compensation_frozen():
     intensity = ac_zeeman_compensation_intensity(OMEGA_B, DELTA_MU)
     assert intensity == pytest.approx(13739.383537203784, rel=1e-12)
@@ -451,8 +463,9 @@ def test_pi_pulse_validation():
                   lambda: stark_pi_intensity(-1.0, DELTA_S),
                   lambda: stark_pi_scattered_photons(0.0, DELTA_S),
                   lambda: microwave_pi_intensity(0.0, DELTA_MU)):
-        with pytest.raises(ValueError, match=r"tau \(--tau-s\) must be positive"):
+        with pytest.raises(InputError, match=r"^pulse duration tau must be positive, ") as refused:
             solve()
+        assert refused.value.keys == ("tau",)
 
 
 @pytest.mark.parametrize("designer, tau, solved", [
@@ -463,8 +476,10 @@ def test_pi_pulse_validation():
     (zeeman_pi_field, 1e-300, "Larmor frequency"),
 ])
 def test_pi_pulse_designers_reject_non_finite_solutions(designer, tau, solved):
-    with pytest.raises(ValueError, match=rf"tau \(--tau-s\) = {tau:g} s .* {solved} .* inf$"):
+    message = rf"^pulse duration tau = {tau:g} s .* {solved} .* inf$"
+    with pytest.raises(InputError, match=message) as refused:
         designer(tau)
+    assert refused.value.keys == ("tau",)
     designer(1e300)
 
 
