@@ -19,7 +19,7 @@ from .report import (PI_PULSE_TAU, QUANTITIES, RENDERERS, STATUS_PASS, ReportRow
                      compensate_rows, decoherence_rows, memory_sim_rows,
                      paper_check_rows, pulse_design_rows, pump_rows,
                      render_rows, shifts_rows)
-from .scenario import (_SCALAR_KEYS, _SPECIES_KEYS, default_scenario, load_scenario_file,
+from .scenario import (DOCUMENT_KEYS, SCALAR_KEYS, default_scenario, load_scenario_file,
                        scenario_with)
 
 CONFIG_ENV_VAR = "QMEMCELL_CONFIG"
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "table")
 
     p = sub.add_parser("sweep", help="evaluate one quantity over a parameter grid")
-    p.add_argument("--param", required=True, choices=sorted(_SCALAR_KEYS),
+    p.add_argument("--param", required=True, choices=SCALAR_KEYS,
                    help="scenario key to vary")
     p.add_argument("--quantity", required=True, choices=sorted(QUANTITIES),
                    help="quantity to evaluate at each point")
@@ -207,7 +207,7 @@ def _error_line(command: str, exc: Exception) -> str:
     """``error: MESSAGE``, led as argparse does by the option of each refused non-document key."""
     options = {a.dest: "/".join(a.option_strings) for a in _subparsers()[command]._actions}
     named = [options[key] for key in getattr(exc, "keys", ())
-             if key in options and key not in _SCALAR_KEYS and key not in _SPECIES_KEYS]
+             if key in options and key not in DOCUMENT_KEYS]
     return f"error: argument {', '.join(named)}: {exc}" if named else f"error: {exc}"
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .constants import CESIUM, SpeciesData, angular_to_hz, saturation_intensity
-from .scenario import InputError, ScenarioConfig
+from .constants import CESIUM, SpeciesData, saturation_intensity
+from .scenario import ScenarioConfig, refusal
 from .shifts import stark_compensation_intensity, stark_pi_intensity
 
 #: width conventions for the Doppler average
@@ -163,10 +163,8 @@ def scattered_photon_limit(species: SpeciesData = CESIUM) -> float:
     factor = 4 * species.f_ground - 2
     value = 48.0 * math.pi / factor * species.gamma_d1 / species.delta2
     if not math.isfinite(value):
-        raise InputError(
-            f"fields 'gamma_d1_hz' = {angular_to_hz(species.gamma_d1):g} Hz and 'delta2_hz' = "
-            f"{angular_to_hz(species.delta2):g} Hz are out of range together: the scattered-"
-            f"photon floor gamma/Delta_2 is {value!r}", "gamma_d1_hz", "delta2_hz")
+        raise refusal("are out of range together: the scattered-photon floor gamma/Delta_2 "
+                      f"is {value!r}", gamma_d1=species.gamma_d1, delta2=species.delta2)
     return value
 
 
@@ -199,12 +197,9 @@ def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
     """
     value = species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
     if not math.isfinite(value):
-        raise InputError(
-            f"fields 'gamma_d1_hz' = {angular_to_hz(species.gamma_d1):g} Hz, "
-            f"'doppler_halfwidth_hz' = {angular_to_hz(species.doppler_halfwidth):g} Hz and "
-            f"'delta2_hz' = {angular_to_hz(species.delta2):g} Hz are out of range together: "
-            f"the residual occupation gamma Delta_D/Delta_2^2 is {value!r}",
-            "gamma_d1_hz", "doppler_halfwidth_hz", "delta2_hz")
+        raise refusal("are out of range together: the residual occupation gamma "
+                      f"Delta_D/Delta_2^2 is {value!r}", gamma_d1=species.gamma_d1,
+                      doppler_halfwidth=species.doppler_halfwidth, delta2=species.delta2)
     return value
 
 
@@ -263,21 +258,16 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
         eta = spin_exchange_probability(config.pulse_duration, config.species,
                                         config.atom_density)
         if eta >= 1.0:
-            raise InputError(
-                f"fields 'atom_density_m3' = {config.atom_density:g} m^-3 and 'tau_s' = "
-                f"{config.pulse_duration:g} s give a spin-exchange probability of "
-                f"{eta:.3g} per pulse; the collision channel needs eta < 1",
-                "atom_density_m3", "tau_s")
+            raise refusal(f"give a spin-exchange probability of {eta:.3g} per pulse; the "
+                          "collision channel needs eta < 1", atom_density=config.atom_density,
+                          pulse_duration=config.pulse_duration)
         rate = compensation_scattering_rate(config)
         n_phot = rate * config.pulse_duration
         if n_phot >= 1.0:
             # the rate follows the compensation light, whose intensity
             # omega_b_hz and stark_detuning_hz set
-            raise InputError(
-                f"fields 'tau_s' = {config.pulse_duration:g} s, 'omega_b_hz' = "
-                f"{angular_to_hz(config.omega_b):g} Hz and 'stark_detuning_hz' = "
-                f"{angular_to_hz(config.stark_detuning):g} Hz scatter {n_phot:.3g} "
-                f"photons per atom at {rate:.4g} /s from the compensation light; "
-                "the scattering channel needs fewer than 1 per pulse (n_phot < 1)",
-                "tau_s", "omega_b_hz", "stark_detuning_hz")
+            raise refusal(f"scatter {n_phot:.3g} photons per atom at {rate:.4g} /s from the "
+                          "compensation light; the scattering channel needs fewer than 1 per "
+                          "pulse (n_phot < 1)", pulse_duration=config.pulse_duration,
+                          omega_b=config.omega_b, stark_detuning=config.stark_detuning)
         return cls(eta=eta, n_phot=n_phot, boundary_loss=config.boundary_loss), rate

@@ -192,18 +192,25 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _propagator(system: PumpLevelSystem, mat: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    """exp(M dt steps) of ``system``'s generator ``mat``, refusing a run time
-    that overflows it and a result that does not conserve the population."""
+    """exp(M dt steps) of ``system``'s generator ``mat``, refusing rates or a run
+    time that overflow it and a result that does not conserve the population."""
     duration = dt * steps
-    if not math.isfinite(duration * float(np.max(np.abs(mat), initial=0.0))):
-        raise ValueError(f"run time dt * steps = {duration:g} s overflows the rate matrix")
+    scale = float(np.max(np.abs(mat), initial=0.0))
+    if not math.isfinite(scale):
+        raise InputError(f"pump rate {system.pump_rate:g} /s and repump rate "
+                         f"{system.repump_rate:g} /s overflow the rate matrix",
+                         "pump_rate", "repump_rate")
+    if not math.isfinite(duration * scale):
+        raise InputError(f"run time dt * steps = {duration:g} s overflows the rate matrix",
+                         "dt", "steps")
     prop = expm(mat * duration)
     residual = float(np.abs(prop.sum(axis=0) - 1.0).max())
     if not residual <= CONSERVATION_TOL:
-        raise ValueError(
+        raise InputError(
             f"pump rate {system.pump_rate:g} /s and repump rate {system.repump_rate:g} /s "
             f"are too stiff to propagate: over {duration:g} s the propagator changes "
-            f"the total population by up to {residual:.3g} (tolerance {CONSERVATION_TOL:g})")
+            f"the total population by up to {residual:.3g} (tolerance {CONSERVATION_TOL:g})",
+            "pump_rate", "repump_rate")
     return prop
 
 

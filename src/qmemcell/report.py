@@ -28,7 +28,7 @@ from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
                           doppler_averaged_scattering, residual_pump_occupation,
                           scattered_photon_limit, spin_exchange_probability,
                           stark_pi_scattered_photons)
-from .scenario import InputError, ScenarioConfig
+from .scenario import ScenarioConfig, refusal
 from .shifts import (ac_zeeman_compensation_intensity, ac_zeeman_ladder,
                      class_dephasing, collective_kappa, microwave_pi_intensity,
                      stark_compensation_intensity, stark_ladder, stark_pi_intensity,
@@ -303,8 +303,8 @@ def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
 def pump_rows(config: ScenarioConfig, pump_rate: float, repump_rate: float, dt: float,
               steps: int) -> list[ReportRow]:
     if config.species.f_ground != 4:
-        raise InputError(f"field 'f_ground' = {config.species.f_ground} is not supported "
-                         "by pump: the pumping model is the F = 4 manifold", "f_ground")
+        raise refusal("is not supported by pump: the pumping model is the F = 4 manifold",
+                      f_ground=config.species.f_ground)
     from .pumping import DARK_INDICES, pumping_history, uniform_f4_system
     system = uniform_f4_system(pump_rate, repump_rate)
     record_every = max(1, steps // PUMP_CHECKPOINTS)

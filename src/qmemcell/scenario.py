@@ -7,13 +7,12 @@ are rejected so typos fail loudly instead of silently using a default.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
 from collections import namedtuple
 
-from .constants import CESIUM, CODATA, SpeciesData, angular_to_hz, hz_to_angular
+from .constants import CESIUM, CODATA, angular_to_hz, hz_to_angular
 
 
 class InputError(ValueError):
@@ -55,71 +54,12 @@ class ScenarioConfig(namedtuple("ScenarioConfig", (
     __slots__ = ()
 
 
-# JSON key -> (ScenarioConfig field, converter). Frequencies are cyclic Hz
-# in the document and angular rad/s in the config object.
-_SCALAR_KEYS = {
-    "omega_b_hz": ("omega_b", hz_to_angular),
-    "tau_s": ("pulse_duration", float),
-    "probe_detuning_hz": ("probe_detuning", hz_to_angular),
-    "stark_detuning_hz": ("stark_detuning", hz_to_angular),
-    "microwave_detuning_hz": ("microwave_detuning", hz_to_angular),
-    "atom_number": ("atom_number", float),
-    "photon_number": ("photon_number", float),
-    "beam_area_m2": ("beam_area", float),
-    "atom_density_m3": ("atom_density", float),
-    "boundary_loss": ("boundary_loss", float),
-    "feedback_gain": ("feedback_gain", float),
-}
-#: JSON key -> (index of its field in a ScenarioConfig, converter)
-_FIELD_SLOTS = {key: (ScenarioConfig._fields.index(field), conv)
-                for key, (field, conv) in _SCALAR_KEYS.items()}
-
-_SPECIES_KEYS = {
-    "lambda_d1_m": ("lambda_d1", float),
-    "lambda_d2_m": ("lambda_d2", float),
-    "gamma_d1_hz": ("gamma_d1", hz_to_angular),
-    "gamma_d2_hz": ("gamma_d2", hz_to_angular),
-    "delta_hf_hz": ("delta_hf", hz_to_angular),
-    "delta2_hz": ("delta2", hz_to_angular),
-    "doppler_halfwidth_hz": ("doppler_halfwidth", hz_to_angular),
-    "mean_speed_m_s": ("mean_speed", float),
-    "spin_exchange_cross_section_m2": ("spin_exchange_cross_section", float),
-    "f_ground": ("f_ground", int),
-    "g_f": ("g_f", float),
-}
-
-# Documented defaults, in document units: the packaged cesium operating point.
-# The microwave detuning is 120 Omega_B, ten times the ~12 Omega_B span of the
-# m pairs' hyperfine transitions (linear Zeeman fan): the dressing is uniform.
-DEFAULTS = {
-    "omega_b_hz": 3.0e5,
-    "tau_s": 1.0e-3,
-    "probe_detuning_hz": 7.0e8,
-    "stark_detuning_hz": 3.0e9,
-    "microwave_detuning_hz": 3.6e7,
-    "atom_number": 1.0e12,
-    "photon_number": 1.0e12,
-    "beam_area_m2": 2.0e-4,
-    "atom_density_m3": 2.5e16,
-    "boundary_loss": 0.01,
-    "feedback_gain": -1.0,
-}
-
 #: largest species f_ground: cesium's F = 4 is the largest integer ground F
 #: of a stable alkali, and a ladder holds 2 f_ground spacings per mechanism
 F_GROUND_MAX = 10
 
-_POSITIVE_FIELDS = ("tau_s", "atom_number", "photon_number", "beam_area_m2",
-                    "atom_density_m3")
-_NONZERO_FIELDS = ("probe_detuning_hz", "stark_detuning_hz", "microwave_detuning_hz")
-#: every key with a range check, in the order a document's errors are reported
-_CHECKED_KEYS = (*_POSITIVE_FIELDS, "omega_b_hz", *_NONZERO_FIELDS, "boundary_loss")
-#: keys whose angular value is squared by the physics, and the term it enters
-_SQUARED_FIELDS = {"omega_b_hz": "the quadratic Zeeman term omega_b^2",
-                   "stark_detuning_hz": "the Stark compensation term Delta_S^2"}
 
-
-def _coerce_number(key, raw):
+def _number(key: str, raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise InputError(f"field '{key}' must be a number, got {raw!r}", key)
     value = float(raw)
@@ -128,33 +68,152 @@ def _coerce_number(key, raw):
     return value
 
 
-def _check_scalar(key: str, value: float) -> None:
-    """Range checks of one coerced scalar key, in document units."""
-    if key in _POSITIVE_FIELDS and value <= 0.0:
-        raise InputError(f"field '{key}' must be positive, got {value}", key)
-    if key == "omega_b_hz" and value < 0.0:
-        raise InputError(f"field 'omega_b_hz' must be non-negative, got {value}", key)
-    if key in _NONZERO_FIELDS and value == 0.0:
-        raise InputError(f"field '{key}' must be nonzero (it appears in denominators)", key)
-    if key in _SQUARED_FIELDS:
-        omega = hz_to_angular(value)
-        if not math.isfinite(omega * omega):
-            raise InputError(f"field '{key}' = {value:g} is out of range: "
-                             f"{_SQUARED_FIELDS[key]} overflows", key)
-    if key == "probe_detuning_hz" and 12.0 * CODATA.hbar**2 * hz_to_angular(value) == 0.0:
-        # the collective coupling divides by 12 hbar^2 Delta (shifts.collective_kappa)
-        raise InputError(f"field 'probe_detuning_hz' = {value:g} is out of range: "
-                         "the coupling denominator hbar^2 Delta underflows to zero", key)
-    if key == "microwave_detuning_hz" and abs(
-            2.0 * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3
-            * hz_to_angular(value)) < sys.float_info.min:
-        # the dressing slope divides by 2 F^2 eps0 hbar^2 c^3 Delta_mu with F >= 1
-        # (shifts.ac_zeeman_ladder); a subnormal one has lost its digits
-        raise InputError(f"field 'microwave_detuning_hz' = {value:g} is out of range: "
-                         "the dressing denominator 2 F^2 eps0 hbar^2 c^3 Delta_mu "
-                         "underflows", key)
-    if key == "boundary_loss" and not 0.0 <= value < 1.0:
-        raise InputError(f"field 'boundary_loss' must lie in [0, 1), got {value}", key)
+class _Key(namedtuple("_Key", ("field", "unit", "default", "sign", "limit", "read"),
+                      defaults=(None, None, None, _number))):
+    """A document key: the config field it sets, its unit in the document and
+    in messages ("Hz" is read as rad/s), its default (a species key's is
+    cesium's), the sign its value must have (``_POSITIVE`` ...), its limit (a
+    test that refuses a config value, and why) and the reader of its JSON value.
+    A key read by ``_number`` is checked once its block is read; any other
+    reader checks the value as it reads it."""
+
+    __slots__ = ()
+
+    def to_config(self, value):
+        return hz_to_angular(value) if self.unit == "Hz" else value
+
+    def to_document(self, value):
+        return angular_to_hz(value) if self.unit == "Hz" else value
+
+
+# A sign is (whether a document value has it, the refusal of one that lacks it).
+_POSITIVE = (lambda v: v > 0.0, "field '{key}' must be positive, got {value}")
+_NON_NEGATIVE = (lambda v: v >= 0.0, "field '{key}' must be non-negative, got {value}")
+_NONZERO = (lambda v: v != 0.0, "field '{key}' must be nonzero (it appears in denominators)")
+_LOSS = (lambda v: 0.0 <= v < 1.0, "field '{key}' must lie in [0, 1), got {value}")
+_LINE_DATUM = (lambda v: v > 0.0, "species field '{field}' must be positive")
+
+
+def _check(key: str, spec: _Key, value: float) -> None:
+    """Refuses a document value without its key's sign, then one past its limit."""
+    if spec.sign and not spec.sign[0](value):
+        raise InputError(spec.sign[1].format(key=key, field=spec.field, value=value), key)
+    if spec.limit and spec.limit[0](spec.to_config(value)):
+        raise InputError(f"field '{key}' = {value:g} is out of range: {spec.limit[1]}", key)
+
+
+def _checked_number(key: str, raw) -> float:
+    value = _number(key, raw)
+    _check(key, _SPECIES_KEYS[key], value)
+    return value
+
+
+def _ground_f(key: str, raw) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise InputError(f"field '{key}' must be an integer, got {raw!r}", key)
+    if raw < 1:
+        raise InputError(f"field '{key}' must be >= 1, got {raw}", key)
+    if raw > F_GROUND_MAX:
+        raise InputError(f"field '{key}' must be <= {F_GROUND_MAX}, got {raw}", key)
+    return raw
+
+
+def _squares_to_inf(omega: float) -> bool:
+    return not math.isfinite(omega * omega)
+
+
+# Every document key, declared once, in the order of the config's fields.
+# The defaults are the packaged cesium operating point.  The microwave
+# detuning is 120 Omega_B, ten times the ~12 Omega_B span of the m pairs'
+# hyperfine transitions (linear Zeeman fan): the dressing is uniform.
+_SCALAR_KEYS = {
+    "omega_b_hz": _Key("omega_b", "Hz", 3.0e5, _NON_NEGATIVE,
+                       (_squares_to_inf, "the quadratic Zeeman term omega_b^2 overflows")),
+    "tau_s": _Key("pulse_duration", "s", 1.0e-3, _POSITIVE),
+    # the collective coupling divides by 12 hbar^2 Delta (shifts.collective_kappa)
+    "probe_detuning_hz": _Key("probe_detuning", "Hz", 7.0e8, _NONZERO, (
+        lambda omega: 12.0 * CODATA.hbar**2 * omega == 0.0,
+        "the coupling denominator hbar^2 Delta underflows to zero")),
+    "stark_detuning_hz": _Key("stark_detuning", "Hz", 3.0e9, _NONZERO,
+                              (_squares_to_inf,
+                               "the Stark compensation term Delta_S^2 overflows")),
+    # the dressing slope divides by 2 F^2 eps0 hbar^2 c^3 Delta_mu with F >= 1
+    # (shifts.ac_zeeman_ladder); a subnormal one has lost its digits
+    "microwave_detuning_hz": _Key("microwave_detuning", "Hz", 3.6e7, _NONZERO, (
+        lambda omega: abs(2.0 * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * omega)
+        < sys.float_info.min,
+        "the dressing denominator 2 F^2 eps0 hbar^2 c^3 Delta_mu underflows")),
+    "atom_number": _Key("atom_number", "", 1.0e12, _POSITIVE),
+    "photon_number": _Key("photon_number", "", 1.0e12, _POSITIVE),
+    "beam_area_m2": _Key("beam_area", "m^2", 2.0e-4, _POSITIVE),
+    "atom_density_m3": _Key("atom_density", "m^-3", 2.5e16, _POSITIVE),
+    "boundary_loss": _Key("boundary_loss", "", 0.01, _LOSS),
+    "feedback_gain": _Key("feedback_gain", "", -1.0),
+}
+_SPECIES_KEYS = {
+    "lambda_d1_m": _Key("lambda_d1", "m", sign=_LINE_DATUM),
+    "lambda_d2_m": _Key("lambda_d2", "m", sign=_LINE_DATUM),
+    "gamma_d1_hz": _Key("gamma_d1", "Hz", sign=_LINE_DATUM),
+    "gamma_d2_hz": _Key("gamma_d2", "Hz", sign=_LINE_DATUM),
+    "delta_hf_hz": _Key("delta_hf", "Hz", sign=_LINE_DATUM),
+    "delta2_hz": _Key("delta2", "Hz", sign=_LINE_DATUM),
+    "doppler_halfwidth_hz": _Key("doppler_halfwidth", "Hz", sign=_LINE_DATUM),
+    "mean_speed_m_s": _Key("mean_speed", "m/s", sign=_LINE_DATUM),
+    "spin_exchange_cross_section_m2": _Key("spin_exchange_cross_section", "m^2",
+                                           sign=_NON_NEGATIVE, read=_checked_number),
+    "f_ground": _Key("f_ground", "", read=_ground_f),
+    # zeeman_pi_field converts a Larmor frequency to a field over g_F mu_B
+    "g_f": _Key("g_f", "", limit=(lambda g: abs(g * CODATA.mu_bohr) < sys.float_info.min,
+                                  "the field denominator g_F mu_B underflows"),
+                read=_checked_number),
+}
+
+#: documented defaults, in document units
+DEFAULTS = {key: spec.default for key, spec in _SCALAR_KEYS.items()}
+#: the scalar keys, sorted: what ``scenario_with`` and a sweep replace
+SCALAR_KEYS = tuple(sorted(_SCALAR_KEYS))
+#: every key of a scenario document: the scalar keys, "species" and the species keys
+DOCUMENT_KEYS = frozenset((*_SCALAR_KEYS, "species", *_SPECIES_KEYS))
+#: scalar key -> (index of its ScenarioConfig field, declaration)
+_SLOTS = {key: (ScenarioConfig._fields.index(spec.field), spec)
+          for key, spec in _SCALAR_KEYS.items()}
+#: config field -> (document key, declaration), both blocks
+_FIELD_KEYS = {spec.field: (key, spec)
+               for keys in (_SCALAR_KEYS, _SPECIES_KEYS) for key, spec in keys.items()}
+_DEFAULT = ScenarioConfig(*(spec.to_config(spec.default) for spec in _SCALAR_KEYS.values()),
+                          CESIUM)
+#: each block's keys that are checked once the block is read, in the order
+#: their refusals are reported: positivity first, then declaration order
+_SCALAR_CHECKS, _SPECIES_CHECKS = (
+    tuple(sorted(((key, spec) for key, spec in keys.items() if spec.read is _number),
+                 key=lambda item: item[1].sign is not _POSITIVE))
+    for keys in (_SCALAR_KEYS, _SPECIES_KEYS))
+
+
+def refusal(predicate: str, **fields) -> InputError:
+    """InputError for config ``fields`` (name=value, rad/s frequencies) refused
+    together: ``field 'k' = v U`` or ``fields 'k' = v U, ... and 'k' = v U`` in
+    document keys and units, then ``predicate``; its keys are those keys."""
+    keys, terms = [], []
+    for field, value in fields.items():
+        key, spec = _FIELD_KEYS[field]
+        keys.append(key)
+        terms.append(f"'{key}' = {spec.to_document(value):g}{' ' if spec.unit else ''}{spec.unit}")
+    named = terms[0] if len(terms) == 1 else f"{', '.join(terms[:-1])} and {terms[-1]}"
+    return InputError(f"field{'s' if len(terms) > 1 else ''} {named} {predicate}", *keys)
+
+
+def _read(block: dict, keys: dict, checks: tuple, name: str) -> dict:
+    """Config field -> value of one block: each value read in document order,
+    then checked in the order of ``checks``, (key, declaration) pairs."""
+    unknown = block.keys() - keys.keys()
+    if unknown:
+        raise InputError(f"unknown {name} keys: {sorted(unknown)}")
+    values = {key: keys[key].read(key, raw) for key, raw in block.items()}
+    for key, spec in checks:
+        if key in values:
+            _check(key, spec, values[key])
+    return {keys[key].field: keys[key].to_config(value) for key, value in values.items()}
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -165,60 +224,15 @@ def load_scenario(text: str) -> ScenarioConfig:
         raise InputError(f"scenario document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("scenario document must be a JSON object")
-
-    unknown = set(doc) - set(_SCALAR_KEYS) - {"species"}
-    if unknown:
-        raise InputError(f"unknown scenario keys: {sorted(unknown)}")
-
-    merged = dict(DEFAULTS)
-    for key, raw in doc.items():
-        if key == "species":
-            continue
-        merged[key] = _coerce_number(key, raw)
-
-    for key in _CHECKED_KEYS:
-        _check_scalar(key, merged[key])
-
-    species = CESIUM
+    fields = _read({key: raw for key, raw in doc.items() if key != "species"},
+                   _SCALAR_KEYS, _SCALAR_CHECKS, "scenario")
     if "species" in doc:
         block = doc["species"]
         if not isinstance(block, dict):
             raise InputError("field 'species' must be a JSON object", "species")
-        unknown = set(block) - set(_SPECIES_KEYS)
-        if unknown:
-            raise InputError(f"unknown species keys: {sorted(unknown)}")
-        overrides = {}
-        for key, raw in block.items():
-            field, conv = _SPECIES_KEYS[key]
-            if key == "f_ground":
-                if isinstance(raw, bool) or not isinstance(raw, int):
-                    raise InputError(f"field 'f_ground' must be an integer, got {raw!r}", key)
-                if raw < 1:
-                    raise InputError(f"field 'f_ground' must be >= 1, got {raw}", key)
-                if raw > F_GROUND_MAX:
-                    raise InputError(
-                        f"field 'f_ground' must be <= {F_GROUND_MAX}, got {raw}", key)
-                overrides[field] = raw
-            else:
-                value = _coerce_number(key, raw)
-                if key == "g_f" and abs(value * CODATA.mu_bohr) < sys.float_info.min:
-                    # zeeman_pi_field converts a Larmor frequency to a field over g_F mu_B
-                    raise InputError(f"field 'g_f' = {value:g} is out of range: the "
-                                     "field denominator g_F mu_B underflows", key)
-                if key == "spin_exchange_cross_section_m2" and value < 0.0:
-                    raise InputError(f"field '{key}' must be non-negative, got {value}", key)
-                overrides[field] = conv(value)
-        species = CESIUM._replace(**overrides)
-        for key in ("lambda_d1_m", "lambda_d2_m", "gamma_d1_hz", "gamma_d2_hz", "delta_hf_hz",
-                    "delta2_hz", "doppler_halfwidth_hz", "mean_speed_m_s"):
-            field = _SPECIES_KEYS[key][0]
-            if getattr(species, field) <= 0.0:
-                raise InputError(f"species field '{field}' must be positive", key)
-
-    kwargs = {}
-    for key, (field, conv) in _SCALAR_KEYS.items():
-        kwargs[field] = conv(merged[key]) if conv is not float else merged[key]
-    return ScenarioConfig(species=species, **kwargs)
+        fields["species"] = CESIUM._replace(
+            **_read(block, _SPECIES_KEYS, _SPECIES_CHECKS, "species"))
+    return _DEFAULT._replace(**fields)
 
 
 def load_scenario_file(path: str) -> ScenarioConfig:
@@ -231,16 +245,11 @@ def scenario_to_document(config: ScenarioConfig) -> dict:
 
     Sweeps do not go through it: ``scenario_with`` replaces one field.
     """
-    doc = {}
-    for key, (fieldname, conv) in _SCALAR_KEYS.items():
-        value = getattr(config, fieldname)
-        doc[key] = angular_to_hz(value) if conv is hz_to_angular else value
+    doc = {key: spec.to_document(getattr(config, spec.field))
+           for key, spec in _SCALAR_KEYS.items()}
     if config.species != CESIUM:
-        block = {}
-        for key, (fieldname, conv) in _SPECIES_KEYS.items():
-            value = getattr(config.species, fieldname)
-            block[key] = angular_to_hz(value) if conv is hz_to_angular else value
-        doc["species"] = block
+        doc["species"] = {key: spec.to_document(getattr(config.species, spec.field))
+                          for key, spec in _SPECIES_KEYS.items()}
     return doc
 
 
@@ -251,25 +260,20 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
     new value passes the same per-key checks as a loaded document, and
     every other field is kept as it is.
     """
-    slot = _FIELD_SLOTS.get(key)
+    slot = _SLOTS.get(key)
     if slot is None:
-        raise InputError(
-            f"unknown scenario key '{key}'; choose from {sorted(_SCALAR_KEYS)}")
-    value = _coerce_number(key, value)
-    _check_scalar(key, value)
+        raise InputError(f"unknown scenario key '{key}'; choose from {list(SCALAR_KEYS)}")
+    index, spec = slot
+    value = spec.read(key, value)
+    _check(key, spec, value)
     # ScenarioConfig checks nothing on construction, so _make skips no check;
     # it keeps type(config) and shares the species object
-    index, conv = slot
     values = list(config)
-    values[index] = conv(value)
+    values[index] = spec.to_config(value)
     return type(config)._make(values)
 
 
-@functools.cache
 def default_scenario() -> ScenarioConfig:
-    """The packaged cesium operating point (``DEFAULTS``).
-
-    Built on the first call; ScenarioConfig is immutable, so every caller
-    shares the one instance.
-    """
-    return load_scenario("{}")
+    """The packaged cesium operating point (``DEFAULTS``); ScenarioConfig is
+    immutable, so every caller shares the one instance."""
+    return _DEFAULT

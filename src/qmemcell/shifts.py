@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .constants import (CESIUM, CODATA, SpeciesData, angular_to_hz,
-                        dipole_moment_squared, vacuum_field_squared)
-from .scenario import InputError, ScenarioConfig
+from .constants import CESIUM, CODATA, SpeciesData, dipole_moment_squared, vacuum_field_squared
+from .scenario import InputError, ScenarioConfig, refusal
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
 POLE_GUARD = 1e-6
@@ -96,13 +95,13 @@ def class_dephasing(omega_b: float, tau: float, species: SpeciesData = CESIUM) -
 
 
 def _stark_denominators(delta_s: float, species: SpeciesData) -> tuple[float, float]:
-    """Detunings from the two D1 excited hyperfine components."""
+    """Detunings from the two D1 excited hyperfine components; a detuning on
+    either one is refused as an InputError naming both keys that set it."""
     half = species.delta2 / 2.0
     if abs(abs(delta_s) - half) <= POLE_GUARD * half:
-        raise ValueError(
-            "stark detuning sits on the excited hyperfine resonance: "
-            f"|delta_s| = {abs(delta_s):.6e} rad/s is within {POLE_GUARD:.0e} "
-            f"relative of delta2/2 = {half:.6e} rad/s")
+        raise refusal("are out of range together: the stark detuning sits on the excited "
+                      f"hyperfine resonance, |delta_s| within {POLE_GUARD:.0e} relative "
+                      "of delta2/2", stark_detuning=delta_s, delta2=species.delta2)
     return delta_s + half, delta_s - half
 
 
@@ -168,27 +167,25 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
           * (Delta_S^2 - Delta_2^2/4) / Delta_2.
 
     Requires |Delta_S| > Delta_2/2: inside the doublet the tensor slope
-    has the wrong sign for cancellation at positive intensity.  Two
+    has the wrong sign for cancellation at positive intensity, which
+    raises InputError naming the Stark detuning and Delta_2.  Two
     in-range values can still overflow the product; that raises
-    InputError naming both scenario keys.
+    InputError naming the Larmor frequency and the Stark detuning.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
     d_low, d_up = _stark_denominators(delta_s, species)
     if d_low * d_up <= 0.0:
-        raise ValueError(
-            "stark compensation needs |delta_s| > delta2/2; between the "
-            f"excited components (|delta_s| = {abs(delta_s):.6e} rad/s) the "
-            "tensor slope has the wrong sign")
+        raise refusal("are out of range together: stark compensation needs |delta_s| > "
+                      "delta2/2; between the excited components the tensor slope has the "
+                      "wrong sign", stark_detuning=delta_s, delta2=species.delta2)
     intensity = (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * omega_b**2
                  / (species.lambda_d1**3 * species.gamma_d1 * species.delta_hf)
                  * (d_low * d_up) / species.delta2)
     if not math.isfinite(intensity):
-        raise InputError(
-            f"fields 'omega_b_hz' = {angular_to_hz(omega_b):g} Hz and 'stark_detuning_hz' = "
-            f"{angular_to_hz(delta_s):g} Hz are out of range together: the Stark "
-            f"compensation intensity omega_b^2 (Delta_S^2 - Delta_2^2/4) is {intensity!r}",
-            "omega_b_hz", "stark_detuning_hz")
+        raise refusal("are out of range together: the Stark compensation intensity "
+                      f"omega_b^2 (Delta_S^2 - Delta_2^2/4) is {intensity!r}",
+                      omega_b=omega_b, stark_detuning=delta_s)
     return intensity
 
 
@@ -326,10 +323,7 @@ def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     kappa_tau = kappa * config.pulse_duration
     k_eff = math.sqrt(2.0) * kappa_tau
     if not math.isfinite(k_eff):
-        raise InputError(
-            f"fields 'atom_number' = {config.atom_number:g}, 'photon_number' = "
-            f"{config.photon_number:g} and 'probe_detuning_hz' = "
-            f"{angular_to_hz(config.probe_detuning):g} Hz are out of range together: "
-            f"the collective coupling kappa is {kappa!r} /s",
-            "atom_number", "photon_number", "probe_detuning_hz")
+        raise refusal(f"are out of range together: the collective coupling kappa is {kappa!r} /s",
+                      atom_number=config.atom_number, photon_number=config.photon_number,
+                      probe_detuning=config.probe_detuning)
     return CouplingSet(kappa_per_s=kappa, kappa_tau=kappa_tau, k_eff=k_eff)

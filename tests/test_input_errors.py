@@ -6,6 +6,7 @@ A library error names its own parameter (``tau``, ``pump_rate``) in
 key as the option whose dest it is, in argparse's own error format.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -15,23 +16,26 @@ from pathlib import Path
 import pytest
 
 import qmemcell
-from qmemcell import InputError, ScenarioError, cli
+from qmemcell import InputError, ScenarioConfig, ScenarioError, SpeciesData, cli, scenario
 from qmemcell.cli import main
 
-#: argv that a library check refuses, and the option each error line names
+#: argv that a library check refuses, and the options its error line names
 REFUSED_ARGV = [
-    (["pump", "--steps", "-1"], "--steps"),
-    (["pump", "--dt", "0"], "--dt"),
-    (["pump", "--pump-rate", "-1"], "--pump-rate"),
-    (["pulse-design", "--tau-s", "0"], "--tau-s"),
-    (["pulse-design", "--tau-s=1e-320"], "--tau-s"),
-    (["memory-sim", "--seed", "-1"], "--seed"),
-    (["memory-sim", "--k-eff", "0"], "--k-eff"),
+    (["pump", "--steps", "-1"], ("--steps",)),
+    (["pump", "--dt", "0"], ("--dt",)),
+    (["pump", "--pump-rate", "-1"], ("--pump-rate",)),
+    (["pulse-design", "--tau-s", "0"], ("--tau-s",)),
+    (["pulse-design", "--tau-s=1e-320"], ("--tau-s",)),
+    (["memory-sim", "--seed", "-1"], ("--seed",)),
+    (["memory-sim", "--k-eff", "0"], ("--k-eff",)),
+    (["pump", "--dt", "1e300", "--steps", "1000000"], ("--dt", "--steps")),
+    (["pump", "--pump-rate", "1e12"], ("--pump-rate", "--repump-rate")),
+    (["pump", "--pump-rate", "1.7e308"], ("--pump-rate", "--repump-rate")),
 ]
 
+REFUSED_IDS = [" ".join(argv) for argv, _ in REFUSED_ARGV]
 
-def _argv_id(argv):
-    return " ".join(argv[0])
+PACKAGE = Path(qmemcell.__file__).parent
 
 
 def test_scenario_error_is_the_input_error_class():
@@ -45,31 +49,124 @@ def test_only_cli_spells_an_option():
     assert {"--tau-s", "--steps", "--dt", "--pump-rate", "--repump-rate"} <= options
     pattern = re.compile("|".join(rf"(?<![\w-]){re.escape(option)}(?![\w-])"
                                   for option in sorted(options)))
-    package = Path(qmemcell.__file__).parent
     spelled = {path.name: sorted(set(pattern.findall(path.read_text())))
-               for path in sorted(package.glob("*.py")) if path.name != "cli.py"}
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "cli.py"}
     assert {name: found for name, found in spelled.items() if found} == {}
 
 
-@pytest.mark.parametrize("argv, option", REFUSED_ARGV, ids=_argv_id)
-def test_refused_argv_exits_2_naming_the_option(argv, option):
+def _string_literals(tree: ast.Module) -> list[str]:
+    """Every string constant of a module but its docstrings (f-string parts included)."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and id(node) not in docstrings]
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every name a module reads, imports or takes as an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               for alias in node.names})
+
+
+def test_only_scenario_spells_a_document_key():
+    # A refusal names a document key as 'key'; a key spelled unlike every config
+    # field is also named by its bare word.  cli's --omega-b-hz override is the
+    # one caller that passes a key to scenario_with.
+    keys = [*scenario._SCALAR_KEYS, *scenario._SPECIES_KEYS]
+    fields = {*ScenarioConfig._fields, *SpeciesData._fields}
+    pattern = re.compile("|".join(
+        rf"'{key}'" if key in fields else rf"(?<!\w){key}(?!\w)" for key in keys))
+    spelled, converting = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "scenario.py":
+            continue
+        tree = ast.parse(path.read_text())
+        found = sorted({match for text in _string_literals(tree)
+                        for match in pattern.findall(text)})
+        if found:
+            spelled[path.name] = found
+        if path.name != "constants.py" and "angular_to_hz" in _names(tree):
+            converting.add(path.name)
+    assert spelled == {"cli.py": ["omega_b_hz"]}
+    assert converting == set()
+
+
+def test_no_module_imports_a_private_scenario_name():
+    private = {path.name: [alias.name for node in ast.walk(ast.parse(path.read_text()))
+                           if isinstance(node, ast.ImportFrom) and node.module == "scenario"
+                           for alias in node.names if alias.name.startswith("_")]
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in private.items() if found} == {}
+
+
+@pytest.mark.parametrize("argv, options", REFUSED_ARGV, ids=REFUSED_IDS)
+def test_refused_argv_exits_2_naming_the_option(argv, options):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == 2
     assert out.getvalue() == ""
     [line] = err.getvalue().splitlines()
-    assert line.startswith(f"error: argument {option}: ")
+    assert line.startswith(f"error: argument {', '.join(options)}: ")
 
 
-@pytest.mark.parametrize("argv, option", REFUSED_ARGV, ids=_argv_id)
-def test_refused_keys_are_actions_of_the_subcommand(argv, option):
+@pytest.mark.parametrize("argv, options", REFUSED_ARGV, ids=REFUSED_IDS)
+def test_refused_keys_are_actions_of_the_subcommand(argv, options):
     args = cli._parse_args(argv)
     with pytest.raises(InputError) as refused:
         cli._dispatch(args)
     actions = {action.dest: action for action in cli._subparsers()[argv[0]]._actions}
-    assert refused.value.keys
-    for key in refused.value.keys:
+    assert len(refused.value.keys) == len(options)
+    for key, option in zip(refused.value.keys, options):
         assert option in actions[key].option_strings
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["pump", "--dt", "1e300", "--steps", "1000000"],
+     "error: argument --dt, --steps: run time dt * steps = 2e+305 s overflows the rate matrix"),
+    (["pump", "--pump-rate", "1e12"],
+     "error: argument --pump-rate, --repump-rate: pump rate 1e+12 /s and repump rate 10000 /s "
+     "are too stiff to propagate: over 0.0004 s the propagator changes the total population "
+     "by up to 2.69e-09 (tolerance 1e-09)"),
+    (["pump", "--pump-rate", "1.7e308"],
+     "error: argument --pump-rate, --repump-rate: pump rate 1.7e+308 /s and repump rate "
+     "10000 /s overflow the rate matrix"),
+])
+def test_pump_run_refusals_name_both_options(capsys, argv, line):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
+#: documents that each refuse the Stark detuning against the D1 doublet
+_DOUBLET = ("are out of range together: stark compensation needs |delta_s| > delta2/2; "
+            "between the excited components the tensor slope has the wrong sign")
+_POLE = ("are out of range together: the stark detuning sits on the excited hyperfine "
+         "resonance, |delta_s| within 1e-06 relative of delta2/2")
+STARK_DOCUMENTS = [
+    ({"stark_detuning_hz": 3e8},
+     f"fields 'stark_detuning_hz' = 3e+08 Hz and 'delta2_hz' = 1.168e+09 Hz {_DOUBLET}"),
+    ({"species": {"delta2_hz": 1e200}},
+     f"fields 'stark_detuning_hz' = 3e+09 Hz and 'delta2_hz' = 1e+200 Hz {_DOUBLET}"),
+    ({"stark_detuning_hz": 5.84e8},
+     f"fields 'stark_detuning_hz' = 5.84e+08 Hz and 'delta2_hz' = 1.168e+09 Hz {_POLE}"),
+]
+
+
+@pytest.mark.parametrize("command", ["shifts", "compensate", "decoherence", "paper-check"])
+@pytest.mark.parametrize("doc, message", STARK_DOCUMENTS)
+def test_stark_doublet_and_pole_refusals_name_both_keys(tmp_path, capsys, command, doc,
+                                                         message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    with pytest.raises(InputError) as refused:
+        cli._dispatch(cli._parse_args(argv))
+    assert refused.value.keys == ("stark_detuning_hz", "delta2_hz")
 
 
 @pytest.mark.parametrize("command", ["decoherence", "paper-check"])

@@ -37,7 +37,7 @@ from qmemcell.report import (
     render_table,
     shifts_rows,
 )
-from qmemcell.constants import w_m2_to_mw_cm2, w_m2_to_w_cm2
+from qmemcell.constants import TWO_PI, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from qmemcell.decoherence import (boundary_transmission, doppler_averaged_scattering,
                                   residual_pump_occupation, scattered_photon_limit,
                                   spin_exchange_probability, stark_pi_scattered_photons)
@@ -999,7 +999,8 @@ REGISTERED_NAMES = [
 def test_sweep_rows_match_the_public_functions(doc):
     config = scenario.load_scenario(doc)
     assert sorted(QUANTITIES) == sorted(REGISTERED_NAMES)
-    for param, (field, conv) in scenario._SCALAR_KEYS.items():
+    for param, spec in scenario._SCALAR_KEYS.items():
+        field, scale = spec.field, TWO_PI if spec.unit == "Hz" else 1.0
         values = [f * scenario.DEFAULTS[param] for f in (0.5, 1.0, 1.7)]
         for quantity, (_, unit) in QUANTITIES.items():
             args = cli.build_parser().parse_args(
@@ -1007,7 +1008,7 @@ def test_sweep_rows_match_the_public_functions(doc):
                  "--values=" + ",".join(map(repr, values))])
             rows = cli._sweep_rows(config, args)
             expected = [ReportRow(f"{quantity}[{param}={v:g}]", _reference_quantity(
-                quantity, config._replace(**{field: conv(v)})), unit)
+                quantity, config._replace(**{field: scale * v})), unit)
                 for v in values]
             assert rows == expected, (param, quantity)
 
@@ -1198,4 +1199,5 @@ def test_cli_pump_too_stiff_to_conserve_population_exits_2(capsys, argv, rate):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: pump rate {rate} /s and repump rate 10000 /s ")
+    assert captured.err.startswith(f"error: argument --pump-rate, --repump-rate: pump rate {rate} "
+                                   "/s and repump rate 10000 /s are too stiff to propagate: ")

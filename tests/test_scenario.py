@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemcell import CESIUM, ScenarioError, default_scenario, load_scenario, load_scenario_file
-from qmemcell.scenario import (_SCALAR_KEYS, DEFAULTS, F_GROUND_MAX, ScenarioConfig,
+from qmemcell.scenario import (_SCALAR_KEYS, _SPECIES_KEYS, DEFAULTS, F_GROUND_MAX,
+                               DOCUMENT_KEYS, SCALAR_KEYS, ScenarioConfig, refusal,
                                scenario_to_document, scenario_with)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -182,6 +183,97 @@ def test_scenario_with_refusals_carry_their_keys():
     assert refused.value.keys == ()
 
 
+#: documents with two or more bad keys, and the refusal reported first: the
+#: scalar values are read in document order, then checked (positivity first,
+#: then declaration order); then the species block, whose f_ground, g_f and
+#: cross section are checked as they are read, in document order, and whose
+#: line data are checked for positivity last, in declaration order
+FIRST_REFUSALS = [
+    # scenario with scenario
+    ('{"tau_s": 0, "omega_b_hz": -1}', "field 'tau_s' must be positive, got 0.0", ("tau_s",)),
+    ('{"omega_b_hz": -1, "tau_s": 0}', "field 'tau_s' must be positive, got 0.0", ("tau_s",)),
+    ('{"boundary_loss": 2, "omega_b_hz": "x"}',
+     "field 'omega_b_hz' must be a number, got 'x'", ("omega_b_hz",)),
+    ('{"omega_b_hz": "x", "tau_s": NaN}',
+     "field 'omega_b_hz' must be a number, got 'x'", ("omega_b_hz",)),
+    ('{"tau_s": NaN, "omega_b_hz": "x"}', "field 'tau_s' must be finite, got nan", ("tau_s",)),
+    ('{"microwave_detuning_hz": 0, "probe_detuning_hz": 1e-300, "stark_detuning_hz": 1e300}',
+     "field 'probe_detuning_hz' = 1e-300 is out of range: the coupling denominator hbar^2 "
+     "Delta underflows to zero", ("probe_detuning_hz",)),
+    ('{"boundary_loss": -1, "omega_b_hz": 1e300}',
+     "field 'omega_b_hz' = 1e+300 is out of range: the quadratic Zeeman term omega_b^2 "
+     "overflows", ("omega_b_hz",)),
+    ('{"atom_density_m3": -1, "beam_area_m2": 0, "feedback_gain": true}',
+     "field 'feedback_gain' must be a number, got True", ("feedback_gain",)),
+    ('{"stark_detuning_hz": 0, "atom_number": -5}',
+     "field 'atom_number' must be positive, got -5.0", ("atom_number",)),
+    # species with species
+    ('{"species": {"mean_speed_m_s": -1, "g_f": 0}}',
+     "field 'g_f' = 0 is out of range: the field denominator g_F mu_B underflows", ("g_f",)),
+    ('{"species": {"delta2_hz": -1, "lambda_d1_m": -1}}',
+     "species field 'lambda_d1' must be positive", ("lambda_d1_m",)),
+    ('{"species": {"f_ground": 0, "gamma_d1_hz": "x"}}',
+     "field 'f_ground' must be >= 1, got 0", ("f_ground",)),
+    ('{"species": {"gamma_d1_hz": -5, "f_ground": 2.5}}',
+     "field 'f_ground' must be an integer, got 2.5", ("f_ground",)),
+    ('{"species": {"spin_exchange_cross_section_m2": -1, "mean_speed_m_s": 0}}',
+     "field 'spin_exchange_cross_section_m2' must be non-negative, got -1.0",
+     ("spin_exchange_cross_section_m2",)),
+    ('{"species": {"mean_speed_m_s": 0, "spin_exchange_cross_section_m2": -1}}',
+     "field 'spin_exchange_cross_section_m2' must be non-negative, got -1.0",
+     ("spin_exchange_cross_section_m2",)),
+    ('{"species": {"doppler_halfwidth_hz": 0, "gamma_d2_hz": 0}}',
+     "species field 'gamma_d2' must be positive", ("gamma_d2_hz",)),
+    ('{"species": {"lambda_d2_m": -1, "f_ground": 11}}',
+     "field 'f_ground' must be <= 10, got 11", ("f_ground",)),
+    ('{"species": {"g_f": 0, "gamma_d1_hz": "x"}}',
+     "field 'g_f' = 0 is out of range: the field denominator g_F mu_B underflows", ("g_f",)),
+    ('{"species": {"gamma_d1_hz": NaN, "g_f": 1e-320}}',
+     "field 'gamma_d1_hz' must be finite, got nan", ("gamma_d1_hz",)),
+    # mixed
+    ('{"species": {"g_f": 0}, "tau_s": 0}', "field 'tau_s' must be positive, got 0.0",
+     ("tau_s",)),
+    ('{"species": {"f_ground": 0}, "omega_b_hz": "x"}',
+     "field 'omega_b_hz' must be a number, got 'x'", ("omega_b_hz",)),
+    ('{"species": 3, "tau_s": 0}', "field 'tau_s' must be positive, got 0.0", ("tau_s",)),
+    ('{"tau_s": 0, "unknown": 1}', "unknown scenario keys: ['unknown']", ()),
+    ('{"species": {"lambda_d3_m": 1}, "boundary_loss": 1}',
+     "field 'boundary_loss' must lie in [0, 1), got 1.0", ("boundary_loss",)),
+    ('{"species": {"delta2_hz": 0}, "microwave_detuning_hz": 1e-275}',
+     "field 'microwave_detuning_hz' = 1e-275 is out of range: the dressing denominator "
+     "2 F^2 eps0 hbar^2 c^3 Delta_mu underflows", ("microwave_detuning_hz",)),
+    ('{"omega_b_hz": 1e5, "species": {"mean_speed_m_s": -1}, "probe_detuning_hz": 0}',
+     "field 'probe_detuning_hz' must be nonzero (it appears in denominators)",
+     ("probe_detuning_hz",)),
+]
+
+
+@pytest.mark.parametrize("doc, message, keys", FIRST_REFUSALS)
+def test_several_bad_keys_refuse_the_same_key_first(doc, message, keys):
+    with pytest.raises(ScenarioError) as refused:
+        load_scenario(doc)
+    assert (str(refused.value), refused.value.keys) == (message, keys)
+
+
+def test_every_key_is_declared_once():
+    assert not set(_SCALAR_KEYS) & set(_SPECIES_KEYS)
+    assert [spec.field for spec in _SPECIES_KEYS.values()] == list(CESIUM._fields)
+    assert DEFAULTS == {key: spec.default for key, spec in _SCALAR_KEYS.items()}
+    assert SCALAR_KEYS == tuple(sorted(_SCALAR_KEYS))
+    assert DOCUMENT_KEYS == {*_SCALAR_KEYS, "species", *_SPECIES_KEYS}
+    assert not DOCUMENT_KEYS & {"omega_b", "tau", "dt", "pump_rate"}
+
+
+def test_refusal_phrases_fields_in_document_keys_and_units():
+    one = refusal("is bad", f_ground=3)
+    assert (str(one), one.keys) == ("field 'f_ground' = 3 is bad", ("f_ground",))
+    three = refusal("are bad", pulse_duration=2e-3, atom_density=1e16,
+                    stark_detuning=TWO_PI * 3e9)
+    assert str(three) == ("fields 'tau_s' = 0.002 s, 'atom_density_m3' = 1e+16 m^-3 and "
+                          "'stark_detuning_hz' = 3e+09 Hz are bad")
+    assert three.keys == ("tau_s", "atom_density_m3", "stark_detuning_hz")
+
+
 @pytest.mark.parametrize("block, key", [
     ('{"g_f": 0}', "g_f"), ('{"g_f": 1e-320}', "g_f"), ('{"g_f": -1e-310}', "g_f"),
     ('{"spin_exchange_cross_section_m2": -1e-18}', "spin_exchange_cross_section_m2"),
@@ -238,18 +330,19 @@ class _TaggedConfig(namedtuple("_TaggedConfig", (*ScenarioConfig._fields, "tag")
 
 def test_scenario_with_equals_replace():
     # the document keys list the scalar fields in their order
-    assert ScenarioConfig._fields == (*(f for f, _ in _SCALAR_KEYS.values()), "species")
+    assert ScenarioConfig._fields == (*(spec.field for spec in _SCALAR_KEYS.values()), "species")
     base = load_scenario('{"species": {"gamma_d1_hz": 4.8e6}}')
     tagged = _TaggedConfig(*base, tag="cell B")
     for cfg in (base, tagged):
-        for key, (field, conv) in _SCALAR_KEYS.items():
+        for key, spec in _SCALAR_KEYS.items():
             value = 1.5 * DEFAULTS[key]
+            field, angular = spec.field, (TWO_PI if spec.unit == "Hz" else 1.0) * value
             before = cfg._asdict()
             copy = scenario_with(cfg, key, value)
             assert type(copy) is type(cfg)
-            assert copy == cfg._replace(**{field: conv(value)})
+            assert copy == cfg._replace(**{field: angular})
             assert copy.species is cfg.species
-            assert copy._asdict() == {**before, field: conv(value)}
+            assert copy._asdict() == {**before, field: angular}
             assert cfg._asdict() == before
     with pytest.raises(AttributeError):
         scenario_with(tagged, "tau_s", 2.0e-3).pulse_duration = 1.0

@@ -1,6 +1,7 @@
 """Level-shift ladders, compensation solvers, and differential pi pulses."""
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -193,6 +194,12 @@ def test_stark_edge_states_couple_to_upper_component_only():
 
 def test_stark_pole_guard():
     on_pole = CESIUM.delta2 / 2.0
+    message = ("fields 'stark_detuning_hz' = -5.84e+08 Hz and 'delta2_hz' = 1.168e+09 Hz are "
+               "out of range together: the stark detuning sits on the excited hyperfine "
+               "resonance, |delta_s| within 1e-06 relative of delta2/2")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as refused:
+        stark_ladder(1.0, -on_pole)
+    assert refused.value.keys == ("stark_detuning_hz", "delta2_hz")
     with pytest.raises(ValueError, match="resonance"):
         stark_ladder(1.0, on_pole)
     with pytest.raises(ValueError, match="resonance"):
@@ -365,8 +372,12 @@ def test_stark_compensation_cancels_slope():
 
 
 def test_stark_compensation_rejects_doublet_interior():
-    with pytest.raises(ValueError, match="delta2/2"):
+    message = ("fields 'stark_detuning_hz' = 3e+08 Hz and 'delta2_hz' = 1.168e+09 Hz are out "
+               "of range together: stark compensation needs |delta_s| > delta2/2; between "
+               "the excited components the tensor slope has the wrong sign")
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$") as refused:
         stark_compensation_intensity(OMEGA_B, TWO_PI * 0.3e9)
+    assert refused.value.keys == ("stark_detuning_hz", "delta2_hz")
 
 
 def test_out_of_range_pairs_carry_every_key():
