@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 # public name -> submodule that defines it, in the order of __all__
 _EXPORTS = {
-    "CESIUM": "constants", "CODATA": "constants", "PhysicalConstants": "constants",
-    "SpeciesData": "constants", "dipole_moment_squared": "constants",
+    "CODATA": "constants", "PhysicalConstants": "constants", "dipole_moment_squared": "constants",
     "saturation_intensity": "constants", "vacuum_field_squared": "constants",
     "DecoherenceBudget": "decoherence", "boundary_transmission": "decoherence",
     "doppler_averaged_scattering": "decoherence",
@@ -33,10 +32,10 @@ _EXPORTS = {
     "collective_kappa": "shifts", "coupling_g": "shifts", "differential_rotation": "memory",
     "qnd_transform": "memory", "run_read": "memory", "run_write": "memory",
     "PumpLevelSystem": "pumping", "pumping_history": "pumping", "rate_matrix": "pumping",
-    "state_index": "pumping", "uniform_f4_system": "pumping", "InputError": "scenario",
-    "ScenarioConfig": "scenario", "ScenarioError": "scenario", "default_scenario": "scenario",
-    "load_scenario": "scenario", "load_scenario_file": "scenario",
-    "scenario_with": "scenario", "ShiftLadder": "shifts",
+    "state_index": "pumping", "uniform_f4_system": "pumping", "CESIUM": "scenario",
+    "InputError": "scenario", "ScenarioConfig": "scenario", "ScenarioError": "scenario",
+    "SpeciesData": "scenario", "default_scenario": "scenario", "load_scenario": "scenario",
+    "load_scenario_file": "scenario", "scenario_with": "scenario", "ShiftLadder": "shifts",
     "ac_zeeman_compensation_intensity": "shifts", "ac_zeeman_ladder": "shifts",
     "class_dephasing": "shifts", "microwave_pi_intensity": "shifts",
     "stark_compensation_intensity": "shifts", "stark_ladder": "shifts",

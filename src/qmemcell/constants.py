@@ -1,4 +1,4 @@
-"""Physical constants, cesium line data, and unit helpers.
+"""Physical constants, unit helpers, and the line formulas.
 
 All internal physics is strict SI with angular frequencies in rad/s.
 User-facing documents and reports use the lab conventions instead
@@ -53,55 +53,6 @@ class PhysicalConstants(namedtuple("PhysicalConstants", _CODATA_2018,
 
 
 CODATA = PhysicalConstants()
-
-
-#: cesium line data, field name -> default (units in SpeciesData)
-_CESIUM_LINE_DATA = {
-    "lambda_d1": 894.6e-9,
-    "lambda_d2": 852.3e-9,
-    "gamma_d1": hz_to_angular(4.56e6),
-    "gamma_d2": hz_to_angular(5.22e6),
-    "delta_hf": hz_to_angular(9.19e9),
-    "delta2": hz_to_angular(1.168e9),
-    "doppler_halfwidth": hz_to_angular(1.90e8),
-    "mean_speed": 130.0,
-    "spin_exchange_cross_section": 2.0e-18,
-    "f_ground": 4,
-    "g_f": 0.25,
-}
-
-
-class SpeciesData(namedtuple("SpeciesData", _CESIUM_LINE_DATA,
-                             defaults=_CESIUM_LINE_DATA.values())):
-    """Line data for the alkali species filling the cell.
-
-    Only the handful of cesium numbers the memory formulas need; pass a
-    modified instance (``CESIUM._replace(f_ground=3)``, or the
-    ``species`` block of a scenario file) to override any of them.
-
-    Attributes
-    ----------
-    lambda_d1, lambda_d2 : m
-        D1 and D2 transition wavelengths.
-    gamma_d1, gamma_d2 : rad/s
-        Natural linewidths of the two lines.
-    delta_hf : rad/s
-        Ground-state hyperfine splitting.
-    delta2 : rad/s
-        Hyperfine splitting of the D1 excited state.
-    doppler_halfwidth : rad/s
-        Half width (HWHM) of the Doppler profile at operating temperature.
-    mean_speed : m/s
-        Mean relative thermal speed entering the collision rate.
-    spin_exchange_cross_section : m^2
-    f_ground : total angular momentum of the populated ground manifold
-    g_f : ground-state Lande factor (1/4 for cesium F = 4)
-    """
-
-    __slots__ = ()
-
-
-CESIUM = SpeciesData()
 
 
 def vacuum_field_squared(area: float, duration: float, wavelength: float) -> float:

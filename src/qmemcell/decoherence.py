@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .constants import CESIUM, SpeciesData, saturation_intensity
-from .scenario import ScenarioConfig, refusal
+from .constants import saturation_intensity
+from .scenario import CESIUM, ScenarioConfig, SpeciesData, refusal
 from .shifts import stark_compensation_intensity, stark_pi_intensity
 
 #: width conventions for the Doppler average
@@ -19,6 +19,9 @@ WIDTH_HWHM = "hwhm"
 WIDTH_SIGMA = "sigma"
 
 _HWHM_TO_SIGMA = 1.0 / math.sqrt(2.0 * math.log(2.0))
+#: a Gaussian narrower than this fraction of the Lorentzian width moves the
+#: Voigt profile by (sigma/w)^2, below double precision
+_NARROW = 2.0**-27
 
 # Weideman's rational approximation of the Faddeeva function (SIAM J.
 # Numer. Anal. 31, 1497, 1994): w(z) = 2 p(Z)/(L - iz)^2
@@ -129,6 +132,10 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
     voigt = faddeeva(complex(abs(center_detuning), width) / scale).real
     value = peak * math.sqrt(math.pi) * width * voigt / scale
     if not math.isfinite(value):
+        if sigma <= _NARROW * width < math.inf:
+            # the Faddeeva form overflows for a Gaussian this narrow, which is a
+            # delta function in double precision: take the exact sigma -> 0 limit
+            return scattering_rate(intensity, center_detuning, gamma, wavelength)
         raise ArithmeticError(
             f"doppler average is not finite: intensity={intensity}, "
             f"center={center_detuning}, sigma={sigma}")
@@ -258,9 +265,12 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
         eta = spin_exchange_probability(config.pulse_duration, config.species,
                                         config.atom_density)
         if eta >= 1.0:
+            sp = config.species
             raise refusal(f"give a spin-exchange probability of {eta:.3g} per pulse; the "
                           "collision channel needs eta < 1", atom_density=config.atom_density,
-                          pulse_duration=config.pulse_duration)
+                          pulse_duration=config.pulse_duration,
+                          spin_exchange_cross_section=sp.spin_exchange_cross_section,
+                          mean_speed=sp.mean_speed)
         rate = compensation_scattering_rate(config)
         n_phot = rate * config.pulse_duration
         if n_phot >= 1.0:

@@ -230,7 +230,8 @@ class GaussianState:
         if not np.isfinite(means).all():
             raise ValueError("means must be finite")
         scale = float(np.abs(cov).max())
-        if not math.isfinite(scale):
+        # entries of half the float maximum overflow the symmetrization below
+        if not math.isfinite(2.0 * scale):
             raise ValueError("cov must be finite")
         scale = max(1.0, scale)
         asym = float(np.abs(cov - cov.T).max())

@@ -368,31 +368,26 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
     if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}", "seed")
     rng = None if seed is None else np.random.default_rng(seed)
-    # an extreme gain or k_eff overflows; report it once, by name
+    # an extreme gain or k_eff overflows: a homodyne draw, the map, the
+    # fidelity or the final state refuses it, and the run reports it once
     with np.errstate(over="ignore", invalid="ignore"):
         stages = stage_builder(k_eff, gain, budget)
         try:
             means, cov, outcomes, channel = _run_stages(stages, state.means, state.cov,
                                                         policy, rng)
-        except ValueError as exc:  # a homodyne draw: a bad policy, or an overflowed variance
-            raise ValueError(f"a protocol stage fails at gain={gain!r}, k_eff={k_eff!r}: "
-                             f"{exc}") from None
-        vacuum_out = 0.5 * channel.x @ channel.x.T + channel.y
-        if not all(np.isfinite(a).all() for a in (vacuum_out, means, cov)):
-            raise ValueError(
-                f"protocol map is not finite at gain={gain!r}, k_eff={k_eff!r}")
-        transfer = channel.x[out_block, in_block]
-        out_cov = vacuum_out[out_block, out_block]
-        added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
-        try:
+            vacuum_out = 0.5 * channel.x @ channel.x.T + channel.y
+            if not all(np.isfinite(a).all() for a in (vacuum_out, means, cov)):
+                raise ValueError("the protocol map is not finite")
+            transfer = channel.x[out_block, in_block]
+            out_cov = vacuum_out[out_block, out_block]
+            added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
             fidelity = _ring_fidelity(transfer, out_cov, signs, _RING)
+            final = GaussianState(modes=state.modes, means=means, cov=cov)
         except ValueError as exc:
-            raise ValueError(f"protocol output noise is out of range at gain={gain!r}, "
-                             f"k_eff={k_eff!r}: {exc}") from None
-    return ProtocolResult(
-        state=GaussianState(modes=state.modes, means=means, cov=cov),
-        transfer_map=transfer, added_noise=added, mean_fidelity=fidelity,
-        measurements=outcomes)
+            raise InputError(f"the protocol fails at gain={gain!r}, k_eff={k_eff!r}: {exc}",
+                             "gain", "k_eff") from None
+    return ProtocolResult(state=final, transfer_map=transfer, added_noise=added,
+                          mean_fidelity=fidelity, measurements=outcomes)
 
 
 def run_write(k_eff: float, state: GaussianState | None = None,

@@ -22,13 +22,13 @@ import math
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .constants import CESIUM, TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
+from .constants import TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
                           boundary_transmission, compensation_scattering_rate,
                           doppler_averaged_scattering, residual_pump_occupation,
                           scattered_photon_limit, spin_exchange_probability,
                           stark_pi_scattered_photons)
-from .scenario import ScenarioConfig, refusal
+from .scenario import CESIUM, InputError, ScenarioConfig, refusal
 from .shifts import (ac_zeeman_compensation_intensity, ac_zeeman_ladder,
                      class_dephasing, collective_kappa, microwave_pi_intensity,
                      stark_compensation_intensity, stark_ladder, stark_pi_intensity,
@@ -336,12 +336,20 @@ def memory_sim_rows(config: ScenarioConfig, seed: int | None = None,
             _row(config, "k_eff", "configured_k_eff")]
     budget = DecoherenceBudget.from_scenario(config)
     policy = POLICY_MEAN if seed is None else POLICY_SAMPLE
-    if gain is None:
+    given = gain is not None
+    if not given:
         gain = config.feedback_gain
-    write = run_write(k_eff, gain=gain, budget=budget,
-                      policy=policy, seed=seed)
-    read = run_read(k_eff, state=write.state, gain=gain, budget=budget,
-                    policy=policy, seed=None if seed is None else seed + 1)
+    try:
+        write = run_write(k_eff, gain=gain, budget=budget,
+                          policy=policy, seed=seed)
+        read = run_read(k_eff, state=write.state, gain=gain, budget=budget,
+                        policy=policy, seed=None if seed is None else seed + 1)
+    except InputError as exc:
+        if given or exc.keys != ("gain", "k_eff"):
+            raise
+        # the gain is the document's: name its key, not the parameter, with k_eff
+        named = refusal(f"is the protocol gain, and {exc}", feedback_gain=gain)
+        raise InputError(str(named), *named.keys, "k_eff") from None
     rows += [
         ReportRow("protocol_k_eff", k_eff, "1"),
         ReportRow("protocol_gain", gain, "1"),

@@ -12,7 +12,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .constants import CESIUM, CODATA, angular_to_hz, hz_to_angular
+from .constants import CODATA, angular_to_hz, hz_to_angular
 
 
 class InputError(ValueError):
@@ -26,32 +26,6 @@ class InputError(ValueError):
 
 
 ScenarioError = InputError  # the older name, kept for callers that catch it
-
-
-class ScenarioConfig(namedtuple("ScenarioConfig", (
-        "omega_b", "pulse_duration", "probe_detuning", "stark_detuning", "microwave_detuning",
-        "atom_number", "photon_number", "beam_area", "atom_density", "boundary_loss",
-        "feedback_gain", "species"))):
-    """Operating point of the memory, all values SI with rad/s frequencies.
-
-    omega_b            Larmor frequency of the bias field
-    pulse_duration     light pulse / interaction time tau (also the
-                       quantization window of the pulse modes)
-    probe_detuning     detuning of the quantum probe from the D2 line
-    stark_detuning     detuning of the compensation light from the D1
-                       line center
-    microwave_detuning detuning of the dressing microwave from the
-                       ground hyperfine transition
-    atom_number        atoms per pumped class
-    photon_number      photons in the probe pulse
-    beam_area          beam cross section, m^2
-    atom_density       vapor density, m^-3
-    boundary_loss      intensity loss per cell-window crossing
-    feedback_gain      homodyne feedback gain g of the write step
-    species            line data (defaults to cesium)
-    """
-
-    __slots__ = ()
 
 
 #: largest species f_ground: cesium's F = 4 is the largest integer ground F
@@ -122,9 +96,14 @@ def _squares_to_inf(omega: float) -> bool:
     return not math.isfinite(omega * omega)
 
 
-# Every document key, declared once, in the order of the config's fields.
-# The defaults are the packaged cesium operating point.  The microwave
-# detuning is 120 Omega_B, ten times the ~12 Omega_B span of the m pairs'
+#: a wavelength's limit: its cube must be a normal float
+_CUBE = (lambda length: not sys.float_info.min <= length * length * length < math.inf,
+         "the cube lambda^3 underflows or overflows")
+
+
+# Every document key, declared once.  Each block's fields, in this order, are those of its
+# record (ScenarioConfig, SpeciesData); its defaults are the packaged cesium operating point.
+# The microwave detuning is 120 Omega_B, ten times the ~12 Omega_B span of the m pairs'
 # hyperfine transitions (linear Zeeman fan): the dressing is uniform.
 _SCALAR_KEYS = {
     "omega_b_hz": _Key("omega_b", "Hz", 3.0e5, _NON_NEGATIVE,
@@ -151,22 +130,83 @@ _SCALAR_KEYS = {
     "feedback_gain": _Key("feedback_gain", "", -1.0),
 }
 _SPECIES_KEYS = {
-    "lambda_d1_m": _Key("lambda_d1", "m", sign=_LINE_DATUM),
-    "lambda_d2_m": _Key("lambda_d2", "m", sign=_LINE_DATUM),
-    "gamma_d1_hz": _Key("gamma_d1", "Hz", sign=_LINE_DATUM),
-    "gamma_d2_hz": _Key("gamma_d2", "Hz", sign=_LINE_DATUM),
-    "delta_hf_hz": _Key("delta_hf", "Hz", sign=_LINE_DATUM),
-    "delta2_hz": _Key("delta2", "Hz", sign=_LINE_DATUM),
-    "doppler_halfwidth_hz": _Key("doppler_halfwidth", "Hz", sign=_LINE_DATUM),
-    "mean_speed_m_s": _Key("mean_speed", "m/s", sign=_LINE_DATUM),
-    "spin_exchange_cross_section_m2": _Key("spin_exchange_cross_section", "m^2",
-                                           sign=_NON_NEGATIVE, read=_checked_number),
-    "f_ground": _Key("f_ground", "", read=_ground_f),
+    # the D1 wavelength is cubed in the Stark formulas and the saturation
+    # intensity, the D2 one in the dipole moment
+    "lambda_d1_m": _Key("lambda_d1", "m", 894.6e-9, _LINE_DATUM, _CUBE),
+    "lambda_d2_m": _Key("lambda_d2", "m", 852.3e-9, _LINE_DATUM, _CUBE),
+    "gamma_d1_hz": _Key("gamma_d1", "Hz", 4.56e6, _LINE_DATUM),
+    "gamma_d2_hz": _Key("gamma_d2", "Hz", 5.22e6, _LINE_DATUM),
+    "delta_hf_hz": _Key("delta_hf", "Hz", 9.19e9, _LINE_DATUM),
+    "delta2_hz": _Key("delta2", "Hz", 1.168e9, _LINE_DATUM),
+    "doppler_halfwidth_hz": _Key("doppler_halfwidth", "Hz", 1.90e8, _LINE_DATUM),
+    "mean_speed_m_s": _Key("mean_speed", "m/s", 130.0, _LINE_DATUM),
+    "spin_exchange_cross_section_m2": _Key("spin_exchange_cross_section", "m^2", 2.0e-18,
+                                           _NON_NEGATIVE, read=_checked_number),
+    "f_ground": _Key("f_ground", "", 4, read=_ground_f),
     # zeeman_pi_field converts a Larmor frequency to a field over g_F mu_B
-    "g_f": _Key("g_f", "", limit=(lambda g: abs(g * CODATA.mu_bohr) < sys.float_info.min,
-                                  "the field denominator g_F mu_B underflows"),
+    "g_f": _Key("g_f", "", 0.25, limit=(lambda g: abs(g * CODATA.mu_bohr) < sys.float_info.min,
+                                        "the field denominator g_F mu_B underflows"),
                 read=_checked_number),
 }
+
+
+class ScenarioConfig(namedtuple("ScenarioConfig", (
+        *(spec.field for spec in _SCALAR_KEYS.values()), "species"))):
+    """Operating point of the memory, all values SI with rad/s frequencies.
+
+    omega_b            Larmor frequency of the bias field
+    pulse_duration     light pulse / interaction time tau (also the
+                       quantization window of the pulse modes)
+    probe_detuning     detuning of the quantum probe from the D2 line
+    stark_detuning     detuning of the compensation light from the D1
+                       line center
+    microwave_detuning detuning of the dressing microwave from the
+                       ground hyperfine transition
+    atom_number        atoms per pumped class
+    photon_number      photons in the probe pulse
+    beam_area          beam cross section, m^2
+    atom_density       vapor density, m^-3
+    boundary_loss      intensity loss per cell-window crossing
+    feedback_gain      homodyne feedback gain g of the write step
+    species            line data (defaults to cesium)
+    """
+
+    __slots__ = ()
+
+
+class SpeciesData(namedtuple("SpeciesData", (spec.field for spec in _SPECIES_KEYS.values()),
+                             defaults=(spec.to_config(spec.default)
+                                       for spec in _SPECIES_KEYS.values()))):
+    """Line data for the alkali species filling the cell.
+
+    Only the handful of cesium numbers the memory formulas need; pass a
+    modified instance (``CESIUM._replace(f_ground=3)``, or the
+    ``species`` block of a scenario file) to override any of them.
+
+    Attributes
+    ----------
+    lambda_d1, lambda_d2 : m
+        D1 and D2 transition wavelengths.
+    gamma_d1, gamma_d2 : rad/s
+        Natural linewidths of the two lines.
+    delta_hf : rad/s
+        Ground-state hyperfine splitting.
+    delta2 : rad/s
+        Hyperfine splitting of the D1 excited state.
+    doppler_halfwidth : rad/s
+        Half width (HWHM) of the Doppler profile at operating temperature.
+    mean_speed : m/s
+        Mean relative thermal speed entering the collision rate.
+    spin_exchange_cross_section : m^2
+    f_ground : total angular momentum of the populated ground manifold
+    g_f : ground-state Lande factor (1/4 for cesium F = 4)
+    """
+
+    __slots__ = ()
+
+
+CESIUM = SpeciesData()
+
 
 #: documented defaults, in document units
 DEFAULTS = {key: spec.default for key, spec in _SCALAR_KEYS.items()}

@@ -20,10 +20,11 @@ coupling strengths close the module.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 
-from .constants import CESIUM, CODATA, SpeciesData, dipole_moment_squared, vacuum_field_squared
-from .scenario import InputError, ScenarioConfig, refusal
+from .constants import CODATA, dipole_moment_squared, vacuum_field_squared
+from .scenario import CESIUM, InputError, ScenarioConfig, SpeciesData, refusal
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
 POLE_GUARD = 1e-6
@@ -105,6 +106,17 @@ def _stark_denominators(delta_s: float, species: SpeciesData) -> tuple[float, fl
     return delta_s + half, delta_s - half
 
 
+def _d1_strength(species: SpeciesData) -> float:
+    """lambda_d1^3 gamma_d1, the D1 line strength both Stark formulas scale with;
+    a product outside the normal float range has lost its digits, and is
+    refused as an InputError naming both keys."""
+    strength = species.lambda_d1**3 * species.gamma_d1
+    if not sys.float_info.min <= strength < math.inf:
+        raise refusal(f"are out of range together: the D1 line strength lambda^3 gamma is "
+                      f"{strength!r}", lambda_d1=species.lambda_d1, gamma_d1=species.gamma_d1)
+    return strength
+
+
 def _odd_ladder(f_ground: int, slope: float) -> ShiftLadder:
     # -0.0 is the exact additive identity: -0.0 + slope * (2m + 1) keeps the
     # sign of a zero product, where a 0.0 start would print -0.0 rows as 0.0
@@ -115,7 +127,7 @@ def _stark_slope(intensity: float, delta_s: float, species: SpeciesData) -> floa
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     d_low, d_up = _stark_denominators(delta_s, species)
-    return (species.lambda_d1**3 * species.gamma_d1 * intensity * species.delta2
+    return (_d1_strength(species) * intensity * species.delta2
             / (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * (d_low * d_up)))
 
 
@@ -170,7 +182,9 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
     has the wrong sign for cancellation at positive intensity, which
     raises InputError naming the Stark detuning and Delta_2.  Two
     in-range values can still overflow the product; that raises
-    InputError naming the Larmor frequency and the Stark detuning.
+    InputError naming the Larmor frequency and the Stark detuning.  A
+    D1 line strength lambda^3 gamma outside the normal float range raises
+    InputError naming the wavelength and the linewidth.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
@@ -180,7 +194,7 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
                       "delta2/2; between the excited components the tensor slope has the "
                       "wrong sign", stark_detuning=delta_s, delta2=species.delta2)
     intensity = (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * omega_b**2
-                 / (species.lambda_d1**3 * species.gamma_d1 * species.delta_hf)
+                 / (_d1_strength(species) * species.delta_hf)
                  * (d_low * d_up) / species.delta2)
     if not math.isfinite(intensity):
         raise refusal("are out of range together: the Stark compensation intensity "
@@ -201,8 +215,8 @@ def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
     if delta_mu <= 0.0:
-        raise ValueError(
-            f"microwave compensation needs delta_mu > 0, got {delta_mu}")
+        raise refusal("is out of range: microwave compensation needs delta_mu > 0",
+                      microwave_detuning=delta_mu)
     f = species.f_ground
     return (2.0 * f * f * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3
             * delta_mu * omega_b**2 / (species.delta_hf * CODATA.mu_bohr**2))
@@ -225,10 +239,17 @@ def _finite_solution(value: float, what: str, tau: float) -> float:
     return value
 
 
-def _pi_intensity(tau: float, slope: float, species: SpeciesData, what: str) -> float:
+def _pi_intensity(tau: float, slope: float, species: SpeciesData, what: str,
+                  **slope_fields: float) -> float:
     """Intensity (W/m^2) at which a ladder of ``slope`` per unit intensity
-    puts a pi phase across its (4F - 2)-wide span in tau."""
-    span = tau * ((4 * species.f_ground - 2) * abs(slope))
+    puts a pi phase across its (4F - 2)-wide span in tau.  A slope of 0 or
+    inf is refused naming ``slope_fields``, the config fields that set it."""
+    unit = (4 * species.f_ground - 2) * abs(slope)
+    if not 0.0 < unit < math.inf:
+        verb = "are out of range together" if len(slope_fields) > 1 else "is out of range"
+        raise refusal(f"{verb}: the pi pulse needs {what} inf, at a slope of {slope!r} per "
+                      "unit intensity", **slope_fields)
+    span = tau * unit
     return _finite_solution(math.pi / span if span else math.inf, what, tau)
 
 
@@ -259,7 +280,8 @@ def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM
     """
     _check_tau(tau)
     return _pi_intensity(tau, _stark_slope(1.0, delta_s, species), species,
-                         "a D1 intensity (W/m^2) of")
+                         "a D1 intensity (W/m^2) of", stark_detuning=delta_s,
+                         delta2=species.delta2)
 
 
 def microwave_pi_intensity(tau: float, delta_mu: float,
@@ -273,7 +295,7 @@ def microwave_pi_intensity(tau: float, delta_mu: float,
     """
     _check_tau(tau)
     return _pi_intensity(tau, _ac_zeeman_slope(1.0, abs(delta_mu), species), species,
-                         "a microwave intensity (W/m^2) of")
+                         "a microwave intensity (W/m^2) of", microwave_detuning=delta_mu)
 
 
 # ---------------------------------------------------------------------------

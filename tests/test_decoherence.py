@@ -67,6 +67,12 @@ def test_doppler_zero_width_reduces_to_plain_rate():
     assert doppler_averaged_scattering(I_COMP, CENTER, 0.0, CESIUM.gamma_d1,
                                        CESIUM.lambda_d1) == plain
     assert plain == pytest.approx(17.10567708718324, rel=1e-12)
+    # the Faddeeva form overflows below a width of about 1e-146 rad/s; there the
+    # average is the same exact limit
+    for exponent in range(-320, 1):
+        rate = doppler_averaged_scattering(I_COMP, CENTER, 10.0**exponent, CESIUM.gamma_d1,
+                                           CESIUM.lambda_d1)
+        assert rate == (plain if exponent < -150 else pytest.approx(plain, rel=1e-12))
 
 
 def test_doppler_average_frozen_both_conventions():
@@ -190,7 +196,9 @@ def test_species_closed_forms_refuse_non_finite_results():
 
 
 @pytest.mark.parametrize("doc, keys", [
-    ('{"atom_density_m3": 1e19}', ("atom_density_m3", "tau_s")),
+    # eta = sigma v tau rho: the two species factors are named with the scenario's
+    ('{"atom_density_m3": 1e19}', ("atom_density_m3", "tau_s",
+                                   "spin_exchange_cross_section_m2", "mean_speed_m_s")),
     ('{"tau_s": 0.1}', ("tau_s", "omega_b_hz", "stark_detuning_hz")),
 ])
 def test_refused_budgets_carry_their_keys(doc, keys):

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,9 @@ REFUSED_ARGV = [
     (["pump", "--pump-rate", "-1"], ("--pump-rate",)),
     (["pulse-design", "--tau-s", "0"], ("--tau-s",)),
     (["pulse-design", "--tau-s=1e-320"], ("--tau-s",)),
+    (["pulse-design", "--tau-s", "1e-300"], ("--tau-s",)),
+    (["memory-sim", "--gain", "1e154"], ("--gain", "--k-eff")),
+    (["memory-sim", "--gain", "1e300"], ("--gain", "--k-eff")),
     (["memory-sim", "--seed", "-1"], ("--seed",)),
     (["memory-sim", "--k-eff", "0"], ("--k-eff",)),
     (["pump", "--dt", "1e300", "--steps", "1000000"], ("--dt", "--steps")),
@@ -186,3 +190,86 @@ def test_species_closed_forms_out_of_range_exit_2(tmp_path, capsys, command, spe
     [line] = captured.err.splitlines()
     assert line.startswith("error: fields 'gamma_d1_hz'")
     assert all(text in line for text in texts), line
+
+
+#: the sweeps that reach the Stark and the microwave compensation formulas
+_SWEEP = ["sweep", "--param", "omega_b_hz", "--values", "3e5", "--quantity"]
+_STARK_SWEEP = [*_SWEEP, "stark_compensation_intensity"]
+_MICROWAVE_SWEEP = [*_SWEEP, "ac_zeeman_compensation_intensity"]
+_STARK_COMMANDS = [["shifts"], ["compensate"], ["decoherence"], ["memory-sim"], ["paper-check"],
+                   _STARK_SWEEP, ["pulse-design"]]
+
+#: (document or None, argv, the document key or option dest the case set), one row
+#: per subcommand that reaches the refusal
+EDGE_CASES = [
+    *[({"species": {"gamma_d1_hz": 1e-300}}, argv, "gamma_d1_hz") for argv in _STARK_COMMANDS],
+    *[({"species": {"lambda_d1_m": 1e-200}}, argv, "lambda_d1_m") for argv in _STARK_COMMANDS],
+    *[({"species": {"lambda_d1_m": 1e200}}, argv, "lambda_d1_m") for argv in _STARK_COMMANDS],
+    ({"species": {"lambda_d2_m": 1e200}}, ["memory-sim"], "lambda_d2_m"),
+    ({"species": {"lambda_d2_m": 1e-200}}, ["memory-sim"], "lambda_d2_m"),
+    ({"species": {"delta2_hz": 1e200}}, ["pulse-design"], "delta2_hz"),
+    *[({"microwave_detuning_hz": -3.6e7}, argv, "microwave_detuning_hz")
+      for argv in (["shifts"], ["compensate"], ["paper-check"], _MICROWAVE_SWEEP)],
+    *[({"microwave_detuning_hz": 1.7e308}, argv, "microwave_detuning_hz")
+      for argv in (["pulse-design"], ["paper-check"])],
+    *[({"species": {key: 1e300}}, [command], key)
+      for key in ("mean_speed_m_s", "spin_exchange_cross_section_m2")
+      for command in ("decoherence", "memory-sim")],
+    (None, ["memory-sim", "--gain", "1e154"], "gain"),
+    (None, ["memory-sim", "--gain", "1e300"], "gain"),
+    (None, ["memory-sim", "--k-eff", "1e200"], "k_eff"),
+    ({"feedback_gain": 1e154}, ["memory-sim"], "feedback_gain"),
+    ({"feedback_gain": 1e300}, ["memory-sim"], "feedback_gain"),
+]
+
+
+@pytest.mark.parametrize("doc, argv, key", EDGE_CASES,
+                         ids=[f"{json.dumps(doc)} {' '.join(argv)}" for doc, argv, _ in EDGE_CASES])
+def test_edge_inputs_exit_2_on_one_keyed_line(tmp_path, capsys, doc, argv, key):
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # a warning is printed to stderr, as on the command line
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "Warning" not in line
+    with pytest.raises(InputError) as refused:
+        cli._dispatch(cli._parse_args(argv))
+    assert key in refused.value.keys
+
+
+def test_species_refusals_name_the_line_data():
+    # the Stark formulas scale with lambda_d1^3 gamma_d1; a subnormal product
+    # has lost its digits, whatever the scenario's own keys
+    species = scenario.load_scenario('{"species": {"gamma_d1_hz": 1e-300}}').species
+    point = qmemcell.default_scenario()
+    with pytest.raises(InputError, match=r"^fields 'lambda_d1_m' = 8\.946e-07 m and 'gamma_d1_hz' "
+                                         r"= 1e-300 Hz are out of range together: the D1 line "
+                                         r"strength lambda\^3 gamma is 4\.49") as refused:
+        qmemcell.stark_compensation_intensity(point.omega_b, point.stark_detuning, species)
+    assert refused.value.keys == ("lambda_d1_m", "gamma_d1_hz")
+    with pytest.raises(InputError, match=r"^field 'lambda_d2_m' = 1e\+200 is out of range: the "
+                                         r"cube lambda\^3 underflows or overflows$") as refused:
+        scenario.load_scenario('{"species": {"lambda_d2_m": 1e200}}')
+    assert refused.value.keys == ("lambda_d2_m",)
+    # a slope of -0.0 per unit intensity: the Stark denominator overflows
+    species = scenario.load_scenario('{"species": {"delta2_hz": 1e200}}').species
+    with pytest.raises(InputError, match=r"are out of range together: the pi pulse needs a D1 "
+                                         r"intensity \(W/m\^2\) of inf, at a slope of -0\.0 per "
+                                         r"unit intensity$") as refused:
+        qmemcell.stark_pi_intensity(30e-6, point.stark_detuning, species)
+    assert refused.value.keys == ("stark_detuning_hz", "delta2_hz")
+
+
+def test_protocol_overflow_names_the_document_gain(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"feedback_gain": 1e300}')
+    assert main(["memory-sim", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: argument --k-eff: field 'feedback_gain' = 1e+300 is the protocol gain, and "
+            "the protocol fails at gain=1e+300, k_eff=1.0: the protocol map is not finite\n")

@@ -13,6 +13,7 @@ from qmemcell import (
     DecoherenceBudget,
     GaussianChannel,
     GaussianState,
+    InputError,
     boundary_transmission,
     collective_kappa,
     coupling_g,
@@ -855,9 +856,10 @@ def test_protocol_overflow_names_gain_and_k_eff():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("run", [run_write, run_read])
 def test_protocol_names_a_non_finite_gain_and_k_eff(run, bad):
-    with pytest.raises(ValueError, match=rf"^protocol map is not finite at gain={bad!r}, "
-                                         r"k_eff=1\.0$"):
+    with pytest.raises(InputError, match=rf"^the protocol fails at gain={bad!r}, k_eff=1\.0: "
+                                         r"the protocol map is not finite$") as refused:
         run(1.0, gain=bad)
+    assert refused.value.keys == ("gain", "k_eff")
     with pytest.raises(ValueError, match=rf"^pass strength must be finite, got k_eff={bad!r}$"):
         run(bad)
 

@@ -174,7 +174,7 @@ def test_scalar_subcommands_run_without_numpy(tmp_path):
 #: then the two of the numpy side, which hold read-only arrays
 SCALAR_RECORDS = {
     "constants.PhysicalConstants": "hbar c epsilon0 mu_bohr",
-    "constants.SpeciesData": "lambda_d1 lambda_d2 gamma_d1 gamma_d2 delta_hf delta2 "
+    "scenario.SpeciesData": "lambda_d1 lambda_d2 gamma_d1 gamma_d2 delta_hf delta2 "
                              "doppler_halfwidth mean_speed spin_exchange_cross_section "
                              "f_ground g_f",
     "scenario.ScenarioConfig": "omega_b pulse_duration probe_detuning stark_detuning "
@@ -191,7 +191,7 @@ SCALAR_RECORDS = {
 #: two instances of each record that differ in every field
 RECORD_PAIRS = {
     "constants.PhysicalConstants": (CODATA, PhysicalConstants(1.0, 2.0, 3.0, 4.0)),
-    "constants.SpeciesData": (CESIUM, SpeciesData(*[float(i) for i in range(1, 10)], 3, 0.5)),
+    "scenario.SpeciesData": (CESIUM, SpeciesData(*[float(i) for i in range(1, 10)], 3, 0.5)),
     "scenario.ScenarioConfig": (
         default_scenario(), default_scenario()._make([*range(1, 12), CESIUM._replace(g_f=0.5)])),
     "shifts.ShiftLadder": (zeeman_ladder(1.0e6), ShiftLadder(3, ((1.0, 2.0), (3.0, 4.0)))),

@@ -402,8 +402,11 @@ def test_ac_zeeman_compensation_cancels_slope():
 
 
 def test_ac_zeeman_compensation_needs_blue_detuning():
-    with pytest.raises(ValueError, match="delta_mu > 0"):
+    with pytest.raises(InputError, match=r"^field 'microwave_detuning_hz' = -3\.6e\+07 Hz is out "
+                                         r"of range: microwave compensation needs delta_mu > 0$"
+                       ) as refused:
         ac_zeeman_compensation_intensity(OMEGA_B, -DELTA_MU)
+    assert refused.value.keys == ("microwave_detuning_hz",)
 
 
 @settings(max_examples=50, deadline=None)
