@@ -145,10 +145,19 @@ def doppler_averaged_scattering(intensity: float, center_detuning: float,
 def edge_scattering_rate(intensity: float, delta_s: float, species: SpeciesData) -> float:
     """Doppler-averaged scattering rate (1/s) of the edge-pumped atoms in D1 light
     at ``delta_s`` from the line center: they are resonant at Delta_2/2, so the
-    mean detuning is |Delta_S| - Delta_2/2.  The line data are the species' own."""
-    return doppler_averaged_scattering(
-        intensity, abs(delta_s) - species.delta2 / 2.0, species.doppler_halfwidth,
-        species.gamma_d1, species.lambda_d1)
+    mean detuning is |Delta_S| - Delta_2/2.  The line data are the species' own;
+    a D1 line whose saturation parameter I/I_sat overflows is refused by its keys."""
+    try:
+        return doppler_averaged_scattering(
+            intensity, abs(delta_s) - species.delta2 / 2.0, species.doppler_halfwidth,
+            species.gamma_d1, species.lambda_d1)
+    except ArithmeticError:
+        saturation = intensity / saturation_intensity(species.gamma_d1, species.lambda_d1)
+        if math.isfinite(saturation):
+            raise
+        raise refusal(f"are out of range together: at {intensity:.4g} W/m^2 the D1 "
+                      "saturation parameter I/I_sat overflows",
+                      lambda_d1=species.lambda_d1, gamma_d1=species.gamma_d1) from None
 
 
 def compensation_scattering_rate(config: ScenarioConfig) -> float:

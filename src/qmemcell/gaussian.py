@@ -131,10 +131,7 @@ class GaussianChannel(namedtuple("GaussianChannel", ("x", "y"))):
             raise ValueError(f"symplectic matrix must be square of even size, got {s.shape}")
         if not np.isfinite(s).all():
             raise ValueError("symplectic matrix must be finite")
-        omega = symplectic_form(s.shape[0] // 2)
-        res = float(np.abs(s @ omega @ s.T - omega).max())
-        if not res <= SYMPLECTIC_TOL:
-            raise ValueError(f"matrix is not symplectic: |S Omega S^T - Omega| = {res:.3e}")
+        _check_symplectic(s)
         return cls._wrap(s, np.zeros(s.shape))
 
     @classmethod
@@ -167,6 +164,23 @@ class GaussianChannel(namedtuple("GaussianChannel", ("x", "y"))):
         return _dc_replace(state, means=means, cov=cov)
 
 
+def _check_symplectic(s: np.ndarray) -> None:
+    """Refuses a finite square S of even size unless |S Omega S^T - Omega|
+    is within SYMPLECTIC_TOL."""
+    omega = symplectic_form(s.shape[0] // 2)
+    res = float(np.abs(s @ omega @ s.T - omega).max())
+    if not res <= SYMPLECTIC_TOL:
+        raise ValueError(f"matrix is not symplectic: |S Omega S^T - Omega| = {res:.3e}")
+
+
+def _attenuation_entries(transmission: float) -> tuple[float, float]:
+    """The X and Y diagonal entries of an attenuated quadrature: sqrt(T) and
+    (1 - T) of vacuum variance; a transmission outside [0, 1] is refused."""
+    if not 0.0 <= transmission <= 1.0:
+        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    return math.sqrt(transmission), (1.0 - transmission) * VACUUM_VARIANCE
+
+
 def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
                         transmission: float) -> GaussianChannel:
     """Mix each target mode with vacuum on a beamsplitter of given transmission.
@@ -177,15 +191,14 @@ def attenuation_channel(modes: tuple[str, ...], targets: tuple[str, ...],
     transmission = 0 replaces the targets by fresh vacuum (a consumed or
     renewed light pulse, a measured mode).
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    amplitude, refill = _attenuation_entries(transmission)
     modes = tuple(modes)
     n = 2 * len(modes)
     diagonal = _target_diagonal(modes, tuple(targets))
     x = _identity(n).copy()
     y = np.zeros((n, n))
-    x.put(diagonal, math.sqrt(transmission))
-    y.put(diagonal, (1.0 - transmission) * VACUUM_VARIANCE)
+    x.put(diagonal, amplitude)
+    y.put(diagonal, refill)
     return GaussianChannel._wrap(x, y)
 
 

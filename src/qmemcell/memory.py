@@ -10,16 +10,21 @@ read.
 
 All protocol maps act on four-mode :class:`~qmemcell.gaussian.GaussianState`
 registers in the (light_c, light_s, atom_plus, atom_minus) layout.  A write
-or a read is a list of stages, each an affine
-:class:`~qmemcell.gaussian.GaussianChannel` plus, for the feedback stages,
-the homodyne measurement drawn just before it.  One fold over the
-stages gives the final state, the outcomes and the composed channel,
-whose (X, Y) give the transfer map and the added noise.
+or a read is a fixed list of stages, each an affine
+:class:`~qmemcell.gaussian.GaussianChannel` (X, Y) plus, for the feedback
+stages, the homodyne measurement drawn just before it.  Each direction's
+stages are one layout built at import from the channel constructors: X and
+Y stacks and the positions of the few entries that depend on the run (the
+window, the pass strength, the two feedback gains, collisions and
+scattering).  A run copies the stacks and fills those entries.  One fold
+over the stages gives the final state, the outcomes and the composed
+channel, whose (X, Y) give the transfer map and the added noise.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +32,8 @@ import numpy as np
 from .decoherence import DecoherenceBudget, boundary_transmission
 from .gaussian import (ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S, MEMORY_MODES_PLUS_MINUS,
                        POLICY_MEAN, QUAD_P, QUAD_X, GaussianChannel, GaussianState,
-                       _identity, _read_only, attenuation_channel, homodyne_outcome,
+                       _attenuation_entries, _check_symplectic, _identity, _read_only,
+                       _target_diagonal, attenuation_channel, homodyne_outcome,
                        memory_vacuum, rotation_2x2, symplectic_form)
 from .scenario import InputError
 
@@ -79,6 +85,11 @@ _PASS_GENERATORS = {variant: _unit_generator(couplings)
 _EYE8 = _identity(8)
 
 
+def _check_strength(k_eff: float) -> None:
+    if not math.isfinite(k_eff):
+        raise ValueError(f"pass strength must be finite, got k_eff={k_eff!r}")
+
+
 def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianChannel:
     """Noiseless channel of one pass through the cell.
 
@@ -101,8 +112,7 @@ def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianCha
         unit = _PASS_GENERATORS[variant]
     except (KeyError, TypeError):
         raise ValueError(f"unknown interaction variant {variant!r}") from None
-    if not math.isfinite(k_eff):
-        raise ValueError(f"pass strength must be finite, got k_eff={k_eff!r}")
+    _check_strength(k_eff)
     gen = k_eff * unit
     s = _EYE8 + gen
     if variant in (VARIANT_CLASS_1, VARIANT_CLASS_2):
@@ -177,8 +187,7 @@ def _quad(mode: str, quadrature: str) -> int:
     return 2 * MEMORY_MODES_PLUS_MINUS.index(mode) + (quadrature == QUAD_P)
 
 
-# stages that depend on no input: built once at import and shared by every
-# run, which is safe because channel arrays are read-only
+# stages that depend on no input, built once at import
 #: fresh vacuum in place of one measured mode, for each mode
 _RESETS = {mode: attenuation_channel(MEMORY_MODES_PLUS_MINUS, (mode,), 0.0)
            for mode in MEMORY_MODES_PLUS_MINUS}
@@ -220,60 +229,148 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
     return name, GaussianChannel._wrap(x, _RESETS[measured_mode].y), (q_meas, q_tgt, gain)
 
 
-def _window(budget: DecoherenceBudget) -> GaussianChannel:
-    """The light modes through one lossy window crossing."""
-    return attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES,
-                               boundary_transmission(budget.boundary_loss, 1))
+# ---------------------------------------------------------------------------
+# the stage layouts of a write and a read
+#
+# Each direction is a fixed list of stages, held as one template: the stage
+# names, an (n, 8, 8) stack of X and one of Y, the feedback table and the
+# flat positions of the few entries a run sets.  A run copies both stacks
+# and fills those entries from its values, one put per stack.  The entries
+# a run sets are:
+#   - the window crossing on the light modes, at the transmission (1 - A);
+#   - the pass, I + k G, whose generator G has entries +-1: they hold +-k;
+#   - the two feedback gains, g and -g (plus 0.0, as _feedback writes them);
+#   - collisions and scattering on the atomic modes.  A colliding atom
+#     leaves its class, shortening the collective means by eta and
+#     admixing vacuum-level fluctuation of the fresh spins: an attenuation
+#     of transmission (1 - eta)^2.  Each scattered photon randomizes one
+#     atom's sublevel; for n_phot << 1 per atom the collective effect is
+#     the same attenuation with n_phot in place of eta.
+
+#: slots of a run's values: an X entry takes the amplitude of the window,
+#: collision or scattering transmission, k, -k, the gain or minus the gain;
+#: a Y entry takes the vacuum refill of one of the three transmissions
+_WINDOW, _COLLISIONS, _SCATTERING, _K, _MINUS_K, _GAIN, _MINUS_GAIN = range(7)
+
+#: a direction's read-only template: stage names, X and Y stacks, per stage
+#: the feedback (q_meas, q_tgt, gain sign) or None, the index of the pass, and
+#: the flat positions a run fills (x_at, y_at) with the slot of each (x_from, y_from)
+_StageLayout = namedtuple("_StageLayout", ("names", "x", "y", "feedback", "pass_index",
+                                           "x_at", "x_from", "y_at", "y_from"))
+#: one run's filled layout: the template's names and feedback table, read-only
+#: X and Y stacks, and the gain that the feedback signs multiply
+_Stages = namedtuple("_Stages", ("names", "x", "y", "feedback", "gain"))
 
 
-def _atomic_decay(budget: DecoherenceBudget) -> list:
-    """The collisions and scattering stages on the atomic modes.
-
-    A colliding atom leaves its class, shortening the collective means
-    by eta and admixing vacuum-level fluctuation of the fresh spins: an
-    attenuation of transmission (1 - eta)^2.  Each scattered photon
-    randomizes one atom's sublevel; for n_phot << 1 per atom the
-    collective effect is the same attenuation with n_phot in place of eta.
-    """
-    return [("collisions", attenuation_channel(MEMORY_MODES_PLUS_MINUS, _ATOMIC_MODES,
-                                               (1.0 - budget.eta) ** 2), None),
-            ("scattering", attenuation_channel(MEMORY_MODES_PLUS_MINUS, _ATOMIC_MODES,
-                                               (1.0 - budget.n_phot) ** 2), None)]
+def _loss(name: str, targets: tuple, slot: int) -> tuple:
+    """Stage declaration of an attenuation of ``targets`` at a run's transmission."""
+    fills = [(int(p), slot) for p in _target_diagonal(MEMORY_MODES_PLUS_MINUS, targets)]
+    return name, attenuation_channel(MEMORY_MODES_PLUS_MINUS, targets, 1.0), None, fills, fills
 
 
-def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
-    """One pass between the cell's two windows (the same window stage on
-    the way in and out), homodyne feedback of X_c and P_s onto X_plus and
-    P_minus, then collisions and scattering."""
-    window = _window(budget)
-    return [
-        ("entry_loss", window, None),
-        ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
-        ("exit_loss", window, None),
-        _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, gain),
-        _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -gain),
-        *_atomic_decay(budget),
-    ]
+def _pass() -> tuple:
+    """Stage declaration of the two-class pass at a run's k_eff."""
+    unit = _PASS_GENERATORS[VARIANT_TWO_CLASS]
+    fills = [(int(p), _K if unit.flat[p] > 0.0 else _MINUS_K) for p in np.flatnonzero(unit)]
+    return "pass", qnd_transform(1.0, VARIANT_TWO_CLASS), None, fills, ()
 
 
-def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> list:
-    """Collisions and scattering of the stored state, a fresh pulse, a
-    quarter turn of the collective modes, a second pass, homodyne
-    feedback of P_plus and X_minus onto the light, one window crossing on
-    the way out and a final quarter turn of both sidebands."""
-    return [
-        *_atomic_decay(budget),
-        ("fresh_pulse", _FRESH_PULSE, None),
-        ("quarter_turn", _QUARTER_TURN, None),
-        ("pass", qnd_transform(k_eff, VARIANT_TWO_CLASS), None),
-        _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -gain),
-        _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, gain),
-        ("exit_loss", _window(budget), None),
-        ("align", _ALIGN, None),
-    ]
+def _feedback_stage(name: str, measured_mode: str, measured_quad: str, target_mode: str,
+                    target_quad: str, sign: float) -> tuple:
+    """Stage declaration of a feedback at ``sign`` times a run's gain."""
+    name, channel, (q_meas, q_tgt, _) = _feedback(name, measured_mode, measured_quad,
+                                                  target_mode, target_quad, sign)
+    fills = [(8 * q_tgt + q_meas, _GAIN if sign > 0.0 else _MINUS_GAIN)]
+    return name, channel, (q_meas, q_tgt, sign), fills, ()
 
 
-def _run_stages(stages: list, means: np.ndarray, cov: np.ndarray, policy: str,
+def _fixed(name: str, channel: GaussianChannel) -> tuple:
+    return name, channel, None, (), ()
+
+
+def _layout(*stages: tuple) -> _StageLayout:
+    """The template of stage declarations (name, channel, feedback, X fills,
+    Y fills), a fill being (flat position in its stage, slot)."""
+    names, channels, feedback, x_fills, y_fills = zip(*stages)
+
+    def flat(per_stage):
+        at = [64 * i + p for i, fills in enumerate(per_stage) for p, _ in fills]
+        slots = [slot for fills in per_stage for _, slot in fills]
+        return (_read_only(np.array(at, dtype=np.intp)),
+                _read_only(np.array(slots, dtype=np.intp)))
+
+    return _StageLayout(names, _read_only(np.array([ch.x for ch in channels])),
+                        _read_only(np.array([ch.y for ch in channels])), feedback,
+                        names.index("pass"), *flat(x_fills), *flat(y_fills))
+
+
+# one pass between the cell's two windows (the same window on the way in and
+# out), homodyne feedback of X_c and P_s onto X_plus and P_minus, then
+# collisions and scattering
+_WRITE = _layout(
+    _loss("entry_loss", _LIGHT_MODES, _WINDOW),
+    _pass(),
+    _loss("exit_loss", _LIGHT_MODES, _WINDOW),
+    _feedback_stage("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, 1.0),
+    _feedback_stage("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -1.0),
+    _loss("collisions", _ATOMIC_MODES, _COLLISIONS),
+    _loss("scattering", _ATOMIC_MODES, _SCATTERING),
+)
+# collisions and scattering of the stored state, a fresh pulse, a quarter
+# turn of the collective modes, a second pass, homodyne feedback of P_plus
+# and X_minus onto the light, one window crossing on the way out and a
+# final quarter turn of both sidebands
+_READ = _layout(
+    _loss("collisions", _ATOMIC_MODES, _COLLISIONS),
+    _loss("scattering", _ATOMIC_MODES, _SCATTERING),
+    _fixed("fresh_pulse", _FRESH_PULSE),
+    _fixed("quarter_turn", _QUARTER_TURN),
+    _pass(),
+    _feedback_stage("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -1.0),
+    _feedback_stage("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, 1.0),
+    _loss("exit_loss", _LIGHT_MODES, _WINDOW),
+    _fixed("align", _ALIGN),
+)
+
+
+def _fill(layout: _StageLayout, k_eff: float, gain: float,
+          budget: DecoherenceBudget) -> _Stages:
+    """One run's stages: copies of the template's stacks with the run's
+    entries put in, the pass checked for symplecticity as a built one is."""
+    _check_strength(k_eff)
+    (x_window, y_window), (x_coll, y_coll), (x_scat, y_scat) = (
+        _attenuation_entries(t) for t in (boundary_transmission(budget.boundary_loss, 1),
+                                          (1.0 - budget.eta) ** 2, (1.0 - budget.n_phot) ** 2))
+    x, y = layout.x.copy(), layout.y.copy()
+    x.put(layout.x_at, np.array((x_window, x_coll, x_scat, k_eff + 0.0, -k_eff + 0.0,
+                                 gain + 0.0, -gain + 0.0))[layout.x_from])
+    y.put(layout.y_at, np.array((y_window, y_coll, y_scat))[layout.y_from])
+    _check_symplectic(x[layout.pass_index])
+    x.setflags(write=False)
+    y.setflags(write=False)
+    return _Stages(layout.names, x, y, layout.feedback, gain)
+
+
+def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> _Stages:
+    """The write's layout filled at (k_eff, gain, budget)."""
+    return _fill(_WRITE, k_eff, gain, budget)
+
+
+def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> _Stages:
+    """The read's layout filled at (k_eff, gain, budget)."""
+    return _fill(_READ, k_eff, gain, budget)
+
+
+def _stage_channels(stages: _Stages) -> list:
+    """Each stage of a filled layout as (name, channel, feedback), the
+    channel a read-only view into the stacks and the feedback (q_meas,
+    q_tgt, signed gain) or None: the stage list as the fold walks it."""
+    return [(name, GaussianChannel._wrap(x, y),
+             None if fb is None else (fb[0], fb[1], fb[2] * stages.gain))
+            for name, x, y, fb in zip(stages.names, stages.x, stages.y, stages.feedback)]
+
+
+def _run_stages(stages: _Stages, means: np.ndarray, cov: np.ndarray, policy: str,
                 rng: np.random.Generator | None
                 ) -> tuple[np.ndarray, np.ndarray, dict[str, float], GaussianChannel]:
     """One fold over the stages: raw (means, covariance) after them, the
@@ -281,21 +378,20 @@ def _run_stages(stages: list, means: np.ndarray, cov: np.ndarray, policy: str,
     composed channel, chained from the first stage's (X, Y) as ``then``
     does.  The covariance and the composed Y obey the same V -> X V X^T + Y,
     so one batched product per stage advances both, bit for bit."""
-    outcomes, xc = {}, None
-    for name, channel, feedback in stages:
-        x = channel.x
+    outcomes, xc, gain = {}, None, stages.gain
+    for name, x, y, feedback in zip(stages.names, stages.x, stages.y, stages.feedback):
         if feedback is not None:
-            q_meas, q_tgt, gain = feedback
+            q_meas, q_tgt, sign = feedback
             mean = means[q_meas]
             outcomes[name] = homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
         means = x @ means
         if xc is None:
-            xc, stack = x, np.array((x @ cov @ x.T + channel.y, channel.y))
+            xc, stack = x, np.array((x @ cov @ x.T + y, y))
         else:
-            xc, stack = x @ xc, x @ stack @ x.T + channel.y
+            xc, stack = x @ xc, x @ stack @ x.T + y
         cov = stack[0]
         if feedback is not None:
-            means[q_tgt] += gain * (outcomes[name] - mean)
+            means[q_tgt] += sign * gain * (outcomes[name] - mean)
     return means, cov, outcomes, GaussianChannel._wrap(xc, stack[1])
 
 

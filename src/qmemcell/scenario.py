@@ -68,12 +68,19 @@ _LOSS = (lambda v: 0.0 <= v < 1.0, "field '{key}' must lie in [0, 1), got {value
 _LINE_DATUM = (lambda v: v > 0.0, "species field '{field}' must be positive")
 
 
-def _check(key: str, spec: _Key, value: float) -> None:
-    """Refuses a document value without its key's sign, then one past its limit."""
+def _check(key: str, spec: _Key, value: float) -> float:
+    """The config value of a document value, refused without its key's sign,
+    then where it is not finite (a Hz value above about 2.86e307 overflows
+    2 pi f), then past its key's limit."""
     if spec.sign and not spec.sign[0](value):
         raise InputError(spec.sign[1].format(key=key, field=spec.field, value=value), key)
-    if spec.limit and spec.limit[0](spec.to_config(value)):
+    converted = spec.to_config(value)
+    if not math.isfinite(converted):
+        raise InputError(f"field '{key}' = {value:g} is out of range: the angular frequency "
+                         "2 pi f overflows", key)
+    if spec.limit and spec.limit[0](converted):
         raise InputError(f"field '{key}' = {value:g} is out of range: {spec.limit[1]}", key)
+    return converted
 
 
 def _checked_number(key: str, raw) -> float:
@@ -250,10 +257,10 @@ def _read(block: dict, keys: dict, checks: tuple, name: str) -> dict:
     if unknown:
         raise InputError(f"unknown {name} keys: {sorted(unknown)}")
     values = {key: keys[key].read(key, raw) for key, raw in block.items()}
-    for key, spec in checks:
-        if key in values:
-            _check(key, spec, values[key])
-    return {keys[key].field: keys[key].to_config(value) for key, value in values.items()}
+    fields = {spec.field: _check(key, spec, values.pop(key))
+              for key, spec in checks if key in values}
+    fields.update((keys[key].field, keys[key].to_config(value)) for key, value in values.items())
+    return fields
 
 
 def load_scenario(text: str) -> ScenarioConfig:
@@ -304,12 +311,11 @@ def scenario_with(config: ScenarioConfig, key: str, value: float) -> ScenarioCon
     if slot is None:
         raise InputError(f"unknown scenario key '{key}'; choose from {list(SCALAR_KEYS)}")
     index, spec = slot
-    value = spec.read(key, value)
-    _check(key, spec, value)
+    converted = _check(key, spec, spec.read(key, value))
     # ScenarioConfig checks nothing on construction, so _make skips no check;
     # it keeps type(config) and shares the species object
     values = list(config)
-    values[index] = spec.to_config(value)
+    values[index] = converted
     return type(config)._make(values)
 
 

@@ -28,7 +28,7 @@ from qmemcell import (
 )
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA, compensation_scattering_rate
 from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
-from qmemcell.memory import _atomic_decay, _window
+from qmemcell.memory import _stage_channels, _write_stages
 from qmemcell.scenario import DEFAULTS
 
 TWO_PI = 2.0 * math.pi
@@ -285,14 +285,21 @@ def _block(state, mode, other=None):
     return state.cov[i:i + 2, j:j + 2]
 
 
-def _decay_stage(budget, name):
-    return {stage: channel for stage, channel, _ in _atomic_decay(budget)}[name]
+def _loss_stages(budget):
+    """The write's window, collision and scattering stages at ``budget``."""
+    stages = _stage_channels(_write_stages(1.0, -1.0, budget))
+    return {name: channel for name, channel, _ in stages
+            if name in ("exit_loss", "collisions", "scattering")}
+
+
+def _loss_stage(budget, name):
+    return _loss_stages(budget)[name]
 
 
 def test_spin_exchange_channel_action():
     eta = 0.2
     state = _correlated_state()
-    out = _decay_stage(DecoherenceBudget(eta=eta), "collisions").apply(state)
+    out = _loss_stage(DecoherenceBudget(eta=eta), "collisions").apply(state)
     t = 1.0 - eta
     for mode in (ATOM_PLUS, ATOM_MINUS):
         mean, block = _mean(state, mode), _block(state, mode)
@@ -311,8 +318,8 @@ def test_spin_exchange_channel_action():
 
 def test_scattering_channel_matches_spin_exchange_form():
     state = _correlated_state()
-    scattering = _decay_stage(DecoherenceBudget(n_phot=0.05), "scattering")
-    collisions = _decay_stage(DecoherenceBudget(eta=0.05), "collisions")
+    scattering = _loss_stage(DecoherenceBudget(n_phot=0.05), "scattering")
+    collisions = _loss_stage(DecoherenceBudget(eta=0.05), "collisions")
     assert np.array_equal(scattering.x, collisions.x)
     assert np.array_equal(scattering.y, collisions.y)
     assert np.allclose(scattering.apply(state).cov, collisions.apply(state).cov,
@@ -322,7 +329,7 @@ def test_scattering_channel_matches_spin_exchange_form():
 def test_channels_at_zero_strength_are_identity():
     state = _correlated_state()
     budget = DecoherenceBudget()
-    for channel in (*(ch for _, ch, _ in _atomic_decay(budget)), _window(budget),
+    for channel in (*_loss_stages(budget).values(),
                     attenuation_channel(state.modes, (LIGHT_C, ATOM_PLUS), 1.0)):
         out = channel.apply(state)
         assert np.array_equal(out.means, state.means)
@@ -332,7 +339,7 @@ def test_channels_at_zero_strength_are_identity():
 def test_boundary_losses_touch_only_light():
     loss, n = 0.02, 2
     state = _correlated_state()
-    window = _window(DecoherenceBudget(boundary_loss=loss))
+    window = _loss_stage(DecoherenceBudget(boundary_loss=loss), "exit_loss")
     out = window.apply(window.apply(state))
     amp = math.sqrt((1.0 - loss) ** n)
     for mode in (LIGHT_C, LIGHT_S):
@@ -353,9 +360,8 @@ def test_channels_preserve_physicality():
     state = _correlated_state()
     for p in (0.0, 0.1, 0.5, 0.9):
         budget = DecoherenceBudget(eta=p, n_phot=p, boundary_loss=p)
-        for _, channel, _ in _atomic_decay(budget):
+        for channel in _loss_stages(budget).values():
             channel.apply(state)
-        _window(budget).apply(state)
 
 
 def test_channel_custom_mode_selection():

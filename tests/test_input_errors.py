@@ -10,6 +10,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -17,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import qmemcell
-from qmemcell import InputError, ScenarioConfig, ScenarioError, SpeciesData, cli, scenario
+from qmemcell import (InputError, ScenarioConfig, ScenarioError, SpeciesData, cli,
+                      decoherence, scenario)
 from qmemcell.cli import main
 
 #: argv that a library check refuses, and the options its error line names
@@ -215,6 +217,17 @@ EDGE_CASES = [
     *[({"species": {key: 1e300}}, [command], key)
       for key in ("mean_speed_m_s", "spin_exchange_cross_section_m2")
       for command in ("decoherence", "memory-sim")],
+    # a Hz value whose angular frequency 2 pi f overflows, in a document or a sweep
+    *[({"species": {"delta_hf_hz": 1.7e308}}, [command], "delta_hf_hz")
+      for command in ("shifts", "compensate", "decoherence")],
+    *[({"microwave_detuning_hz": 1.7e308}, [command], "microwave_detuning_hz")
+      for command in ("shifts", "compensate")],
+    (None, ["sweep", "--param", "probe_detuning_hz", "--values", "1.7e308", "--quantity",
+            "k_eff"], "probe_detuning_hz"),
+    # a D1 line that the compensation or pi-pulse light saturates beyond the float range
+    *[({"species": {"gamma_d1_hz": 1e-290}}, argv, "gamma_d1_hz")
+      for argv in (["decoherence"], ["memory-sim"], ["pulse-design"], ["paper-check"],
+                   [*_SWEEP, "doppler_scattering_rate"])],
     (None, ["memory-sim", "--gain", "1e154"], "gain"),
     (None, ["memory-sim", "--gain", "1e300"], "gain"),
     (None, ["memory-sim", "--k-eff", "1e200"], "k_eff"),
@@ -263,6 +276,30 @@ def test_species_refusals_name_the_line_data():
                                          r"unit intensity$") as refused:
         qmemcell.stark_pi_intensity(30e-6, point.stark_detuning, species)
     assert refused.value.keys == ("stark_detuning_hz", "delta2_hz")
+
+
+def test_hz_overflow_and_d1_saturation_refusals_name_their_keys():
+    # 2 pi f overflows above about 2.86e307 Hz; a value just below it converts
+    with pytest.raises(InputError, match=r"^field 'delta_hf_hz' = 1\.7e\+308 is out of range: "
+                                         r"the angular frequency 2 pi f overflows$") as refused:
+        scenario.load_scenario('{"species": {"delta_hf_hz": 1.7e308}}')
+    assert refused.value.keys == ("delta_hf_hz",)
+    point = qmemcell.default_scenario()
+    with pytest.raises(InputError, match=r"^field 'probe_detuning_hz' = -1\.7e\+308 is out of "
+                                         r"range: the angular frequency") as refused:
+        qmemcell.scenario_with(point, "probe_detuning_hz", -1.7e308)
+    assert refused.value.keys == ("probe_detuning_hz",)
+    assert qmemcell.scenario_with(point, "probe_detuning_hz", 2.8e307).probe_detuning < math.inf
+    # I/I_sat of a 1e-290 Hz line overflows at the compensation intensity
+    species = scenario.load_scenario('{"species": {"gamma_d1_hz": 1e-290}}').species
+    intensity = qmemcell.stark_compensation_intensity(point.omega_b, point.stark_detuning,
+                                                      species)
+    with pytest.raises(InputError, match=r"^fields 'lambda_d1_m' = 8\.946e-07 m and 'gamma_d1_hz' "
+                                         r"= 1e-290 Hz are out of range together: at 5\.09e\+297 "
+                                         r"W/m\^2 the D1 saturation parameter I/I_sat "
+                                         r"overflows$") as refused:
+        decoherence.edge_scattering_rate(intensity, point.stark_detuning, species)
+    assert refused.value.keys == ("lambda_d1_m", "gamma_d1_hz")
 
 
 def test_protocol_overflow_names_the_document_gain(tmp_path, capsys):

@@ -48,6 +48,7 @@ from qmemcell.memory import (
     VARIANT_TWO_CLASS,
     _read_stages,
     _run_stages,
+    _stage_channels,
     _write_stages,
     atomic_basis_matrix,
 )
@@ -709,10 +710,11 @@ def test_composed_channel_matches_stages(seed):
     state = _random_memory_state(rng)
     for builder, run in ((_write_stages, run_write), (_read_stages, run_read)):
         stages = builder(k_eff, gain, budget)
+        channels = _stage_channels(stages)
         means, cov = state.means, state.cov
-        for _, channel, _ in stages:
+        for _, channel, _ in channels:
             means, cov = channel.propagate(means, cov)
-        composed = functools.reduce(GaussianChannel.then, (ch for _, ch, _ in stages))
+        composed = functools.reduce(GaussianChannel.then, (ch for _, ch, _ in channels))
         out = composed.apply(state)
         scale = max(1.0, float(np.max(np.abs(cov))))
         assert np.allclose(out.means, means, rtol=0.0, atol=1e-12 * scale)
@@ -725,13 +727,13 @@ def test_composed_channel_matches_stages(seed):
             fold_means, fold_cov, fold_outcomes, fold = _run_stages(
                 stages, state.means, state.cov, policy, draws[0])
             want_means, want_cov, want_outcomes = _stage_loop(
-                stages, state.means, state.cov, policy, draws[1])
+                channels, state.means, state.cov, policy, draws[1])
             _assert_bit_equal(fold.x, composed.x)
             _assert_bit_equal(fold.y, composed.y)
             _assert_bit_equal(fold_means, want_means)
             _assert_bit_equal(fold_cov, want_cov)
             assert fold_outcomes == want_outcomes
-            assert list(fold_outcomes) == [name for name, _, fb in stages if fb is not None]
+            assert list(fold_outcomes) == [name for name, _, fb in channels if fb is not None]
             _assert_bit_equal(fold_cov, cov)
             if draw_seed is None:
                 # mean-policy draws leave the means of the plain propagation
@@ -743,8 +745,8 @@ def test_composed_channel_matches_stages(seed):
 
 def test_stage_names_of_both_builders():
     budget = DecoherenceBudget()
-    write = _write_stages(1.0, -1.0, budget)
-    read = _read_stages(1.0, -1.0, budget)
+    write = _stage_channels(_write_stages(1.0, -1.0, budget))
+    read = _stage_channels(_read_stages(1.0, -1.0, budget))
     assert [name for name, _, _ in write] == [
         "entry_loss", "pass", "exit_loss", "m_c", "m_s", "collisions", "scattering"]
     assert [name for name, _, _ in read] == [
@@ -770,15 +772,74 @@ def test_loss_stages_are_attenuation_channels_at_the_budget():
             "scattering": (atoms, (1.0 - n_phot) ** 2)}
     for stages, names in ((_write_stages(1.0, -1.0, budget), set(want)),
                           (_read_stages(1.0, -1.0, budget), set(want) - {"entry_loss"})):
-        losses = {name: channel for name, channel, _ in stages if name in want}
+        losses = {name: channel for name, channel, _ in _stage_channels(stages)
+                  if name in want}
         assert set(losses) == names
         for name, channel in losses.items():
             expected = gaussian.attenuation_channel(MEMORY_MODES_PLUS_MINUS, *want[name])
-            assert np.array_equal(channel.x, expected.x), name
-            assert np.array_equal(channel.y, expected.y), name
-    # the write's two crossings are one window stage
-    write = {name: channel for name, channel, _ in _write_stages(1.0, -1.0, budget)}
-    assert write["entry_loss"] is write["exit_loss"]
+            _assert_bit_equal(channel.x, expected.x)
+            _assert_bit_equal(channel.y, expected.y)
+    # the write's two crossings are the same window stage, bit for bit
+    write = {name: channel for name, channel, _ in
+             _stage_channels(_write_stages(1.0, -1.0, budget))}
+    for got, ref in zip(write["entry_loss"], write["exit_loss"]):
+        _assert_bit_equal(got, ref)
+
+
+def _constructed_stages(k_eff, gain, budget):
+    """Both stage lists as the constructors build them, (name, channel,
+    feedback) in the layouts' order."""
+    def loss(targets, transmission):
+        return gaussian.attenuation_channel(MEMORY_MODES_PLUS_MINUS, targets, transmission)
+
+    window = loss((LIGHT_C, LIGHT_S), boundary_transmission(budget.boundary_loss, 1))
+    decay = [("collisions", loss((ATOM_PLUS, ATOM_MINUS), (1.0 - budget.eta) ** 2), None),
+             ("scattering", loss((ATOM_PLUS, ATOM_MINUS), (1.0 - budget.n_phot) ** 2), None)]
+    m_c, m_s, m_plus, m_minus = (memory._feedback(*stage, g) for stage, g in
+                                 zip(PROTOCOL_FEEDBACKS, (gain, -gain, -gain, gain)))
+    write = [("entry_loss", window, None), ("pass", qnd_transform(k_eff), None),
+             ("exit_loss", window, None), m_c, m_s, *decay]
+    read = [*decay, ("fresh_pulse", memory._FRESH_PULSE, None),
+            ("quarter_turn", memory._QUARTER_TURN, None), ("pass", qnd_transform(k_eff), None),
+            m_plus, m_minus, ("exit_loss", window, None), ("align", memory._ALIGN, None)]
+    return write, read
+
+
+_LOSS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(k_eff=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e6, 1e6)),
+       gain=st.one_of(st.sampled_from([0.0, -0.0, -1.0]),
+                      st.floats(allow_nan=False, allow_infinity=False)),
+       eta=_LOSS, n_phot=_LOSS, loss=_LOSS)
+def test_filled_layouts_match_the_constructors_bit_for_bit(k_eff, gain, eta, n_phot, loss):
+    budget = DecoherenceBudget(eta=eta, n_phot=n_phot, boundary_loss=loss)
+    for builder, want in zip((_write_stages, _read_stages),
+                             _constructed_stages(k_eff, gain, budget)):
+        stages = builder(k_eff, gain, budget)
+        got = _stage_channels(stages)
+        assert [name for name, _, _ in got] == [name for name, _, _ in want]
+        assert not stages.x.flags.writeable and not stages.y.flags.writeable
+        for (name, channel, feedback), (_, ref, ref_feedback) in zip(got, want):
+            _assert_bit_equal(channel.x, ref.x)
+            _assert_bit_equal(channel.y, ref.y)
+            assert (feedback is None) == (ref_feedback is None), name
+            if feedback is not None:
+                assert feedback[:2] == ref_feedback[:2]
+                _assert_bit_equal(np.array(feedback[2:]), np.array(ref_feedback[2:]))
+
+
+def test_filled_layouts_keep_the_constructors_refusals():
+    budget = DecoherenceBudget()
+    for builder in (_write_stages, _read_stages):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^pass strength must be finite, got k_eff="):
+                builder(bad, -1.0, budget)
+        # a budget that skips DecoherenceBudget's range checks still meets the
+        # transmission check of attenuation_channel
+        with pytest.raises(ValueError, match=r"^transmission must lie in \[0, 1\], got 4\.0$"):
+            builder(1.0, -1.0, tuple.__new__(DecoherenceBudget, (-1.0, 0.0, 0.0)))
 
 
 def _module_arrays(module) -> list[np.ndarray]:
@@ -814,8 +875,20 @@ def test_module_constants_are_read_only():
     new = [*memory._PASS_GENERATORS.values(), *memory._CHANNEL_BLOCKS, memory._EYE8,
            memory._EYE2, memory._WRITE_SIGNS, memory._READ_SIGNS]
     assert all(id(array) in checked for array in new)
-    fixed = {id(ch) for _, ch, _ in _read_stages(1.0, -1.0, DecoherenceBudget())}
-    assert {id(memory._FRESH_PULSE), id(memory._QUARTER_TURN), id(memory._ALIGN)} <= fixed
+    # both stage templates are among them, and a run fills copies of them
+    templates = [memory._WRITE.x, memory._WRITE.y, memory._WRITE.x_at, memory._WRITE.x_from,
+                 memory._WRITE.y_at, memory._WRITE.y_from, memory._READ.x, memory._READ.y,
+                 memory._READ.x_at, memory._READ.x_from, memory._READ.y_at,
+                 memory._READ.y_from]
+    assert all(id(array) in checked for array in templates)
+    # the read's fixed stages are the module constants, bit for bit
+    read = {name: ch for name, ch, _ in
+            _stage_channels(_read_stages(1.0, -1.0, DecoherenceBudget()))}
+    for name, constant in (("fresh_pulse", memory._FRESH_PULSE),
+                           ("quarter_turn", memory._QUARTER_TURN), ("align", memory._ALIGN)):
+        for got, ref in zip(read[name], constant):
+            _assert_bit_equal(got, ref)
+            assert not got.flags.writeable
 
 
 def test_cached_constants_are_read_only_and_channels_own_their_x():
@@ -833,10 +906,14 @@ def test_cached_constants_are_read_only_and_channels_own_their_x():
     modes = memory.MEMORY_MODES_PLUS_MINUS
     built = [gaussian.attenuation_channel(modes, (LIGHT_C,), 0.5),
              gaussian.attenuation_channel(modes, (LIGHT_C,), 0.5),
-             *(channel for _, channel, _ in memory._atomic_decay(DecoherenceBudget(eta=0.1))),
              *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS),
              *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS)]
-    buffers = [cached[0], *(channel.x for channel in built)]
+    # each run fills its own copies of the templates' stacks
+    budget = DecoherenceBudget(eta=0.1)
+    runs = [builder(1.0, -1.0, budget) for builder in (_write_stages, _write_stages,
+                                                        _read_stages, _read_stages)]
+    buffers = [cached[0], *(channel.x for channel in built), memory._WRITE.x, memory._WRITE.y,
+               memory._READ.x, memory._READ.y, *(a for run in runs for a in (run.x, run.y))]
     for i, a in enumerate(buffers):
         assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
 
