@@ -10,15 +10,16 @@ read.
 
 All protocol maps act on four-mode :class:`~qmemcell.gaussian.GaussianState`
 registers in the (light_c, light_s, atom_plus, atom_minus) layout.  A write
-or a read is a fixed list of stages, each an affine
+and a read are each one read-only direction record built at import from the
+channel constructors: a fixed list of stages, each an affine
 :class:`~qmemcell.gaussian.GaussianChannel` (X, Y) plus, for the feedback
-stages, the homodyne measurement drawn just before it.  Each direction's
-stages are one layout built at import from the channel constructors: X and
-Y stacks and the positions of the few entries that depend on the run (the
+stages, the homodyne measurement drawn just before it, held as X and Y
+stacks with the positions of the few entries that depend on the run (the
 window, the pass strength, the two feedback gains, collisions and
-scattering).  A run copies the stacks and fills those entries.  One fold
-over the stages gives the final state, the outcomes and the composed
-channel, whose (X, Y) give the transfer map and the added noise.
+scattering), and the decode of the result.  A run copies the stacks and
+fills those entries.  One fold over the stages gives the final state, the
+outcomes and the composed channel, whose (X, Y) give the transfer map and
+the added noise.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ import numpy as np
 
 from .decoherence import DecoherenceBudget, boundary_transmission
 from .gaussian import (ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S, MEMORY_MODES_PLUS_MINUS,
-                       POLICY_MEAN, QUAD_P, QUAD_X, GaussianChannel, GaussianState,
-                       _attenuation_entries, _check_symplectic, _identity, _read_only,
-                       _target_diagonal, attenuation_channel, homodyne_outcome,
+                       POLICY_MEAN, POLICY_SAMPLE, QUAD_P, QUAD_X, GaussianChannel,
+                       GaussianState, _attenuation_entries, _check_symplectic, _identity,
+                       _read_only, _target_diagonal, attenuation_channel, homodyne_outcome,
                        memory_vacuum, rotation_2x2, symplectic_form)
 from .scenario import InputError
 
@@ -87,7 +88,7 @@ _EYE8 = _identity(8)
 
 def _check_strength(k_eff: float) -> None:
     if not math.isfinite(k_eff):
-        raise ValueError(f"pass strength must be finite, got k_eff={k_eff!r}")
+        raise InputError(f"pass strength must be finite, got k_eff={k_eff!r}", "k_eff")
 
 
 def qnd_transform(k_eff: float, variant: str = VARIANT_TWO_CLASS) -> GaussianChannel:
@@ -177,9 +178,9 @@ class ProtocolResult:
 
 def _require_memory_state(state: GaussianState):
     if state.modes != MEMORY_MODES_PLUS_MINUS:
-        raise ValueError(
+        raise InputError(
             "protocol states must use the (light_c, light_s, atom_plus, "
-            f"atom_minus) layout in the collective basis, got {state.modes}")
+            f"atom_minus) layout in the collective basis, got {state.modes}", "state")
 
 
 def _quad(mode: str, quadrature: str) -> int:
@@ -188,9 +189,6 @@ def _quad(mode: str, quadrature: str) -> int:
 
 
 # stages that depend on no input, built once at import
-#: fresh vacuum in place of one measured mode, for each mode
-_RESETS = {mode: attenuation_channel(MEMORY_MODES_PLUS_MINUS, (mode,), 0.0)
-           for mode in MEMORY_MODES_PLUS_MINUS}
 # retrieval uses a fresh pulse; whatever light the register held is gone
 _FRESH_PULSE = attenuation_channel(MEMORY_MODES_PLUS_MINUS, _LIGHT_MODES, 0.0)
 # the read's quarter turn of the collective modes
@@ -207,39 +205,17 @@ def _sideband_turn(theta: float) -> GaussianChannel:
 _ALIGN = _sideband_turn(-math.pi / 2.0)
 
 
-def _feedback(name: str, measured_mode: str, measured_quad: str,
-              target_mode: str, target_quad: str, gain: float) -> tuple:
-    """Stage that homodynes one quadrature, feeds the outcome onto another
-    mode, and replaces the consumed measured mode by fresh vacuum.
-
-    The channel is the unconditional one: the feedforward r -> r + gain
-    * r_measured keeps the outcome spread inside the driven quadrature,
-    then the measured mode is reset (the pulse, or the spent collective
-    coherence, is gone).  The stage loop adds gain * (outcome - mean) to
-    the target, so the means follow the drawn outcome.
-    """
-    q_meas, q_tgt = _quad(measured_mode, measured_quad), _quad(target_mode, target_quad)
-    # the feedforward composed with the reset: X is the feedforward with the
-    # measured mode's rows zeroed, Y is the reset's vacuum refill; adding
-    # 0.0 turns a gain of -0.0 into the +0.0 that the matrix product gives
-    x = _EYE8.copy()
-    x[q_tgt, q_meas] = gain + 0.0
-    first = q_meas - q_meas % 2
-    x[first:first + 2] = 0.0
-    return name, GaussianChannel._wrap(x, _RESETS[measured_mode].y), (q_meas, q_tgt, gain)
-
-
 # ---------------------------------------------------------------------------
-# the stage layouts of a write and a read
+# the two directions, a write and a read
 #
-# Each direction is a fixed list of stages, held as one template: the stage
-# names, an (n, 8, 8) stack of X and one of Y, the feedback table and the
-# flat positions of the few entries a run sets.  A run copies both stacks
-# and fills those entries from its values, one put per stack.  The entries
-# a run sets are:
+# Each direction is a fixed list of stages, held as one read-only record: the
+# stage names, an (n, 8, 8) stack of X and one of Y, the feedback table, the
+# flat positions of the few entries a run sets, and the decode of the result.
+# A run copies both stacks and fills those entries from its values, one put
+# per stack.  The entries a run sets are:
 #   - the window crossing on the light modes, at the transmission (1 - A);
 #   - the pass, I + k G, whose generator G has entries +-1: they hold +-k;
-#   - the two feedback gains, g and -g (plus 0.0, as _feedback writes them);
+#   - the two feedback gains, g and -g, plus 0.0 (feed then reset turns -0.0 to +0.0);
 #   - collisions and scattering on the atomic modes.  A colliding atom
 #     leaves its class, shortening the collective means by eta and
 #     admixing vacuum-level fluctuation of the fresh spins: an attenuation
@@ -252,14 +228,15 @@ def _feedback(name: str, measured_mode: str, measured_quad: str,
 #: a Y entry takes the vacuum refill of one of the three transmissions
 _WINDOW, _COLLISIONS, _SCATTERING, _K, _MINUS_K, _GAIN, _MINUS_GAIN = range(7)
 
-#: a direction's read-only template: stage names, X and Y stacks, per stage
-#: the feedback (q_meas, q_tgt, gain sign) or None, the index of the pass, and
-#: the flat positions a run fills (x_at, y_at) with the slot of each (x_from, y_from)
-_StageLayout = namedtuple("_StageLayout", ("names", "x", "y", "feedback", "pass_index",
-                                           "x_at", "x_from", "y_at", "y_from"))
-#: one run's filled layout: the template's names and feedback table, read-only
-#: X and Y stacks, and the gain that the feedback signs multiply
-_Stages = namedtuple("_Stages", ("names", "x", "y", "feedback", "gain"))
+#: a direction: stage names, X and Y stacks, per stage the feedback (q_meas,
+#: q_tgt, gain sign) or None, the index of the pass, the flat positions a run
+#: fills (x_at, y_at) with the slot of each (x_from, y_from), and the decode:
+#: the transfer map's input and output blocks and the 2x1x1 stack of the
+#: ideal decode's signs of channels c and s (stored block = sign * input
+#: block for a write, output light block = sign * stored block for a read)
+_Direction = namedtuple("_Direction", ("names", "x", "y", "feedback", "pass_index", "x_at",
+                                       "x_from", "y_at", "y_from", "inputs", "outputs",
+                                       "signs"))
 
 
 def _loss(name: str, targets: tuple, slot: int) -> tuple:
@@ -275,22 +252,38 @@ def _pass() -> tuple:
     return "pass", qnd_transform(1.0, VARIANT_TWO_CLASS), None, fills, ()
 
 
-def _feedback_stage(name: str, measured_mode: str, measured_quad: str, target_mode: str,
-                    target_quad: str, sign: float) -> tuple:
-    """Stage declaration of a feedback at ``sign`` times a run's gain."""
-    name, channel, (q_meas, q_tgt, _) = _feedback(name, measured_mode, measured_quad,
-                                                  target_mode, target_quad, sign)
+def _feedback(name: str, measured_mode: str, measured_quad: str,
+              target_mode: str, target_quad: str, sign: float) -> tuple:
+    """Stage declaration of a feedback at ``sign`` times a run's gain g: it
+    homodynes one quadrature, feeds the outcome onto another mode, and
+    replaces the consumed measured mode by fresh vacuum.
+
+    The channel is the unconditional one: the feedforward r -> r + g
+    * r_measured keeps the outcome spread inside the driven quadrature,
+    then the measured mode is reset (the pulse, or the spent collective
+    coherence, is gone).  The fold adds g * (outcome - mean) to the
+    target, so the means follow the drawn outcome.
+    """
+    q_meas, q_tgt = _quad(measured_mode, measured_quad), _quad(target_mode, target_quad)
+    # the feedforward composed with the reset: X is the feedforward with the
+    # measured mode's rows zeroed, Y is the reset's vacuum refill
+    x = _EYE8.copy()
+    x[q_tgt, q_meas] = sign
+    first = q_meas - q_meas % 2
+    x[first:first + 2] = 0.0
+    reset = attenuation_channel(MEMORY_MODES_PLUS_MINUS, (measured_mode,), 0.0)
     fills = [(8 * q_tgt + q_meas, _GAIN if sign > 0.0 else _MINUS_GAIN)]
-    return name, channel, (q_meas, q_tgt, sign), fills, ()
+    return name, GaussianChannel._wrap(x, reset.y), (q_meas, q_tgt, sign), fills, ()
 
 
 def _fixed(name: str, channel: GaussianChannel) -> tuple:
     return name, channel, None, (), ()
 
 
-def _layout(*stages: tuple) -> _StageLayout:
-    """The template of stage declarations (name, channel, feedback, X fills,
-    Y fills), a fill being (flat position in its stage, slot)."""
+def _direction(stages: tuple, inputs: slice, outputs: slice, signs: tuple) -> _Direction:
+    """The record of stage declarations (name, channel, feedback, X fills,
+    Y fills), a fill being (flat position in its stage, slot), and of the
+    decode: input and output blocks and the signs of channels c and s."""
     names, channels, feedback, x_fills, y_fills = zip(*stages)
 
     def flat(per_stage):
@@ -299,96 +292,86 @@ def _layout(*stages: tuple) -> _StageLayout:
         return (_read_only(np.array(at, dtype=np.intp)),
                 _read_only(np.array(slots, dtype=np.intp)))
 
-    return _StageLayout(names, _read_only(np.array([ch.x for ch in channels])),
-                        _read_only(np.array([ch.y for ch in channels])), feedback,
-                        names.index("pass"), *flat(x_fills), *flat(y_fills))
+    return _Direction(names, _read_only(np.array([ch.x for ch in channels])),
+                      _read_only(np.array([ch.y for ch in channels])), feedback,
+                      names.index("pass"), *flat(x_fills), *flat(y_fills), inputs, outputs,
+                      _read_only(np.array(signs).reshape(2, 1, 1)))
 
 
 # one pass between the cell's two windows (the same window on the way in and
 # out), homodyne feedback of X_c and P_s onto X_plus and P_minus, then
 # collisions and scattering
-_WRITE = _layout(
+_WRITE = _direction((
     _loss("entry_loss", _LIGHT_MODES, _WINDOW),
     _pass(),
     _loss("exit_loss", _LIGHT_MODES, _WINDOW),
-    _feedback_stage("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, 1.0),
-    _feedback_stage("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -1.0),
+    _feedback("m_c", LIGHT_C, QUAD_X, ATOM_PLUS, QUAD_X, 1.0),
+    _feedback("m_s", LIGHT_S, QUAD_P, ATOM_MINUS, QUAD_P, -1.0),
     _loss("collisions", _ATOMIC_MODES, _COLLISIONS),
     _loss("scattering", _ATOMIC_MODES, _SCATTERING),
-)
+), _LIGHT_SLICE, _ATOM_SLICE, (-1.0, 1.0))
 # collisions and scattering of the stored state, a fresh pulse, a quarter
 # turn of the collective modes, a second pass, homodyne feedback of P_plus
 # and X_minus onto the light, one window crossing on the way out and a
 # final quarter turn of both sidebands
-_READ = _layout(
+_READ = _direction((
     _loss("collisions", _ATOMIC_MODES, _COLLISIONS),
     _loss("scattering", _ATOMIC_MODES, _SCATTERING),
     _fixed("fresh_pulse", _FRESH_PULSE),
     _fixed("quarter_turn", _QUARTER_TURN),
     _pass(),
-    _feedback_stage("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -1.0),
-    _feedback_stage("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, 1.0),
+    _feedback("m_plus", ATOM_PLUS, QUAD_P, LIGHT_C, QUAD_P, -1.0),
+    _feedback("m_minus", ATOM_MINUS, QUAD_X, LIGHT_S, QUAD_X, 1.0),
     _loss("exit_loss", _LIGHT_MODES, _WINDOW),
     _fixed("align", _ALIGN),
-)
+), _ATOM_SLICE, _LIGHT_SLICE, (1.0, -1.0))
 
 
-def _fill(layout: _StageLayout, k_eff: float, gain: float,
-          budget: DecoherenceBudget) -> _Stages:
-    """One run's stages: copies of the template's stacks with the run's
-    entries put in, the pass checked for symplecticity as a built one is."""
+def _fill(direction: _Direction, k_eff: float, gain: float,
+          budget: DecoherenceBudget) -> tuple[np.ndarray, np.ndarray]:
+    """One run's read-only (X, Y) stacks: copies of the direction's with the
+    run's entries put in, the pass checked for symplecticity as a built one is."""
     _check_strength(k_eff)
     (x_window, y_window), (x_coll, y_coll), (x_scat, y_scat) = (
         _attenuation_entries(t) for t in (boundary_transmission(budget.boundary_loss, 1),
                                           (1.0 - budget.eta) ** 2, (1.0 - budget.n_phot) ** 2))
-    x, y = layout.x.copy(), layout.y.copy()
-    x.put(layout.x_at, np.array((x_window, x_coll, x_scat, k_eff + 0.0, -k_eff + 0.0,
-                                 gain + 0.0, -gain + 0.0))[layout.x_from])
-    y.put(layout.y_at, np.array((y_window, y_coll, y_scat))[layout.y_from])
-    _check_symplectic(x[layout.pass_index])
-    x.setflags(write=False)
-    y.setflags(write=False)
-    return _Stages(layout.names, x, y, layout.feedback, gain)
+    x, y = direction.x.copy(), direction.y.copy()
+    x.put(direction.x_at, np.array((x_window, x_coll, x_scat, k_eff + 0.0, -k_eff + 0.0,
+                                    gain + 0.0, -gain + 0.0))[direction.x_from])
+    y.put(direction.y_at, np.array((y_window, y_coll, y_scat))[direction.y_from])
+    _check_symplectic(x[direction.pass_index])
+    return _read_only(x), _read_only(y)
 
 
-def _write_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> _Stages:
-    """The write's layout filled at (k_eff, gain, budget)."""
-    return _fill(_WRITE, k_eff, gain, budget)
-
-
-def _read_stages(k_eff: float, gain: float, budget: DecoherenceBudget) -> _Stages:
-    """The read's layout filled at (k_eff, gain, budget)."""
-    return _fill(_READ, k_eff, gain, budget)
-
-
-def _stage_channels(stages: _Stages) -> list:
-    """Each stage of a filled layout as (name, channel, feedback), the
+def _stage_channels(direction: _Direction, x: np.ndarray, y: np.ndarray, gain: float) -> list:
+    """Each stage of a filled direction as (name, channel, feedback), the
     channel a read-only view into the stacks and the feedback (q_meas,
     q_tgt, signed gain) or None: the stage list as the fold walks it."""
-    return [(name, GaussianChannel._wrap(x, y),
-             None if fb is None else (fb[0], fb[1], fb[2] * stages.gain))
-            for name, x, y, fb in zip(stages.names, stages.x, stages.y, stages.feedback)]
+    return [(name, GaussianChannel._wrap(stage_x, stage_y),
+             None if fb is None else (fb[0], fb[1], fb[2] * gain))
+            for name, stage_x, stage_y, fb in zip(direction.names, x, y, direction.feedback)]
 
 
-def _run_stages(stages: _Stages, means: np.ndarray, cov: np.ndarray, policy: str,
+def _run_stages(direction: _Direction, x: np.ndarray, y: np.ndarray, gain: float,
+                means: np.ndarray, cov: np.ndarray, policy: str,
                 rng: np.random.Generator | None
                 ) -> tuple[np.ndarray, np.ndarray, dict[str, float], GaussianChannel]:
-    """One fold over the stages: raw (means, covariance) after them, the
-    homodyne outcomes, each drawn just before its feedback stage, and the
+    """One fold over the filled stacks: raw (means, covariance) after them,
+    the homodyne outcomes, each drawn just before its feedback stage, and the
     composed channel, chained from the first stage's (X, Y) as ``then``
     does.  The covariance and the composed Y obey the same V -> X V X^T + Y,
     so one batched product per stage advances both, bit for bit."""
-    outcomes, xc, gain = {}, None, stages.gain
-    for name, x, y, feedback in zip(stages.names, stages.x, stages.y, stages.feedback):
+    outcomes, xc = {}, None
+    for name, stage_x, stage_y, feedback in zip(direction.names, x, y, direction.feedback):
         if feedback is not None:
             q_meas, q_tgt, sign = feedback
             mean = means[q_meas]
             outcomes[name] = homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
-        means = x @ means
+        means = stage_x @ means
         if xc is None:
-            xc, stack = x, np.array((x @ cov @ x.T + y, y))
+            xc, stack = stage_x, np.array((stage_x @ cov @ stage_x.T + stage_y, stage_y))
         else:
-            xc, stack = x @ xc, x @ stack @ x.T + y
+            xc, stack = stage_x @ xc, stage_x @ stack @ stage_x.T + stage_y
         cov = stack[0]
         if feedback is not None:
             means[q_tgt] += sign * gain * (outcomes[name] - mean)
@@ -402,10 +385,6 @@ def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
 
 
 _RING = _read_only(_phase_ring(FIDELITY_AMPLITUDE, FIDELITY_PHASES))
-#: ideal decode of (channel c, channel s): stored block = sign * input block
-#: for a write, output light block = sign * stored block for a read
-_WRITE_SIGNS = _read_only(np.array([-1.0, 1.0]).reshape(2, 1, 1))
-_READ_SIGNS = _read_only(np.array([1.0, -1.0]).reshape(2, 1, 1))
 #: index gathering the (channel c, channel s) diagonal 2x2 blocks of a 4x4
 #: matrix into one 2x2x2 stack
 _CHANNEL_BLOCKS = (_read_only(np.array([[[0], [1]], [[2], [3]]])),
@@ -441,12 +420,12 @@ def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
     return total / (2.0 * ring.shape[1])
 
 
-def _run(stage_builder, k_eff: float, state: GaussianState | None,
+def _run(direction: _Direction, k_eff: float, state: GaussianState | None,
          gain: float | None, budget: DecoherenceBudget | None, policy: str,
-         seed: int | None, in_block: slice, out_block: slice,
-         signs: np.ndarray) -> ProtocolResult:
+         seed: int | None) -> ProtocolResult:
     """One protocol run: the final state and the composed channel from one
-    fold over the stages, and the transfer map, added noise and fidelity.
+    fold over the direction's filled stages, and the transfer map, added
+    noise and fidelity.
 
     The composed channel (X, Y) is exact: the mean map has zero offset,
     so the transfer map is the block X[out, in], and a vacuum input
@@ -463,21 +442,25 @@ def _run(stage_builder, k_eff: float, state: GaussianState | None,
         budget = DecoherenceBudget()
     if seed is not None and (not isinstance(seed, (int, np.integer)) or seed < 0):
         raise InputError(f"seed must be a non-negative integer, got {seed!r}", "seed")
+    if policy not in (POLICY_MEAN, POLICY_SAMPLE):
+        raise InputError(f"unknown outcome policy {policy!r}", "policy")
+    if policy == POLICY_SAMPLE and seed is None:
+        raise InputError("policy 'sample' requires a seed", "policy", "seed")
     rng = None if seed is None else np.random.default_rng(seed)
     # an extreme gain or k_eff overflows: a homodyne draw, the map, the
     # fidelity or the final state refuses it, and the run reports it once
     with np.errstate(over="ignore", invalid="ignore"):
-        stages = stage_builder(k_eff, gain, budget)
+        x, y = _fill(direction, k_eff, gain, budget)
         try:
-            means, cov, outcomes, channel = _run_stages(stages, state.means, state.cov,
-                                                        policy, rng)
+            means, cov, outcomes, channel = _run_stages(direction, x, y, gain, state.means,
+                                                        state.cov, policy, rng)
             vacuum_out = 0.5 * channel.x @ channel.x.T + channel.y
             if not all(np.isfinite(a).all() for a in (vacuum_out, means, cov)):
                 raise ValueError("the protocol map is not finite")
-            transfer = channel.x[out_block, in_block]
-            out_cov = vacuum_out[out_block, out_block]
+            transfer = channel.x[direction.outputs, direction.inputs]
+            out_cov = vacuum_out[direction.outputs, direction.outputs]
             added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
-            fidelity = _ring_fidelity(transfer, out_cov, signs, _RING)
+            fidelity = _ring_fidelity(transfer, out_cov, direction.signs, _RING)
             final = GaussianState(modes=state.modes, means=means, cov=cov)
         except ValueError as exc:
             raise InputError(f"the protocol fails at gain={gain!r}, k_eff={k_eff!r}: {exc}",
@@ -498,8 +481,7 @@ def run_write(k_eff: float, state: GaussianState | None = None,
     k_eff = 1 each channel then adds half a vacuum unit to one stored
     quadrature and none to the other.
     """
-    return _run(_write_stages, k_eff, state, gain, budget, policy, seed,
-                _LIGHT_SLICE, _ATOM_SLICE, _WRITE_SIGNS)
+    return _run(_WRITE, k_eff, state, gain, budget, policy, seed)
 
 
 def run_read(k_eff: float, state: GaussianState | None = None,
@@ -514,5 +496,4 @@ def run_read(k_eff: float, state: GaussianState | None = None,
     a final quarter turn of both sidebands aligns the output so that
     reading a written state returns the input with an overall sign flip.
     """
-    return _run(_read_stages, k_eff, state, gain, budget, policy, seed,
-                _ATOM_SLICE, _LIGHT_SLICE, _READ_SIGNS)
+    return _run(_READ, k_eff, state, gain, budget, policy, seed)

@@ -28,7 +28,7 @@ from qmemcell import (
 )
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA, compensation_scattering_rate
 from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
-from qmemcell.memory import _stage_channels, _write_stages
+from qmemcell.memory import _WRITE, _fill, _stage_channels
 from qmemcell.scenario import DEFAULTS
 
 TWO_PI = 2.0 * math.pi
@@ -287,7 +287,7 @@ def _block(state, mode, other=None):
 
 def _loss_stages(budget):
     """The write's window, collision and scattering stages at ``budget``."""
-    stages = _stage_channels(_write_stages(1.0, -1.0, budget))
+    stages = _stage_channels(_WRITE, *_fill(_WRITE, 1.0, -1.0, budget), -1.0)
     return {name: channel for name, channel, _ in stages
             if name in ("exit_loss", "collisions", "scattering")}
 

@@ -8,6 +8,7 @@ key as the option whose dest it is, in argparse's own error format.
 
 import ast
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -19,8 +20,9 @@ import pytest
 
 import qmemcell
 from qmemcell import (InputError, ScenarioConfig, ScenarioError, SpeciesData, cli,
-                      decoherence, scenario)
+                      decoherence, run_read, run_write, scenario, vacuum_state)
 from qmemcell.cli import main
+from qmemcell.gaussian import MEMORY_MODES_CLASS
 
 #: argv that a library check refuses, and the options its error line names
 REFUSED_ARGV = [
@@ -310,3 +312,36 @@ def test_protocol_overflow_names_the_document_gain(tmp_path, capsys):
     assert (captured.out, captured.err) == (
         "", "error: argument --k-eff: field 'feedback_gain' = 1e+300 is the protocol gain, and "
             "the protocol fails at gain=1e+300, k_eff=1.0: the protocol map is not finite\n")
+
+
+#: (arguments of run_write and run_read, the parameters the refusal names, the
+#: start of its message)
+PROTOCOL_REFUSALS = [
+    (dict(k_eff=0.0), ("k_eff",), r"k_eff must be nonzero$"),
+    (dict(k_eff=math.nan), ("k_eff",), r"pass strength must be finite, got k_eff=nan$"),
+    (dict(k_eff=-math.inf), ("k_eff",), r"pass strength must be finite, got k_eff=-inf$"),
+    (dict(k_eff=1e200), ("gain", "k_eff"), r"the protocol fails at gain=-1e-200, k_eff=1e\+200"),
+    (dict(k_eff=1.0, gain=math.inf), ("gain", "k_eff"), r"the protocol fails at gain=inf, "),
+    (dict(k_eff=1e200, policy="sample", seed=1), ("gain", "k_eff"),
+     r"the protocol fails at .*: homodyne variance must be finite"),
+    (dict(k_eff=1.0, state=vacuum_state(MEMORY_MODES_CLASS)), ("state",),
+     r"protocol states must use the \(light_c, light_s, atom_plus, atom_minus\) layout"),
+    (dict(k_eff=1.0, seed=-1), ("seed",), r"seed must be a non-negative integer, got -1$"),
+    (dict(k_eff=1.0, policy="bogus"), ("policy",), r"unknown outcome policy 'bogus'$"),
+    (dict(k_eff=1.0, policy="sample"), ("policy", "seed"), r"policy 'sample' requires a seed$"),
+]
+
+
+@pytest.mark.parametrize("run", [run_write, run_read])
+@pytest.mark.parametrize("kwargs, keys, message", PROTOCOL_REFUSALS,
+                         ids=[repr({key: "class basis" if key == "state" else value
+                                    for key, value in kwargs.items()})
+                              for kwargs, _, _ in PROTOCOL_REFUSALS])
+def test_protocol_refusals_name_their_own_parameters(run, kwargs, keys, message):
+    # a refusal names the parameters that caused it, not whichever the run
+    # was handling when it surfaced
+    assert inspect.signature(run) == inspect.signature(run_write)
+    with pytest.raises(InputError, match=f"^{message}") as refused:
+        run(**kwargs)
+    assert refused.value.keys == keys
+    assert set(keys) <= set(inspect.signature(run_write).parameters)

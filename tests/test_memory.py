@@ -46,10 +46,9 @@ from qmemcell.memory import (
     VARIANT_CLASS_1,
     VARIANT_CLASS_2,
     VARIANT_TWO_CLASS,
-    _read_stages,
+    _fill,
     _run_stages,
     _stage_channels,
-    _write_stages,
     atomic_basis_matrix,
 )
 from qmemcell.report import QUANTITIES
@@ -370,14 +369,14 @@ def test_rotations_are_symplectic(phi_1, phi_2):
 #: the ideal decode matrices of (channel c, channel s) as test data, with the
 #: signs the protocol holds for them: a write stores (-I, +I) times the input
 #: block, a read returns (+I, -I) times the stored block
-DECODES = ((memory._WRITE_SIGNS, (-np.eye(2), np.eye(2))),
-           (memory._READ_SIGNS, (np.eye(2), -np.eye(2))))
+DECODES = ((memory._WRITE.signs, (-np.eye(2), np.eye(2))),
+           (memory._READ.signs, (np.eye(2), -np.eye(2))))
 
 
 def test_mean_fidelity_of_exact_map():
     transfer = np.diag([-1.0, -1.0, 1.0, 1.0])
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    fid = memory._ring_fidelity(transfer, cov, memory._WRITE_SIGNS, memory._RING)
+    fid = memory._ring_fidelity(transfer, cov, memory._WRITE.signs, memory._RING)
     assert fid == pytest.approx(CANONICAL_FID, rel=1e-12)
 
 
@@ -389,7 +388,7 @@ def test_mean_fidelity_of_identity_channel():
 
 def test_mean_fidelity_penalizes_miscalibration():
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    signs, ring = memory._WRITE_SIGNS, memory._RING
+    signs, ring = memory._WRITE.signs, memory._RING
     exact = memory._ring_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov, signs, ring)
     off = memory._ring_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov, signs, ring)
     assert off < exact
@@ -581,22 +580,39 @@ PROTOCOL_FEEDBACKS = [
 ]
 
 
-@pytest.mark.parametrize("gain", [1.0, -1.0, 0.8, -0.8, 0.0, -0.0])
-@pytest.mark.parametrize("stage", PROTOCOL_FEEDBACKS)
-def test_feedback_matches_feed_then_reset_bit_for_bit(stage, gain):
+def _feed_then_reset(stage, gain):
+    """A feedback stage as (name, channel, feedback): the feedforward of the
+    measured quadrature onto the target at ``gain``, then a reset of the
+    measured mode to fresh vacuum."""
     name, measured_mode, measured_quad, target_mode, target_quad = stage
-    stage_name, channel, feedback = memory._feedback(*stage, gain)
     q_meas = 2 * MEMORY_MODES_PLUS_MINUS.index(measured_mode) + (measured_quad == QUAD_P)
     q_tgt = 2 * MEMORY_MODES_PLUS_MINUS.index(target_mode) + (target_quad == QUAD_P)
     feed = np.eye(8)
     feed[q_tgt, q_meas] = gain
-    want = GaussianChannel(feed, np.zeros((8, 8))).then(memory._RESETS[measured_mode])
+    reset = gaussian.attenuation_channel(MEMORY_MODES_PLUS_MINUS, (measured_mode,), 0.0)
+    return name, GaussianChannel(feed, np.zeros((8, 8))).then(reset), (q_meas, q_tgt, gain)
+
+
+def _filled(direction, k_eff, gain, budget):
+    """A direction filled at (k_eff, gain, budget), stage by stage."""
+    return _stage_channels(direction, *_fill(direction, k_eff, gain, budget), gain)
+
+
+@pytest.mark.parametrize("gain", [1.0, -1.0, 0.8, -0.8, 0.0, -0.0])
+@pytest.mark.parametrize("stage", PROTOCOL_FEEDBACKS)
+def test_feedback_matches_feed_then_reset_bit_for_bit(stage, gain):
+    direction = memory._WRITE if stage[0] in memory._WRITE.names else memory._READ
+    index = direction.names.index(stage[0])
+    stage_name, channel, feedback = _filled(direction, 1.0, gain, DecoherenceBudget())[index]
+    sign = direction.feedback[index][2]
+    # the stage's sign times the run's gain, each plus 0.0 as the fill writes it
+    want_name, want, want_feedback = _feed_then_reset(stage, sign * gain + 0.0)
     for got, ref in ((channel.x, want.x), (channel.y, want.y)):
         assert np.array_equal(got, ref)
         assert np.array_equal(np.signbit(got), np.signbit(ref))
         assert not got.flags.writeable
-    assert stage_name == name
-    assert feedback == (q_meas, q_tgt, gain)
+    assert stage_name == want_name
+    assert feedback == want_feedback
 
 
 def test_write_fidelity_degrades_with_spin_exchange():
@@ -708,9 +724,9 @@ def test_composed_channel_matches_stages(seed):
     k_eff = rng.uniform(0.3, 2.0)
     gain = -rng.uniform(0.5, 2.0) / k_eff
     state = _random_memory_state(rng)
-    for builder, run in ((_write_stages, run_write), (_read_stages, run_read)):
-        stages = builder(k_eff, gain, budget)
-        channels = _stage_channels(stages)
+    for direction, run in ((memory._WRITE, run_write), (memory._READ, run_read)):
+        x, y = _fill(direction, k_eff, gain, budget)
+        channels = _stage_channels(direction, x, y, gain)
         means, cov = state.means, state.cov
         for _, channel, _ in channels:
             means, cov = channel.propagate(means, cov)
@@ -725,7 +741,7 @@ def test_composed_channel_matches_stages(seed):
             draws = [None if draw_seed is None else np.random.default_rng(draw_seed)
                      for _ in range(2)]
             fold_means, fold_cov, fold_outcomes, fold = _run_stages(
-                stages, state.means, state.cov, policy, draws[0])
+                direction, x, y, gain, state.means, state.cov, policy, draws[0])
             want_means, want_cov, want_outcomes = _stage_loop(
                 channels, state.means, state.cov, policy, draws[1])
             _assert_bit_equal(fold.x, composed.x)
@@ -745,11 +761,11 @@ def test_composed_channel_matches_stages(seed):
 
 def test_stage_names_of_both_builders():
     budget = DecoherenceBudget()
-    write = _stage_channels(_write_stages(1.0, -1.0, budget))
-    read = _stage_channels(_read_stages(1.0, -1.0, budget))
-    assert [name for name, _, _ in write] == [
+    write = _filled(memory._WRITE, 1.0, -1.0, budget)
+    read = _filled(memory._READ, 1.0, -1.0, budget)
+    assert [name for name, _, _ in write] == list(memory._WRITE.names) == [
         "entry_loss", "pass", "exit_loss", "m_c", "m_s", "collisions", "scattering"]
-    assert [name for name, _, _ in read] == [
+    assert [name for name, _, _ in read] == list(memory._READ.names) == [
         "collisions", "scattering", "fresh_pulse", "quarter_turn", "pass", "m_plus",
         "m_minus", "exit_loss", "align"]
     # exactly the feedback stages carry a measurement, keyed by the stage name
@@ -770,9 +786,9 @@ def test_loss_stages_are_attenuation_channels_at_the_budget():
             "exit_loss": (light, boundary_transmission(loss, 1)),
             "collisions": (atoms, (1.0 - eta) ** 2),
             "scattering": (atoms, (1.0 - n_phot) ** 2)}
-    for stages, names in ((_write_stages(1.0, -1.0, budget), set(want)),
-                          (_read_stages(1.0, -1.0, budget), set(want) - {"entry_loss"})):
-        losses = {name: channel for name, channel, _ in _stage_channels(stages)
+    for direction, names in ((memory._WRITE, set(want)),
+                             (memory._READ, set(want) - {"entry_loss"})):
+        losses = {name: channel for name, channel, _ in _filled(direction, 1.0, -1.0, budget)
                   if name in want}
         assert set(losses) == names
         for name, channel in losses.items():
@@ -780,22 +796,21 @@ def test_loss_stages_are_attenuation_channels_at_the_budget():
             _assert_bit_equal(channel.x, expected.x)
             _assert_bit_equal(channel.y, expected.y)
     # the write's two crossings are the same window stage, bit for bit
-    write = {name: channel for name, channel, _ in
-             _stage_channels(_write_stages(1.0, -1.0, budget))}
+    write = {name: channel for name, channel, _ in _filled(memory._WRITE, 1.0, -1.0, budget)}
     for got, ref in zip(write["entry_loss"], write["exit_loss"]):
         _assert_bit_equal(got, ref)
 
 
 def _constructed_stages(k_eff, gain, budget):
     """Both stage lists as the constructors build them, (name, channel,
-    feedback) in the layouts' order."""
+    feedback) in the directions' order, each feedback as feedforward then reset."""
     def loss(targets, transmission):
         return gaussian.attenuation_channel(MEMORY_MODES_PLUS_MINUS, targets, transmission)
 
     window = loss((LIGHT_C, LIGHT_S), boundary_transmission(budget.boundary_loss, 1))
     decay = [("collisions", loss((ATOM_PLUS, ATOM_MINUS), (1.0 - budget.eta) ** 2), None),
              ("scattering", loss((ATOM_PLUS, ATOM_MINUS), (1.0 - budget.n_phot) ** 2), None)]
-    m_c, m_s, m_plus, m_minus = (memory._feedback(*stage, g) for stage, g in
+    m_c, m_s, m_plus, m_minus = (_feed_then_reset(stage, g) for stage, g in
                                  zip(PROTOCOL_FEEDBACKS, (gain, -gain, -gain, gain)))
     write = [("entry_loss", window, None), ("pass", qnd_transform(k_eff), None),
              ("exit_loss", window, None), m_c, m_s, *decay]
@@ -815,12 +830,12 @@ _LOSS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0, exclude_
        eta=_LOSS, n_phot=_LOSS, loss=_LOSS)
 def test_filled_layouts_match_the_constructors_bit_for_bit(k_eff, gain, eta, n_phot, loss):
     budget = DecoherenceBudget(eta=eta, n_phot=n_phot, boundary_loss=loss)
-    for builder, want in zip((_write_stages, _read_stages),
-                             _constructed_stages(k_eff, gain, budget)):
-        stages = builder(k_eff, gain, budget)
-        got = _stage_channels(stages)
+    for direction, want in zip((memory._WRITE, memory._READ),
+                               _constructed_stages(k_eff, gain, budget)):
+        x, y = _fill(direction, k_eff, gain, budget)
+        got = _stage_channels(direction, x, y, gain)
         assert [name for name, _, _ in got] == [name for name, _, _ in want]
-        assert not stages.x.flags.writeable and not stages.y.flags.writeable
+        assert not x.flags.writeable and not y.flags.writeable
         for (name, channel, feedback), (_, ref, ref_feedback) in zip(got, want):
             _assert_bit_equal(channel.x, ref.x)
             _assert_bit_equal(channel.y, ref.y)
@@ -832,14 +847,14 @@ def test_filled_layouts_match_the_constructors_bit_for_bit(k_eff, gain, eta, n_p
 
 def test_filled_layouts_keep_the_constructors_refusals():
     budget = DecoherenceBudget()
-    for builder in (_write_stages, _read_stages):
+    for direction in (memory._WRITE, memory._READ):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=r"^pass strength must be finite, got k_eff="):
-                builder(bad, -1.0, budget)
+                _fill(direction, bad, -1.0, budget)
         # a budget that skips DecoherenceBudget's range checks still meets the
         # transmission check of attenuation_channel
         with pytest.raises(ValueError, match=r"^transmission must lie in \[0, 1\], got 4\.0$"):
-            builder(1.0, -1.0, tuple.__new__(DecoherenceBudget, (-1.0, 0.0, 0.0)))
+            _fill(direction, 1.0, -1.0, tuple.__new__(DecoherenceBudget, (-1.0, 0.0, 0.0)))
 
 
 def _module_arrays(module) -> list[np.ndarray]:
@@ -873,7 +888,7 @@ def test_module_constants_are_read_only():
     # signs are among the arrays checked
     checked = {id(array) for array in arrays}
     new = [*memory._PASS_GENERATORS.values(), *memory._CHANNEL_BLOCKS, memory._EYE8,
-           memory._EYE2, memory._WRITE_SIGNS, memory._READ_SIGNS]
+           memory._EYE2, memory._WRITE.signs, memory._READ.signs]
     assert all(id(array) in checked for array in new)
     # both stage templates are among them, and a run fills copies of them
     templates = [memory._WRITE.x, memory._WRITE.y, memory._WRITE.x_at, memory._WRITE.x_from,
@@ -882,8 +897,7 @@ def test_module_constants_are_read_only():
                  memory._READ.y_from]
     assert all(id(array) in checked for array in templates)
     # the read's fixed stages are the module constants, bit for bit
-    read = {name: ch for name, ch, _ in
-            _stage_channels(_read_stages(1.0, -1.0, DecoherenceBudget()))}
+    read = {name: ch for name, ch, _ in _filled(memory._READ, 1.0, -1.0, DecoherenceBudget())}
     for name, constant in (("fresh_pulse", memory._FRESH_PULSE),
                            ("quarter_turn", memory._QUARTER_TURN), ("align", memory._ALIGN)):
         for got, ref in zip(read[name], constant):
@@ -910,10 +924,10 @@ def test_cached_constants_are_read_only_and_channels_own_their_x():
              *(memory._feedback(*stage, 1.0)[1] for stage in PROTOCOL_FEEDBACKS)]
     # each run fills its own copies of the templates' stacks
     budget = DecoherenceBudget(eta=0.1)
-    runs = [builder(1.0, -1.0, budget) for builder in (_write_stages, _write_stages,
-                                                        _read_stages, _read_stages)]
+    runs = [_fill(direction, 1.0, -1.0, budget) for direction in (memory._WRITE, memory._WRITE,
+                                                                   memory._READ, memory._READ)]
     buffers = [cached[0], *(channel.x for channel in built), memory._WRITE.x, memory._WRITE.y,
-               memory._READ.x, memory._READ.y, *(a for run in runs for a in (run.x, run.y))]
+               memory._READ.x, memory._READ.y, *(a for run in runs for a in run)]
     for i, a in enumerate(buffers):
         assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])
 
@@ -950,4 +964,4 @@ def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
     with pytest.raises(ValueError, match=r"k_eff=1e\+100"):
         run_read(1e100)
     with pytest.raises(ValueError, match="not positive definite"):
-        memory._ring_fidelity(np.eye(4), -np.eye(4), memory._WRITE_SIGNS, memory._RING)
+        memory._ring_fidelity(np.eye(4), -np.eye(4), memory._WRITE.signs, memory._RING)
