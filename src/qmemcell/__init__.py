@@ -29,12 +29,12 @@ _EXPORTS = {
     "VACUUM_VARIANCE": "gaussian", "attenuation_channel": "gaussian",
     "displace": "gaussian", "memory_vacuum": "gaussian", "symplectic_form": "gaussian",
     "vacuum_state": "gaussian", "CouplingSet": "shifts", "ProtocolResult": "memory",
-    "collective_kappa": "shifts", "coupling_g": "shifts", "differential_rotation": "memory",
-    "qnd_transform": "memory", "run_read": "memory", "run_write": "memory",
+    "collective_kappa": "shifts", "differential_rotation": "memory", "qnd_transform": "memory",
+    "run_read": "memory", "run_write": "memory",
     "PumpLevelSystem": "pumping", "pumping_history": "pumping", "rate_matrix": "pumping",
     "state_index": "pumping", "uniform_f4_system": "pumping", "CESIUM": "scenario",
-    "InputError": "scenario", "ScenarioConfig": "scenario", "ScenarioError": "scenario",
-    "SpeciesData": "scenario", "default_scenario": "scenario", "load_scenario": "scenario",
+    "InputError": "scenario", "ScenarioConfig": "scenario", "SpeciesData": "scenario",
+    "default_scenario": "scenario", "load_scenario": "scenario",
     "load_scenario_file": "scenario", "scenario_with": "scenario", "ShiftLadder": "shifts",
     "ac_zeeman_compensation_intensity": "shifts", "ac_zeeman_ladder": "shifts",
     "class_dephasing": "shifts", "microwave_pi_intensity": "shifts",

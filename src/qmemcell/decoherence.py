@@ -195,13 +195,37 @@ def stark_pi_scattered_photons(tau: float, delta_s: float,
 
 
 def spin_exchange_probability(tau: float, species: SpeciesData, density: float) -> float:
-    """Collision probability eta = sigma * v * tau * rho in time tau, v the mean speed."""
+    """Collision probability eta = sigma * v * tau * rho in time tau, v the mean speed.
+    A probability of 1 or more raises InputError naming all four factors."""
     if tau < 0.0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     v = species.mean_speed
     if density < 0.0 or v < 0.0:
         raise ValueError("density and speed must be non-negative")
-    return species.spin_exchange_cross_section * v * tau * density
+    eta = species.spin_exchange_cross_section * v * tau * density
+    if eta >= 1.0:
+        raise refusal(f"give a spin-exchange probability of {eta:.3g} per pulse; the "
+                      "collision channel needs eta < 1", atom_density=density,
+                      pulse_duration=tau,
+                      spin_exchange_cross_section=species.spin_exchange_cross_section,
+                      mean_speed=v)
+    return eta
+
+
+def scattered_photons_per_pulse(config: ScenarioConfig) -> tuple[float, float]:
+    """Photons scattered per atom in one pulse, n_phot = rate * tau, and the rate
+    (1/s) behind it, :func:`compensation_scattering_rate`.  A pulse that scatters
+    one photon per atom or more raises InputError."""
+    rate = compensation_scattering_rate(config)
+    n_phot = rate * config.pulse_duration
+    if n_phot >= 1.0:
+        # the rate follows the compensation light, whose intensity
+        # omega_b_hz and stark_detuning_hz set
+        raise refusal(f"scatter {n_phot:.3g} photons per atom at {rate:.4g} /s from the "
+                      "compensation light; the scattering channel needs fewer than 1 per "
+                      "pulse (n_phot < 1)", pulse_duration=config.pulse_duration,
+                      omega_b=config.omega_b, stark_detuning=config.stark_detuning)
+    return n_phot, rate
 
 
 def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
@@ -259,34 +283,10 @@ class DecoherenceBudget(namedtuple("DecoherenceBudget", ("eta", "n_phot", "bound
 
     @classmethod
     def from_scenario(cls, config: ScenarioConfig) -> "DecoherenceBudget":
-        """Budget of the configured operating point.
-
-        Scattering is that of the slope-compensation light
-        (:func:`compensation_scattering_rate`).  A pulse with a collision
-        probability of 1 or more, or that scatters one photon per atom or
-        more, raises InputError.
-        """
-        return cls._from_scenario_with_rate(config)[0]
-
-    @classmethod
-    def _from_scenario_with_rate(cls, config: ScenarioConfig) -> tuple["DecoherenceBudget", float]:
-        """``from_scenario``'s budget and the scattering rate (1/s) behind its n_phot."""
+        """Budget of the configured operating point: its
+        :func:`spin_exchange_probability` and :func:`scattered_photons_per_pulse`,
+        each of which refuses a pulse that reaches 1."""
         eta = spin_exchange_probability(config.pulse_duration, config.species,
                                         config.atom_density)
-        if eta >= 1.0:
-            sp = config.species
-            raise refusal(f"give a spin-exchange probability of {eta:.3g} per pulse; the "
-                          "collision channel needs eta < 1", atom_density=config.atom_density,
-                          pulse_duration=config.pulse_duration,
-                          spin_exchange_cross_section=sp.spin_exchange_cross_section,
-                          mean_speed=sp.mean_speed)
-        rate = compensation_scattering_rate(config)
-        n_phot = rate * config.pulse_duration
-        if n_phot >= 1.0:
-            # the rate follows the compensation light, whose intensity
-            # omega_b_hz and stark_detuning_hz set
-            raise refusal(f"scatter {n_phot:.3g} photons per atom at {rate:.4g} /s from the "
-                          "compensation light; the scattering channel needs fewer than 1 per "
-                          "pulse (n_phot < 1)", pulse_duration=config.pulse_duration,
-                          omega_b=config.omega_b, stark_detuning=config.stark_detuning)
-        return cls(eta=eta, n_phot=n_phot, boundary_loss=config.boundary_loss), rate
+        return cls(eta=eta, n_phot=scattered_photons_per_pulse(config)[0],
+                   boundary_loss=config.boundary_loss)

@@ -157,9 +157,9 @@ class GaussianChannel(namedtuple("GaussianChannel", ("x", "y"))):
         return self.x @ means, self.x @ cov @ self.x.T + self.y
 
     def apply(self, state: "GaussianState") -> "GaussianState":
-        if self.x.shape[0] != 2 * state.n_modes:
+        if self.x.shape[0] != 2 * len(state.modes):
             raise ValueError(
-                f"channel acts on {self.x.shape[0] // 2} modes, state has {state.n_modes}")
+                f"channel acts on {self.x.shape[0] // 2} modes, state has {len(state.modes)}")
         means, cov = self.propagate(state.means, state.cov)
         return _dc_replace(state, means=means, cov=cov)
 
@@ -261,10 +261,6 @@ class GaussianState:
         object.__setattr__(self, "cov", cov)
         self.means.setflags(write=False)
         self.cov.setflags(write=False)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.modes)
 
     def mode_index(self, label: str) -> int:
         try:

@@ -26,8 +26,8 @@ from .constants import TWO_PI, tesla_to_gauss, w_m2_to_mw_cm2, w_m2_to_w_cm2
 from .decoherence import (WIDTH_HWHM, WIDTH_SIGMA, DecoherenceBudget,
                           boundary_transmission, compensation_scattering_rate,
                           doppler_averaged_scattering, residual_pump_occupation,
-                          scattered_photon_limit, spin_exchange_probability,
-                          stark_pi_scattered_photons)
+                          scattered_photon_limit, scattered_photons_per_pulse,
+                          spin_exchange_probability, stark_pi_scattered_photons)
 from .scenario import CESIUM, InputError, ScenarioConfig, refusal
 from .shifts import (ac_zeeman_compensation_intensity, ac_zeeman_ladder,
                      class_dephasing, collective_kappa, microwave_pi_intensity,
@@ -124,14 +124,6 @@ def _json_leaf(value, pad: str = "    ") -> str:
     if isinstance(value, float):
         text = float.__repr__(value)
         return _FLOAT_TOKENS.get(text, text)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
@@ -227,8 +219,7 @@ QUANTITIES = {
     "weak_field_dephasing": (
         lambda c: class_dephasing(WEAK_OMEGA_B, c.pulse_duration, c.species) * 1e3, "mrad"),
     "doppler_scattering_rate": (compensation_scattering_rate, "1/s"),
-    "scattered_photons_per_pulse": (
-        lambda c: compensation_scattering_rate(c) * c.pulse_duration, "1"),
+    "scattered_photons_per_pulse": (lambda c: scattered_photons_per_pulse(c)[0], "1"),
     "spin_exchange_eta": (lambda c: spin_exchange_probability(
         c.pulse_duration, c.species, c.atom_density), "1"),
     # a single cell's pass crosses two windows
@@ -288,12 +279,13 @@ def pulse_design_rows(config: ScenarioConfig, tau: float) -> list[ReportRow]:
 
 
 def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:
-    budget, rate = DecoherenceBudget._from_scenario_with_rate(config)
+    eta = _row(config, "spin_exchange_eta")  # its refusal comes first
+    n_phot, rate = scattered_photons_per_pulse(config)
     return [
-        ReportRow("spin_exchange_eta", budget.eta, "1"),
+        eta,
         # the registry's compensation_scattering_rate, already computed for n_phot
         ReportRow("doppler_scattering_rate", rate, "1/s"),
-        ReportRow("scattered_photons_per_pulse", budget.n_phot, "1"),
+        ReportRow("scattered_photons_per_pulse", n_phot, "1"),
         *[_row(config, name) for name in (
             "boundary_transmission", "boundary_added_vacuum",
             "residual_pump_occupation", "scattered_photon_floor")],

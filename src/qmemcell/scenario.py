@@ -25,9 +25,6 @@ class InputError(ValueError):
         self.keys = keys
 
 
-ScenarioError = InputError  # the older name, kept for callers that catch it
-
-
 #: largest species f_ground: cesium's F = 4 is the largest integer ground F
 #: of a stable alkali, and a ladder holds 2 f_ground spacings per mechanism
 F_GROUND_MAX = 10

@@ -13,8 +13,8 @@ not the level energies themselves.  Three mechanisms move the ladder:
 All three ladders are exactly affine in (2m + 1), so any one of them can
 cancel the m-dependence of another.  The compensation solvers and the
 pi-pulse solutions below do exactly that bookkeeping.  The same ladder
-coherences couple to the probe light; their single-atom and collective
-coupling strengths close the module.
+coherences couple to the probe light; their collective coupling closes
+the module.
 """
 
 from __future__ import annotations
@@ -314,29 +314,24 @@ class CouplingSet(namedtuple("CouplingSet", ("kappa_per_s", "kappa_tau", "k_eff"
     __slots__ = ()
 
 
-def coupling_g(m: int, f: int, field_squared: float, dipole_squared: float,
-               detuning: float) -> float:
-    """Single-atom coupling of the m <-> m+1 coherence to the sidebands."""
-    if not -f <= m <= f - 1:
-        raise ValueError(f"m must lie in [{-f}, {f - 1}] for F = {f}, got {m}")
-    if detuning == 0.0:
-        raise ValueError("detuning must be nonzero")
-    strength = math.sqrt(f * (f + 1) - m * (m + 1))
-    return (dipole_squared * field_squared * strength
-            / (48.0 * CODATA.hbar**2 * detuning))
-
-
 def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     """Collective coupling of the configured cell on the probe line.
 
     The probe runs on the stronger line; its vacuum field is set by the
     beam area and the pulse duration.  kappa carries the sign of
     -1/detuning, so red and blue probe detunings give opposite k_eff.
-    A zero detuning raises a ValueError, as in :func:`coupling_g`, and a
-    non-finite k_eff an InputError naming the three keys that set it.
+    A zero detuning raises a ValueError.  A mode denominator 2 eps0 A c tau
+    that underflows to zero raises an InputError naming the beam area and
+    the pulse duration, and a non-finite k_eff one naming the three keys
+    that set it.
     """
     sp = config.species
-    e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration, sp.lambda_d2)
+    try:
+        e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration, sp.lambda_d2)
+    except ZeroDivisionError:
+        raise refusal("are out of range together: the mode denominator 2 eps0 A c tau "
+                      "underflows to zero", beam_area=config.beam_area,
+                      pulse_duration=config.pulse_duration) from None
     mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2)
     if config.probe_detuning == 0.0:
         raise ValueError("detuning must be nonzero")

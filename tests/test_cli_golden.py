@@ -5,7 +5,7 @@ of the decoherence report's rows against the quantity registry, and of
 ``cli_golden.json`` holds one sha256 of ``(exit code, stdout, stderr)``
 per case: each scalar subcommand (``shifts``, ``compensate``,
 ``pulse-design``, ``decoherence``, ``paper-check``, ``sweep``) in every
-output format, on the packaged cesium point and on five edge documents.
+output format, on the packaged cesium point and on seven edge documents.
 The scalar subcommands load no numpy, so their bytes do not depend on a
 BLAS build.  A refactor that keeps the reports leaves every digest as it
 is.
@@ -27,13 +27,13 @@ from pathlib import Path
 
 import pytest
 
-from qmemcell import DecoherenceBudget, ScenarioError, cli, load_scenario
+from qmemcell import DecoherenceBudget, InputError, cli, load_scenario
 from qmemcell.cli import build_parser, main
 from qmemcell.report import QUANTITIES, decoherence_rows
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
-#: scenario documents by file name: the packaged point and five edge cases
+#: scenario documents by file name: the packaged point and seven edge cases
 DOCUMENTS = {
     "cesium.json": json.loads((Path(__file__).parents[1] / "cesium.json").read_text()),
     "d1.json": {"species": {"gamma_d1_hz": 9.12e6, "lambda_d1_m": 795e-9}},
@@ -41,6 +41,11 @@ DOCUMENTS = {
     "boundary_loss_0.json": {"boundary_loss": 0.0},
     "omega_b_1e150.json": {"omega_b_hz": 1e150},
     "tau_1e-300.json": {"tau_s": 1e-300},
+    # the two species keys read by scenario._checked_number
+    "g_f_cross_section.json": {"species": {"g_f": 0.2503,
+                                           "spin_exchange_cross_section_m2": 1.0e-18}},
+    # a Doppler width so narrow that the Voigt form overflows: its zero-width limit
+    "doppler_1e-300.json": {"species": {"doppler_halfwidth_hz": 1e-300}},
 }
 
 COMMANDS = (
@@ -106,9 +111,9 @@ def test_decoherence_rows_are_their_registry_quantities(name):
     config = load_scenario(json.dumps(DOCUMENTS[name]))
     try:
         DecoherenceBudget.from_scenario(config)
-    except ScenarioError:
+    except InputError:
         # a pulse the budget refuses prints no rows
-        with pytest.raises(ScenarioError):
+        with pytest.raises(InputError):
             decoherence_rows(config)
         return
     for row in decoherence_rows(config):

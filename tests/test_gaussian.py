@@ -186,7 +186,7 @@ def test_channel_apply_congruence():
 
 def _rotate(state, mode, theta):
     """Turn one mode of ``state`` by theta through a symplectic channel."""
-    s = np.eye(2 * state.n_modes)
+    s = np.eye(2 * len(state.modes))
     j = state.mode_index(mode)
     s[2 * j:2 * j + 2, 2 * j:2 * j + 2] = rotation_2x2(theta)
     return GaussianChannel.symplectic(s).apply(state)

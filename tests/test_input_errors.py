@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import qmemcell
-from qmemcell import (InputError, ScenarioConfig, ScenarioError, SpeciesData, cli,
+from qmemcell import (InputError, ScenarioConfig, SpeciesData, cli,
                       decoherence, run_read, run_write, scenario, vacuum_state)
 from qmemcell.cli import main
 from qmemcell.gaussian import MEMORY_MODES_CLASS
@@ -44,11 +44,6 @@ REFUSED_ARGV = [
 REFUSED_IDS = [" ".join(argv) for argv, _ in REFUSED_ARGV]
 
 PACKAGE = Path(qmemcell.__file__).parent
-
-
-def test_scenario_error_is_the_input_error_class():
-    assert ScenarioError is InputError
-    assert issubclass(InputError, ValueError)
 
 
 def test_only_cli_spells_an_option():
@@ -235,6 +230,16 @@ EDGE_CASES = [
     (None, ["memory-sim", "--k-eff", "1e200"], "k_eff"),
     ({"feedback_gain": 1e154}, ["memory-sim"], "feedback_gain"),
     ({"feedback_gain": 1e300}, ["memory-sim"], "feedback_gain"),
+    # a pulse mode whose denominator 2 eps0 A c tau underflows to zero
+    *[({key: 1e-320}, ["memory-sim"], key) for key in ("tau_s", "beam_area_m2")],
+    *[(None, ["sweep", "--param", "tau_s", "--values", "1e-320", "--quantity", quantity],
+       "tau_s") for quantity in ("kappa", "k_eff")],
+    # a budget quantity of 1 or more, refused where it is computed
+    (None, ["sweep", "--param", "tau_s", "--values", "1e308", "--quantity",
+            "spin_exchange_eta"], "tau_s"),
+    ({"tau_s": 1.7e308}, ["paper-check"], "tau_s"),
+    (None, ["sweep", "--param", "tau_s", "--values", "1e300", "--quantity",
+            "scattered_photons_per_pulse"], "tau_s"),
 ]
 
 

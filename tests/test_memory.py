@@ -16,7 +16,6 @@ from qmemcell import (
     InputError,
     boundary_transmission,
     collective_kappa,
-    coupling_g,
     default_scenario,
     differential_rotation,
     displace,
@@ -60,21 +59,6 @@ CANONICAL_FID = 2.0 / math.sqrt(6.0)
 # microscopic couplings
 
 
-def test_coupling_g_ladder_weights():
-    base = dict(f=4, field_squared=1.0, dipole_squared=1.0, detuning=1.0)
-    edge = coupling_g(-4, **base)
-    center = coupling_g(0, **base)
-    assert edge / center == pytest.approx(math.sqrt(8.0 / 20.0), rel=1e-12)
-    # the ladder is symmetric about m = -1/2
-    assert coupling_g(-3, **base) == pytest.approx(coupling_g(2, **base), rel=1e-12)
-    with pytest.raises(ValueError):
-        coupling_g(4, **base)
-    with pytest.raises(ValueError):
-        coupling_g(-5, **base)
-    with pytest.raises(ValueError):
-        coupling_g(0, 4, 1.0, 1.0, 0.0)
-
-
 def test_collective_kappa_frozen():
     coupling = collective_kappa(default_scenario())
     assert coupling.kappa_per_s == pytest.approx(-1077.6744450289114, rel=1e-12)
@@ -108,21 +92,20 @@ def test_collective_kappa_matches_its_formulas_bit_for_bit():
         assert coupling.kappa_per_s == kappa
         assert coupling.kappa_tau == kappa * cfg.pulse_duration
         assert coupling.k_eff == math.sqrt(2.0) * kappa * cfg.pulse_duration
-        g_m = {m: coupling_g(m, sp.f_ground, e0_sq, mu_sq, cfg.probe_detuning)
-               for m in range(-sp.f_ground, sp.f_ground)}
-        assert len(g_m) == 2 * sp.f_ground
-        # each single-atom rate is the collective one over 4 sqrt(N n), times its weight
-        for m, g in g_m.items():
+        # each single-atom rate mu^2 E0^2 w / (48 hbar^2 Delta), w the ladder weight
+        # sqrt(F(F + 1) - m(m + 1)), is the collective one over 4 sqrt(N n), times w
+        for m in range(-sp.f_ground, sp.f_ground):
             weight = math.sqrt(sp.f_ground * (sp.f_ground + 1) - m * (m + 1))
+            g = mu_sq * e0_sq * weight / (48.0 * CODATA.hbar**2 * cfg.probe_detuning)
             assert -4.0 * g * math.sqrt(cfg.photon_number * cfg.atom_number) / weight == (
                 pytest.approx(kappa, rel=1e-12))
         # the registry's k_eff entry is the same arithmetic
         assert QUANTITIES["k_eff"][0](cfg) == coupling.k_eff
 
 
-def test_collective_kappa_zero_detuning_is_coupling_g_error():
-    # a hand-built config skips the scenario checks; coupling_g's check
-    # still fires first, for the full set and for the k_eff entry alone
+def test_collective_kappa_zero_detuning_is_a_value_error():
+    # a hand-built config skips the scenario checks; the detuning check
+    # still fires, for the full set and for the k_eff entry alone
     cfg = default_scenario()._replace(probe_detuning=0.0)
     for fn in (collective_kappa, QUANTITIES["k_eff"][0]):
         with pytest.raises(ValueError, match="^detuning must be nonzero$"):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemcell import CESIUM, ScenarioError, default_scenario, load_scenario, load_scenario_file
+from qmemcell import CESIUM, InputError, default_scenario, load_scenario, load_scenario_file
 from qmemcell.scenario import (_SCALAR_KEYS, _SPECIES_KEYS, DEFAULTS, F_GROUND_MAX,
                                DOCUMENT_KEYS, SCALAR_KEYS, ScenarioConfig, refusal,
                                scenario_to_document, scenario_with)
@@ -57,26 +57,26 @@ def test_partial_document_overrides():
 
 
 def test_unknown_key_rejected():
-    with pytest.raises(ScenarioError, match="unknown scenario keys"):
+    with pytest.raises(InputError, match="unknown scenario keys"):
         load_scenario('{"omega_b": 3.0e5}')
 
 
 def test_unknown_species_key_rejected():
-    with pytest.raises(ScenarioError, match="unknown species keys"):
+    with pytest.raises(InputError, match="unknown species keys"):
         load_scenario('{"species": {"lambda_d3_m": 1.0e-6}}')
 
 
 def test_invalid_json_rejected():
-    with pytest.raises(ScenarioError, match="not valid JSON"):
+    with pytest.raises(InputError, match="not valid JSON"):
         load_scenario("{")
-    with pytest.raises(ScenarioError, match="JSON object"):
+    with pytest.raises(InputError, match="JSON object"):
         load_scenario("[1, 2]")
 
 
 def test_non_numeric_value_rejected():
-    with pytest.raises(ScenarioError, match="must be a number"):
+    with pytest.raises(InputError, match="must be a number"):
         load_scenario('{"omega_b_hz": "fast"}')
-    with pytest.raises(ScenarioError, match="must be a number"):
+    with pytest.raises(InputError, match="must be a number"):
         load_scenario('{"boundary_loss": true}')
 
 
@@ -88,20 +88,20 @@ def test_non_numeric_value_rejected():
     ('{"species": {"gamma_d1_hz": NaN}}', "gamma_d1_hz"),
 ])
 def test_non_finite_value_rejected(doc, key):
-    with pytest.raises(ScenarioError, match=f"'{key}' must be finite"):
+    with pytest.raises(InputError, match=f"'{key}' must be finite"):
         load_scenario(doc)
 
 
 def test_sign_validation():
-    with pytest.raises(ScenarioError, match="positive"):
+    with pytest.raises(InputError, match="positive"):
         load_scenario('{"tau_s": 0.0}')
-    with pytest.raises(ScenarioError, match="non-negative"):
+    with pytest.raises(InputError, match="non-negative"):
         load_scenario('{"omega_b_hz": -1.0}')
-    with pytest.raises(ScenarioError, match="nonzero"):
+    with pytest.raises(InputError, match="nonzero"):
         load_scenario('{"probe_detuning_hz": 0.0}')
-    with pytest.raises(ScenarioError, match="boundary_loss"):
+    with pytest.raises(InputError, match="boundary_loss"):
         load_scenario('{"boundary_loss": 1.0}')
-    with pytest.raises(ScenarioError, match="boundary_loss"):
+    with pytest.raises(InputError, match="boundary_loss"):
         load_scenario('{"boundary_loss": -0.1}')
 
 
@@ -119,19 +119,19 @@ def test_species_override():
 
 
 def test_species_validation():
-    with pytest.raises(ScenarioError, match="f_ground"):
+    with pytest.raises(InputError, match="f_ground"):
         load_scenario('{"species": {"f_ground": 2.5}}')
-    with pytest.raises(ScenarioError, match="f_ground"):
+    with pytest.raises(InputError, match="f_ground"):
         load_scenario('{"species": {"f_ground": 0}}')
-    with pytest.raises(ScenarioError, match="positive"):
+    with pytest.raises(InputError, match="positive"):
         load_scenario('{"species": {"mean_speed_m_s": -1.0}}')
-    with pytest.raises(ScenarioError, match="JSON object"):
+    with pytest.raises(InputError, match="JSON object"):
         load_scenario('{"species": 3}')
 
 
 def test_f_ground_is_capped_at_load():
     # the ladders hold 2 f_ground spacings per mechanism: 1e8 ran shifts out of memory
-    with pytest.raises(ScenarioError, match=rf"^field 'f_ground' must be <= {F_GROUND_MAX}, "
+    with pytest.raises(InputError, match=rf"^field 'f_ground' must be <= {F_GROUND_MAX}, "
                                             r"got 100000000$") as refused:
         load_scenario('{"species": {"f_ground": 100000000}}')
     assert refused.value.keys == ("f_ground",)
@@ -169,16 +169,16 @@ REFUSED_DOCUMENTS = [
 
 @pytest.mark.parametrize("doc, keys", REFUSED_DOCUMENTS)
 def test_refused_documents_carry_their_keys(doc, keys):
-    with pytest.raises(ScenarioError) as refused:
+    with pytest.raises(InputError) as refused:
         load_scenario(doc)
     assert refused.value.keys == keys
 
 
 def test_scenario_with_refusals_carry_their_keys():
-    with pytest.raises(ScenarioError) as refused:
+    with pytest.raises(InputError) as refused:
         scenario_with(default_scenario(), "tau_s", 0.0)
     assert refused.value.keys == ("tau_s",)
-    with pytest.raises(ScenarioError, match="unknown scenario key") as refused:
+    with pytest.raises(InputError, match="unknown scenario key") as refused:
         scenario_with(default_scenario(), "tau", 1.0)
     assert refused.value.keys == ()
 
@@ -250,7 +250,7 @@ FIRST_REFUSALS = [
 
 @pytest.mark.parametrize("doc, message, keys", FIRST_REFUSALS)
 def test_several_bad_keys_refuse_the_same_key_first(doc, message, keys):
-    with pytest.raises(ScenarioError) as refused:
+    with pytest.raises(InputError) as refused:
         load_scenario(doc)
     assert (str(refused.value), refused.value.keys) == (message, keys)
 
@@ -279,7 +279,7 @@ def test_refusal_phrases_fields_in_document_keys_and_units():
     ('{"spin_exchange_cross_section_m2": -1e-18}', "spin_exchange_cross_section_m2"),
 ])
 def test_species_g_f_and_cross_section_ranges(block, key):
-    with pytest.raises(ScenarioError, match=f"^field '{key}' "):
+    with pytest.raises(InputError, match=f"^field '{key}' "):
         load_scenario(f'{{"species": {block}}}')
 
 
@@ -312,12 +312,12 @@ def test_scenario_with_replaces_one_key():
     assert tweaked.stark_detuning == pytest.approx(-TWO_PI * 3.0e9, rel=1e-12)
     assert tweaked.omega_b == cfg.omega_b
     # the replacement passes through full validation
-    with pytest.raises(ScenarioError):
+    with pytest.raises(InputError):
         scenario_with(cfg, "tau_s", -1.0)
-    with pytest.raises(ScenarioError, match="unknown scenario key"):
+    with pytest.raises(InputError, match="unknown scenario key"):
         scenario_with(cfg, "species", 1.0)
     for value in (math.nan, math.inf):
-        with pytest.raises(ScenarioError, match="'stark_detuning_hz' must be finite"):
+        with pytest.raises(InputError, match="'stark_detuning_hz' must be finite"):
             scenario_with(cfg, "stark_detuning_hz", value)
 
 
@@ -376,8 +376,8 @@ EDGE_VALUES = (0, 0.0, -0.0, -1.0, -3.0e9, 0.5, 1.0, 1.5, 7, math.nan, math.inf,
 def _outcome(make):
     try:
         return make()
-    except ScenarioError as exc:
-        return f"ScenarioError: {exc}"
+    except InputError as exc:
+        return f"InputError: {exc}"
 
 
 def _assert_same_as_round_trip(cfg, key, value):
@@ -413,7 +413,7 @@ def test_scenario_with_matches_round_trip(doc, key, value):
     ('{"microwave_detuning_hz": -1e-270}', "microwave_detuning_hz"),
 ])
 def test_detuning_out_of_range_rejected(doc, key):
-    with pytest.raises(ScenarioError, match=f"'{key}' = .* is out of range"):
+    with pytest.raises(InputError, match=f"'{key}' = .* is out of range"):
         load_scenario(doc)
 
 
