@@ -19,7 +19,9 @@ window, the pass strength, the two feedback gains, collisions and
 scattering), and the decode of the result.  A run copies the stacks and
 fills those entries.  One fold over the stages gives the final state, the
 outcomes and the composed channel, whose (X, Y) give the transfer map and
-the added noise.
+the added noise.  The fidelity scores each channel's block of the map and
+of the output covariance as one 2x2 quadratic form, evaluated on a fixed
+ring of coherent inputs through the ring's quadratic monomials.
 """
 
 from __future__ import annotations
@@ -384,36 +386,54 @@ def _phase_ring(amplitude: float, n_phases: int) -> np.ndarray:
     return amplitude * np.stack([np.cos(phases), np.sin(phases)])
 
 
+def _ring_terms(ring: np.ndarray) -> np.ndarray:
+    """4 x n quadratic monomials (x^2, xp, px, p^2) of the 2 x n ring."""
+    x, p = ring
+    return np.stack((x * x, x * p, p * x, p * p))
+
+
 _RING = _read_only(_phase_ring(FIDELITY_AMPLITUDE, FIDELITY_PHASES))
-#: index gathering the (channel c, channel s) diagonal 2x2 blocks of a 4x4
-#: matrix into one 2x2x2 stack
-_CHANNEL_BLOCKS = (_read_only(np.array([[[0], [1]], [[2], [3]]])),
-                   _read_only(np.array([[[0, 1]], [[2, 3]]])))
-_EYE2 = _read_only(np.eye(2))
+#: the monomials of ``_RING``, built once: a channel's exponent at every
+#: phase is its 2x2 quadratic form, flattened, times these
+_RING_TERMS = _read_only(_ring_terms(_RING))
 
 
 def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
                    signs: np.ndarray, ring: np.ndarray) -> float:
     """Coherent-state ensemble fidelity of a stored or retrieved map.
 
-    The 2 x n inputs of ``ring`` (fixed quadrature amplitude, uniformly
+    The 2 x n inputs r of ``ring`` (fixed quadrature amplitude, uniformly
     spread phase) are pushed through the 4x4 mean transfer map; the
     matching output block is decoded with the ideal decode of the
-    protocol, one sign per channel given as the 2x1x1 stack ``signs``,
+    protocol, one sign s per channel given as the 2x1x1 stack ``signs``,
     and compared to the input against the output covariance, which a
-    sign leaves as it is.  The two channels go through one batched pass
-    and are averaged.  An output covariance that is not positive
-    definite in double precision (noise so large that its determinant
-    cancels) raises ValueError.
+    sign leaves as it is.  Per channel, with Sigma = V + I/2 and
+    M = s T - I, the exponent at input r is r^T Q r with
+    Q = M^T Sigma^-1 M: the 2x2 algebra runs on Python floats, and one
+    product of the two flattened forms with the ring's monomials gives
+    every exponent of both channels, which are averaged.  An output
+    covariance that is not positive definite in double precision (noise
+    so large that its determinant cancels) raises ValueError, channel c
+    checked first.
     """
-    sigma = output_cov[_CHANNEL_BLOCKS] + 0.5 * _EYE2
-    dets = np.linalg.det(sigma).tolist()
-    for block, det in zip(sigma, dets):
-        if not (block[0, 0] > 0.0 and 0.0 < det < math.inf):
+    v, t = output_cov.tolist(), transfer_map.tolist()
+    forms, dets = [], []
+    for i, sign in zip((0, 2), signs.ravel().tolist()):
+        (s00, s01), (s10, s11) = v[i][i:i + 2], v[i + 1][i:i + 2]
+        s00, s11 = s00 + 0.5, s11 + 0.5
+        det = s00 * s11 - s01 * s10
+        if not (s00 > 0.0 and 0.0 < det < math.inf):
             raise ValueError(f"output covariance is not positive definite: det {det!r}")
-    # decoded-minus-ideal response of each channel to each input
-    d = (signs * transfer_map[_CHANNEL_BLOCKS] - _EYE2) @ ring
-    exponent = np.einsum("bin,bij,bjn->bn", d, np.linalg.inv(sigma), d)
+        # decoded-minus-ideal response M, then W = Sigma^-1 M = adj(Sigma) M / det
+        (m00, m01), (m10, m11) = t[i][i:i + 2], t[i + 1][i:i + 2]
+        m00, m01, m10, m11 = sign * m00 - 1.0, sign * m01, sign * m10, sign * m11 - 1.0
+        w00, w01 = (s11 * m00 - s01 * m10) / det, (s11 * m01 - s01 * m11) / det
+        w10, w11 = (s00 * m10 - s10 * m00) / det, (s00 * m11 - s10 * m01) / det
+        forms.append((m00 * w00 + m10 * w10, m00 * w01 + m10 * w11,
+                      m01 * w00 + m11 * w10, m01 * w01 + m11 * w11))
+        dets.append(det)
+    # the packaged ring's monomials are built once; any other ring's here
+    exponent = np.array(forms) @ (_RING_TERMS if ring is _RING else _ring_terms(ring))
     total = 0.0
     for det, weight in zip(dets, np.exp(-0.5 * exponent).sum(axis=1).tolist()):
         total += 1.0 / math.sqrt(det) * weight

@@ -140,7 +140,11 @@ _SPECIES_KEYS = {
     "lambda_d2_m": _Key("lambda_d2", "m", 852.3e-9, _LINE_DATUM, _CUBE),
     "gamma_d1_hz": _Key("gamma_d1", "Hz", 4.56e6, _LINE_DATUM),
     "gamma_d2_hz": _Key("gamma_d2", "Hz", 5.22e6, _LINE_DATUM),
-    "delta_hf_hz": _Key("delta_hf", "Hz", 9.19e9, _LINE_DATUM),
+    # the microwave compensation divides by Delta_hf mu_B^2
+    # (shifts.ac_zeeman_compensation_intensity); a subnormal one has lost its digits
+    "delta_hf_hz": _Key("delta_hf", "Hz", 9.19e9, _LINE_DATUM, (
+        lambda omega: omega * CODATA.mu_bohr**2 < sys.float_info.min,
+        "the compensation denominator Delta_hf mu_B^2 underflows")),
     "delta2_hz": _Key("delta2", "Hz", 1.168e9, _LINE_DATUM),
     "doppler_halfwidth_hz": _Key("doppler_halfwidth", "Hz", 1.90e8, _LINE_DATUM),
     "mean_speed_m_s": _Key("mean_speed", "m/s", 130.0, _LINE_DATUM),

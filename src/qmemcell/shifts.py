@@ -76,23 +76,37 @@ def zeeman_ladder(omega_b: float, species: SpeciesData = CESIUM) -> ShiftLadder:
     """Ladder of the static field: Omega_B - (Omega_B^2/Delta_hf)(2m+1).
 
     The (2m+1) term is the second-order repulsion from the other ground
-    hyperfine manifold; it is what dephases the two pumped classes.
+    hyperfine manifold; it is what dephases the two pumped classes.  A
+    ladder whose spread (4F - 2) Omega_B^2/Delta_hf is not finite raises
+    InputError naming the Larmor frequency and the hyperfine splitting.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
-    return ShiftLadder(species.f_ground, ((omega_b, -omega_b**2 / species.delta_hf),))
+    slope = -omega_b**2 / species.delta_hf
+    if not math.isfinite((4 * species.f_ground - 2) * slope):
+        raise refusal("are out of range together: the Zeeman ladder spread (4F - 2) "
+                      "omega_b^2 / Delta_hf overflows", omega_b=omega_b,
+                      delta_hf=species.delta_hf)
+    return ShiftLadder(species.f_ground, ((omega_b, slope),))
 
 
 def class_dephasing(omega_b: float, tau: float, species: SpeciesData = CESIUM) -> float:
     """Relative phase (rad) between the edge coherences after time tau.
 
     Equals (4F - 2) * Omega_B^2 * tau / Delta_hf, i.e. the full ladder
-    spread times tau; 14 Omega_B^2 tau / Delta_hf for F = 4.
+    spread times tau; 14 Omega_B^2 tau / Delta_hf for F = 4.  A phase that
+    is not finite raises InputError naming the Larmor frequency, the pulse
+    duration and the hyperfine splitting.
     """
     if tau < 0.0:
         raise ValueError(f"tau must be non-negative, got {tau}")
     spread = (4 * species.f_ground - 2) * omega_b**2 / species.delta_hf
-    return spread * tau
+    phase = spread * tau
+    if not math.isfinite(phase):
+        raise refusal(f"are out of range together: the class dephasing (4F - 2) omega_b^2 "
+                      f"tau / Delta_hf is {phase!r} rad", omega_b=omega_b,
+                      pulse_duration=tau, delta_hf=species.delta_hf)
+    return phase
 
 
 def _stark_denominators(delta_s: float, species: SpeciesData) -> tuple[float, float]:
@@ -321,17 +335,18 @@ def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     beam area and the pulse duration.  kappa carries the sign of
     -1/detuning, so red and blue probe detunings give opposite k_eff.
     A zero detuning raises a ValueError.  A mode denominator 2 eps0 A c tau
-    that underflows to zero raises an InputError naming the beam area and
-    the pulse duration, and a non-finite k_eff one naming the three keys
-    that set it.
+    below the smallest normal float raises an InputError naming the beam
+    area and the pulse duration, and a non-finite k_eff one naming the
+    three keys that set it.
     """
     sp = config.species
-    try:
-        e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration, sp.lambda_d2)
-    except ZeroDivisionError:
+    # the denominator of vacuum_field_squared, multiplied in its order
+    mode = 2.0 * CODATA.epsilon0 * config.beam_area * CODATA.c * config.pulse_duration
+    if mode < sys.float_info.min:
         raise refusal("are out of range together: the mode denominator 2 eps0 A c tau "
-                      "underflows to zero", beam_area=config.beam_area,
-                      pulse_duration=config.pulse_duration) from None
+                      "underflows", beam_area=config.beam_area,
+                      pulse_duration=config.pulse_duration)
+    e0_sq = vacuum_field_squared(config.beam_area, config.pulse_duration, sp.lambda_d2)
     mu_sq = dipole_moment_squared(sp.gamma_d2, sp.lambda_d2)
     if config.probe_detuning == 0.0:
         raise ValueError("detuning must be nonzero")

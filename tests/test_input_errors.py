@@ -198,6 +198,19 @@ _MICROWAVE_SWEEP = [*_SWEEP, "ac_zeeman_compensation_intensity"]
 _STARK_COMMANDS = [["shifts"], ["compensate"], ["decoherence"], ["memory-sim"], ["paper-check"],
                    _STARK_SWEEP, ["pulse-design"]]
 
+#: (document or None, argv, every key the refusal names) of the refusals keyed
+#: where a Zeeman term overflows or a denominator is subnormal
+KEYED_OVERFLOWS = (
+    (None, ["sweep", "--param", "tau_s", "--values", "1e308", "--quantity", "zeeman_dephasing"],
+     ("omega_b_hz", "tau_s", "delta_hf_hz")),
+    ({"omega_b_hz": 1e150, "species": {"delta_hf_hz": 1e-200}},
+     ["sweep", "--param", "tau_s", "--values", "1e-3", "--quantity", "zeeman_ladder_spread"],
+     ("omega_b_hz", "delta_hf_hz")),
+    ({"species": {"delta_hf_hz": 1e-300}}, _MICROWAVE_SWEEP, ("delta_hf_hz",)),
+    ({"beam_area_m2": 1e-310}, ["memory-sim"], ("beam_area_m2", "tau_s")),
+    (None, ["sweep", "--param", "beam_area_m2", "--values", "1e-310", "--quantity", "k_eff"],
+     ("beam_area_m2", "tau_s")),
+)
 #: (document or None, argv, the document key or option dest the case set), one row
 #: per subcommand that reaches the refusal
 EDGE_CASES = [
@@ -240,6 +253,12 @@ EDGE_CASES = [
     ({"tau_s": 1.7e308}, ["paper-check"], "tau_s"),
     (None, ["sweep", "--param", "tau_s", "--values", "1e300", "--quantity",
             "scattered_photons_per_pulse"], "tau_s"),
+    # a Zeeman ladder or class dephasing that overflows, refused where it is
+    # computed; a compensation denominator Delta_hf mu_B^2 or a mode denominator
+    # 2 eps0 A c tau below the smallest normal float
+    *[(doc, argv, keys[0]) for doc, argv, keys in KEYED_OVERFLOWS],
+    (None, ["sweep", "--param", "tau_s", "--values", "1e308", "--quantity",
+            "weak_field_dephasing"], "tau_s"),
 ]
 
 
@@ -260,6 +279,31 @@ def test_edge_inputs_exit_2_on_one_keyed_line(tmp_path, capsys, doc, argv, key):
     with pytest.raises(InputError) as refused:
         cli._dispatch(cli._parse_args(argv))
     assert key in refused.value.keys
+
+
+@pytest.mark.parametrize("doc, argv, keys", KEYED_OVERFLOWS,
+                         ids=[" ".join(argv) for _, argv, _ in KEYED_OVERFLOWS])
+def test_overflow_refusals_name_every_key(tmp_path, doc, argv, keys):
+    if doc is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(path)]
+    with pytest.raises(InputError) as refused:
+        cli._dispatch(cli._parse_args(argv))
+    assert refused.value.keys == keys
+
+
+def test_hyperfine_splitting_keeps_the_compensation_denominator_normal():
+    with pytest.raises(InputError, match=r"^field 'delta_hf_hz' = 1e-300 is out of range: the "
+                                         r"compensation denominator Delta_hf mu_B\^2 "
+                                         r"underflows$") as refused:
+        scenario.load_scenario('{"species": {"delta_hf_hz": 1e-300}}')
+    assert refused.value.keys == ("delta_hf_hz",)
+    # just above the limit, about 4e-263 Hz, the compensation intensity is finite
+    point = qmemcell.default_scenario()
+    species = scenario.load_scenario('{"species": {"delta_hf_hz": 1e-262}}').species
+    assert 0.0 < qmemcell.ac_zeeman_compensation_intensity(
+        point.omega_b, point.microwave_detuning, species) < math.inf
 
 
 def test_species_refusals_name_the_line_data():

@@ -38,6 +38,7 @@ from qmemcell.gaussian import (
     POLICY_SAMPLE,
     QUAD_P,
     QUAD_X,
+    rotation_2x2,
     symplectic_form,
 )
 from qmemcell.memory import (
@@ -408,6 +409,64 @@ def test_mean_fidelity_matches_phase_loop(seed):
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+#: index gathering the two channels' diagonal 2x2 blocks of a 4x4 matrix
+_BLOCKS = (np.array([[[0], [1]], [[2], [3]]]), np.array([[[0, 1]], [[2, 3]]]))
+
+
+def _exponents_checked_against_phase_loop(transfer, cov):
+    """Each decode's largest ring exponent where the closed form's F > 1e-10,
+    after checking F against the per-phase loop to 1e-11 relative."""
+    largest = []
+    for signs, (decode_c, decode_s) in DECODES:
+        got = memory._ring_fidelity(transfer, cov, signs, memory._RING)
+        if got > 1e-10:
+            assert got == pytest.approx(_mean_fidelity_loop(transfer, cov, decode_c, decode_s),
+                                        rel=1e-11)
+            d = (signs * transfer[_BLOCKS] - np.eye(2)) @ memory._RING
+            sigma_inv = np.linalg.inv(cov[_BLOCKS] + 0.5 * np.eye(2))
+            largest.append(np.einsum("bin,bij,bjn->bn", d, sigma_inv, d).max())
+    return largest
+
+
+@pytest.mark.parametrize("scale", [0.05, 0.3, 1.0, 3.0])
+def test_closed_form_matches_phase_loop_at_large_exponents(scale):
+    rng = np.random.default_rng(20050913)
+    largest = []
+    for _ in range(6):
+        transfer = np.diag([-1.0, -1.0, 1.0, 1.0]) + scale * rng.normal(size=(4, 4))
+        a = rng.normal(size=(4, 4))
+        largest += _exponents_checked_against_phase_loop(transfer, 0.5 * np.eye(4) + 0.3 * a @ a.T)
+    assert len(largest) >= 3
+    if scale == 3.0:  # exponents in the hundreds
+        assert max(largest) > 100.0
+
+
+def test_closed_form_matches_phase_loop_at_a_nearly_singular_sigma():
+    # Sigma = V + I/2 with eigenvalues 100 and 0.01 in each channel
+    rng = np.random.default_rng(20050913)
+    checked = 0
+    for _ in range(6):
+        cov = np.zeros((4, 4))
+        for block in (slice(0, 2), slice(2, 4)):
+            rotation = rotation_2x2(rng.uniform(0.0, math.pi))
+            cov[block, block] = rotation @ np.diag([100.0, 0.01]) @ rotation.T - 0.5 * np.eye(2)
+        transfer = np.diag([-1.0, -1.0, 1.0, 1.0]) + 0.01 * rng.normal(size=(4, 4))
+        checked += len(_exponents_checked_against_phase_loop(transfer, cov))
+    assert checked >= 3
+
+
+def test_ring_monomials_are_read_only_products_of_the_ring():
+    terms = memory._RING_TERMS
+    assert not terms.flags.writeable
+    with pytest.raises(ValueError):
+        terms[0, 0] = 7.0
+    # (x^2, xp, px, p^2) of each phase, bit for bit
+    ring = memory._RING
+    assert terms.shape == (4, memory.FIDELITY_PHASES)
+    _assert_bit_equal(terms, np.einsum("in,jn->ijn", ring, ring).reshape(4, -1))
+    _assert_bit_equal(memory._ring_terms(ring), terms)
+
+
 @pytest.mark.parametrize("n_phases", [1, 2, 7, 256])
 def test_phase_ring_spreads_a_fixed_amplitude_uniformly(n_phases):
     ring = memory._phase_ring(20.0, n_phases)
@@ -422,16 +481,27 @@ def test_phase_ring_spreads_a_fixed_amplitude_uniformly(n_phases):
 
 
 def _ring_fidelity_per_block(transfer, cov, undo_c, undo_s, ring):
-    """The fidelity sum one channel block at a time."""
-    total = 0.0
+    """The fidelity sum one channel block at a time, each block decoded by the
+    congruence with its inverted decode matrix, then scored in the closed
+    form's arithmetic: Q = M^T Sigma^-1 M on floats, one product of both
+    flattened forms with the ring's monomials, exp and sum per block."""
+    forms, dets = [], []
     for block, d_inv in ((slice(0, 2), undo_c), (slice(2, 4), undo_s)):
         sigma = d_inv @ cov[block, block] @ d_inv.T + 0.5 * np.eye(2)
-        det = float(np.linalg.det(sigma))
-        if not (sigma[0, 0] > 0.0 and 0.0 < det < math.inf):
+        (s00, s01), (s10, s11) = sigma.tolist()
+        det = s00 * s11 - s01 * s10
+        if not (s00 > 0.0 and 0.0 < det < math.inf):
             raise ValueError(f"output covariance is not positive definite: det {det!r}")
-        d = (d_inv @ transfer[block, block] - np.eye(2)) @ ring
-        exponent = np.einsum("in,ij,jn->n", d, np.linalg.inv(sigma), d)
-        total += 1.0 / math.sqrt(det) * float(np.exp(-0.5 * exponent).sum())
+        (m00, m01), (m10, m11) = (d_inv @ transfer[block, block] - np.eye(2)).tolist()
+        w00, w01 = (s11 * m00 - s01 * m10) / det, (s11 * m01 - s01 * m11) / det
+        w10, w11 = (s00 * m10 - s10 * m00) / det, (s00 * m11 - s10 * m01) / det
+        forms.append((m00 * w00 + m10 * w10, m00 * w01 + m10 * w11,
+                      m01 * w00 + m11 * w10, m01 * w01 + m11 * w11))
+        dets.append(det)
+    exponent = np.array(forms) @ np.einsum("in,jn->ijn", ring, ring).reshape(4, -1)
+    total = 0.0
+    for det, row in zip(dets, exponent):
+        total += 1.0 / math.sqrt(det) * float(np.exp(-0.5 * row).sum())
     return total / (2.0 * ring.shape[1])
 
 
@@ -867,11 +937,11 @@ def test_module_constants_are_read_only():
     for array in arrays:
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 7.0
-    # the pass generators, the batched fidelity's index and the decode
-    # signs are among the arrays checked
+    # the pass generators, the ring's monomials and the decode signs are
+    # among the arrays checked
     checked = {id(array) for array in arrays}
-    new = [*memory._PASS_GENERATORS.values(), *memory._CHANNEL_BLOCKS, memory._EYE8,
-           memory._EYE2, memory._WRITE.signs, memory._READ.signs]
+    new = [*memory._PASS_GENERATORS.values(), memory._RING_TERMS, memory._EYE8,
+           memory._WRITE.signs, memory._READ.signs]
     assert all(id(array) in checked for array in new)
     # both stage templates are among them, and a run fills copies of them
     templates = [memory._WRITE.x, memory._WRITE.y, memory._WRITE.x_at, memory._WRITE.x_from,

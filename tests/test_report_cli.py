@@ -461,37 +461,37 @@ PINNED_SCENARIOS = (
 #: both outcome policies, then the four outcomes drawn with seed 11
 PINNED_PROTOCOL_ROWS = {
     (0, 0.5): (
-        0.06147258670114161, 0.06463388067571318, 0.1522945140165043, 0.5011947206213668,
+        0.06147258670114161, 0.06463388067571316, 0.1522945140165043, 0.5011947206213668,
         0.5011947206213668, 0.1522945140165043, 0.150640633938725, 0.5054726584846813,
         0.5054726584846813, 0.150640633938725, 0.027004710720603484, 1.073899304704657,
         1.9265386173101176, 0.019936515787497673,
     ),
     (0, 2.0): (
-        0.03041212700691363, 0.03140234510536114, 0.4999762258116015, 0.5191155299418699,
+        0.03041212700691364, 0.031402345105361135, 0.4999762258116015, 0.5191155299418699,
         0.5191155299418699, 0.4999762258116015, 0.521890633938725, 0.5875625357548999,
         0.5875625357548999, 0.521890633938725, 0.05384682371716507, 2.1413325678137665,
         3.842727260725913, 0.039744835750235796,
     ),
     (1, 0.5): (
-        0.009129226733189732, 0.015052518345498027, 0.2102283797233005, 0.5031806415633352,
+        0.009129226733189735, 0.01505251834549803, 0.2102283797233005, 0.5031806415633352,
         0.5031806415633352, 0.2102283797233005, 0.20988702447530305, 0.5184092561188258,
         0.5184092561188258, 0.20988702447530305, 0.02695053872879725, 1.0717450411416412,
         1.795263420448824, 0.017075361219566126,
     ),
     (1, 2.0): (
-        0.008327375683795575, 0.012798572395980957, 0.4998120789100466, 0.5508902650133645,
+        0.008327375683795574, 0.012798572395980954, 0.4998120789100466, 0.5508902650133645,
         0.5508902650133645, 0.4998120789100466, 0.573637024475303, 0.7945480979012123,
         0.7945480979012123, 0.573637024475303, 0.05341080987150666, 2.1239935572041495,
         3.563967862958772, 0.03380029570086384,
     ),
     (2, 0.5): (
-        7.018195781518503e-06, 9.712513397948907e-06, 0.1949594608632042,
+        7.018195781518506e-06, 9.712513397948906e-06, 0.1949594608632042,
         0.5012204473512987, 0.5012204473512987, 0.1949594608632042, 0.19068982328684175,
         0.5029257122214226, 0.5029257122214226, 0.19068982328684175, 0.027004710720603484,
         1.073899304704657, 1.6666166195001701, 0.01569100886837429,
     ),
     (2, 2.0): (
-        3.3812064049078676e-06, 4.939272106540922e-06, 0.18911603263292254,
+        3.381206404907875e-06, 4.9392721065409226e-06, 0.18911603263292254,
         0.5195271576207805, 0.5195271576207805, 0.18911603263292254, 0.1906898232868417,
         0.5468113955427611, 0.5468113955427611, 0.1906898232868417, 0.05384682371716507,
         2.1413325678137665, 3.3251552383930916, 0.03127477109530524,
