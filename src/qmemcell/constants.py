@@ -55,6 +55,16 @@ class PhysicalConstants(namedtuple("PhysicalConstants", _CODATA_2018,
 CODATA = PhysicalConstants()
 
 
+def mode_denominator(area: float, duration: float) -> float:
+    """2 eps0 A c T of a pulse mode of beam area ``area`` (m^2) and pulse
+    duration ``duration`` (s), in J/(V^2/m^2)."""
+    if area <= 0.0:
+        raise ValueError(f"beam area must be positive, got {area}")
+    if duration <= 0.0:
+        raise ValueError(f"pulse duration must be positive, got {duration}")
+    return 2.0 * CODATA.epsilon0 * area * CODATA.c * duration
+
+
 def vacuum_field_squared(area: float, duration: float, wavelength: float) -> float:
     """Squared field amplitude per photon of a pulse mode, in V^2/m^2.
 
@@ -62,14 +72,11 @@ def vacuum_field_squared(area: float, duration: float, wavelength: float) -> flo
     ``area`` (m^2) and pulse duration ``duration`` (s), carries the mean
     squared field hbar*omega0 / (2 eps0 A c T).
     """
-    if area <= 0.0:
-        raise ValueError(f"beam area must be positive, got {area}")
-    if duration <= 0.0:
-        raise ValueError(f"pulse duration must be positive, got {duration}")
+    mode = mode_denominator(area, duration)
     if wavelength <= 0.0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     omega0 = TWO_PI * CODATA.c / wavelength
-    return CODATA.hbar * omega0 / (2.0 * CODATA.epsilon0 * area * CODATA.c * duration)
+    return CODATA.hbar * omega0 / mode
 
 
 def dipole_moment_squared(gamma: float, wavelength: float) -> float:

@@ -399,11 +399,12 @@ _RING_TERMS = _read_only(_ring_terms(_RING))
 
 
 def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
-                   signs: np.ndarray, ring: np.ndarray) -> float:
+                   signs: np.ndarray, terms: np.ndarray) -> float:
     """Coherent-state ensemble fidelity of a stored or retrieved map.
 
-    The 2 x n inputs r of ``ring`` (fixed quadrature amplitude, uniformly
-    spread phase) are pushed through the 4x4 mean transfer map; the
+    The n inputs r of a ring (fixed quadrature amplitude, uniformly
+    spread phase), given as its 4 x n quadratic monomials ``terms``
+    (``_ring_terms``), are pushed through the 4x4 mean transfer map; the
     matching output block is decoded with the ideal decode of the
     protocol, one sign s per channel given as the 2x1x1 stack ``signs``,
     and compared to the input against the output covariance, which a
@@ -432,12 +433,11 @@ def _ring_fidelity(transfer_map: np.ndarray, output_cov: np.ndarray,
         forms.append((m00 * w00 + m10 * w10, m00 * w01 + m10 * w11,
                       m01 * w00 + m11 * w10, m01 * w01 + m11 * w11))
         dets.append(det)
-    # the packaged ring's monomials are built once; any other ring's here
-    exponent = np.array(forms) @ (_RING_TERMS if ring is _RING else _ring_terms(ring))
+    exponent = np.array(forms) @ terms
     total = 0.0
     for det, weight in zip(dets, np.exp(-0.5 * exponent).sum(axis=1).tolist()):
         total += 1.0 / math.sqrt(det) * weight
-    return total / (2.0 * ring.shape[1])
+    return total / (2.0 * terms.shape[1])
 
 
 def _run(direction: _Direction, k_eff: float, state: GaussianState | None,
@@ -480,7 +480,7 @@ def _run(direction: _Direction, k_eff: float, state: GaussianState | None,
             transfer = channel.x[direction.outputs, direction.inputs]
             out_cov = vacuum_out[direction.outputs, direction.outputs]
             added = np.diag(out_cov) - 0.5 * (transfer**2).sum(axis=1)
-            fidelity = _ring_fidelity(transfer, out_cov, direction.signs, _RING)
+            fidelity = _ring_fidelity(transfer, out_cov, direction.signs, _RING_TERMS)
             final = GaussianState(modes=state.modes, means=means, cov=cov)
         except ValueError as exc:
             raise InputError(f"the protocol fails at gain={gain!r}, k_eff={k_eff!r}: {exc}",

@@ -183,6 +183,18 @@ def _ac_zeeman(c: ScenarioConfig):
     return ac_zeeman_ladder(i_mu, c.microwave_detuning, c.species)
 
 
+def _weak_field_dephasing(c: ScenarioConfig) -> float:
+    """Class dephasing (rad) at the fixed WEAK_OMEGA_B, which no document key
+    sets: a phase that is not finite is refused naming the pulse duration and
+    the hyperfine splitting only."""
+    try:
+        return class_dephasing(WEAK_OMEGA_B, c.pulse_duration, c.species)
+    except InputError:
+        raise refusal("are out of range together: the class dephasing at the weak field "
+                      "2 pi x 50 kHz overflows", pulse_duration=c.pulse_duration,
+                      delta_hf=c.species.delta_hf) from None
+
+
 def _pi_pulses(tau: float) -> dict:
     """Registry entries of the differential pi pulses of duration ``tau``."""
     return {
@@ -216,8 +228,7 @@ QUANTITIES = {
         lambda c: (zeeman_ladder(c.omega_b, c.species) + _ac_zeeman(c)).spread() / TWO_PI, "Hz"),
     "zeeman_dephasing": (lambda c: class_dephasing(
         c.omega_b, c.pulse_duration, c.species) / math.pi, "pi rad"),
-    "weak_field_dephasing": (
-        lambda c: class_dephasing(WEAK_OMEGA_B, c.pulse_duration, c.species) * 1e3, "mrad"),
+    "weak_field_dephasing": (lambda c: _weak_field_dephasing(c) * 1e3, "mrad"),
     "doppler_scattering_rate": (compensation_scattering_rate, "1/s"),
     "scattered_photons_per_pulse": (lambda c: scattered_photons_per_pulse(c)[0], "1"),
     "spin_exchange_eta": (lambda c: spin_exchange_probability(

@@ -23,7 +23,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .constants import CODATA, dipole_moment_squared, vacuum_field_squared
+from .constants import CODATA, dipole_moment_squared, mode_denominator, vacuum_field_squared
 from .scenario import CESIUM, InputError, ScenarioConfig, SpeciesData, refusal
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
@@ -334,15 +334,14 @@ def collective_kappa(config: ScenarioConfig) -> CouplingSet:
     The probe runs on the stronger line; its vacuum field is set by the
     beam area and the pulse duration.  kappa carries the sign of
     -1/detuning, so red and blue probe detunings give opposite k_eff.
-    A zero detuning raises a ValueError.  A mode denominator 2 eps0 A c tau
+    A non-positive beam area or pulse duration, or a zero detuning, raises
+    a ValueError.  A mode denominator 2 eps0 A c tau
     below the smallest normal float raises an InputError naming the beam
     area and the pulse duration, and a non-finite k_eff one naming the
     three keys that set it.
     """
     sp = config.species
-    # the denominator of vacuum_field_squared, multiplied in its order
-    mode = 2.0 * CODATA.epsilon0 * config.beam_area * CODATA.c * config.pulse_duration
-    if mode < sys.float_info.min:
+    if mode_denominator(config.beam_area, config.pulse_duration) < sys.float_info.min:
         raise refusal("are out of range together: the mode denominator 2 eps0 A c tau "
                       "underflows", beam_area=config.beam_area,
                       pulse_duration=config.pulse_duration)

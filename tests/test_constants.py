@@ -9,6 +9,7 @@ from qmemcell.constants import (
     angular_to_hz,
     dipole_moment_squared,
     hz_to_angular,
+    mode_denominator,
     saturation_intensity,
     tesla_to_gauss,
     vacuum_field_squared,
@@ -82,7 +83,18 @@ def test_dipole_saturation_intensity_relation():
             CODATA.c * CODATA.epsilon0 * (CODATA.hbar * gamma) ** 2 / 4.0, rel=1e-12)
 
 
+def test_vacuum_field_squared_divides_by_the_mode_denominator():
+    area, duration = 2.0e-4, 1.0e-3
+    mode = mode_denominator(area, duration)
+    assert mode == 2.0 * CODATA.epsilon0 * area * CODATA.c * duration
+    omega0 = 2.0 * math.pi * CODATA.c / CESIUM.lambda_d2
+    assert vacuum_field_squared(area, duration, CESIUM.lambda_d2) == CODATA.hbar * omega0 / mode
+
+
 def test_validation_errors():
+    for area, duration in ((0.0, 1e-3), (-1e-4, 1e-3), (1e-4, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            mode_denominator(area, duration)
     with pytest.raises(ValueError):
         vacuum_field_squared(0.0, 1e-3, 852e-9)
     with pytest.raises(ValueError):

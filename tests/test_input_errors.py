@@ -210,6 +210,9 @@ KEYED_OVERFLOWS = (
     ({"beam_area_m2": 1e-310}, ["memory-sim"], ("beam_area_m2", "tau_s")),
     (None, ["sweep", "--param", "beam_area_m2", "--values", "1e-310", "--quantity", "k_eff"],
      ("beam_area_m2", "tau_s")),
+    # the weak field's Larmor frequency is fixed, not a document key
+    (None, ["sweep", "--param", "tau_s", "--values", "1e308", "--quantity",
+            "weak_field_dephasing"], ("tau_s", "delta_hf_hz")),
 )
 #: (document or None, argv, the document key or option dest the case set), one row
 #: per subcommand that reaches the refusal
@@ -257,8 +260,6 @@ EDGE_CASES = [
     # computed; a compensation denominator Delta_hf mu_B^2 or a mode denominator
     # 2 eps0 A c tau below the smallest normal float
     *[(doc, argv, keys[0]) for doc, argv, keys in KEYED_OVERFLOWS],
-    (None, ["sweep", "--param", "tau_s", "--values", "1e308", "--quantity",
-            "weak_field_dephasing"], "tau_s"),
 ]
 
 

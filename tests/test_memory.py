@@ -113,6 +113,30 @@ def test_collective_kappa_zero_detuning_is_a_value_error():
             fn(cfg)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("beam_area", 0.0, "^beam area must be positive, got 0.0$"),
+    ("beam_area", -2.0e-4, "^beam area must be positive, got -0.0002$"),
+    ("pulse_duration", 0.0, "^pulse duration must be positive, got 0.0$"),
+])
+def test_collective_kappa_non_positive_mode_is_a_value_error(field, value, message):
+    # a hand-built config skips the scenario checks: the mode's own positivity
+    # check fires before the subnormal-denominator refusal
+    cfg = default_scenario()._replace(**{field: value})
+    for fn in (collective_kappa, QUANTITIES["k_eff"][0]):
+        with pytest.raises(ValueError, match=message) as refused:
+            fn(cfg)
+        assert not isinstance(refused.value, InputError)
+
+
+def test_collective_kappa_refuses_a_subnormal_mode_denominator():
+    cfg = default_scenario()._replace(beam_area=1e-310)
+    with pytest.raises(InputError, match=r"^fields 'beam_area_m2' = 1e-310 m\^2 and 'tau_s' = "
+                                         r"0\.001 s are out of range together: the mode "
+                                         r"denominator 2 eps0 A c tau underflows$") as refused:
+        collective_kappa(cfg)
+    assert refused.value.keys == ("beam_area_m2", "tau_s")
+
+
 # ---------------------------------------------------------------------------
 # pass interaction maps
 
@@ -360,21 +384,21 @@ DECODES = ((memory._WRITE.signs, (-np.eye(2), np.eye(2))),
 def test_mean_fidelity_of_exact_map():
     transfer = np.diag([-1.0, -1.0, 1.0, 1.0])
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    fid = memory._ring_fidelity(transfer, cov, memory._WRITE.signs, memory._RING)
+    fid = memory._ring_fidelity(transfer, cov, memory._WRITE.signs, memory._RING_TERMS)
     assert fid == pytest.approx(CANONICAL_FID, rel=1e-12)
 
 
 def test_mean_fidelity_of_identity_channel():
     signs = np.ones((2, 1, 1))
-    fid = memory._ring_fidelity(np.eye(4), 0.5 * np.eye(4), signs, memory._RING)
+    fid = memory._ring_fidelity(np.eye(4), 0.5 * np.eye(4), signs, memory._RING_TERMS)
     assert fid == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mean_fidelity_penalizes_miscalibration():
     cov = np.diag([0.5, 1.0, 1.0, 0.5])
-    signs, ring = memory._WRITE.signs, memory._RING
-    exact = memory._ring_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov, signs, ring)
-    off = memory._ring_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov, signs, ring)
+    signs, terms = memory._WRITE.signs, memory._RING_TERMS
+    exact = memory._ring_fidelity(np.diag([-1.0, -1.0, 1.0, 1.0]), cov, signs, terms)
+    off = memory._ring_fidelity(np.diag([-1.02, -1.02, 1.02, 1.02]), cov, signs, terms)
     assert off < exact
 
 
@@ -405,7 +429,8 @@ def test_mean_fidelity_matches_phase_loop(seed):
         for n_phases in (1, 7, 256):
             want = _mean_fidelity_loop(transfer, cov, decode_c, decode_s,
                                        n_phases=n_phases)
-            got = memory._ring_fidelity(transfer, cov, signs, memory._phase_ring(20.0, n_phases))
+            terms = memory._ring_terms(memory._phase_ring(20.0, n_phases))
+            got = memory._ring_fidelity(transfer, cov, signs, terms)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
@@ -418,7 +443,7 @@ def _exponents_checked_against_phase_loop(transfer, cov):
     after checking F against the per-phase loop to 1e-11 relative."""
     largest = []
     for signs, (decode_c, decode_s) in DECODES:
-        got = memory._ring_fidelity(transfer, cov, signs, memory._RING)
+        got = memory._ring_fidelity(transfer, cov, signs, memory._RING_TERMS)
         if got > 1e-10:
             assert got == pytest.approx(_mean_fidelity_loop(transfer, cov, decode_c, decode_s),
                                         rel=1e-11)
@@ -515,21 +540,22 @@ def test_ring_fidelity_matches_per_block_loop_bit_for_bit():
         cov = 0.5 * np.eye(4) + 0.3 * a @ a.T
         for signs, decodes in DECODES:
             want = _ring_fidelity_per_block(transfer, cov, *map(np.linalg.inv, decodes), ring)
-            assert memory._ring_fidelity(transfer, cov, signs, ring) == want
+            assert memory._ring_fidelity(transfer, cov, signs, memory._RING_TERMS) == want
 
 
 def test_ring_fidelity_checks_channel_c_first():
     (signs, decodes), ring = DECODES[0], memory._RING
     # both channels fail: the message is channel c's, as in the per-block loop
     cov = np.diag([-3.0, 1.0, -1.0, 5.0])
-    for fidelity in (lambda: memory._ring_fidelity(np.eye(4), cov, signs, ring),
+    for fidelity in (lambda: memory._ring_fidelity(np.eye(4), cov, signs, memory._RING_TERMS),
                      lambda: _ring_fidelity_per_block(np.eye(4), cov, *decodes, ring)):
         with pytest.raises(ValueError,
                            match=r"^output covariance is not positive definite: det -3.75$"):
             fidelity()
     # only channel s fails
     with pytest.raises(ValueError, match=r"not positive definite: det -0.75$"):
-        memory._ring_fidelity(np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0]), signs, ring)
+        memory._ring_fidelity(np.eye(4), np.diag([1.0, 1.0, -1.0, 1.0]), signs,
+                              memory._RING_TERMS)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,4 +1043,4 @@ def test_protocol_degenerate_output_noise_names_gain_and_k_eff():
     with pytest.raises(ValueError, match=r"k_eff=1e\+100"):
         run_read(1e100)
     with pytest.raises(ValueError, match="not positive definite"):
-        memory._ring_fidelity(np.eye(4), -np.eye(4), memory._WRITE.signs, memory._RING)
+        memory._ring_fidelity(np.eye(4), -np.eye(4), memory._WRITE.signs, memory._RING_TERMS)
