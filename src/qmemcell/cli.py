@@ -2,8 +2,8 @@
 
 Every subcommand prints a row-oriented report in CSV, table, or JSON
 form.  Output is byte-identical across runs for the same config and
-seed.  Exit codes: 0 on success, 1 if the reference check finds a
-quantity outside its window, 2 on usage or configuration errors.
+seed.  Exit codes: 0 on success, 1 if a checked row fails (the reference
+check finds a quantity outside its window), 2 on usage or configuration errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import re
 import sys
 
-from .report import (PI_PULSE_TAU, QUANTITIES, RENDERERS, STATUS_PASS, ReportRow,
+from .report import (PI_PULSE_TAU, QUANTITIES, RENDERERS, STATUS_FAIL, ReportRow,
                      compensate_rows, decoherence_rows, memory_sim_rows,
                      paper_check_rows, pulse_design_rows, pump_rows,
                      render_rows, shifts_rows)
@@ -38,7 +38,9 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, default_format: str):
+def _add_common(parser: argparse.ArgumentParser, default_format: str, rows):
+    """The options every subcommand takes, and ``rows``, its row builder
+    ``(config, args) -> list[ReportRow]``, as the parsed ``args.rows``."""
     parser.add_argument("--config", metavar="PATH",
                         help="scenario JSON document (default: $QMEMCELL_CONFIG, "
                              "then the packaged cesium point)")
@@ -46,6 +48,7 @@ def _add_common(parser: argparse.ArgumentParser, default_format: str):
                         default=default_format, help="output format")
     parser.add_argument("--out", metavar="PATH",
                         help="write the report to this file instead of stdout")
+    parser.set_defaults(rows=rows)
 
 
 @functools.cache
@@ -64,20 +67,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shifts", help="level-shift ladders of every mechanism")
     p.add_argument("--omega-b-hz", type=_finite_float, default=None,
                    help="override the Larmor frequency (cyclic Hz)")
-    _add_common(p, "csv")
+    _add_common(p, "csv", _shifts_rows)
 
     p = sub.add_parser("compensate",
                        help="slope-compensation intensities and residual spreads")
-    _add_common(p, "csv")
+    _add_common(p, "csv", lambda config, args: compensate_rows(config))
 
     p = sub.add_parser("pulse-design",
                        help="differential pi pulses for a given duration")
     p.add_argument("--tau-s", dest="tau", type=_finite_float, default=PI_PULSE_TAU,
                    help="pulse duration in seconds (default 30 us)")
-    _add_common(p, "csv")
+    _add_common(p, "csv", lambda config, args: pulse_design_rows(config, args.tau))
 
     p = sub.add_parser("decoherence", help="per-pulse decoherence budget")
-    _add_common(p, "csv")
+    _add_common(p, "csv", lambda config, args: decoherence_rows(config))
 
     p = sub.add_parser("pump", help="optical pumping rate-equation run")
     p.add_argument("--pump-rate", type=_finite_float, default=1.0e4,
@@ -89,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "itself is exact")
     p.add_argument("--steps", type=int, default=2000,
                    help="number of grid spacings: the run lasts dt * steps")
-    _add_common(p, "csv")
+    _add_common(p, "csv", lambda config, args: pump_rows(
+        config, args.pump_rate, args.repump_rate, args.dt, args.steps))
 
     p = sub.add_parser("memory-sim",
                        help="write-then-read run under the configured budget")
@@ -100,11 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="feedback gain (default: the configured feedback_gain)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for sampled measurement outcomes")
-    _add_common(p, "csv")
+    _add_common(p, "csv", lambda config, args: memory_sim_rows(
+        config, args.seed, args.k_eff, args.gain))
 
     p = sub.add_parser("paper-check",
                        help="evaluate the twelve benchmark quantities")
-    _add_common(p, "table")
+    _add_common(p, "table", lambda config, args: paper_check_rows(config))
 
     p = sub.add_parser("sweep", help="evaluate one quantity over a parameter grid")
     p.add_argument("--param", required=True, choices=SCALAR_KEYS,
@@ -116,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=_finite_float, default=None, help="grid start")
     p.add_argument("--stop", type=_finite_float, default=None, help="grid stop")
     p.add_argument("--num", type=int, default=None, help="grid point count")
-    _add_common(p, "csv")
+    _add_common(p, "csv", _sweep_rows)
 
     # argparse's pattern misses exponents, lists, -inf and -nan and takes "--dt -1e-6"
     # for a flag with no value; no option name starts with a digit, inf or nan
@@ -163,6 +168,12 @@ def _sweep_values(args) -> list[float]:
     return [args.start + i * step for i in range(args.num)]
 
 
+def _shifts_rows(config, args) -> list[ReportRow]:
+    if args.omega_b_hz is not None:
+        config = scenario_with(config, "omega_b_hz", args.omega_b_hz)
+    return shifts_rows(config)
+
+
 def _sweep_rows(config, args) -> list[ReportRow]:
     values = _sweep_values(args)
     param = args.param
@@ -173,28 +184,9 @@ def _sweep_rows(config, args) -> list[ReportRow]:
 
 
 def _dispatch(args) -> tuple[list[ReportRow], int]:
-    config = _resolve_config(args.config)
-    if args.command == "pump":
-        return pump_rows(config, args.pump_rate, args.repump_rate, args.dt, args.steps), 0
-    if args.command == "shifts":
-        if args.omega_b_hz is not None:
-            config = scenario_with(config, "omega_b_hz", args.omega_b_hz)
-        return shifts_rows(config), 0
-    if args.command == "compensate":
-        return compensate_rows(config), 0
-    if args.command == "pulse-design":
-        return pulse_design_rows(config, args.tau), 0
-    if args.command == "decoherence":
-        return decoherence_rows(config), 0
-    if args.command == "memory-sim":
-        return memory_sim_rows(config, args.seed, args.k_eff, args.gain), 0
-    if args.command == "paper-check":
-        rows = paper_check_rows(config)
-        all_pass = all(row.status == STATUS_PASS for row in rows)
-        return rows, 0 if all_pass else 1
-    if args.command == "sweep":
-        return _sweep_rows(config, args), 0
-    raise AssertionError(f"unhandled command {args.command!r}")
+    """The subcommand's rows, and exit code 1 if a checked row fails, else 0."""
+    rows = args.rows(_resolve_config(args.config), args)
+    return rows, int(any(row.status == STATUS_FAIL for row in rows))
 
 
 def _subparsers() -> dict[str, argparse.ArgumentParser]:

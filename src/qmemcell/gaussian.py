@@ -294,21 +294,16 @@ def displace(state: GaussianState, mode: str, dx: float, dp: float) -> GaussianS
     return _dc_replace(state, means=means)
 
 
-def homodyne_outcome(mean: float, variance: float, policy: str,
+def homodyne_outcome(mean: float, variance: float,
                      rng: np.random.Generator | None) -> float:
     """Outcome of a homodyne measurement of one quadrature.
 
-    policy 'mean' takes the current mean (the deterministic branch used
-    for transfer-map extraction); 'sample' draws from the marginal with
-    ``rng``, which must then be given.
+    Without ``rng`` it is the current mean (the deterministic branch used
+    for transfer-map extraction); with one it is drawn from the marginal.
     """
-    if policy == POLICY_MEAN:
+    if rng is None:
         return float(mean)
-    if policy == POLICY_SAMPLE:
-        if rng is None:
-            raise ValueError("policy 'sample' requires a seed")
-        if not 0.0 <= variance < math.inf:
-            raise ValueError(f"homodyne variance must be finite and non-negative, got {variance}")
-        # abs only turns -0.0, which numpy rejects as a scale, into 0.0
-        return float(rng.normal(mean, math.sqrt(abs(variance))))
-    raise ValueError(f"unknown outcome policy {policy!r}")
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"homodyne variance must be finite and non-negative, got {variance}")
+    # abs only turns -0.0, which numpy rejects as a scale, into 0.0
+    return float(rng.normal(mean, math.sqrt(abs(variance))))

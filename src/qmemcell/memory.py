@@ -355,8 +355,7 @@ def _stage_channels(direction: _Direction, x: np.ndarray, y: np.ndarray, gain: f
 
 
 def _run_stages(direction: _Direction, x: np.ndarray, y: np.ndarray, gain: float,
-                means: np.ndarray, cov: np.ndarray, policy: str,
-                rng: np.random.Generator | None
+                means: np.ndarray, cov: np.ndarray, rng: np.random.Generator | None
                 ) -> tuple[np.ndarray, np.ndarray, dict[str, float], GaussianChannel]:
     """One fold over the filled stacks: raw (means, covariance) after them,
     the homodyne outcomes, each drawn just before its feedback stage, and the
@@ -368,7 +367,7 @@ def _run_stages(direction: _Direction, x: np.ndarray, y: np.ndarray, gain: float
         if feedback is not None:
             q_meas, q_tgt, sign = feedback
             mean = means[q_meas]
-            outcomes[name] = homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
+            outcomes[name] = homodyne_outcome(mean, cov[q_meas, q_meas], rng)
         means = stage_x @ means
         if xc is None:
             xc, stack = stage_x, np.array((stage_x @ cov @ stage_x.T + stage_y, stage_y))
@@ -466,14 +465,14 @@ def _run(direction: _Direction, k_eff: float, state: GaussianState | None,
         raise InputError(f"unknown outcome policy {policy!r}", "policy")
     if policy == POLICY_SAMPLE and seed is None:
         raise InputError("policy 'sample' requires a seed", "policy", "seed")
-    rng = None if seed is None else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if policy == POLICY_SAMPLE else None
     # an extreme gain or k_eff overflows: a homodyne draw, the map, the
     # fidelity or the final state refuses it, and the run reports it once
     with np.errstate(over="ignore", invalid="ignore"):
         x, y = _fill(direction, k_eff, gain, budget)
         try:
             means, cov, outcomes, channel = _run_stages(direction, x, y, gain, state.means,
-                                                        state.cov, policy, rng)
+                                                        state.cov, rng)
             vacuum_out = 0.5 * channel.x @ channel.x.T + channel.y
             if not all(np.isfinite(a).all() for a in (vacuum_out, means, cov)):
                 raise ValueError("the protocol map is not finite")

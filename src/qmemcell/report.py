@@ -284,9 +284,14 @@ def compensate_rows(config: ScenarioConfig) -> list[ReportRow]:
 
 
 def pulse_design_rows(config: ScenarioConfig, tau: float) -> list[ReportRow]:
+    duration_us = tau * 1e6
+    # a negative or NaN tau keeps the pi pulses' own refusal
+    if duration_us == math.inf:
+        raise InputError(f"pulse duration tau = {tau:g} s is out of range: "
+                         "its duration in us overflows", "tau")
     return [*[ReportRow(name, func(config), unit)
               for name, (func, unit) in _pi_pulses(tau).items()],
-            ReportRow("pulse_duration", tau * 1e6, "us")]
+            ReportRow("pulse_duration", duration_us, "us")]
 
 
 def decoherence_rows(config: ScenarioConfig) -> list[ReportRow]:

@@ -29,7 +29,7 @@ import pytest
 
 from qmemcell import DecoherenceBudget, InputError, cli, load_scenario
 from qmemcell.cli import build_parser, main
-from qmemcell.report import QUANTITIES, decoherence_rows
+from qmemcell.report import QUANTITIES, STATUS_FAIL, STATUS_PASS, ReportRow, decoherence_rows
 
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 
@@ -122,9 +122,10 @@ def test_decoherence_rows_are_their_registry_quantities(name):
 
 
 #: argv that parse: every golden command, a negative value, an attached
-#: value and an abbreviated option
+#: value, an abbreviated option and a memory-sim run with every option
 PARSED = [*map(list, COMMANDS), ["pump", "--dt", "-1e-6"], ["pump", "--pump-rate=1e4"],
-          ["shifts", "--form", "json"]]
+          ["shifts", "--form", "json"],
+          ["memory-sim", "--seed", "3", "--k-eff", "0.5", "--gain", "-2"]]
 #: argv that argparse refuses or answers with a help text
 REFUSED = [[], ["-h"], ["shifts", "-h"], ["nope"], ["--format", "csv", "shifts"],
            ["shifts", "--bogus"], ["shifts", "extra"], ["shifts", "--", "x"],
@@ -147,6 +148,37 @@ def test_main_parses_as_the_nested_parser(argv, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert vars(parsed[0]) == vars(build_parser().parse_args(argv))
+
+
+def test_every_subcommand_carries_its_row_builder():
+    subparsers = cli._subparsers()
+    assert len(subparsers) == 8
+    for name, sub in subparsers.items():
+        assert callable(sub.get_default("rows")), name
+
+
+@pytest.mark.parametrize("statuses, code", [
+    ((STATUS_PASS, STATUS_FAIL, STATUS_PASS), 1),
+    ((STATUS_FAIL,), 1),
+    ((STATUS_PASS, STATUS_PASS), 0),
+    ((None, None), 0),
+    ((), 0),
+])
+def test_dispatch_exits_1_exactly_when_a_row_fails(statuses, code, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    rows = [ReportRow(f"q{i}", 1.0, "1", status=status) for i, status in enumerate(statuses)]
+    seen = []
+
+    def builder(config, args):
+        seen.append((config, args))
+        return rows
+
+    args = cli._parse_args(["compensate"])
+    args.rows = builder
+    assert cli._dispatch(args) == (rows, code)
+    [(config, passed)] = seen
+    assert passed is args
+    assert config == cli._resolve_config(None)
 
 
 def _outcome(call) -> tuple[int, str, str]:

@@ -24,8 +24,6 @@ from qmemcell.gaussian import (
     LIGHT_S,
     MEMORY_MODES_CLASS,
     MEMORY_MODES_PLUS_MINUS,
-    POLICY_MEAN,
-    POLICY_SAMPLE,
     GaussianChannel,
     homodyne_outcome,
     rotation_2x2,
@@ -272,14 +270,14 @@ def test_homodyne_sample_rejects_a_negative_or_non_finite_variance(variance):
     rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match=r"^homodyne variance must be finite and "
                                          r"non-negative, got (-|nan|inf)"):
-        homodyne_outcome(0.3, variance, POLICY_SAMPLE, rng)
-    # the mean policy draws nothing and reads no variance
-    assert homodyne_outcome(0.3, variance, POLICY_MEAN, None) == 0.3
+        homodyne_outcome(0.3, variance, rng)
+    # without a generator nothing is drawn and no variance is read
+    assert homodyne_outcome(0.3, variance, None) == 0.3
 
 
 def test_homodyne_sample_of_zero_variance_is_the_mean():
     for zero in (0.0, -0.0):
-        assert homodyne_outcome(0.3, zero, POLICY_SAMPLE, np.random.default_rng(1)) == 0.3
+        assert homodyne_outcome(0.3, zero, np.random.default_rng(1)) == 0.3
 
 
 def test_channel_copies_caller_arrays_and_is_read_only():

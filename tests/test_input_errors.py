@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -32,6 +33,8 @@ REFUSED_ARGV = [
     (["pulse-design", "--tau-s", "0"], ("--tau-s",)),
     (["pulse-design", "--tau-s=1e-320"], ("--tau-s",)),
     (["pulse-design", "--tau-s", "1e-300"], ("--tau-s",)),
+    (["pulse-design", "--tau-s", "1e303"], ("--tau-s",)),
+    (["pulse-design", "--tau-s", "3e306"], ("--tau-s",)),
     (["memory-sim", "--gain", "1e154"], ("--gain", "--k-eff")),
     (["memory-sim", "--gain", "1e300"], ("--gain", "--k-eff")),
     (["memory-sim", "--seed", "-1"], ("--seed",)),
@@ -140,6 +143,32 @@ def test_pump_run_refusals_name_both_options(capsys, argv, line):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", line + "\n")
+
+
+#: two taus a decade over every positive double, 5e-324 (3e-324 rounded) to 1.7e308
+SCANNED_TAUS = sorted(({float(f"{m}e{e}") for e in range(-324, 309) for m in (1, 3)}
+                       - {0.0, math.inf}) | {1.7e308})
+
+
+def test_pulse_design_over_every_tau_is_normal_or_refused():
+    # each tau prints finite, nonzero, normal values or one line naming --tau-s
+    wrong = []
+    for tau in SCANNED_TAUS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["pulse-design", f"--tau-s={tau!r}"])
+        values = [float(line.split(",")[1]) for line in out.getvalue().splitlines()[1:]]
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            ok = not lines and values and all(
+                math.isfinite(v) and abs(v) >= sys.float_info.min for v in values)
+        else:
+            ok = (code == 2 and not values and len(lines) == 1
+                  and lines[0].startswith("error: argument --tau-s: "))
+        if not ok:
+            wrong.append((tau, code, out.getvalue(), err.getvalue()))
+    assert len(SCANNED_TAUS) > 1260
+    assert wrong == []
 
 
 #: documents that each refuse the Stark detuning against the D1 doublet

@@ -774,15 +774,16 @@ def _random_memory_state(rng):
                          cov=s @ np.diag(nu) @ s.T)
 
 
-def _stage_loop(stages, means, cov, policy, rng):
+def _stage_loop(stages, means, cov, rng):
     """Stage by stage with ``propagate``, drawing each homodyne outcome
-    just before its feedback stage, as a reference for the fold."""
+    with ``rng`` (the mean without one) just before its feedback stage, as
+    a reference for the fold."""
     outcomes = {}
     for name, channel, feedback in stages:
         if feedback is not None:
             q_meas, q_tgt, gain = feedback
             mean = means[q_meas]
-            outcomes[name] = gaussian.homodyne_outcome(mean, cov[q_meas, q_meas], policy, rng)
+            outcomes[name] = gaussian.homodyne_outcome(mean, cov[q_meas, q_meas], rng)
         means, cov = channel.propagate(means, cov)
         if feedback is not None:
             means[q_tgt] += gain * (outcomes[name] - mean)
@@ -815,14 +816,15 @@ def test_composed_channel_matches_stages(seed):
         assert np.allclose(out.means, means, rtol=0.0, atol=1e-12 * scale)
         assert np.allclose(out.cov, cov, rtol=0.0, atol=1e-12 * scale)
         # the fold composes the channel and propagates the state with the
-        # float operations of then and propagate, under both policies
-        for policy, draw_seed in (("mean", None), (POLICY_SAMPLE, seed)):
+        # float operations of then and propagate, with outcomes at the mean
+        # and drawn
+        for draw_seed in (None, seed):
             draws = [None if draw_seed is None else np.random.default_rng(draw_seed)
                      for _ in range(2)]
             fold_means, fold_cov, fold_outcomes, fold = _run_stages(
-                direction, x, y, gain, state.means, state.cov, policy, draws[0])
+                direction, x, y, gain, state.means, state.cov, draws[0])
             want_means, want_cov, want_outcomes = _stage_loop(
-                channels, state.means, state.cov, policy, draws[1])
+                channels, state.means, state.cov, draws[1])
             _assert_bit_equal(fold.x, composed.x)
             _assert_bit_equal(fold.y, composed.y)
             _assert_bit_equal(fold_means, want_means)
@@ -831,7 +833,7 @@ def test_composed_channel_matches_stages(seed):
             assert list(fold_outcomes) == [name for name, _, fb in channels if fb is not None]
             _assert_bit_equal(fold_cov, cov)
             if draw_seed is None:
-                # mean-policy draws leave the means of the plain propagation
+                # outcomes at the mean leave the means of the plain propagation
                 assert np.allclose(fold_means, means, rtol=0.0, atol=1e-12 * scale)
         result = run(k_eff, state=state, gain=gain, budget=budget)
         assert np.allclose(result.state.cov, cov, rtol=0.0, atol=1e-12 * scale)
