@@ -65,6 +65,12 @@ def mode_denominator(area: float, duration: float) -> float:
     return 2.0 * CODATA.epsilon0 * area * CODATA.c * duration
 
 
+def dressing_denominator(f_ground: int, detuning: float) -> float:
+    """2 F^2 eps0 hbar^2 c^3 Delta_mu of the microwave dressing of a ground
+    manifold F = ``f_ground`` at ``detuning`` (rad/s) from the hyperfine line."""
+    return 2.0 * f_ground * f_ground * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * detuning
+
+
 def vacuum_field_squared(area: float, duration: float, wavelength: float) -> float:
     """Squared field amplitude per photon of a pulse mode, in V^2/m^2.
 

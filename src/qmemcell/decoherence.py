@@ -80,12 +80,17 @@ def scattering_rate(intensity: float, detuning: float, gamma: float,
     """Photon scattering rate (1/s) of a two-level atom.
 
     Gamma_ph = (gamma/2) s/(1+s) with saturation parameter
-    s = (I/I_sat) / (1 + (2 detuning/gamma)^2).
+    s = (I/I_sat) / (1 + (2 detuning/gamma)^2); a detuning whose square
+    overflows takes the limit s = 0.
     """
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     isat = saturation_intensity(gamma, wavelength)
-    s = (intensity / isat) / (1.0 + (2.0 * detuning / gamma) ** 2)
+    try:
+        lorentz = 1.0 + (2.0 * detuning / gamma) ** 2
+    except OverflowError:  # detuned by over 1e154 linewidths: the limit s = 0
+        lorentz = math.inf
+    s = (intensity / isat) / lorentz
     return 0.5 * gamma * s / (1.0 + s)
 
 
@@ -146,14 +151,15 @@ def edge_scattering_rate(intensity: float, delta_s: float, species: SpeciesData)
     """Doppler-averaged scattering rate (1/s) of the edge-pumped atoms in D1 light
     at ``delta_s`` from the line center: they are resonant at Delta_2/2, so the
     mean detuning is |Delta_S| - Delta_2/2.  The line data are the species' own;
-    a D1 line whose saturation parameter I/I_sat overflows is refused by its keys."""
+    a D1 line whose saturation parameter I/I_sat overflows, its saturation
+    intensity included, is refused by its keys."""
     try:
         return doppler_averaged_scattering(
             intensity, abs(delta_s) - species.delta2 / 2.0, species.doppler_halfwidth,
             species.gamma_d1, species.lambda_d1)
     except ArithmeticError:
-        saturation = intensity / saturation_intensity(species.gamma_d1, species.lambda_d1)
-        if math.isfinite(saturation):
+        isat = saturation_intensity(species.gamma_d1, species.lambda_d1)
+        if isat and math.isfinite(intensity / isat):
             raise
         raise refusal(f"are out of range together: at {intensity:.4g} W/m^2 the D1 "
                       "saturation parameter I/I_sat overflows",
@@ -172,12 +178,14 @@ def scattered_photon_limit(species: SpeciesData = CESIUM) -> float:
 
     Take the light pi pulse, let the detuning grow and keep solving for
     the required intensity: duration and detuning cancel and the
-    scattered-photon number approaches 48 pi/(4F - 2) * gamma/Delta_2,
-    i.e. 24 pi/7 * gamma/Delta_2 for F = 4.  A property of the line
-    quality alone.
+    scattered-photon number approaches 3 pi F^2 / (4F - 2) * gamma/Delta_2:
+    the far-detuned rate 3 lambda^3 gamma^2 I / (16 pi^2 hbar c Delta_S^2)
+    at the pi intensity of :func:`~qmemcell.shifts.stark_pi_intensity`,
+    times tau.  It is 24 pi/7 * gamma/Delta_2 at F = 4.  A property of the
+    line quality alone.
     """
-    factor = 4 * species.f_ground - 2
-    value = 48.0 * math.pi / factor * species.gamma_d1 / species.delta2
+    f = species.f_ground
+    value = 3.0 * f * f * math.pi / (4 * f - 2) * species.gamma_d1 / species.delta2
     if not math.isfinite(value):
         raise refusal("are out of range together: the scattered-photon floor gamma/Delta_2 "
                       f"is {value!r}", gamma_d1=species.gamma_d1, delta2=species.delta2)
@@ -235,7 +243,10 @@ def residual_pump_occupation(species: SpeciesData = CESIUM) -> float:
     excited hyperfine component, weakly excites the other across the
     Doppler profile.  Dimensionless.
     """
-    value = species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
+    try:
+        value = species.gamma_d1 * species.doppler_halfwidth / species.delta2**2
+    except ArithmeticError:  # Delta_2^2 overflows, or underflows to zero
+        value = math.inf
     if not math.isfinite(value):
         raise refusal("are out of range together: the residual occupation gamma "
                       f"Delta_D/Delta_2^2 is {value!r}", gamma_d1=species.gamma_d1,

@@ -196,19 +196,58 @@ def _weak_field_dephasing(c: ScenarioConfig) -> float:
 
 
 def _pi_pulses(tau: float) -> dict:
-    """Registry entries of the differential pi pulses of duration ``tau``."""
+    """The differential pi pulses of duration ``tau``: name -> (config -> value in
+    the display unit, unit, config -> the config fields that set the pulse's slope)."""
     return {
         "zeeman_pi_omega_b": (
-            lambda c: zeeman_pi_omega_b(tau, c.species) / TWO_PI / 1e6, "MHz"),
+            lambda c: zeeman_pi_omega_b(tau, c.species) / TWO_PI / 1e6, "MHz",
+            lambda c: dict(delta_hf=c.species.delta_hf)),
         "zeeman_pi_field": (
-            lambda c: tesla_to_gauss(zeeman_pi_field(tau, c.species)), "G"),
-        "stark_pi_intensity": (lambda c: w_m2_to_mw_cm2(
-            stark_pi_intensity(tau, c.stark_detuning, c.species)), "mW/cm^2"),
+            lambda c: tesla_to_gauss(zeeman_pi_field(tau, c.species)), "G",
+            lambda c: dict(delta_hf=c.species.delta_hf)),
+        "stark_pi_intensity": (
+            lambda c: w_m2_to_mw_cm2(stark_pi_intensity(tau, c.stark_detuning, c.species)),
+            "mW/cm^2", lambda c: dict(stark_detuning=c.stark_detuning, delta2=c.species.delta2)),
         "stark_pi_scattered_photons": (
-            lambda c: stark_pi_scattered_photons(tau, c.stark_detuning, c.species), "1"),
-        "microwave_pi_intensity": (lambda c: w_m2_to_w_cm2(
-            microwave_pi_intensity(tau, c.microwave_detuning, c.species)), "W/cm^2"),
+            lambda c: stark_pi_scattered_photons(tau, c.stark_detuning, c.species), "1",
+            lambda c: dict(stark_detuning=c.stark_detuning, delta2=c.species.delta2)),
+        "microwave_pi_intensity": (
+            lambda c: w_m2_to_w_cm2(microwave_pi_intensity(tau, c.microwave_detuning, c.species)),
+            "W/cm^2", lambda c: dict(microwave_detuning=c.microwave_detuning)),
     }
+
+
+def _at_fixed_tau(value, slope_fields):
+    """``value`` of a pi pulse of the fixed PI_PULSE_TAU, which no document key
+    sets: a pulse that duration cannot reach is refused naming the fields that
+    set its slope, ``slope_fields(config)``."""
+    def fixed(c: ScenarioConfig) -> float:
+        try:
+            return value(c)
+        except InputError as exc:
+            if exc.keys != ("tau",):
+                raise
+            fields = slope_fields(c)
+            verb = "are out of range together" if len(fields) > 1 else "is out of range"
+            raise refusal(f"{verb}: the pi pulse of the fixed duration {PI_PULSE_TAU:g} s "
+                          "has no finite solution", **fields) from None
+    return fixed
+
+
+def _far_detuned_ratio(c: ScenarioConfig) -> float:
+    """The light pi pulse at the fixed detuning 30 Delta_2 against the floor.  No
+    document key sets that detuning or PI_PULSE_TAU: a pulse refused for either is
+    refused naming Delta_2 alone."""
+    sp = c.species
+    delta_s = 30.0 * sp.delta2
+    try:
+        photons = stark_pi_scattered_photons(PI_PULSE_TAU, delta_s, sp)
+    except InputError as exc:
+        if not {"tau", *refusal("", stark_detuning=delta_s).keys} & set(exc.keys):
+            raise
+        raise refusal("is out of range: the light pi pulse at 30 Delta_2 has no finite solution",
+                      delta2=sp.delta2) from None
+    return photons / scattered_photon_limit(sp)
 
 
 #: name -> (config -> value in the display unit, unit) of every quantity the
@@ -241,10 +280,9 @@ QUANTITIES = {
     "boundary_noise_ratio": (lambda c: 1.0 + boundary_transmission(c.boundary_loss, 2), "1"),
     "residual_pump_occupation": (lambda c: residual_pump_occupation(c.species), "1"),
     "scattered_photon_floor": (lambda c: scattered_photon_limit(c.species), "1"),
-    "far_detuned_ratio": (  # a far-detuned light pi pulse against the floor
-        lambda c: stark_pi_scattered_photons(PI_PULSE_TAU, 30.0 * c.species.delta2, c.species)
-        / scattered_photon_limit(c.species), "1"),
-    **_pi_pulses(PI_PULSE_TAU),
+    "far_detuned_ratio": (_far_detuned_ratio, "1"),
+    **{name: (_at_fixed_tau(value, slope_fields), unit)
+       for name, (value, unit, slope_fields) in _pi_pulses(PI_PULSE_TAU).items()},
     "kappa": (lambda c: collective_kappa(c).kappa_per_s, "1/s"),
     "k_eff": (lambda c: collective_kappa(c).k_eff, "1"),
 }
@@ -290,7 +328,7 @@ def pulse_design_rows(config: ScenarioConfig, tau: float) -> list[ReportRow]:
         raise InputError(f"pulse duration tau = {tau:g} s is out of range: "
                          "its duration in us overflows", "tau")
     return [*[ReportRow(name, func(config), unit)
-              for name, (func, unit) in _pi_pulses(tau).items()],
+              for name, (func, unit, _) in _pi_pulses(tau).items()],
             ReportRow("pulse_duration", duration_us, "us")]
 
 

@@ -12,7 +12,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .constants import CODATA, angular_to_hz, hz_to_angular
+from .constants import CODATA, angular_to_hz, dressing_denominator, hz_to_angular
 
 
 class InputError(ValueError):
@@ -123,8 +123,7 @@ _SCALAR_KEYS = {
     # the dressing slope divides by 2 F^2 eps0 hbar^2 c^3 Delta_mu with F >= 1
     # (shifts.ac_zeeman_ladder); a subnormal one has lost its digits
     "microwave_detuning_hz": _Key("microwave_detuning", "Hz", 3.6e7, _NONZERO, (
-        lambda omega: abs(2.0 * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * omega)
-        < sys.float_info.min,
+        lambda omega: abs(dressing_denominator(1, omega)) < sys.float_info.min,
         "the dressing denominator 2 F^2 eps0 hbar^2 c^3 Delta_mu underflows")),
     "atom_number": _Key("atom_number", "", 1.0e12, _POSITIVE),
     "photon_number": _Key("photon_number", "", 1.0e12, _POSITIVE),

@@ -15,6 +15,10 @@ cancel the m-dependence of another.  The compensation solvers and the
 pi-pulse solutions below do exactly that bookkeeping.  The same ladder
 coherences couple to the probe light; their collective coupling closes
 the module.
+
+The angular factors hold for an alkali ground manifold F = I + 1/2 driven
+on its D1 line (J = J' = 1/2); they are taken from ``f_ground``, and reduce
+to cesium's constants at F = 4.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .constants import CODATA, dipole_moment_squared, mode_denominator, vacuum_field_squared
+from .constants import (CODATA, dipole_moment_squared, dressing_denominator, mode_denominator,
+                        vacuum_field_squared)
 from .scenario import CESIUM, InputError, ScenarioConfig, SpeciesData, refusal
 
 #: relative guard around the tensor-shift pole at |detuning| = delta2/2
@@ -35,41 +40,39 @@ def ladder_m_values(f_ground: int) -> list[int]:
     return list(range(-f_ground, f_ground))
 
 
-class ShiftLadder(namedtuple("ShiftLadder", ("f_ground", "terms"))):
+class ShiftLadder(namedtuple("ShiftLadder", ("f_ground", "values"))):
     """Spacing frequencies Omega(m) in rad/s, m = -F .. F-1, of one mechanism.
 
-    Each term ``(c0, c1)`` is the affine ladder c0 + c1 (2m + 1); a sum
-    of ladders keeps the terms of both, and ``omegas()`` adds their
-    per-m values left to right, so a composite row is the sum of its
-    parts' rows, rounded as such.  ``terms`` is a tuple of such pairs.
+    ``values`` holds Omega(m) in ascending m; a sum of ladders adds them per
+    m, so a composite row is the sum of its parts' rows, rounded as such.
     """
 
     __slots__ = ()
 
     def omegas(self) -> dict[int, float]:
         """Omega(m) of the (m, m+1) coherence, rad/s, in ascending m."""
-        (c0, c1), *rest = self.terms
-        out = {}
-        for m in ladder_m_values(self.f_ground):
-            value = c0 + c1 * (2 * m + 1)
-            for d0, d1 in rest:
-                value += d0 + d1 * (2 * m + 1)
-            out[m] = value
-        return out
+        return dict(zip(ladder_m_values(self.f_ground), self.values))
 
     def spread(self) -> float:
         """Full spread max Omega - min Omega across the ladder, rad/s."""
-        vals = self.omegas().values()
-        return max(vals) - min(vals)
+        return max(self.values) - min(self.values)
 
     def __add__(self, other: "ShiftLadder") -> "ShiftLadder":
         if self.f_ground != other.f_ground:
             raise ValueError("cannot compose ladders over different m ranges")
-        return ShiftLadder(self.f_ground, self.terms + other.terms)
+        return ShiftLadder(self.f_ground, tuple(a + b for a, b in zip(self.values, other.values)))
 
 
 # ---------------------------------------------------------------------------
 # ladders
+
+
+def _affine_ladder(f_ground: int, start: float, slope: float) -> ShiftLadder:
+    """The ladder start + slope (2m + 1).  An odd ladder starts at -0.0, the
+    exact additive identity: it keeps the sign of a zero product, where a 0.0
+    start would print -0.0 rows as 0.0."""
+    return ShiftLadder(f_ground, tuple(start + slope * (2 * m + 1)
+                                       for m in ladder_m_values(f_ground)))
 
 
 def zeeman_ladder(omega_b: float, species: SpeciesData = CESIUM) -> ShiftLadder:
@@ -87,7 +90,7 @@ def zeeman_ladder(omega_b: float, species: SpeciesData = CESIUM) -> ShiftLadder:
         raise refusal("are out of range together: the Zeeman ladder spread (4F - 2) "
                       "omega_b^2 / Delta_hf overflows", omega_b=omega_b,
                       delta_hf=species.delta_hf)
-    return ShiftLadder(species.f_ground, ((omega_b, slope),))
+    return _affine_ladder(species.f_ground, omega_b, slope)
 
 
 def class_dephasing(omega_b: float, tau: float, species: SpeciesData = CESIUM) -> float:
@@ -131,18 +134,30 @@ def _d1_strength(species: SpeciesData) -> float:
     return strength
 
 
-def _odd_ladder(f_ground: int, slope: float) -> ShiftLadder:
-    # -0.0 is the exact additive identity: -0.0 + slope * (2m + 1) keeps the
-    # sign of a zero product, where a 0.0 start would print -0.0 rows as 0.0
-    return ShiftLadder(f_ground, ((-0.0, slope),))
+def _tensor_denominator(species: SpeciesData) -> float:
+    """16 F^2 pi^2 hbar c, the denominator of the D1 tensor light shift: the
+    m^2 weight of pi light on J = 1/2 -> J' = 1/2 from F = I + 1/2 is
+    -/+ 1/(6 F^2) for F' = F - 1 and F' = F.  It is 2^8 pi^2 hbar c at F = 4."""
+    f = species.f_ground
+    return 16.0 * f * f * math.pi**2 * CODATA.hbar * CODATA.c
 
 
 def _stark_slope(intensity: float, delta_s: float, species: SpeciesData) -> float:
+    """Slope of the tensor ladder at ``intensity``; a slope that is not finite,
+    its denominator underflowing to zero included, is refused naming the Stark
+    detuning and the D1 line data."""
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     d_low, d_up = _stark_denominators(delta_s, species)
-    return (_d1_strength(species) * intensity * species.delta2
-            / (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * (d_low * d_up)))
+    denominator = _tensor_denominator(species) * (d_low * d_up)
+    slope = (_d1_strength(species) * intensity * species.delta2 / denominator
+             if denominator else math.inf)
+    if not math.isfinite(slope):
+        raise refusal(f"are out of range together: at {intensity:.4g} W/m^2 the tensor slope "
+                      f"lambda^3 gamma I Delta_2 / (16 F^2 pi^2 hbar c (Delta_S^2 - Delta_2^2/4)) "
+                      f"is {slope!r}", stark_detuning=delta_s, lambda_d1=species.lambda_d1,
+                      gamma_d1=species.gamma_d1, delta2=species.delta2)
+    return slope
 
 
 def stark_ladder(intensity: float, delta_s: float,
@@ -150,13 +165,13 @@ def stark_ladder(intensity: float, delta_s: float,
     """Tensor light-shift ladder of an off-resonant D1 field.
 
     Omega_S(m) = lambda^3 gamma I Delta_2 (2m+1)
-                 / (2^8 pi^2 hbar c (Delta_S^2 - Delta_2^2/4)).
+                 / (16 F^2 pi^2 hbar c (Delta_S^2 - Delta_2^2/4)).
 
     Pure odd-affine: no m-independent part.  The slope flips sign when
     the field is tuned between the two excited hyperfine components
     (|Delta_S| < Delta_2/2).
     """
-    return _odd_ladder(species.f_ground, _stark_slope(intensity, delta_s, species))
+    return _affine_ladder(species.f_ground, -0.0, _stark_slope(intensity, delta_s, species))
 
 
 def _ac_zeeman_slope(intensity: float, delta_mu: float, species: SpeciesData) -> float:
@@ -164,21 +179,19 @@ def _ac_zeeman_slope(intensity: float, delta_mu: float, species: SpeciesData) ->
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     if delta_mu == 0.0:
         raise ValueError("microwave detuning must be nonzero")
-    f = species.f_ground
-    return intensity * CODATA.mu_bohr**2 / (
-        2.0 * f * f * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3 * delta_mu)
+    return intensity * CODATA.mu_bohr**2 / dressing_denominator(species.f_ground, delta_mu)
 
 
 def ac_zeeman_ladder(intensity: float, delta_mu: float,
                      species: SpeciesData = CESIUM) -> ShiftLadder:
     """Microwave dressing ladder.
 
-    Omega_mu(m) = I mu_B^2 (2m+1) / (32 eps0 hbar^2 c^3 Delta_mu) for
-    F = 4 (the general-F coefficient is 2/F^2 in place of 1/8).  Odd-
+    Omega_mu(m) = I mu_B^2 (2m+1) / (2 F^2 eps0 hbar^2 c^3 Delta_mu).  Odd-
     affine with slope sign following the detuning sign, so a red- or
     blue-tuned microwave can cancel either sign of static-ladder slope.
     """
-    return _odd_ladder(species.f_ground, _ac_zeeman_slope(intensity, delta_mu, species))
+    return _affine_ladder(species.f_ground, -0.0,
+                          _ac_zeeman_slope(intensity, delta_mu, species))
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +202,7 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
                                  species: SpeciesData = CESIUM) -> float:
     """D1 intensity (W/m^2) whose tensor shift cancels the static ladder slope.
 
-    I_S = 2^8 pi^2 hbar c Omega_B^2 / (lambda^3 gamma Delta_hf)
+    I_S = 16 F^2 pi^2 hbar c Omega_B^2 / (lambda^3 gamma Delta_hf)
           * (Delta_S^2 - Delta_2^2/4) / Delta_2.
 
     Requires |Delta_S| > Delta_2/2: inside the doublet the tensor slope
@@ -198,7 +211,8 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
     in-range values can still overflow the product; that raises
     InputError naming the Larmor frequency and the Stark detuning.  A
     D1 line strength lambda^3 gamma outside the normal float range raises
-    InputError naming the wavelength and the linewidth.
+    InputError naming the wavelength and the linewidth, and a denominator
+    lambda^3 gamma Delta_hf below it one naming the hyperfine splitting too.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
@@ -207,8 +221,12 @@ def stark_compensation_intensity(omega_b: float, delta_s: float,
         raise refusal("are out of range together: stark compensation needs |delta_s| > "
                       "delta2/2; between the excited components the tensor slope has the "
                       "wrong sign", stark_detuning=delta_s, delta2=species.delta2)
-    intensity = (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * omega_b**2
-                 / (_d1_strength(species) * species.delta_hf)
+    denominator = _d1_strength(species) * species.delta_hf
+    if denominator < sys.float_info.min:
+        raise refusal("are out of range together: the compensation denominator lambda^3 gamma "
+                      "Delta_hf underflows", lambda_d1=species.lambda_d1,
+                      gamma_d1=species.gamma_d1, delta_hf=species.delta_hf)
+    intensity = (_tensor_denominator(species) * omega_b**2 / denominator
                  * (d_low * d_up) / species.delta2)
     if not math.isfinite(intensity):
         raise refusal("are out of range together: the Stark compensation intensity "
@@ -221,19 +239,23 @@ def ac_zeeman_compensation_intensity(omega_b: float, delta_mu: float,
                                      species: SpeciesData = CESIUM) -> float:
     """Microwave intensity (W/m^2) cancelling the static ladder slope.
 
-    I_mu = 2 F^2 eps0 hbar^2 c^3 Delta_mu Omega_B^2 / (Delta_hf mu_B^2),
-    i.e. 32 eps0 hbar^2 c^3 Delta_mu Omega_B^2 / (Delta_hf mu_B^2) for
-    F = 4.  Needs Delta_mu > 0 so the dressing slope opposes the static
-    one at positive intensity.
+    I_mu = 2 F^2 eps0 hbar^2 c^3 Delta_mu Omega_B^2 / (Delta_hf mu_B^2).
+    Needs Delta_mu > 0 so the dressing slope opposes the static one at
+    positive intensity.  An intensity that is not finite raises InputError
+    naming the Larmor frequency, the detuning and the hyperfine splitting.
     """
     if omega_b < 0.0:
         raise ValueError(f"omega_b must be non-negative, got {omega_b}")
     if delta_mu <= 0.0:
         raise refusal("is out of range: microwave compensation needs delta_mu > 0",
                       microwave_detuning=delta_mu)
-    f = species.f_ground
-    return (2.0 * f * f * CODATA.epsilon0 * CODATA.hbar**2 * CODATA.c**3
-            * delta_mu * omega_b**2 / (species.delta_hf * CODATA.mu_bohr**2))
+    intensity = (dressing_denominator(species.f_ground, delta_mu) * omega_b**2
+                 / (species.delta_hf * CODATA.mu_bohr**2))
+    if not math.isfinite(intensity):
+        raise refusal("are out of range together: the microwave compensation intensity "
+                      f"Delta_mu omega_b^2 / Delta_hf is {intensity!r}", omega_b=omega_b,
+                      microwave_detuning=delta_mu, delta_hf=species.delta_hf)
+    return intensity
 
 
 # ---------------------------------------------------------------------------
@@ -281,16 +303,21 @@ def zeeman_pi_omega_b(tau: float, species: SpeciesData = CESIUM) -> float:
 
 
 def zeeman_pi_field(tau: float, species: SpeciesData = CESIUM) -> float:
-    """Static field (T) of the strong-field pi pulse, B = hbar Omega_B / (g_F mu_B)."""
-    return CODATA.hbar * zeeman_pi_omega_b(tau, species) / (species.g_f * CODATA.mu_bohr)
+    """Static field (T) of the strong-field pi pulse, B = hbar Omega_B / (g_F mu_B).
+    A field that is not finite is refused naming g_F and the hyperfine splitting."""
+    field = CODATA.hbar * zeeman_pi_omega_b(tau, species) / (species.g_f * CODATA.mu_bohr)
+    if not math.isfinite(field):
+        raise refusal(f"are out of range together: the pi-pulse field hbar Omega_B / (g_F mu_B) "
+                      f"is {field!r} T", g_f=species.g_f, delta_hf=species.delta_hf)
+    return field
 
 
 def stark_pi_intensity(tau: float, delta_s: float, species: SpeciesData = CESIUM) -> float:
     """D1 intensity (W/m^2) whose tensor ladder accumulates a pi edge phase in tau.
 
-    I_S = 32 pi^3 hbar c |Delta_2^2 - 4 Delta_S^2|
-          / (7 lambda^3 gamma Delta_2 tau)  for F = 4; far off resonance
-    this approaches 128 pi^3 hbar c Delta_S^2/(7 lambda^3 gamma Delta_2 tau).
+    I_S = 4 F^2 pi^3 hbar c |Delta_2^2 - 4 Delta_S^2|
+          / ((4F - 2) lambda^3 gamma Delta_2 tau); far off resonance this
+    approaches 16 F^2 pi^3 hbar c Delta_S^2 / ((4F - 2) lambda^3 gamma Delta_2 tau).
     """
     _check_tau(tau)
     return _pi_intensity(tau, _stark_slope(1.0, delta_s, species), species,
@@ -303,7 +330,7 @@ def microwave_pi_intensity(tau: float, delta_mu: float,
     """Microwave intensity (W/m^2) whose dressing ladder accumulates a pi
     edge phase in tau.
 
-    I_mu = 16 pi eps0 hbar^2 c^3 |Delta_mu| / (7 mu_B^2 tau) for F = 4.
+    I_mu = 2 pi F^2 eps0 hbar^2 c^3 |Delta_mu| / ((4F - 2) mu_B^2 tau).
     No photon-scattering cost: the dressing field is far from any
     optical transition.
     """

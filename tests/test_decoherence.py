@@ -26,6 +26,7 @@ from qmemcell import (
     stark_compensation_intensity,
     stark_pi_scattered_photons,
 )
+from qmemcell.cli import main
 from qmemcell.decoherence import WIDTH_HWHM, WIDTH_SIGMA, compensation_scattering_rate
 from qmemcell.gaussian import ATOM_MINUS, ATOM_PLUS, LIGHT_C, LIGHT_S
 from qmemcell.memory import _WRITE, _fill, _stage_channels
@@ -54,6 +55,17 @@ def test_scattering_rate_far_detuned_approximation():
     exact = scattering_rate(I_SAT_D1, detuning, CESIUM.gamma_d1, CESIUM.lambda_d1)
     approx = (CESIUM.gamma_d1 / 2.0) * (CESIUM.gamma_d1 / (2.0 * detuning)) ** 2
     assert approx == pytest.approx(exact, rel=1e-2)
+
+
+def test_scattering_rate_past_1e154_linewidths_is_its_limit_zero(tmp_path, capsys):
+    # (2 detuning / gamma)^2 overflows: the rate is the s -> 0 limit, not an OverflowError
+    assert scattering_rate(I_SAT_D1, 1e10, 1e-150, CESIUM.lambda_d1) == 0.0
+    # paper-check reached it through the pi pulse's photon cost at a 1e-153 Hz Doppler width
+    path = tmp_path / "cfg.json"
+    path.write_text('{"species": {"gamma_d1_hz": 8.05e-145, "doppler_halfwidth_hz": 1.8e-153}}')
+    assert main(["paper-check", "--format", "csv", "--config", str(path)]) == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert all(math.isfinite(float(row.split(",")[1])) for row in rows)
 
 
 def test_scattering_rate_validation():

@@ -12,6 +12,7 @@ import inspect
 import io
 import json
 import math
+import random
 import re
 import sys
 import warnings
@@ -24,6 +25,7 @@ from qmemcell import (InputError, ScenarioConfig, SpeciesData, cli,
                       decoherence, run_read, run_write, scenario, vacuum_state)
 from qmemcell.cli import main
 from qmemcell.gaussian import MEMORY_MODES_CLASS
+from qmemcell.report import QUANTITIES
 
 #: argv that a library check refuses, and the options its error line names
 REFUSED_ARGV = [
@@ -171,6 +173,49 @@ def test_pulse_design_over_every_tau_is_normal_or_refused():
     assert wrong == []
 
 
+def _scanned_documents(seed: int, count: int) -> list[tuple[dict, str]]:
+    """``count`` documents of 1 to 3 number keys, each 10 ** uniform(-300, 300) and
+    negated one time in four, with a registry quantity for each one's sweep."""
+    rng = random.Random(seed)
+    scalar = sorted(set(scenario._SCALAR_KEYS) - {"feedback_gain"})
+    species = sorted(set(scenario._SPECIES_KEYS) - {"f_ground"})
+    drawn = []
+    for _ in range(count):
+        doc = {}
+        for key in rng.sample(scalar + species, rng.randint(1, 3)):
+            value = 10 ** rng.uniform(-300, 300)
+            if rng.random() < 0.25:
+                value = -value
+            (doc.setdefault("species", {}) if key in species else doc)[key] = value
+        drawn.append((doc, rng.choice(sorted(QUANTITIES))))
+    return drawn
+
+
+def test_seeded_scan_of_the_scalar_subcommands_is_finite_or_keyed(tmp_path):
+    # each run returns finite rows or refuses naming document keys or its own options
+    path = tmp_path / "cfg.json"
+    wrong = []
+    for doc, quantity in _scanned_documents(20050913, 1000):
+        path.write_text(json.dumps(doc))
+        for argv in (["shifts"], ["compensate"], ["pulse-design"], ["decoherence"],
+                     ["paper-check"], ["sweep", "--param", "tau_s", "--values", "1e-3",
+                                       "--quantity", quantity]):
+            dests = {action.dest for action in cli._subparsers()[argv[0]]._actions}
+            try:
+                rows, _ = cli._dispatch(cli._parse_args([*argv, "--config", str(path)]))
+            except InputError as exc:
+                if not exc.keys or not set(exc.keys) <= scenario.DOCUMENT_KEYS | dests:
+                    wrong.append((doc, argv, exc.keys, str(exc)))
+            except (ValueError, ArithmeticError) as exc:
+                wrong.append((doc, argv, type(exc).__name__, str(exc)))
+            else:
+                values = [value for row in rows
+                          for value in (row.value, *(row.extras or {}).values())]
+                if not all(math.isfinite(value) for value in values):
+                    wrong.append((doc, argv, "not finite", values))
+    assert wrong == []
+
+
 #: documents that each refuse the Stark detuning against the D1 doublet
 _DOUBLET = ("are out of range together: stark compensation needs |delta_s| > delta2/2; "
             "between the excited components the tensor slope has the wrong sign")
@@ -224,6 +269,7 @@ def test_species_closed_forms_out_of_range_exit_2(tmp_path, capsys, command, spe
 _SWEEP = ["sweep", "--param", "omega_b_hz", "--values", "3e5", "--quantity"]
 _STARK_SWEEP = [*_SWEEP, "stark_compensation_intensity"]
 _MICROWAVE_SWEEP = [*_SWEEP, "ac_zeeman_compensation_intensity"]
+_TAU_SWEEP = ["sweep", "--param", "tau_s", "--values", "1e-3", "--quantity"]
 _STARK_COMMANDS = [["shifts"], ["compensate"], ["decoherence"], ["memory-sim"], ["paper-check"],
                    _STARK_SWEEP, ["pulse-design"]]
 
@@ -242,6 +288,34 @@ KEYED_OVERFLOWS = (
     # the weak field's Larmor frequency is fixed, not a document key
     (None, ["sweep", "--param", "tau_s", "--values", "1e308", "--quantity",
             "weak_field_dephasing"], ("tau_s", "delta_hf_hz")),
+    # closed forms that printed inf with exit 0, or ended in an error naming no key
+    *[({"microwave_detuning_hz": 6.453987731070459e247,
+        "species": {"delta_hf_hz": 6.953461970294792e-218}}, argv,
+       ("omega_b_hz", "microwave_detuning_hz", "delta_hf_hz"))
+      for argv in (["shifts"], ["compensate"], ["paper-check"], _MICROWAVE_SWEEP)],
+    *[({"species": {"g_f": 5.675e-284, "delta_hf_hz": 1.88e284}}, argv, ("g_f", "delta_hf_hz"))
+      for argv in (["pulse-design"], ["paper-check"], [*_TAU_SWEEP, "zeeman_pi_field"])],
+    *[({"species": {"delta_hf_hz": 4.95e-72, "gamma_d1_hz": 1.18e-243}}, argv,
+       ("lambda_d1_m", "gamma_d1_hz", "delta_hf_hz"))
+      for argv in (["shifts"], ["compensate"], ["decoherence"], ["memory-sim"])],
+    *[({"species": {"delta2_hz": delta2}}, [*_TAU_SWEEP, "residual_pump_occupation"],
+       ("gamma_d1_hz", "doppler_halfwidth_hz", "delta2_hz")) for delta2 in (1e-170, 9e204)],
+    *[({"species": {"gamma_d1_hz": 2.2e-263, "lambda_d1_m": 2.7e60}}, argv,
+       ("lambda_d1_m", "gamma_d1_hz"))
+      for argv in (["decoherence"], ["pulse-design"], ["paper-check"])],
+    # a tensor slope that overflows at the compensation intensity
+    *[({"species": {"gamma_d1_hz": 7.77e72, "delta_hf_hz": 1.05e-137, "delta2_hz": 3.27e-209}},
+       argv, ("stark_detuning_hz", "lambda_d1_m", "gamma_d1_hz", "delta2_hz"))
+      for argv in (["shifts"], ["compensate"])],
+    # the registry's fixed 30 Delta_2 and PI_PULSE_TAU are no document keys: the
+    # keys that set them, or the pulse's slope, are named instead
+    *[({"species": {"delta2_hz": delta2}}, argv, ("delta2_hz",))
+      for delta2, argv in ((1e-170, ["paper-check"]), (1e-170, [*_TAU_SWEEP, "far_detuned_ratio"]),
+                           (9e204, [*_TAU_SWEEP, "far_detuned_ratio"]),
+                           (4.25e-299, [*_TAU_SWEEP, "far_detuned_ratio"]))],
+    *[({"species": {"delta2_hz": 4.25e-299}}, [*_TAU_SWEEP, quantity],
+       ("stark_detuning_hz", "delta2_hz"))
+      for quantity in ("stark_pi_intensity", "stark_pi_scattered_photons")],
 )
 #: (document or None, argv, the document key or option dest the case set), one row
 #: per subcommand that reaches the refusal

@@ -180,7 +180,7 @@ SCALAR_RECORDS = {
     "scenario.ScenarioConfig": "omega_b pulse_duration probe_detuning stark_detuning "
                                "microwave_detuning atom_number photon_number beam_area "
                                "atom_density boundary_loss feedback_gain species",
-    "shifts.ShiftLadder": "f_ground terms",
+    "shifts.ShiftLadder": "f_ground values",
     "shifts.CouplingSet": "kappa_per_s kappa_tau k_eff",
     "decoherence.DecoherenceBudget": "eta n_phot boundary_loss",
     "report.ReportRow": "name value unit reference low high status extras",
@@ -194,7 +194,7 @@ RECORD_PAIRS = {
     "scenario.SpeciesData": (CESIUM, SpeciesData(*[float(i) for i in range(1, 10)], 3, 0.5)),
     "scenario.ScenarioConfig": (
         default_scenario(), default_scenario()._make([*range(1, 12), CESIUM._replace(g_f=0.5)])),
-    "shifts.ShiftLadder": (zeeman_ladder(1.0e6), ShiftLadder(3, ((1.0, 2.0), (3.0, 4.0)))),
+    "shifts.ShiftLadder": (zeeman_ladder(1.0e6), ShiftLadder(3, (1.0, 2.0, 3.0, 4.0, 5.0, 6.0))),
     "shifts.CouplingSet": (CouplingSet(1.0, 2.0, 3.0), CouplingSet(-1.0, -2.0, -3.0)),
     "decoherence.DecoherenceBudget": (DecoherenceBudget(),
                                       DecoherenceBudget(0.1, 0.2, 0.3)),

@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,9 +25,11 @@ from qmemcell import (
     zeeman_pi_omega_b,
 )
 from qmemcell.cli import main
-from qmemcell.decoherence import edge_scattering_rate
+from qmemcell.decoherence import edge_scattering_rate, scattered_photon_limit
 from qmemcell.scenario import load_scenario
 from qmemcell.shifts import POLE_GUARD, _stark_denominators, collective_kappa, ladder_m_values
+
+from _racah import d_line_weight, six_j_squared, three_j_squared
 
 TWO_PI = 2.0 * math.pi
 OMEGA_B = TWO_PI * 3.0e5
@@ -43,9 +46,9 @@ PI_TAU = 30.0e-6
 def stark_state_shift(m, intensity, delta_s, species=CESIUM):
     """Light shift E_S(m)/hbar (rad/s) of level m under the D1 field.
 
-    Sums the contributions of the two excited hyperfine components with
-    pi-polarization dipole weights (F^2 - m^2) and m^2; the edge states
-    couple only to the upper component.
+    Sums the contributions of the two excited hyperfine components, F' = F - 1
+    below and F' = F above, with the exact pi-light weights of
+    ``d_line_weight``; the edge states couple only to the upper component.
     """
     f = species.f_ground
     if abs(m) > f:
@@ -53,10 +56,10 @@ def stark_state_shift(m, intensity, delta_s, species=CESIUM):
     if intensity < 0.0:
         raise ValueError(f"intensity must be non-negative, got {intensity}")
     d_low, d_up = _stark_denominators(delta_s, species)
-    # squared dipole moments over eps0*hbar: lambda^3 gamma/(2^7 pi^2) * weight
-    unit = species.lambda_d1**3 * species.gamma_d1 / (2.0**7 * math.pi**2)
+    # squared D1 dipole moment over eps0 hbar: 3 lambda^3 gamma / (4 pi^2) * weight
+    unit = 3.0 * species.lambda_d1**3 * species.gamma_d1 / (4.0 * math.pi**2)
     return intensity / (2.0 * CODATA.hbar * CODATA.c) * unit * (
-        (f - m) * (f + m) / d_low + m * m / d_up)
+        float(d_line_weight(f, f - 1, m, 0)) / d_low + float(d_line_weight(f, f, m, 0)) / d_up)
 
 
 def ac_zeeman_state_shift(m, intensity, delta_mu, species=CESIUM):
@@ -94,6 +97,10 @@ def affine_fit(ladder):
     return c0, c1, max(abs(y - (c0 + c1 * x)) for x, y in zip(xs, ys))
 
 
+def _hex(values):
+    return [v.hex() for v in values]
+
+
 def test_ladder_m_values():
     assert ladder_m_values(4) == list(range(-4, 4))
     assert ladder_m_values(1) == [-1, 0]
@@ -112,7 +119,8 @@ def test_zeeman_ladder_frozen_values():
 
 def test_zeeman_ladder_affine():
     ladder = zeeman_ladder(OMEGA_B)
-    assert ladder.terms == ((OMEGA_B, -OMEGA_B**2 / CESIUM.delta_hf),)
+    slope = -OMEGA_B**2 / CESIUM.delta_hf
+    assert _hex(ladder.values) == _hex(OMEGA_B + slope * (2 * m + 1) for m in range(-4, 4))
     c0, c1, residual = affine_fit(ladder)
     assert c0 == pytest.approx(OMEGA_B, rel=1e-12)
     assert c1 == pytest.approx(-OMEGA_B**2 / CESIUM.delta_hf, rel=1e-9)
@@ -150,8 +158,8 @@ def test_zeeman_validation():
 
 def test_stark_ladder_is_odd_affine():
     ladder = stark_ladder(10.0, DELTA_S)
-    ((start, slope),) = ladder.terms
-    assert math.copysign(1.0, start) == -1.0 and start == 0.0
+    slope = ladder.values[CESIUM.f_ground]  # m = 0: the slope itself
+    assert _hex(ladder.values) == _hex(slope * (2 * m + 1) for m in range(-4, 4))
     assert slope > 0.0
     c0, c1, residual = affine_fit(ladder)
     assert abs(c0) <= 1e-12 * abs(c1)
@@ -168,7 +176,7 @@ def test_stark_ladder_linear_in_intensity():
 
 def test_stark_slope_flips_inside_doublet():
     inside = stark_ladder(10.0, TWO_PI * 0.3e9)
-    assert inside.terms[0][1] < 0.0
+    assert inside.values[CESIUM.f_ground] < 0.0
     assert affine_fit(inside)[1] < 0.0
 
 
@@ -190,6 +198,77 @@ def test_stark_edge_states_couple_to_upper_component_only():
     d_low = DELTA_S + CESIUM.delta2 / 2.0
     ratio = stark_state_shift(f, 1.0, DELTA_S) / stark_state_shift(0, 1.0, DELTA_S)
     assert ratio == pytest.approx((f * f / d_up) / (f * f / d_low), rel=1e-12)
+
+
+def test_racah_symbols_match_known_values():
+    half = Fraction(1, 2)
+    assert three_j_squared(1, 1, 0, 0, 0, 0) == Fraction(1, 3)
+    assert three_j_squared(half, half, 1, half, half, -1) == Fraction(1, 3)
+    assert three_j_squared(2, 1, 1, 0, 0, 0) == Fraction(2, 15)
+    assert three_j_squared(1, 1, 1, 0, 0, 0) == 0
+    assert six_j_squared(1, 1, 1, 1, 1, 1) == Fraction(1, 36)
+    assert six_j_squared(half, half, 1, half, half, 0) == Fraction(1, 4)
+    # orthogonality: sum over j3, m3 of (2 j3 + 1) (j1 j2 j3; m1 m2 m3)^2 is 1
+    for m1, m2 in ((half, 0), (Fraction(3, 2), -1), (-Fraction(3, 2), 1)):
+        assert sum((2 * j3 + 1) * three_j_squared(Fraction(3, 2), 1, j3, m1, m2, -m1 - m2)
+                   for j3 in (half, Fraction(3, 2), Fraction(5, 2))) == 1
+
+
+@pytest.mark.parametrize("f", range(1, 11))
+def test_d1_weights_sum_to_one_half_and_carry_an_m2_of_one_over_6f2(f):
+    for m in range(-f, f + 1):
+        assert sum(d_line_weight(f, f_exc, m, q)
+                   for f_exc in (f - 1, f) for q in (-1, 0, 1)) == Fraction(1, 2)
+        # pi light: -/+ m^2 / (6 F^2) on the lower and the upper component
+        assert d_line_weight(f, f - 1, m, 0) == Fraction(f * f - m * m, 6 * f * f)
+        assert d_line_weight(f, f, m, 0) == Fraction(m * m, 6 * f * f)
+
+
+@pytest.mark.parametrize("f", range(1, 11))
+def test_stark_slope_scales_as_the_exact_m2_weight(f):
+    # the ladder slope is the m^2 coefficient of the upper component's weight,
+    # 16 / F^2 of cesium's F = 4 value
+    m2 = d_line_weight(f, f, 1, 0) - d_line_weight(f, f, 0, 0)
+    m2_cesium = d_line_weight(4, 4, 1, 0) - d_line_weight(4, 4, 0, 0)
+    sp = CESIUM._replace(f_ground=f)
+    for delta_s in (DELTA_S, -DELTA_S, TWO_PI * 0.3e9):
+        slope = stark_ladder(1.0, delta_s, sp).values[f]
+        assert slope / stark_ladder(1.0, delta_s).values[4] == pytest.approx(
+            float(m2 / m2_cesium), rel=1e-15)
+
+
+@pytest.mark.parametrize("f", range(1, 11))
+def test_stark_closed_forms_at_every_f(f):
+    sp = CESIUM._replace(f_ground=f)
+    hbar, c, pi = CODATA.hbar, CODATA.c, math.pi
+    strength, d2 = sp.lambda_d1**3 * sp.gamma_d1, sp.delta2
+    detuning_sq = DELTA_S**2 - d2**2 / 4.0
+    assert stark_compensation_intensity(OMEGA_B, DELTA_S, sp) == pytest.approx(
+        16 * f * f * pi**2 * hbar * c * OMEGA_B**2 / (strength * sp.delta_hf) * detuning_sq / d2,
+        rel=1e-15)
+    assert stark_pi_intensity(PI_TAU, DELTA_S, sp) == pytest.approx(
+        4 * f * f * pi**3 * hbar * c * abs(d2**2 - 4 * DELTA_S**2)
+        / ((4 * f - 2) * strength * d2 * PI_TAU), rel=1e-15)
+    assert scattered_photon_limit(sp) == pytest.approx(
+        3 * pi * f * f / (4 * f - 2) * sp.gamma_d1 / d2, rel=1e-15)
+    # the floor is the far-detuned limit of the light pi pulse's photon cost
+    assert stark_pi_scattered_photons(PI_TAU, 1e4 * d2, sp) == pytest.approx(
+        scattered_photon_limit(sp), rel=1e-3)
+    assert microwave_pi_intensity(PI_TAU, DELTA_MU, sp) == pytest.approx(
+        2 * pi * f * f * CODATA.epsilon0 * hbar**2 * c**3 * DELTA_MU
+        / ((4 * f - 2) * CODATA.mu_bohr**2 * PI_TAU), rel=1e-15)
+    if f == 4:  # cesium's constants: 2^8, 32 / 7, 24 / 7 and 16 / 7
+        assert stark_compensation_intensity(OMEGA_B, DELTA_S, sp) == pytest.approx(
+            2**8 * pi**2 * hbar * c * OMEGA_B**2 / (strength * sp.delta_hf) * detuning_sq / d2,
+            rel=1e-15)
+        assert stark_pi_intensity(PI_TAU, DELTA_S, sp) == pytest.approx(
+            32 * pi**3 * hbar * c * abs(d2**2 - 4 * DELTA_S**2) / (7 * strength * d2 * PI_TAU),
+            rel=1e-15)
+        assert scattered_photon_limit(sp) == pytest.approx(24 * pi / 7 * sp.gamma_d1 / d2,
+                                                           rel=1e-15)
+        assert microwave_pi_intensity(PI_TAU, DELTA_MU, sp) == pytest.approx(
+            16 * pi * CODATA.epsilon0 * hbar**2 * c**3 * DELTA_MU
+            / (7 * CODATA.mu_bohr**2 * PI_TAU), rel=1e-15)
 
 
 def test_stark_pole_guard():
@@ -219,8 +298,8 @@ def test_stark_validation():
 
 def test_ac_zeeman_ladder_is_odd_affine():
     ladder = ac_zeeman_ladder(100.0, DELTA_MU)
-    ((start, slope),) = ladder.terms
-    assert math.copysign(1.0, start) == -1.0 and start == 0.0
+    slope = ladder.values[CESIUM.f_ground]  # m = 0: the slope itself
+    assert _hex(ladder.values) == _hex(slope * (2 * m + 1) for m in range(-4, 4))
     assert slope > 0.0
     c0, c1, residual = affine_fit(ladder)
     assert abs(c0) <= 1e-12 * abs(c1)
@@ -230,7 +309,7 @@ def test_ac_zeeman_ladder_is_odd_affine():
 
 def test_ac_zeeman_slope_follows_detuning_sign():
     red = ac_zeeman_ladder(100.0, -DELTA_MU)
-    assert red.terms[0][1] < 0.0
+    assert red.values[CESIUM.f_ground] < 0.0
     assert affine_fit(red)[1] < 0.0
 
 
@@ -260,11 +339,7 @@ def test_ac_zeeman_validation():
 
 
 # ---------------------------------------------------------------------------
-# a ladder is its affine terms
-
-
-def _hex(values):
-    return [v.hex() for v in values]
+# a ladder is its per-m values
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,7 +360,7 @@ def test_ladders_are_the_written_out_expressions_bit_for_bit(
 
     def stark_rows(i):
         slope = (sp.lambda_d1**3 * sp.gamma_d1 * i * sp.delta2
-                 / (2.0**8 * math.pi**2 * CODATA.hbar * CODATA.c * (d_low * d_up)))
+                 / (16.0 * f * f * math.pi**2 * CODATA.hbar * CODATA.c * (d_low * d_up)))
         return {m: slope * (2 * m + 1) for m in ms}
 
     def ac_zeeman_rows(i, d):
@@ -315,10 +390,10 @@ def test_ladders_are_the_written_out_expressions_bit_for_bit(
         assert ladder.spread().hex() == (max(want.values()) - min(want.values())).hex()
 
 
-def test_a_sum_keeps_its_terms():
+def test_a_sum_adds_per_m():
     z, s = zeeman_ladder(OMEGA_B), stark_ladder(10.0, DELTA_S)
     combined = z + s
-    assert combined == (z.f_ground, z.terms + s.terms)
+    assert combined == (z.f_ground, tuple(a + b for a, b in zip(z.values, s.values)))
     with pytest.raises(ValueError, match="different m ranges"):
         z + zeeman_ladder(OMEGA_B, CESIUM._replace(f_ground=3))
 
@@ -333,7 +408,7 @@ def test_least_squares_fit_agrees_with_the_closed_slope(f_stark, f_mu, sign, f_g
     assume(abs(abs(delta_s) - half) > POLE_GUARD * half)
     factor = 4 * f_ground - 2
     for ladder in (stark_ladder(1.0, delta_s, sp), ac_zeeman_ladder(1.0, delta_mu, sp)):
-        assert affine_fit(ladder)[1] == pytest.approx(ladder.terms[0][1], rel=1e-15)
+        assert affine_fit(ladder)[1] == pytest.approx(ladder.values[f_ground], rel=1e-15)
     # the pi intensities as they were solved from the fitted unit ladders
     fitted = math.pi / (PI_TAU * (factor * abs(affine_fit(stark_ladder(1.0, delta_s, sp))[1])))
     assert stark_pi_intensity(PI_TAU, delta_s, sp) == pytest.approx(fitted, rel=1e-15)
